@@ -248,6 +248,9 @@ class _Parser:
                 self.error(span, "symbols declared twice")
                 return
             m = _RE_SYMBOLS.match(stripped)
+            if not m:
+                malformed()
+                return
             rest = m.group("rest")
             self.symbols = []
             for tok in re.finditer(r"\S+", rest):

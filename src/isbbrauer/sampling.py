@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 
 from .model import (
+    _ALLOWED_PAIRS,
     Configuration,
     CoverBehavior,
     CoverKind,
@@ -92,19 +93,12 @@ def _draw(rng: random.Random) -> Configuration:
             )
         )
 
-    by_pair = {
-        ("I", "II"): (PointType.I_II,),
-        ("II", "II"): (PointType.II_II,),
-        ("II", "III"): (PointType.III_II,),
-        ("II", "IV"): (PointType.IV_II,),
-        ("IV", "IV"): (PointType.IVP_IV, PointType.IVPP_IV),
-    }
     points: list[SingularPoint] = []
     if len(curves) >= 2:
         for j in range(rng.randint(0, 3)):
             a, b = rng.sample(curves, 2)
             key = tuple(sorted((a.deg_type.value, b.deg_type.value)))
-            allowed = by_pair.get(key)
+            allowed = _ALLOWED_PAIRS.get(key)
             if allowed is None:
                 continue
             etype = rng.choice(allowed)

@@ -3,9 +3,9 @@
 Pointed rational cones in Z^4, their duals by brute-force inequality
 enumeration, Hilbert bases by bounded lattice-point search, smoothness
 via Smith normal form, and star subdivisions.  Everything is exact
-integer (or Fraction) arithmetic; scope is deliberately capped at
-ambient rank 4 and 8 rays per cone, which covers the one cone this
-package cares about — ``uv_xyz_cone()`` — and all of its transforms.
+integer arithmetic; scope is deliberately capped at ambient rank 4 and
+8 rays per cone, which covers the one cone this package cares about —
+``uv_xyz_cone()`` — and all of its transforms.
 
 ``resolve_demo`` runs the whole story: find the three singular faces,
 derive candidate blow-up rays from their ray sums, and search the
@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -136,60 +135,55 @@ def _det(m: list[list[int]]) -> int:
 
 
 def _rank(vectors) -> int:
-    """Rank over Q by exact Gaussian elimination."""
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col] / rows[rank][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+    """Rank over Q: the number of invariant factors."""
+    return len(_smith_normal_form(list(vectors), DIM)[0])
 
 
-def _cofactor_normal(rows: tuple[Vec, ...], d: int) -> Vec | None:
-    """Vector orthogonal to d-1 given vectors of length d, by cofactors.
+def _cofactor_normal(rows: tuple[Vec, ...]) -> Vec | None:
+    """Vector orthogonal to DIM-1 given vectors, by cofactors.
 
-    Returns None when the input has rank below d-1 (no unique normal).
-    For zero input rows in dimension 1 the convention is (1,).
+    Returns None when the input has rank below DIM-1 (no unique normal).
     """
     n = []
-    for j in range(d):
-        minor = [[row[k] for k in range(d) if k != j] for row in rows]
+    for j in range(DIM):
+        minor = [[row[k] for k in range(DIM) if k != j] for row in rows]
         n.append((-1) ** j * _det(minor))
     if all(x == 0 for x in n):
         return None
     return tuple(n)
 
 
-def _smith_normal_form(rows: list[Vec], n: int) -> tuple[list[int], list[list[int]]]:
-    """Invariant factors and the column-operation matrix V (U*M*V diagonal)."""
+def _smith_normal_form(
+    rows: list[Vec], n: int
+) -> tuple[list[int], list[list[int]], list[list[int]]]:
+    """Invariant factors, the column-operation matrix V (U*M*V diagonal)
+    and its inverse, kept by applying each column operation's inverse to
+    the rows of V^-1."""
     m = [list(r) for r in rows]
     k = len(m)
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    w = [row[:] for row in v]
 
     def col_swap(a, b):
         for row in m:
             row[a], row[b] = row[b], row[a]
         for row in v:
             row[a], row[b] = row[b], row[a]
+        w[a], w[b] = w[b], w[a]
 
     def col_add(src, dst, q):
         for row in m:
             row[dst] += q * row[src]
         for row in v:
             row[dst] += q * row[src]
+        w[src] = [x - q * y for x, y in zip(w[src], w[dst])]
 
     def col_negate(a):
         for row in m:
             row[a] = -row[a]
         for row in v:
             row[a] = -row[a]
+        w[a] = [-x for x in w[a]]
 
     t = 0
     while t < k and t < n:
@@ -244,42 +238,14 @@ def _smith_normal_form(rows: list[Vec], n: int) -> tuple[list[int], list[list[in
         if m[t][t] < 0:
             col_negate(t)
         t += 1
-    return [m[i][i] for i in range(t)], v
+    return [m[i][i] for i in range(t)], v, w
 
 
-def _fraction_inverse(mat: list[list[int]]) -> list[list[int]]:
-    """Exact inverse of a unimodular integer matrix (entries stay integral)."""
-    n = len(mat)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(mat)]
-    for col in range(n):
-        pivot = next(i for i in range(col, n) if a[i][col])
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            entry = a[i][n + j]
-            if entry.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            row.append(int(entry))
-        out.append(row)
-    return out
-
-
-def _nullspace(vectors: list[Vec]) -> list[Vec]:
+def _nullspace(vectors) -> list[Vec]:
     """Saturated lattice basis of {x in Z^4 : <x, v> = 0 for all v}."""
-    if not vectors:
-        return [tuple(int(i == j) for j in range(DIM)) for i in range(DIM)]
-    diag, v = _smith_normal_form(list(vectors), DIM)
-    rank = sum(1 for d in diag if d != 0)
+    diag, v, _ = _smith_normal_form(list(vectors), DIM)
     kernel = []
-    for j in range(rank, DIM):
+    for j in range(len(diag), DIM):
         col = tuple(v[i][j] for i in range(DIM))
         kernel.append(_primitive(col))
     return sorted(kernel)
@@ -289,90 +255,24 @@ def _nullspace(vectors: list[Vec]) -> list[Vec]:
 # dual cones
 
 
-def _facet_normals(vectors: list[tuple[int, ...]], d: int) -> list[tuple[int, ...]]:
-    """Extremal rays of the dual of a full-dimensional cone in Z^d.
+def _facet_normals(vectors: list[Vec]) -> list[Vec]:
+    """Extremal rays of the dual of a full-dimensional cone in Z^4.
 
     Every facet of cone(vectors) is spanned by generators lying in it, so
-    candidate normals come from (d-1)-subsets; sign feasibility keeps the
-    supporting ones.  In dimension 1 the empty subset yields the normal
-    (1,) by the empty-determinant convention.
+    candidate normals come from (DIM-1)-subsets; sign feasibility keeps
+    the supporting ones.
     """
-    normals: set[tuple[int, ...]] = set()
-    for subset in itertools.combinations(vectors, d - 1):
-        n = _cofactor_normal(subset, d) if d > 1 else (1,)
+    normals: set[Vec] = set()
+    for subset in itertools.combinations(vectors, DIM - 1):
+        n = _cofactor_normal(subset)
         if n is None:
             continue
-        pos = all(_dot(n, v) >= 0 for v in vectors)
-        neg = all(_dot(n, v) <= 0 for v in vectors)
-        if pos and neg:
-            continue
-        if pos:
+        # n is nonzero and the vectors span, so at most one sign supports
+        if all(_dot(n, v) >= 0 for v in vectors):
             normals.add(_primitive(n))
-        elif neg:
+        elif all(_dot(n, v) <= 0 for v in vectors):
             normals.add(_primitive(_neg(n)))
     return sorted(normals)
-
-
-def _coords_in_basis(v: Vec, basis: list[Vec]) -> tuple[int, ...]:
-    """Integer coordinates of v in a saturated basis of its span."""
-    r = len(basis)
-    rows = [[Fraction(basis[i][k]) for i in range(r)] + [Fraction(v[k])] for k in range(DIM)]
-    coords = [Fraction(0)] * r
-    rank = 0
-    for col in range(r):
-        pivot = next((i for i in range(rank, DIM) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(DIM):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    for i in range(rank, DIM):
-        if rows[i][r]:
-            raise ValueError("vector does not lie in the span of the basis")
-    pivot_cols = []
-    for i in range(rank):
-        pivot_cols.append(next(j for j in range(r) if rows[i][j]))
-    for i, col in enumerate(pivot_cols):
-        coords[col] = rows[i][r]
-    out = []
-    for x in coords:
-        if x.denominator != 1:
-            raise ValueError("coordinates are not integral in the saturated basis")
-        out.append(int(x))
-    return tuple(out)
-
-
-def _lift_functional(n_local: tuple[int, ...], basis: list[Vec]) -> Vec:
-    """The primitive m in span(basis) with <m, basis_j> proportional to n_local."""
-    r = len(basis)
-    gram = [[Fraction(_dot(basis[i], basis[j])) for j in range(r)] for i in range(r)]
-    rhs = [Fraction(x) for x in n_local]
-    # solve gram * c = rhs (gram is positive definite, hence invertible)
-    aug = [gram[i] + [rhs[i]] for i in range(r)]
-    for col in range(r):
-        pivot = next(i for i in range(col, r) if aug[i][col])
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(r):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    c = [aug[i][r] for i in range(r)]
-    m = [Fraction(0)] * DIM
-    for i in range(r):
-        for k in range(DIM):
-            m[k] += c[i] * basis[i][k]
-    denom = 1
-    for x in m:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = tuple(int(x * denom) for x in m)
-    return _primitive(ints)
 
 
 @lru_cache(maxsize=None)
@@ -380,23 +280,15 @@ def _dual_rays(vectors: tuple[Vec, ...]) -> tuple[Vec, ...]:
     """Minimal generating set of {m : <m, v> >= 0 for all v}.
 
     Accepts an arbitrary vector list (the cone it generates need not be
-    pointed).  When the input does not span, the dual has a lineality
-    space: the result then contains +/- a lattice basis of it alongside
-    the pointed generators computed in saturated subspace coordinates.
+    pointed).  When the input does not span, the dual has the lineality
+    space L = span(vectors)^perp, and the result contains +/- a lattice
+    basis of L.  Adding those to the input spans Q^4 without changing the
+    dual, so the dual's pointed generators are the facet normals of the
+    enlarged set.
     """
-    vecs = [v for v in vectors if any(v)]
-    if not vecs:
-        units = [tuple(int(i == j) for j in range(DIM)) for i in range(DIM)]
-        return tuple(sorted(units + [_neg(u) for u in units]))
-    r = _rank(vecs)
-    if r == DIM:
-        return tuple(_facet_normals(vecs, DIM))
-    lineal = _nullspace(vecs)
-    basis = _nullspace(lineal)
-    coords = [_coords_in_basis(v, basis) for v in vecs]
-    pointed = [_lift_functional(n, basis) for n in _facet_normals(coords, r)]
-    out = pointed + lineal + [_neg(b) for b in lineal]
-    return tuple(sorted(out))
+    lineal = _nullspace(vectors)
+    lines = lineal + [_neg(b) for b in lineal]
+    return tuple(sorted(_facet_normals(list(vectors) + lines) + lines))
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +323,7 @@ class Cone:
 
     @property
     def dim(self) -> int:
-        return _rank(self.rays) if self.rays else 0
+        return _rank(self.rays)
 
     def contains(self, x) -> bool:
         point = _as_vec(x)
@@ -571,12 +463,11 @@ class SmoothnessReport:
 
 def _cone_certificate(c: Cone) -> SmoothnessCertificate:
     k = len(c.rays)
-    if _rank(c.rays) != k:
+    diag, _, w = _smith_normal_form(list(c.rays), DIM)
+    if len(diag) != k:
         return SmoothnessCertificate(c, False, "not simplicial")
-    diag, v = _smith_normal_form(list(c.rays), DIM)
     if any(d != 1 for d in diag):
         return SmoothnessCertificate(c, False, f"invariant factors {tuple(diag)}")
-    w = _fraction_inverse(v)
     completion = [tuple(w[i]) for i in range(k, DIM)]
     matrix = tuple(list(c.rays) + completion)
     det = _det([list(row) for row in matrix])

@@ -106,6 +106,15 @@ def test_parse_error_reports_position(tmp_path):
     assert f"{cfg}:1:8:" in err
 
 
+def test_malformed_symbols_line_is_parse_error(tmp_path):
+    cfg = tmp_path / "nocolon.cfg"
+    cfg.write_text("cover: irreducible\nsymbols d\n")
+    code, out, err = run("validate", str(cfg))
+    assert code == cli.PARSE_ERROR
+    assert out == ""
+    assert f"{cfg}:2:1: malformed symbols line" in err
+
+
 def test_missing_file_is_usage_error(tmp_path):
     code, _, err = run("compute", str(tmp_path / "absent.cfg"))
     assert code == cli.USAGE
@@ -190,6 +199,34 @@ def test_toric_demo_ends_smooth():
     code, out, _ = run("toric", "demo")
     assert code == cli.OK
     assert out.rstrip().splitlines()[-1] == "smooth: true"
+
+
+TORIC_DEMO_OUT = """\
+cone: (0,1,0,0) (0,1,0,1) (0,1,1,0) (1,0,0,0) (1,0,0,1) (1,0,1,0)
+singular faces: 3
+  dim 3: (0,1,0,0) (0,1,0,1) (1,0,0,0) (1,0,0,1)
+  dim 3: (0,1,0,0) (0,1,1,0) (1,0,0,0) (1,0,1,0)
+  dim 3: (0,1,0,1) (0,1,1,0) (1,0,0,1) (1,0,1,0)
+candidate rays: (1,1,0,1) (1,1,1,0) (1,1,1,1)
+step 1: subdivide at (1,1,0,1) -> 4 maximal cones, support preserved (1000 samples)
+step 2: subdivide at (1,1,1,0) -> 7 maximal cones, support preserved (1000 samples)
+step 3: subdivide at (1,1,1,1) -> 10 maximal cones, support preserved (1000 samples)
+  cone (0,1,0,0) (1,0,0,0) (1,1,0,1) (1,1,1,0): unimodular
+  cone (1,0,0,0) (1,0,1,0) (1,1,0,1) (1,1,1,0): unimodular
+  cone (0,1,0,0) (0,1,1,0) (1,1,0,1) (1,1,1,0): unimodular
+  cone (0,1,1,0) (1,0,1,0) (1,1,0,1) (1,1,1,0): unimodular
+  cone (1,0,0,0) (1,0,0,1) (1,0,1,0) (1,1,0,1): unimodular
+  cone (0,1,0,0) (0,1,0,1) (0,1,1,0) (1,1,0,1): unimodular
+  cone (0,1,1,0) (1,0,1,0) (1,1,0,1) (1,1,1,1): unimodular
+  cone (1,0,0,1) (1,0,1,0) (1,1,0,1) (1,1,1,1): unimodular
+  cone (0,1,0,1) (0,1,1,0) (1,1,0,1) (1,1,1,1): unimodular
+  cone (0,1,0,1) (1,0,0,1) (1,1,0,1) (1,1,1,1): unimodular
+smooth: true
+"""
+
+
+def test_toric_demo_output_is_pinned():
+    assert run("toric", "demo") == (cli.OK, TORIC_DEMO_OUT, "")
 
 
 def test_toric_check_resolves_fan(tmp_path):

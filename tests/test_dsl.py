@@ -125,6 +125,13 @@ def test_unknown_keyword_span_respects_indentation():
     assert any("unknown keyword 'frob:'" in m for m in messages(caught.value))
 
 
+@pytest.mark.parametrize("line", ["symbols d", "symbols", "symbols : a"])
+def test_symbols_line_without_colon(line):
+    with pytest.raises(ConfigParseError) as caught:
+        parse("cover: irreducible\n" + line + "\n")
+    assert ((2, 1), "malformed symbols line") in zip(spans(caught.value), messages(caught.value))
+
+
 def test_bad_residue_symbol_span():
     line = "  ext c_1: a+!x"
     src = "cover: irreducible\nsymbols: a\ncurve c:\n  type: II\n  cover: split\n" + line + "\n  ext c_2: a\n"

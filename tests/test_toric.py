@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isbbrauer import toric
@@ -102,6 +102,32 @@ def test_sigma_dual_generators():
     ]
 
 
+@pytest.mark.parametrize(
+    "cone,expected",
+    [
+        (
+            Cone((E1,)),
+            [(0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1), (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)],
+        ),
+        (
+            pad2([(1, 0), (1, 2)]),
+            [(0, 0, -1, 0), (0, 0, 0, -1), (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (2, -1, 0, 0)],
+        ),
+        (
+            # a singular 3-dim face of uv_xyz_cone()
+            Cone(((0, 1, 0, 0), (0, 1, 0, 1), (1, 0, 0, 0), (1, 0, 0, 1))),
+            [(0, 0, -1, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0), (1, 1, 0, -1)],
+        ),
+        (
+            Cone(((1, 2, 0, -1), (0, 1, 3, 1))),
+            [(-6, 3, -1, 0), (-3, 1, 0, -1), (-1, 4, 18, 7), (3, -1, 0, 1), (6, -3, 1, 0), (11, 21, -3, -12)],
+        ),
+    ],
+)
+def test_lower_rank_dual_generators_are_pinned(cone, expected):
+    assert dual_generators(cone) == expected
+
+
 # --- Hilbert bases ---------------------------------------------------------------
 
 
@@ -142,6 +168,7 @@ def test_sigma_dual_hilbert_basis_has_five_elements():
         max_size=4,
     )
 )
+@example([(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)])  # (1,1,0,0) is not extremal
 def test_hilbert_basis_properties(raw):
     from math import gcd
 
@@ -158,7 +185,9 @@ def test_hilbert_basis_properties(raw):
     for h in hb:
         assert all(sum(a * b for a, b in zip(m, h)) >= 0 for m in duals)
     for r in cone.rays:
-        assert r in members
+        others = tuple(o for o in cone.rays if o != r)
+        if not Cone(others).contains(r):  # extremal rays are irreducible
+            assert r in members
     for x, y in itertools.combinations(hb, 2):
         assert tuple(a + b for a, b in zip(x, y)) not in members
 
@@ -207,6 +236,28 @@ def test_smooth_certificate_carries_unimodular_completion():
     assert report
     for cert in report.certificates:
         assert cert.determinant in (1, -1)
+
+
+def test_certificate_matrices_are_pinned():
+    # the demo's final cones are full-dimensional, so each matrix is the rays
+    expected = [
+        (((0, 1, 0, 0), (1, 0, 0, 0), (1, 1, 0, 1), (1, 1, 1, 0)), 1),
+        (((1, 0, 0, 0), (1, 0, 1, 0), (1, 1, 0, 1), (1, 1, 1, 0)), 1),
+        (((0, 1, 0, 0), (0, 1, 1, 0), (1, 1, 0, 1), (1, 1, 1, 0)), -1),
+        (((0, 1, 1, 0), (1, 0, 1, 0), (1, 1, 0, 1), (1, 1, 1, 0)), -1),
+        (((1, 0, 0, 0), (1, 0, 0, 1), (1, 0, 1, 0), (1, 1, 0, 1)), -1),
+        (((0, 1, 0, 0), (0, 1, 0, 1), (0, 1, 1, 0), (1, 1, 0, 1)), 1),
+        (((0, 1, 1, 0), (1, 0, 1, 0), (1, 1, 0, 1), (1, 1, 1, 1)), 1),
+        (((1, 0, 0, 1), (1, 0, 1, 0), (1, 1, 0, 1), (1, 1, 1, 1)), -1),
+        (((0, 1, 0, 1), (0, 1, 1, 0), (1, 1, 0, 1), (1, 1, 1, 1)), 1),
+        (((0, 1, 0, 1), (1, 0, 0, 1), (1, 1, 0, 1), (1, 1, 1, 1)), -1),
+    ]
+    certs = resolve_demo(samples=16).smoothness.certificates
+    assert [(c.matrix, c.determinant) for c in certs] == expected
+    # a 2-dim cone: the two rows after the rays are the unimodular completion
+    (cert,) = is_smooth(Cone(((1, 2, 0, -1), (0, 1, 3, 1)))).certificates
+    assert cert.matrix == ((0, 1, 3, 1), (1, 2, 0, -1), (0, 0, 1, 0), (0, 0, 0, 1))
+    assert cert.determinant == -1
 
 
 # --- fan operations ----------------------------------------------------------------
