@@ -19,28 +19,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .f2 import (
-    F2Matrix,
-    F2Vector,
-    Subspace,
-    column_space,
-    kernel_basis,
-    member,
-    sum_subspace,
-)
+from .f2 import F2Matrix, F2Vector, column_space, kernel_basis, member
 from .model import (
     Configuration,
     CoverBehavior,
     CoverKind,
     Curve,
     CurveType,
+    Extension,
     PointType,
     ResidueClass,
     SingularPoint,
     ValidationReport,
+    _validate_with_spaces,
     cores_residue,
     extension_owner,
-    validate,
+    validate,  # re-exported: ``brauer.validate`` is ``model.validate``
     vp_basis,
     vq_basis,
     zr_basis,
@@ -186,44 +180,46 @@ def _point_relates(point: SingularPoint, curve: Curve, ext_id: str) -> bool:
     return False
 
 
-def matrix_p_to_r(cfg: Configuration) -> F2Matrix:
-    """Incidence map P -> R; rows follow zr_basis, columns vp_basis."""
-    vp = vp_basis(cfg)
-    zr = zr_basis(cfg)
-    owner = extension_owner(cfg)
+def _incidence_matrix(
+    vp: list[Extension], zr: list[SingularPoint], owner: dict[str, Curve]
+) -> F2Matrix:
+    """m_pr, by walking each point's incident curves.
+
+    Bit j of a point's row is set when the owner of extension j is one of
+    the point's curves and ``_point_relates`` fires, exactly as a scan of
+    every (point, extension) pair would find, but each point only visits
+    the P coordinates of its own curves.
+    """
+    by_curve: dict[str, list[tuple[int, Extension, Curve]]] = {}
+    for j, ext in enumerate(vp):
+        curve = owner[ext.id]
+        by_curve.setdefault(curve.id, []).append((j, ext, curve))
     masks = []
     for point in zr:
         mask = 0
-        for j, ext in enumerate(vp):
-            curve = owner[ext.id]
-            if curve.id not in point.incident:
-                continue
-            if _point_relates(point, curve, ext.id):
-                mask |= 1 << j
+        for curve_id in point.incident:
+            for j, ext, curve in by_curve.get(curve_id, ()):
+                if _point_relates(point, curve, ext.id):
+                    mask |= 1 << j
         masks.append(mask)
     return F2Matrix(len(zr), len(vp), tuple(masks))
 
 
-def matrix_q_to_p(cfg: Configuration) -> F2Matrix:
-    """Relation map Q -> P; column of a curve marks its extensions in P."""
-    vp = vp_basis(cfg)
-    vq = vq_basis(cfg)
-    owner = extension_owner(cfg)
+def _relation_matrix(
+    vp: list[Extension], vq: list[Curve], owner: dict[str, Curve]
+) -> F2Matrix:
     index = {c.id: i for i, c in enumerate(vq)}
     masks = []
     for ext in vp:
-        curve_id = owner[ext.id].id
-        col = index.get(curve_id)
+        col = index.get(owner[ext.id].id)
         masks.append(0 if col is None else 1 << col)
     return F2Matrix(len(vp), len(vq), tuple(masks))
 
 
-def s_to_p_vectors(cfg: Configuration) -> list[F2Vector]:
-    """Images in P of the s_space generators (diagonal inclusions)."""
-    vp = vp_basis(cfg)
+def _s_vectors(vp: list[Extension], labels: tuple[str, ...]) -> list[F2Vector]:
     p = len(vp)
     vectors = []
-    for label in s_space(cfg).generator_labels:
+    for label in labels:
         if label == "cores(beta)":
             mask = (1 << p) - 1
         else:
@@ -236,6 +232,64 @@ def s_to_p_vectors(cfg: Configuration) -> list[F2Vector]:
     return vectors
 
 
+def matrix_p_to_r(cfg: Configuration) -> F2Matrix:
+    """Incidence map P -> R; rows follow zr_basis, columns vp_basis."""
+    return _incidence_matrix(vp_basis(cfg), zr_basis(cfg), extension_owner(cfg))
+
+
+def matrix_q_to_p(cfg: Configuration) -> F2Matrix:
+    """Relation map Q -> P; column of a curve marks its extensions in P."""
+    return _relation_matrix(vp_basis(cfg), vq_basis(cfg), extension_owner(cfg))
+
+
+def s_to_p_vectors(cfg: Configuration) -> list[F2Vector]:
+    """Images in P of the s_space generators (diagonal inclusions)."""
+    return _s_vectors(vp_basis(cfg), s_space(cfg).generator_labels)
+
+
+@dataclass(frozen=True)
+class _Spaces:
+    """Every basis and map of one configuration, built once and shared.
+
+    The GC checks, the computation and the ramification lift all read
+    this value.  ``owner`` maps an extension id to its curve and
+    ``curve_rank`` a curve id to its declaration index; both let the
+    last declaration win, as ``extension_owner`` does.
+    """
+
+    cfg: Configuration
+    vp: tuple[Extension, ...]
+    vq: tuple[Curve, ...]
+    zr: tuple[SingularPoint, ...]
+    owner: dict[str, Curve]
+    curve_rank: dict[str, int]
+    m_pr: F2Matrix
+    m_qp: F2Matrix
+    s_labels: tuple[str, ...]
+    s_vectors: tuple[F2Vector, ...]
+
+
+def _build_spaces(cfg: Configuration) -> _Spaces:
+    """The spaces of ``cfg``; each piece equals its public builder's result."""
+    vp = vp_basis(cfg)
+    vq = vq_basis(cfg)
+    zr = zr_basis(cfg)
+    owner = extension_owner(cfg)
+    s_labels = s_space(cfg).generator_labels
+    return _Spaces(
+        cfg=cfg,
+        vp=tuple(vp),
+        vq=tuple(vq),
+        zr=tuple(zr),
+        owner=owner,
+        curve_rank={c.id: i for i, c in enumerate(cfg.curves)},
+        m_pr=_incidence_matrix(vp, zr, owner),
+        m_qp=_relation_matrix(vp, vq, owner),
+        s_labels=s_labels,
+        s_vectors=tuple(_s_vectors(vp, s_labels)),
+    )
+
+
 def ramification_lift(
     cfg: Configuration, vec: F2Vector
 ) -> list[tuple[str, ResidueClass]]:
@@ -244,34 +298,34 @@ def ramification_lift(
     Each extension with coefficient 1 contributes at its base curve: the
     extension residue for split and ramified curves, the corestriction
     residue for inert ones.  Curves whose total vanishes are omitted.
+    ``unramified_brauer`` lifts each generator through the same rule on
+    the spaces it has already built; this entry point builds them for
+    one call.
 
     Raises:
         KernelContractError: if ``vec`` is not in ker(m_pr) — such a
             vector does not define a class on which the lift makes sense.
     """
-    vp = vp_basis(cfg)
-    if vec.length != len(vp):
+    return _lift(_build_spaces(cfg), vec)
+
+
+def _lift(spaces: _Spaces, vec: F2Vector) -> list[tuple[str, ResidueClass]]:
+    if vec.length != len(spaces.vp):
         raise KernelContractError(
-            f"vector has length {vec.length}, expected dim P = {len(vp)}"
+            f"vector has length {vec.length}, expected dim P = {len(spaces.vp)}"
         )
-    if not matrix_p_to_r(cfg).mul(vec).is_zero:
+    if not spaces.m_pr.mul(vec).is_zero:
         raise KernelContractError("vector is not in the kernel of P -> R")
-    owner = extension_owner(cfg)
     acc: dict[str, ResidueClass] = {}
-    order: list[str] = []
     for j in vec.support():
-        ext = vp[j]
-        curve = owner[ext.id]
+        ext = spaces.vp[j]
+        curve = spaces.owner[ext.id]
         if curve.cover_behavior is CoverBehavior.INERT:
-            contribution = cores_residue(cfg, curve)
+            contribution = cores_residue(spaces.cfg, curve)
         else:
             contribution = ext.residue
-        if curve.id not in acc:
-            acc[curve.id] = ResidueClass()
-            order.append(curve.id)
-        acc[curve.id] = acc[curve.id] + contribution
-    by_curve = {c.id: i for i, c in enumerate(cfg.curves)}
-    order.sort(key=lambda cid: by_curve[cid])
+        acc[curve.id] = acc.get(curve.id, ResidueClass()) + contribution
+    order = sorted(acc, key=spaces.curve_rank.__getitem__)
     return [(cid, acc[cid]) for cid in order if not acc[cid].is_zero]
 
 
@@ -308,52 +362,69 @@ def _report_assertions() -> tuple[tuple[str, str], ...]:
     return (("gc1", "ok"), ("gc2", "ok"), ("gc3", "ok"), ("gc4", "ok"))
 
 
+def _insert(pivots: dict[int, int], mask: int) -> bool:
+    """Reduce ``mask`` against an echelon basis keyed by lowest set bit.
+
+    Each stored row's lowest set bit is its key, so one XOR clears the
+    current lowest bit of ``mask`` without touching lower bits.  A
+    nonzero remainder is stored under its own lowest bit.
+
+    Returns:
+        Whether ``mask`` was outside the span of the stored rows.
+    """
+    while mask:
+        low = mask & -mask
+        row = pivots.get(low)
+        if row is None:
+            pivots[low] = mask
+            return True
+        mask ^= row
+    return False
+
+
 def unramified_brauer(cfg: Configuration) -> BrauerReport:
     """Compute the full report for a valid configuration.
 
-    kernel_dim is dim ker(m_pr) minus dim image(m_qp); subtracting dim S
-    gives h2nr_dim.  Generators complete image(Q) + image(S) to the
-    kernel greedily over the canonical kernel basis, so output is
-    deterministic in the declaration order.
+    Validation is the same as ``validate``'s, and the spaces it builds for
+    the GC checks are the ones the computation reads: each basis and map
+    is built once.  kernel_dim is dim ker(m_pr) minus dim image(m_qp);
+    subtracting dim S gives h2nr_dim.  Generators complete image(Q) +
+    image(S) to the kernel greedily over the canonical kernel basis: an
+    echelon basis seeded with the Q columns and the S vectors takes each
+    kernel row in turn, and a row that is not already in its span becomes
+    a generator.  Output is therefore deterministic in the declaration
+    order.
 
     Raises:
-        InvalidConfigurationError: when validation reports errors.
+        InvalidConfigurationError: when validation reports errors; its
+            report carries the errors and the warnings.
     """
-    report = validate(cfg)
+    report, spaces = _validate_with_spaces(cfg)
     if report.errors:
         raise InvalidConfigurationError(report)
 
-    vp = vp_basis(cfg)
-    vq = vq_basis(cfg)
-    zr = zr_basis(cfg)
-    space = s_space(cfg)
-    m_pr = matrix_p_to_r(cfg)
-    m_qp = matrix_q_to_p(cfg)
-    svecs = s_to_p_vectors(cfg)
-    m_sp = F2Matrix.from_columns(svecs, rows=len(vp))
+    kernel = kernel_basis(spaces.m_pr)
+    pivots: dict[int, int] = {}
+    q_rank = sum(_insert(pivots, col.mask) for col in spaces.m_qp.columns())
+    for vec in spaces.s_vectors:
+        _insert(pivots, vec.mask)
+    kernel_dim = kernel.dim - q_rank
+    h2nr_dim = kernel_dim - len(spaces.s_labels)
 
-    kernel = kernel_basis(m_pr)
-    q_image = column_space(m_qp)
-    kernel_dim = kernel.dim - q_image.dim
-    h2nr_dim = kernel_dim - space.dim
-
-    covered = sum_subspace(q_image, Subspace.span(len(vp), svecs))
     generators: list[Generator] = []
     for row in kernel.basis:
-        if member(covered, row):
-            continue
-        generators.append(Generator(row, tuple(ramification_lift(cfg, row))))
-        covered = sum_subspace(covered, Subspace.span(len(vp), [row]))
+        if _insert(pivots, row.mask):
+            generators.append(Generator(row, tuple(_lift(spaces, row))))
 
     return BrauerReport(
         cover_kind=cfg.cover_kind,
-        s_labels=space.generator_labels,
-        p_labels=tuple(ext.id for ext in vp),
-        q_labels=tuple(c.id for c in vq),
-        r_labels=tuple(p.id for p in zr),
-        m_pr=m_pr,
-        m_qp=m_qp,
-        m_sp=m_sp,
+        s_labels=spaces.s_labels,
+        p_labels=tuple(ext.id for ext in spaces.vp),
+        q_labels=tuple(c.id for c in spaces.vq),
+        r_labels=tuple(p.id for p in spaces.zr),
+        m_pr=spaces.m_pr,
+        m_qp=spaces.m_qp,
+        m_sp=F2Matrix.from_columns(spaces.s_vectors, rows=len(spaces.vp)),
         kernel_dim=kernel_dim,
         h2nr_dim=h2nr_dim,
         generators=tuple(generators),

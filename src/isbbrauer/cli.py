@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 validation or semantic errors in an input
-file, 2 parse errors, 3 usage errors.  All diagnostics go to stderr;
-output for fixed input bytes and arguments is byte-identical.
+file, 2 parse errors (an input that is not UTF-8 included), 3 usage
+errors.  All diagnostics go to stderr; output for fixed input bytes and
+arguments is byte-identical.
 """
 
 from __future__ import annotations
@@ -101,13 +102,23 @@ def _print_validation(report: model.ValidationReport, out, err) -> None:
         print("warnings: (none)", file=target)
 
 
-def _load_config(path: str, err) -> model.Configuration | int:
+def _read_text(path: str, err) -> str | int:
+    """The file's text, or the exit code after a diagnostic on stderr."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         print(f"error: cannot read {path}: {exc.strerror}", file=err)
         return USAGE
+    except UnicodeDecodeError as exc:
+        print(f"{path}: input is not valid UTF-8 (byte offset {exc.start})", file=err)
+        return PARSE_ERROR
+
+
+def _load_config(path: str, err) -> model.Configuration | int:
+    text = _read_text(path, err)
+    if isinstance(text, int):
+        return text
     try:
         return dsl.parse(text)
     except dsl.ConfigParseError as exc:
@@ -129,11 +140,11 @@ def _cmd_validate(args, out, err) -> int:
 
 
 def _compute_and_print(cfg: model.Configuration, as_json: bool, out, err) -> int:
-    report = model.validate(cfg)
-    if report.errors:
-        _print_validation(report, out, err)
+    try:
+        result = brauer.unramified_brauer(cfg)
+    except brauer.InvalidConfigurationError as exc:
+        _print_validation(exc.report, out, err)
         return INVALID
-    result = brauer.unramified_brauer(cfg)
     if as_json:
         print(report_json(result), file=out)
     else:
@@ -214,12 +225,9 @@ def _cmd_toric_demo(args, out, err) -> int:
 
 
 def _cmd_toric_check(args, out, err) -> int:
-    try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"error: cannot read {args.file}: {exc.strerror}", file=err)
-        return USAGE
+    text = _read_text(args.file, err)
+    if isinstance(text, int):
+        return text
     try:
         script = toric.parse_fan_script(text)
     except toric.FanParseError as exc:

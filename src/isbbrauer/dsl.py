@@ -151,6 +151,9 @@ class _Parser:
         self.curves: list[_RawCurve] = []
         self.points: list[_RawPoint] = []
         self.block: _RawCurve | _RawPoint | None = None
+        # Top-level declarations seen only on a rejected line: that line's
+        # diagnostic stands in for "missing ... declaration".
+        self.rejected_declarations: set[str] = set()
 
     def error(self, span: SourceSpan, message: str) -> None:
         self.diags.append(ParseDiagnostic(span, message))
@@ -222,6 +225,8 @@ class _Parser:
             m = _RE_COVER.match(stripped)
             if not m:
                 malformed()
+                if self.block is None:
+                    self.rejected_declarations.add(keyword)
                 return
             value = m.group("value")
             if isinstance(self.block, _RawCurve):
@@ -236,6 +241,7 @@ class _Parser:
             else:
                 if value not in _COVER_KINDS:
                     self.error(col(m, "value"), f"cover kind must be irreducible or split, got {value!r}")
+                    self.rejected_declarations.add(keyword)
                 elif self.cover is not None:
                     self.error(span, "cover declared twice")
                 else:
@@ -250,6 +256,7 @@ class _Parser:
             m = _RE_SYMBOLS.match(stripped)
             if not m:
                 malformed()
+                self.rejected_declarations.add(keyword)
                 return
             rest = m.group("rest")
             self.symbols = []
@@ -389,9 +396,9 @@ class _Parser:
     # -- resolution ---------------------------------------------------------
 
     def finish(self) -> Configuration:
-        if self.cover is None:
+        if self.cover is None and "cover" not in self.rejected_declarations:
             self.error(SourceSpan(1, 1), "missing cover declaration")
-        if self.symbols is None:
+        if self.symbols is None and "symbols" not in self.rejected_declarations:
             self.error(SourceSpan(1, 1), "missing symbols declaration")
 
         declared = {s for s, _ in (self.symbols or [])}

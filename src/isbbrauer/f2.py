@@ -186,7 +186,15 @@ class F2Matrix:
         return F2Vector(self.rows, mask)
 
     def columns(self) -> list[F2Vector]:
-        return [self.column(j) for j in range(self.cols)]
+        """Every column, built in one pass over the set bits of each row."""
+        masks = [0] * self.cols
+        for i, row in enumerate(self.row_masks):
+            bit = 1 << i
+            while row:
+                low = row & -row
+                masks[low.bit_length() - 1] |= bit
+                row ^= low
+        return [F2Vector(self.rows, mask) for mask in masks]
 
     def transpose(self) -> "F2Matrix":
         return F2Matrix.from_vectors(self.columns(), cols=self.rows)

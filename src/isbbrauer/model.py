@@ -16,7 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
+
+from .f2 import Subspace, intersection_basis
+
+if TYPE_CHECKING:
+    from .brauer import _Spaces
 
 __all__ = [
     "CoverKind",
@@ -429,21 +434,16 @@ def _structural_diagnostics(cfg: Configuration) -> tuple[list[Diagnostic], list[
     return errors, warnings
 
 
-def _consistency_diagnostics(cfg: Configuration) -> list[Diagnostic]:
+def _consistency_diagnostics(spaces: _Spaces) -> list[Diagnostic]:
     """GC1-GC4: linear-algebra checks that hold for geometric data."""
-    # Imported here: brauer builds on this module for the bases.
-    from . import brauer
-    from .f2 import column_space, intersection_basis, Subspace
-
     errors: list[Diagnostic] = []
-    m_pr = brauer.matrix_p_to_r(cfg)
-    m_qp = brauer.matrix_q_to_p(cfg)
-    vq = vq_basis(cfg)
-    svecs = brauer.s_to_p_vectors(cfg)
-    s_labels = brauer.s_space(cfg).generator_labels
+    m_pr = spaces.m_pr
+    vq = spaces.vq
+    svecs = spaces.s_vectors
+    q_columns = spaces.m_qp.columns()
 
-    for j, c in enumerate(vq):
-        if not m_pr.mul(m_qp.column(j)).is_zero:
+    for c, column in zip(vq, q_columns):
+        if not m_pr.mul(column).is_zero:
             errors.append(
                 Diagnostic(
                     "GC1",
@@ -451,7 +451,7 @@ def _consistency_diagnostics(cfg: Configuration) -> list[Diagnostic]:
                     c.id,
                 )
             )
-    for label, vec in zip(s_labels, svecs):
+    for label, vec in zip(spaces.s_labels, svecs):
         if not m_pr.mul(vec).is_zero:
             errors.append(
                 Diagnostic(
@@ -461,7 +461,7 @@ def _consistency_diagnostics(cfg: Configuration) -> list[Diagnostic]:
                 )
             )
 
-    q_image = column_space(m_qp)
+    q_image = Subspace.span(spaces.m_qp.rows, q_columns)
     s_image = Subspace.span(m_pr.cols, svecs)
     if q_image.dim < len(vq):
         errors.append(Diagnostic("GC4", "relation vectors of Q are linearly dependent in P", "Q"))
@@ -472,13 +472,27 @@ def _consistency_diagnostics(cfg: Configuration) -> list[Diagnostic]:
     return errors
 
 
+def _validate_with_spaces(cfg: Configuration) -> tuple[ValidationReport, _Spaces | None]:
+    """``validate``'s report, plus the spaces its GC checks read.
+
+    The spaces are None when a structural error stopped the checks before
+    they were built.
+    """
+    # Imported here: brauer builds on this module for the bases.
+    from . import brauer
+
+    errors, warnings = _structural_diagnostics(cfg)
+    spaces = None
+    if not errors:
+        spaces = brauer._build_spaces(cfg)
+        errors.extend(_consistency_diagnostics(spaces))
+    return ValidationReport(tuple(errors), tuple(warnings)), spaces
+
+
 def validate(cfg: Configuration) -> ValidationReport:
     """Check every structural invariant, then the geometric-consistency ones.
 
     The GC checks need well-formed data, so they run only when no
     structural errors were found.  Warnings never reject a configuration.
     """
-    errors, warnings = _structural_diagnostics(cfg)
-    if not errors:
-        errors.extend(_consistency_diagnostics(cfg))
-    return ValidationReport(tuple(errors), tuple(warnings))
+    return _validate_with_spaces(cfg)[0]

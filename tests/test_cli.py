@@ -38,6 +38,26 @@ curve carrier:
   ext carrier_t: a
 """
 
+GC1_WITH_WARNING = """\
+cover: irreducible
+symbols: a
+
+curve cusp:
+  type: III
+  cover: ramified
+  ext cusp_t: a
+  cores: a
+
+curve line:
+  type: II
+  cover: inert
+  ext line_t: a
+
+point z:
+  curves: cusp, line
+  etype: III_II
+"""
+
 FAN_OK = """\
 ray 1 0 0 0
 ray 1 2 0 0
@@ -96,6 +116,38 @@ def test_forbidden_point_pair_is_semantic_failure(tmp_path):
         code, out, err = run(cmd, str(cfg))
         assert code == cli.INVALID
         assert "POINT_PAIR" in out + err
+
+
+@pytest.mark.parametrize("text", [INVALID_POINT_PAIR, GC1_WITH_WARNING])
+def test_compute_rejects_with_the_validate_report(tmp_path, text):
+    # A structural error and a GC error with a warning: compute validates
+    # inside the computation and prints the same bytes as validate.
+    cfg = tmp_path / "rejected.cfg"
+    cfg.write_text(text)
+    code, out, err = run("compute", str(cfg))
+    assert (code, out, err) == run("validate", str(cfg))
+    assert code == cli.INVALID and out == ""
+    assert "errors:" in err and "warnings:" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [("validate",), ("compute",), ("explain",), ("toric", "check")]
+)
+def test_non_utf8_input_is_parse_error(tmp_path, argv):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"symbols: \xff\n")
+    code, out, err = run(*argv, str(path))
+    assert code == cli.PARSE_ERROR
+    assert out == ""
+    assert err == f"{path}: input is not valid UTF-8 (byte offset 9)\n"
+
+
+def test_non_utf8_offset_counts_from_the_start_of_the_file(tmp_path):
+    path = tmp_path / "long.cfg"
+    path.write_bytes(b"#" * 20_000 + b"\r\ncover: irreducible\xe9\n")
+    code, _, err = run("compute", str(path))
+    assert code == cli.PARSE_ERROR
+    assert err == f"{path}: input is not valid UTF-8 (byte offset 20020)\n"
 
 
 def test_parse_error_reports_position(tmp_path):

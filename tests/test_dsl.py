@@ -132,6 +132,36 @@ def test_symbols_line_without_colon(line):
     assert ((2, 1), "malformed symbols line") in zip(spans(caught.value), messages(caught.value))
 
 
+@pytest.mark.parametrize(
+    "src, expected",
+    [
+        ("cover: irreducible\nsymbols d\n", [((2, 1), "malformed symbols line")]),
+        ("symbols: a\ncover irreducible\n", [((2, 1), "malformed cover line")]),
+        (
+            "symbols: a\ncover: sideways\n",
+            [((2, 8), "cover kind must be irreducible or split, got 'sideways'")],
+        ),
+        (
+            "cover irreducible\nsymbols\n",
+            [((1, 1), "malformed cover line"), ((2, 1), "malformed symbols line")],
+        ),
+        # A malformed cover line inside a curve block is not the declaration.
+        (
+            "symbols: a\ncurve c:\n  type: II\n  cover split\n  ext c_t: a\n",
+            [
+                ((1, 1), "missing cover declaration"),
+                ((2, 7), "curve 'c' is missing a cover line"),
+                ((4, 3), "malformed cover line"),
+            ],
+        ),
+    ],
+)
+def test_rejected_declaration_is_not_also_missing(src, expected):
+    with pytest.raises(ConfigParseError) as caught:
+        parse(src)
+    assert list(zip(spans(caught.value), messages(caught.value))) == expected
+
+
 def test_bad_residue_symbol_span():
     line = "  ext c_1: a+!x"
     src = "cover: irreducible\nsymbols: a\ncurve c:\n  type: II\n  cover: split\n" + line + "\n  ext c_2: a\n"

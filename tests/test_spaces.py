@@ -1,0 +1,208 @@
+"""The shared spaces and the pivot-keyed generator selection.
+
+The incidence-walk ``matrix_p_to_r`` and the generator selection of
+``unramified_brauer`` are compared with the straightforward algorithms
+they replaced, kept here as references: the scan of every (point,
+extension) pair, and the greedy loop that tests each kernel row with
+``member`` and grows the covered space with ``sum_subspace``.  Inputs are
+a random corpus and disjoint unions of corpus blocks large enough to be
+past the brute-force cap.
+"""
+
+import io
+from collections import Counter
+
+import pytest
+
+from isbbrauer import brauer, cli, dsl, model
+from isbbrauer.brauer import matrix_p_to_r, matrix_q_to_p, s_to_p_vectors, unramified_brauer
+from isbbrauer.f2 import F2Matrix, Subspace, column_space, kernel_basis, member, sum_subspace
+from isbbrauer.model import (
+    Configuration,
+    CoverKind,
+    Curve,
+    Extension,
+    ResidueClass,
+    SingularPoint,
+    extension_owner,
+    validate,
+    vp_basis,
+    zr_basis,
+)
+from isbbrauer.sampling import random_corpus
+
+
+def scan_p_to_r(cfg: Configuration) -> F2Matrix:
+    """m_pr by testing every (point, extension) pair."""
+    vp = vp_basis(cfg)
+    zr = zr_basis(cfg)
+    owner = extension_owner(cfg)
+    masks = []
+    for point in zr:
+        mask = 0
+        for j, ext in enumerate(vp):
+            curve = owner[ext.id]
+            if curve.id in point.incident and brauer._point_relates(point, curve, ext.id):
+                mask |= 1 << j
+        masks.append(mask)
+    return F2Matrix(len(zr), len(vp), tuple(masks))
+
+
+def greedy_generators(cfg: Configuration) -> list:
+    """Kernel rows outside image(Q) + image(S) + earlier picks, by ``member``."""
+    p = len(vp_basis(cfg))
+    covered = sum_subspace(
+        column_space(matrix_q_to_p(cfg)), Subspace.span(p, s_to_p_vectors(cfg))
+    )
+    picked = []
+    for row in kernel_basis(scan_p_to_r(cfg)).basis:
+        if member(covered, row):
+            continue
+        picked.append(row)
+        covered = sum_subspace(covered, Subspace.span(p, [row]))
+    return picked
+
+
+def relabel(cfg: Configuration, k: int) -> Configuration:
+    pre = f"k{k}_"
+    sym = {s: f"k{k}{s}" for s in cfg.symbols}
+
+    def cls(r):
+        return None if r is None else ResidueClass(frozenset(sym[s] for s in r.symbols))
+
+    curves = tuple(
+        Curve(
+            pre + c.id,
+            c.deg_type,
+            c.cover_behavior,
+            tuple(Extension(pre + e.id, cls(e.residue), e.sheet) for e in c.extensions),
+            None if c.marking is None else pre + c.marking,
+            cls(c.cores_residue_input),
+        )
+        for c in cfg.curves
+    )
+    points = tuple(
+        SingularPoint(
+            pre + p.id,
+            tuple(pre + cid for cid in p.incident),
+            p.etype,
+            frozenset(pre + e for e in p.meets_marked),
+        )
+        for p in cfg.points
+    )
+    return Configuration(cfg.cover_kind, tuple(sym.values()), curves, points)
+
+
+def union(kind: CoverKind, blocks: list[Configuration]) -> Configuration:
+    return Configuration(
+        kind,
+        tuple(s for b in blocks for s in b.symbols),
+        tuple(c for b in blocks for c in b.curves),
+        tuple(p for b in blocks for p in b.points),
+    )
+
+
+def corpus_union(kind: CoverKind, seed: int, want: int = 16) -> Configuration:
+    """A valid disjoint union of ``want`` relabelled corpus blocks of one cover kind.
+
+    A block joins only if the union stays valid: the union's S vectors
+    span more coordinates than any block's own, so GC2/GC3 can fail on
+    the union where they held on the block.
+    """
+    blocks: list[Configuration] = []
+    for cfg in random_corpus(seed, 400):
+        if cfg.cover_kind is not kind or not vp_basis(cfg):
+            continue
+        trial = blocks + [relabel(cfg, len(blocks))]
+        if not validate(union(kind, trial)).errors:
+            blocks = trial
+        if len(blocks) == want:
+            return union(kind, blocks)
+    raise AssertionError("corpus too small for the requested union")
+
+
+UNIONS = {
+    "irreducible": (CoverKind.IRREDUCIBLE, 5),
+    "split": (CoverKind.SPLIT_EVERYWHERE, 0),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(UNIONS))
+def large_union(request) -> Configuration:
+    cfg = corpus_union(*UNIONS[request.param])
+    assert len(vp_basis(cfg)) > brauer._BRUTE_FORCE_CAP
+    return cfg
+
+
+def test_incidence_walk_matches_scan_on_corpus():
+    for cfg in random_corpus(11, 200):
+        assert matrix_p_to_r(cfg) == scan_p_to_r(cfg)
+
+
+def test_incidence_walk_matches_scan_on_large_union(large_union):
+    assert matrix_p_to_r(large_union) == scan_p_to_r(large_union)
+
+
+@pytest.mark.parametrize("kind", list(CoverKind))
+def test_incidence_walk_matches_scan_on_unfiltered_union(kind):
+    # Every block of the corpus joins, valid union or not, so R keeps all
+    # of their points.
+    blocks = [cfg for cfg in random_corpus(13, 200) if cfg.cover_kind is kind]
+    cfg = union(kind, [relabel(b, k) for k, b in enumerate(blocks)])
+    assert len(blocks) >= 15 and len(vp_basis(cfg)) > brauer._BRUTE_FORCE_CAP
+    assert len(zr_basis(cfg)) > 20
+    assert matrix_p_to_r(cfg) == scan_p_to_r(cfg)
+
+
+def test_incidence_walk_matches_scan_on_clashing_ids():
+    # Outside validation ids may repeat; both builds let the last owner win.
+    cfg = dsl.builtin("hpt")
+    clash = model.Configuration(
+        cfg.cover_kind,
+        cfg.symbols,
+        cfg.curves + (cfg.curves[0],),
+        cfg.points + (SingularPoint("p_self", ("x-axis", "x-axis"), cfg.points[0].etype),),
+    )
+    assert matrix_p_to_r(clash) == scan_p_to_r(clash)
+
+
+def test_pivot_selection_matches_greedy_loop_on_corpus():
+    picked = 0
+    for cfg in random_corpus(12, 200):
+        generators = [g.vector for g in unramified_brauer(cfg).generators]
+        assert generators == greedy_generators(cfg)
+        picked += len(generators)
+    assert picked > 0
+
+
+def test_pivot_selection_matches_greedy_loop_on_large_union(large_union):
+    report = unramified_brauer(large_union)
+    assert report.generators
+    assert [g.vector for g in report.generators] == greedy_generators(large_union)
+    assert report.m_pr == scan_p_to_r(large_union)
+    for g in report.generators:
+        assert list(g.ramification) == brauer.ramification_lift(large_union, g.vector)
+
+
+def test_compute_validates_once_and_builds_spaces_once(monkeypatch, tmp_path):
+    calls: Counter = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(model, "_structural_diagnostics")
+    count(brauer, "_build_spaces")
+    count(brauer, "matrix_p_to_r")
+    count(brauer, "ramification_lift")
+    path = tmp_path / "hpt.cfg"
+    path.write_text(dsl.builtin_source("hpt"))
+    out = io.StringIO()
+    assert cli.run(["compute", str(path)], out, io.StringIO()) == cli.OK
+    assert "generator g1:" in out.getvalue()
+    assert calls == Counter({"_structural_diagnostics": 1, "_build_spaces": 1})
