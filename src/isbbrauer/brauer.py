@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .f2 import F2Matrix, F2Vector, column_space, kernel_basis, member
+from .f2 import F2Matrix, F2Vector, _insert, column_space, kernel_basis, member
 from .model import (
     Configuration,
     CoverBehavior,
@@ -360,26 +360,6 @@ def restriction_kernel(cfg: Configuration) -> tuple[SpaceS, str]:
 
 def _report_assertions() -> tuple[tuple[str, str], ...]:
     return (("gc1", "ok"), ("gc2", "ok"), ("gc3", "ok"), ("gc4", "ok"))
-
-
-def _insert(pivots: dict[int, int], mask: int) -> bool:
-    """Reduce ``mask`` against an echelon basis keyed by lowest set bit.
-
-    Each stored row's lowest set bit is its key, so one XOR clears the
-    current lowest bit of ``mask`` without touching lower bits.  A
-    nonzero remainder is stored under its own lowest bit.
-
-    Returns:
-        Whether ``mask`` was outside the span of the stored rows.
-    """
-    while mask:
-        low = mask & -mask
-        row = pivots.get(low)
-        if row is None:
-            pivots[low] = mask
-            return True
-        mask ^= row
-    return False
 
 
 def unramified_brauer(cfg: Configuration) -> BrauerReport:

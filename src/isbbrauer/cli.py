@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from . import brauer, dsl, model, toric
+from . import brauer, dsl, f2, model, toric
 
 __all__ = ["run", "main", "report_json"]
 
@@ -50,11 +50,10 @@ def _matrix_lines(m, row_labels, col_note: str) -> list[str]:
     if m.rows == 0 or m.cols == 0:
         return [f"  ({m.rows}x{m.cols}, {col_note})"]
     width = max(len(lbl) for lbl in row_labels)
-    out = []
-    for i, lbl in enumerate(row_labels):
-        bits = " ".join(str(b) for b in m.row(i).bits)
-        out.append(f"  {lbl.ljust(width)}  [{bits}]")
-    return out
+    return [
+        f"  {lbl.ljust(width)}  [{' '.join(f2.bit_string(mask, m.cols))}]"
+        for lbl, mask in zip(row_labels, m.row_masks)
+    ]
 
 
 def _format_report(r: brauer.BrauerReport, symbols: tuple[str, ...]) -> str:

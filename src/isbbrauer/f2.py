@@ -12,7 +12,7 @@ Everything here is immutable; functions return fresh objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "DimensionMismatch",
@@ -26,6 +26,7 @@ __all__ = [
     "member",
     "sum_subspace",
     "intersection_basis",
+    "bit_string",
 ]
 
 
@@ -36,6 +37,31 @@ class DimensionMismatch(ValueError):
 def _check_len(expected: int, got: int) -> None:
     if expected != got:
         raise DimensionMismatch(f"expected length {expected}, got {got}")
+
+
+def bit_string(mask: int, length: int) -> str:
+    """Coordinates ``0 .. length - 1`` of ``mask`` as ``"0"``/``"1"``, in order.
+
+    ``format`` writes the highest bit first, so the padded binary string is
+    reversed; length 0 is special because ``format(0, "00b")`` is ``"0"``.
+    """
+    return format(mask, f"0{length}b")[::-1] if length else ""
+
+
+def _set_bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, ascending, one step per set bit."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bit_values(mask: int, length: int) -> bytes:
+    """``bit_string`` as bytes 0 and 1, which iterate as the integers 0 and 1."""
+    return bit_string(mask, length).encode("ascii").translate(_DIGIT_VALUES)
 
 
 @dataclass(frozen=True)
@@ -73,7 +99,7 @@ class F2Vector:
 
     @property
     def bits(self) -> tuple[int, ...]:
-        return tuple((self.mask >> i) & 1 for i in range(self.length))
+        return tuple(_bit_values(self.mask, self.length))
 
     @property
     def is_zero(self) -> bool:
@@ -86,7 +112,7 @@ class F2Vector:
 
     def support(self) -> tuple[int, ...]:
         """Indices of the nonzero coordinates, ascending."""
-        return tuple(i for i in range(self.length) if (self.mask >> i) & 1)
+        return tuple(_set_bits(self.mask))
 
     def __add__(self, other: "F2Vector") -> "F2Vector":
         _check_len(self.length, other.length)
@@ -97,7 +123,7 @@ class F2Vector:
         return (self.mask & other.mask).bit_count() & 1
 
     def __str__(self) -> str:
-        return "(" + ",".join(str(b) for b in self.bits) + ")"
+        return "(" + ",".join(bit_string(self.mask, self.length)) + ")"
 
 
 @dataclass(frozen=True)
@@ -168,11 +194,7 @@ class F2Matrix:
             height = rows
         for c in columns:
             _check_len(height, c.length)
-        masks = [0] * height
-        for j, c in enumerate(columns):
-            for i in range(height):
-                masks[i] |= ((c.mask >> i) & 1) << j
-        return cls(height, len(columns), tuple(masks))
+        return cls(len(columns), height, tuple(c.mask for c in columns)).transpose()
 
     def row(self, i: int) -> F2Vector:
         return F2Vector(self.cols, self.row_masks[i])
@@ -190,10 +212,8 @@ class F2Matrix:
         masks = [0] * self.cols
         for i, row in enumerate(self.row_masks):
             bit = 1 << i
-            while row:
-                low = row & -row
-                masks[low.bit_length() - 1] |= bit
-                row ^= low
+            for j in _set_bits(row):
+                masks[j] |= bit
         return [F2Vector(self.rows, mask) for mask in masks]
 
     def transpose(self) -> "F2Matrix":
@@ -208,7 +228,7 @@ class F2Matrix:
         return F2Vector(self.rows, mask)
 
     def to_lists(self) -> list[list[int]]:
-        return [list(self.row(i).bits) for i in range(self.rows)]
+        return [list(_bit_values(row, self.cols)) for row in self.row_masks]
 
 
 class Rref(NamedTuple):
@@ -261,19 +281,27 @@ class Subspace:
     basis: tuple[F2Vector, ...] = ()
 
     def __post_init__(self) -> None:
-        seen_pivots: list[int] = []
+        # One pass: ``once`` and ``twice`` collect the bits set in at least
+        # one and at least two basis vectors, so the basis is fully reduced
+        # exactly when no pivot bit is in ``twice``.
+        ordered = True
+        last = -1
+        pivots = once = twice = 0
         for v in self.basis:
             if v.length != self.ambient_dim:
                 raise DimensionMismatch("basis vector length disagrees with ambient dimension")
             if v.is_zero:
                 raise ValueError("zero vector in basis")
-            seen_pivots.append(_leading_bit(v.mask))
-        if seen_pivots != sorted(set(seen_pivots)):
+            pivot = _leading_bit(v.mask)
+            ordered = ordered and pivot > last
+            last = pivot
+            pivots |= 1 << pivot
+            twice |= once & v.mask
+            once |= v.mask
+        if not ordered:
             raise ValueError("basis is not in echelon order")
-        for p in seen_pivots:
-            owners = [v for v in self.basis if (v.mask >> p) & 1]
-            if len(owners) != 1:
-                raise ValueError("basis is not fully reduced")
+        if pivots & twice:
+            raise ValueError("basis is not fully reduced")
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -304,24 +332,61 @@ def member(s: Subspace, v: F2Vector) -> bool:
     return mask == 0
 
 
+def _insert(pivots: dict[int, int], mask: int) -> bool:
+    """Reduce ``mask`` against an echelon basis keyed by lowest set bit.
+
+    Each stored row's lowest set bit is its key, so one XOR clears the
+    current lowest bit of ``mask`` without touching lower bits.  A
+    nonzero remainder is stored under its own lowest bit.
+
+    Returns:
+        Whether ``mask`` was outside the span of the stored rows.
+    """
+    while mask:
+        low = mask & -mask
+        row = pivots.get(low)
+        if row is None:
+            pivots[low] = mask
+            return True
+        mask ^= row
+    return False
+
+
 def kernel_basis(m: F2Matrix) -> Subspace:
     """The null space ``{v : m.mul(v) = 0}`` as a canonical subspace.
 
-    Built from the free columns of the RREF in the usual way, then
-    re-reduced so the result is canonical.
+    The rows are reduced with each pivot at its row's highest set bit, so
+    a reduced row holds its pivot and free columns below it.  The kernel
+    vector of free column ``f`` is ``e_f`` plus ``e_p`` for every pivot row
+    ``p`` that contains ``f``: every such ``p`` exceeds ``f``, so ``f`` is
+    its lowest bit, and no other kernel vector contains ``f``.  These
+    vectors are therefore already the canonical basis.
     """
-    reduced, rank, pivots = rref(m)
-    pivot_set = set(pivots)
-    vectors: list[F2Vector] = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        mask = 1 << free
-        for k, p in enumerate(pivots):
-            if (reduced.row_masks[k] >> free) & 1:
-                mask |= 1 << p
-        vectors.append(F2Vector(m.cols, mask))
-    return Subspace.span(m.cols, vectors)
+    rows: dict[int, int] = {}  # pivot column -> row with that highest bit
+    for row in m.row_masks:
+        while row:
+            top = row.bit_length() - 1
+            other = rows.get(top)
+            if other is None:
+                rows[top] = row
+                break
+            row ^= other
+    # Back-substitute in increasing pivot order: a reduced row holds no
+    # pivot column but its own, so XOR-ing it in clears one pivot bit and
+    # sets none.
+    lower = 0  # the pivot columns below the current one
+    for p in sorted(rows):
+        row = rows[p]
+        for q in _set_bits(row & lower):
+            row ^= rows[q]
+        rows[p] = row
+        lower |= 1 << p
+    vectors = {f: 1 << f for f in _set_bits(((1 << m.cols) - 1) ^ lower)}
+    for p, row in rows.items():
+        bit = 1 << p
+        for f in _set_bits(row ^ bit):
+            vectors[f] |= bit
+    return Subspace(m.cols, tuple(F2Vector(m.cols, v) for v in vectors.values()))
 
 
 def column_space(m: F2Matrix) -> Subspace:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .f2 import Subspace, intersection_basis
+from .f2 import F2Vector, _insert
 
 if TYPE_CHECKING:
     from .brauer import _Spaces
@@ -435,15 +435,24 @@ def _structural_diagnostics(cfg: Configuration) -> tuple[list[Diagnostic], list[
 
 
 def _consistency_diagnostics(spaces: _Spaces) -> list[Diagnostic]:
-    """GC1-GC4: linear-algebra checks that hold for geometric data."""
+    """GC1-GC4: linear-algebra checks that hold for geometric data.
+
+    GC1 and GC3 map a P vector to R as the XOR of the ``m_pr`` columns on
+    its support.  GC4 and GC2 compare ranks, counted by pivot insertion:
+    Q and S meet nontrivially exactly when rank Q + rank S > rank(Q + S).
+    """
     errors: list[Diagnostic] = []
-    m_pr = spaces.m_pr
-    vq = spaces.vq
-    svecs = spaces.s_vectors
+    pr_columns = [col.mask for col in spaces.m_pr.columns()]
     q_columns = spaces.m_qp.columns()
 
-    for c, column in zip(vq, q_columns):
-        if not m_pr.mul(column).is_zero:
+    def maps_to_zero(vec: F2Vector) -> bool:
+        image = 0
+        for j in vec.support():
+            image ^= pr_columns[j]
+        return image == 0
+
+    for c, column in zip(spaces.vq, q_columns):
+        if not maps_to_zero(column):
             errors.append(
                 Diagnostic(
                     "GC1",
@@ -451,8 +460,8 @@ def _consistency_diagnostics(spaces: _Spaces) -> list[Diagnostic]:
                     c.id,
                 )
             )
-    for label, vec in zip(spaces.s_labels, svecs):
-        if not m_pr.mul(vec).is_zero:
+    for label, vec in zip(spaces.s_labels, spaces.s_vectors):
+        if not maps_to_zero(vec):
             errors.append(
                 Diagnostic(
                     "GC3",
@@ -461,13 +470,16 @@ def _consistency_diagnostics(spaces: _Spaces) -> list[Diagnostic]:
                 )
             )
 
-    q_image = Subspace.span(spaces.m_qp.rows, q_columns)
-    s_image = Subspace.span(m_pr.cols, svecs)
-    if q_image.dim < len(vq):
+    q_pivots: dict[int, int] = {}
+    s_pivots: dict[int, int] = {}
+    q_rank = sum(_insert(q_pivots, col.mask) for col in q_columns)
+    s_rank = sum(_insert(s_pivots, vec.mask) for vec in spaces.s_vectors)
+    s_rank_past_q = sum(_insert(q_pivots, vec.mask) for vec in spaces.s_vectors)
+    if q_rank < len(spaces.vq):
         errors.append(Diagnostic("GC4", "relation vectors of Q are linearly dependent in P", "Q"))
-    if s_image.dim < len(svecs):
+    if s_rank < len(spaces.s_vectors):
         errors.append(Diagnostic("GC4", "generators of S are linearly dependent in P", "S"))
-    if intersection_basis(q_image, s_image).dim > 0:
+    if s_rank > s_rank_past_q:
         errors.append(Diagnostic("GC2", "images of S and Q in P intersect nontrivially", "S∩Q"))
     return errors
 

@@ -1,0 +1,85 @@
+"""Mutation fuzz of the command line: every input ends in an exit code.
+
+The built-in configuration sources and two fan scripts are mutated at the
+byte level (deletions, insertions of bytes or of format keywords, swapped
+and duplicated lines) and run through ``cli.run`` as ``validate``,
+``compute`` and ``toric check``.  Nothing may raise, and the exit code
+must be one of 0 (ok), 1 (invalid), 2 (parse error) and 3 (usage).
+"""
+
+import io
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from isbbrauer import cli, dsl
+
+CONFIG_SOURCES = tuple(dsl.builtin_source(name).encode() for name in dsl.BUILTIN_NAMES)
+
+FAN_SOURCES = (
+    b"ray 1 0 0 0\nray 1 2 0 0\ncone 0 1\nsubdivide 1 1 0 0\n",
+    # The uv = xyz cone and the three subdivisions that resolve it.
+    b"ray 1 0 0 0\nray 0 1 0 0\nray 1 0 1 0\nray 0 1 1 0\nray 1 0 0 1\nray 0 1 0 1\n"
+    b"cone 0 1 2 3 4 5\nsubdivide 1 1 0 1\nsubdivide 1 1 1 0\nsubdivide 1 1 1 1\n",
+)
+
+TOKENS = (
+    b"symbols:", b"cover:", b"curve", b"point", b"type:", b"ext", b"etype:", b"curves:",
+    b"marking:", b"cores:", b"meets_marked:", b"sheet=", b"irreducible", b"split_everywhere",
+    b"split", b"inert", b"ramified", b"I", b"II", b"III", b"IV", b"II_II", b"IV_II",
+    b"IVp_IV", b"0", b"a+b", b",", b":", b"#", b"\n", b"  ", b"ray", b"cone", b"subdivide",
+    b"-1", b"2", b"7", b"99999999999", b"\xff", b"\xc3",
+)
+
+EXIT_CODES = {cli.OK, cli.INVALID, cli.PARSE_ERROR, cli.USAGE}
+
+
+@st.composite
+def mutated(draw, sources: tuple[bytes, ...]) -> bytes:
+    data = draw(st.sampled_from(sources))
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        op = draw(st.sampled_from(("delete", "insert", "token", "swap", "duplicate")))
+        at = draw(st.integers(min_value=0, max_value=len(data)))
+        if op == "delete":
+            data = data[:at] + data[at + draw(st.integers(min_value=1, max_value=12)):]
+        elif op == "insert":
+            data = data[:at] + draw(st.binary(min_size=1, max_size=6)) + data[at:]
+        elif op == "token":
+            data = data[:at] + draw(st.sampled_from(TOKENS)) + data[at:]
+        else:
+            lines = data.split(b"\n")
+            i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+            j = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+            if op == "swap":
+                lines[i], lines[j] = lines[j], lines[i]
+            else:
+                lines.insert(j, lines[i])
+            data = b"\n".join(lines)
+    return data
+
+
+@pytest.fixture(scope="module")
+def input_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input"
+
+
+def run_on(path, data: bytes, argv: list[str]) -> int:
+    path.write_bytes(data)
+    return cli.run(argv + [str(path)], io.StringIO(), io.StringIO())
+
+
+FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@FUZZ
+@given(data=mutated(CONFIG_SOURCES))
+def test_mutated_configurations_end_in_an_exit_code(input_path, data):
+    for command in (["validate"], ["compute"], ["compute", "--json"]):
+        assert run_on(input_path, data, command) in EXIT_CODES
+
+
+@FUZZ
+@given(data=mutated(FAN_SOURCES))
+def test_mutated_fan_scripts_end_in_an_exit_code(input_path, data):
+    assert run_on(input_path, data, ["toric", "check"]) in EXIT_CODES

@@ -1,0 +1,333 @@
+"""The word-level paths against the per-bit code they replaced.
+
+``kernel_basis`` (one elimination with pivots at the highest bit), the
+one-pass ``Subspace`` invariant, the GC1-GC4 checks (column XOR and pivot
+ranks) and the bit rendering of vectors and matrices are each compared
+with an in-test copy of the straightforward code that came before them.
+A ring of 400 split Type II curves (dim P 800, far past the brute-force
+cap) is checked against its number of connected components.
+"""
+
+import dataclasses
+import random
+
+import pytest
+
+from isbbrauer import brauer, cli, model, sampling
+from isbbrauer.brauer import unramified_brauer
+from isbbrauer.f2 import (
+    DimensionMismatch,
+    F2Matrix,
+    F2Vector,
+    Subspace,
+    bit_string,
+    intersection_basis,
+    kernel_basis,
+    rref,
+)
+from isbbrauer.model import (
+    Configuration,
+    CoverBehavior,
+    CoverKind,
+    Curve,
+    CurveType,
+    Diagnostic,
+    Extension,
+    PointType,
+    ResidueClass,
+    SingularPoint,
+    vp_basis,
+)
+
+# --- references --------------------------------------------------------------
+
+
+def per_bit(mask: int, length: int) -> tuple[int, ...]:
+    return tuple((mask >> i) & 1 for i in range(length))
+
+
+def reference_kernel(m: F2Matrix) -> Subspace:
+    """Free columns of the Gauss-Jordan RREF, re-reduced by ``Subspace.span``."""
+    reduced, _, pivots = rref(m)
+    vectors = []
+    for free in range(m.cols):
+        if free in pivots:
+            continue
+        mask = 1 << free
+        for k, p in enumerate(pivots):
+            if (reduced.row_masks[k] >> free) & 1:
+                mask |= 1 << p
+        vectors.append(F2Vector(m.cols, mask))
+    return Subspace.span(m.cols, vectors)
+
+
+def reference_subspace_check(ambient_dim: int, basis) -> None:
+    """The original invariant check: one scan of the basis per pivot."""
+    seen_pivots = []
+    for v in basis:
+        if v.length != ambient_dim:
+            raise DimensionMismatch("basis vector length disagrees with ambient dimension")
+        if v.is_zero:
+            raise ValueError("zero vector in basis")
+        seen_pivots.append((v.mask & -v.mask).bit_length() - 1)
+    if seen_pivots != sorted(set(seen_pivots)):
+        raise ValueError("basis is not in echelon order")
+    for p in seen_pivots:
+        owners = [v for v in basis if (v.mask >> p) & 1]
+        if len(owners) != 1:
+            raise ValueError("basis is not fully reduced")
+
+
+def reference_consistency(spaces) -> list[Diagnostic]:
+    """GC1-GC4 by matrix-vector products, spans and a Zassenhaus intersection."""
+    errors = []
+    m_pr = spaces.m_pr
+    q_columns = spaces.m_qp.columns()
+    for c, column in zip(spaces.vq, q_columns):
+        if not m_pr.mul(column).is_zero:
+            errors.append(
+                Diagnostic("GC1", f"relation vector of curve {c.id} does not map to zero in R", c.id)
+            )
+    for label, vec in zip(spaces.s_labels, spaces.s_vectors):
+        if not m_pr.mul(vec).is_zero:
+            errors.append(
+                Diagnostic(
+                    "GC3",
+                    f"restriction-kernel generator {label} does not map to zero in R",
+                    label,
+                )
+            )
+    q_image = Subspace.span(spaces.m_qp.rows, q_columns)
+    s_image = Subspace.span(m_pr.cols, spaces.s_vectors)
+    if q_image.dim < len(spaces.vq):
+        errors.append(Diagnostic("GC4", "relation vectors of Q are linearly dependent in P", "Q"))
+    if s_image.dim < len(spaces.s_vectors):
+        errors.append(Diagnostic("GC4", "generators of S are linearly dependent in P", "S"))
+    if intersection_basis(q_image, s_image).dim > 0:
+        errors.append(Diagnostic("GC2", "images of S and Q in P intersect nontrivially", "S∩Q"))
+    return errors
+
+
+def outcome(check, ambient_dim: int, basis):
+    try:
+        check(ambient_dim, basis)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+# --- bit rendering -----------------------------------------------------------
+
+
+def masks_of_length(n: int, rng: random.Random) -> list[int]:
+    return [0, (1 << n) - 1, rng.getrandbits(n) if n else 0, 1 << (n - 1) if n else 0]
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 800])
+def test_vector_rendering_matches_per_bit(n):
+    rng = random.Random(n)
+    for mask in masks_of_length(n, rng):
+        v = F2Vector(n, mask)
+        expect = per_bit(mask, n)
+        assert bit_string(mask, n) == "".join(str(b) for b in expect)
+        assert v.bits == expect
+        assert all(type(b) is int for b in v.bits)
+        assert str(v) == "(" + ",".join(str(b) for b in expect) + ")"
+    assert str(F2Vector(0, 0)) == "()"
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 5), (4, 0), (1, 1), (3, 63), (2, 64), (5, 800)])
+def test_matrix_rendering_matches_per_bit(shape):
+    rows, cols = shape
+    rng = random.Random(rows * 1000 + cols)
+    m = F2Matrix(rows, cols, tuple(rng.getrandbits(cols) if cols else 0 for _ in range(rows)))
+    expect = [list(per_bit(mask, cols)) for mask in m.row_masks]
+    assert m.to_lists() == expect
+    labels = [f"r{i}" * (i + 1) for i in range(rows)]
+    lines = cli._matrix_lines(m, labels, "note")
+    if rows == 0 or cols == 0:
+        assert lines == [f"  ({rows}x{cols}, note)"]
+    else:
+        width = max(len(lbl) for lbl in labels)
+        assert lines == [
+            f"  {lbl.ljust(width)}  [{' '.join(str(b) for b in row)}]"
+            for lbl, row in zip(labels, expect)
+        ]
+
+
+# --- Subspace invariant --------------------------------------------------------
+
+
+def random_basis(rng: random.Random) -> tuple[int, tuple[F2Vector, ...]]:
+    """A canonical basis, or one broken in one of several ways."""
+    n = rng.randint(0, 9)
+    gens = [F2Vector(n, rng.getrandbits(n) if n else 0) for _ in range(rng.randint(0, 6))]
+    basis = list(Subspace.span(n, gens).basis)
+    kind = rng.randrange(7)
+    if kind == 1 and len(basis) > 1:
+        rng.shuffle(basis)
+    elif kind == 2 and len(basis) > 1:
+        i, j = rng.sample(range(len(basis)), 2)
+        basis[i] = basis[i] + basis[j]
+    elif kind == 3:
+        basis.insert(rng.randint(0, len(basis)), F2Vector(n, 0))
+    elif kind == 4:
+        m = n + rng.choice((-1, 1)) if n else 1
+        basis.insert(rng.randint(0, len(basis)), F2Vector(m, rng.getrandbits(m)))
+    elif kind == 5:
+        basis = [F2Vector(n, rng.getrandbits(n) if n else 0) for _ in range(rng.randint(0, 5))]
+    elif kind == 6 and basis:
+        basis.append(basis[rng.randrange(len(basis))])
+    return n, tuple(basis)
+
+
+def test_subspace_check_matches_pairwise_reference():
+    rng = random.Random(2024)
+    seen = set()
+    for _ in range(5000):
+        n, basis = random_basis(rng)
+        got = outcome(Subspace, n, basis)
+        assert got == outcome(reference_subspace_check, n, basis), (n, basis)
+        seen.add(got)
+    assert seen == {
+        None,
+        (DimensionMismatch, "basis vector length disagrees with ambient dimension"),
+        (ValueError, "zero vector in basis"),
+        (ValueError, "basis is not in echelon order"),
+        (ValueError, "basis is not fully reduced"),
+    }
+
+
+# --- kernel ------------------------------------------------------------------
+
+
+def test_kernel_matches_gauss_jordan_reference():
+    rng = random.Random(7)
+    shapes = [(0, 0), (0, 1), (0, 9), (1, 0), (6, 0)]
+    shapes += [(rng.randint(0, 24), rng.randint(0, 40)) for _ in range(1500)]
+    for rows, cols in shapes:
+        density = rng.random()
+        masks = tuple(
+            sum((rng.random() < density) << j for j in range(cols)) for _ in range(rows)
+        )
+        m = F2Matrix(rows, cols, masks)
+        assert kernel_basis(m) == reference_kernel(m), m
+
+
+# --- GC checks ---------------------------------------------------------------
+
+
+def test_consistency_checks_match_reference_on_raw_draws():
+    rng = random.Random(31)
+    checked = 0
+    codes = set()
+    for _ in range(300):
+        cfg = sampling._draw(rng)
+        errors, warnings = model._structural_diagnostics(cfg)
+        if errors:
+            continue
+        spaces = brauer._build_spaces(cfg)
+        expect = reference_consistency(spaces)
+        assert model._consistency_diagnostics(spaces) == expect
+        assert model.validate(cfg) == model.ValidationReport(tuple(expect), tuple(warnings))
+        checked += 1
+        codes |= {d.code for d in expect}
+    assert checked > 250
+    assert codes == {"GC1", "GC2", "GC3"}
+
+
+def test_consistency_checks_match_reference_on_random_maps():
+    # Valid data never makes the Q columns dependent, and rarely makes Q
+    # and S meet, so random maps of the drawn shapes exercise GC4 and GC2.
+    rng = random.Random(32)
+    codes = set()
+    for _ in range(300):
+        cfg = sampling._draw(rng)
+        if model._structural_diagnostics(cfg)[0]:
+            continue
+        spaces = brauer._build_spaces(cfg)
+        p = len(spaces.vp)
+
+        def sparse() -> int:
+            return sum(1 << j for j in range(p) if rng.random() < 0.3)
+
+        q_columns = [F2Vector(p, sparse()) for _ in spaces.vq]
+        spaces = dataclasses.replace(
+            spaces,
+            m_pr=F2Matrix(spaces.m_pr.rows, p, tuple(sparse() for _ in spaces.zr)),
+            m_qp=F2Matrix.from_columns(q_columns, rows=p),
+            s_vectors=tuple(F2Vector(p, sparse()) for _ in spaces.s_labels),
+        )
+        expect = reference_consistency(spaces)
+        assert model._consistency_diagnostics(spaces) == expect
+        codes |= {(d.code, d.subject) for d in expect if d.code in ("GC2", "GC4")}
+    assert codes == {("GC2", "S∩Q"), ("GC4", "Q"), ("GC4", "S")}
+
+
+# --- a ring past the brute-force cap -----------------------------------------
+
+
+def components(n: int, edges) -> int:
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    count = n
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            count -= 1
+    return count
+
+
+def ring(rng: random.Random, n: int, cuts: int, chords: int) -> tuple[Configuration, int]:
+    """Split Type II curves on a ring with ``cuts`` edges removed, plus short chords.
+
+    Every curve has the same residue on both extensions, so Q has one
+    relation per curve and S = 0; a vector of P is in the kernel exactly
+    when its per-curve sums agree across every II_II point, so kernel_dim
+    and h2nr_dim are the number of connected components of the point graph.
+    """
+    removed = set(rng.sample(range(n), cuts))
+    edges = [(i, (i + 1) % n) for i in range(n) if i not in removed]
+    taken = {frozenset(e) for e in edges}
+    while len(edges) < n - cuts + chords:
+        a = rng.randrange(n)
+        b = (a + rng.randint(2, 9)) % n
+        if frozenset((a, b)) not in taken:
+            taken.add(frozenset((a, b)))
+            edges.append((a, b))
+    symbols = ("a", "b", "c")
+    curves = []
+    for i in range(n):
+        r = ResidueClass.of(rng.choice(symbols))
+        curves.append(
+            Curve(
+                f"c{i}",
+                CurveType.II,
+                CoverBehavior.SPLIT,
+                (Extension(f"c{i}a", r), Extension(f"c{i}b", r)),
+            )
+        )
+    points = tuple(
+        SingularPoint(f"p{j}", (f"c{a}", f"c{b}"), PointType.II_II) for j, (a, b) in enumerate(edges)
+    )
+    return Configuration(CoverKind.IRREDUCIBLE, symbols, tuple(curves), points), components(n, edges)
+
+
+@pytest.mark.parametrize("cuts,chords", [(0, 100), (12, 20), (40, 0)])
+def test_ring_kernel_is_component_count(cuts, chords):
+    cfg, count = ring(random.Random(cuts * 101 + chords), 400, cuts, chords)
+    assert len(vp_basis(cfg)) == 800 > brauer._BRUTE_FORCE_CAP
+    report = unramified_brauer(cfg)
+    assert report.dims == {
+        "s": 0, "p": 800, "q": 400, "r": 400 - cuts + chords, "kernel": count, "h2nr": count,
+    }
+    assert len(report.generators) == count
+    for g in report.generators:
+        assert report.m_pr.mul(g.vector).is_zero
