@@ -18,8 +18,9 @@ enumeration and serves as an independent oracle in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .f2 import F2Matrix, F2Vector, _insert, column_space, kernel_basis, member
+from .f2 import F2Matrix, F2Vector, _insert, _set_bits, column_space, kernel_basis, member
 from .model import (
     Configuration,
     CoverBehavior,
@@ -268,6 +269,41 @@ class _Spaces:
     s_labels: tuple[str, ...]
     s_vectors: tuple[F2Vector, ...]
 
+    @cached_property
+    def pr_columns(self) -> list[int]:
+        """The column masks of ``m_pr``: the image in R of each basis vector of P."""
+        return self.m_pr.column_masks()
+
+    def r_image(self, mask: int) -> int:
+        """The image in R of the P vector ``mask``.
+
+        That is the XOR of the ``m_pr`` columns on the support of ``mask``.
+        """
+        columns = self.pr_columns
+        image = 0
+        for j in _set_bits(mask):
+            image ^= columns[j]
+        return image
+
+    @cached_property
+    def q_columns(self) -> list[int]:
+        """The column masks of ``m_qp``: each Q relation as a vector of P."""
+        return self.m_qp.column_masks()
+
+    @cached_property
+    def qs_echelon(self) -> tuple[int, dict[int, int]]:
+        """Rank of Q, and an echelon basis of image(Q) + image(S).
+
+        Built by pivot insertion, the Q columns first and then the S
+        vectors.  The GC2/GC4 checks count ranks with it and generator
+        selection extends a copy of it.
+        """
+        pivots: dict[int, int] = {}
+        q_rank = sum(_insert(pivots, col) for col in self.q_columns)
+        for vec in self.s_vectors:
+            _insert(pivots, vec.mask)
+        return q_rank, pivots
+
 
 def _build_spaces(cfg: Configuration) -> _Spaces:
     """The spaces of ``cfg``; each piece equals its public builder's result."""
@@ -306,16 +342,27 @@ def ramification_lift(
         KernelContractError: if ``vec`` is not in ker(m_pr) — such a
             vector does not define a class on which the lift makes sense.
     """
-    return _lift(_build_spaces(cfg), vec)
+    spaces = _build_spaces(cfg)
+    _check_kernel(spaces, [vec])
+    return _lift(spaces, vec)
+
+
+def _check_kernel(spaces: _Spaces, vectors: list[F2Vector]) -> None:
+    """Raise KernelContractError unless every vector lies in ker(m_pr).
+
+    Each vector's image is the XOR of the ``m_pr`` columns on its
+    support, the columns the GC1/GC3 checks built: the cost is the total
+    support of the vectors, with no matrix-vector product per vector.
+    """
+    p = len(spaces.vp)
+    for vec in vectors:
+        if vec.length != p:
+            raise KernelContractError(f"vector has length {vec.length}, expected dim P = {p}")
+        if spaces.r_image(vec.mask):
+            raise KernelContractError("vector is not in the kernel of P -> R")
 
 
 def _lift(spaces: _Spaces, vec: F2Vector) -> list[tuple[str, ResidueClass]]:
-    if vec.length != len(spaces.vp):
-        raise KernelContractError(
-            f"vector has length {vec.length}, expected dim P = {len(spaces.vp)}"
-        )
-    if not spaces.m_pr.mul(vec).is_zero:
-        raise KernelContractError("vector is not in the kernel of P -> R")
     acc: dict[str, ResidueClass] = {}
     for j in vec.support():
         ext = spaces.vp[j]
@@ -384,17 +431,14 @@ def unramified_brauer(cfg: Configuration) -> BrauerReport:
         raise InvalidConfigurationError(report)
 
     kernel = kernel_basis(spaces.m_pr)
-    pivots: dict[int, int] = {}
-    q_rank = sum(_insert(pivots, col.mask) for col in spaces.m_qp.columns())
-    for vec in spaces.s_vectors:
-        _insert(pivots, vec.mask)
+    q_rank, qs_pivots = spaces.qs_echelon
     kernel_dim = kernel.dim - q_rank
     h2nr_dim = kernel_dim - len(spaces.s_labels)
 
-    generators: list[Generator] = []
-    for row in kernel.basis:
-        if _insert(pivots, row.mask):
-            generators.append(Generator(row, tuple(_lift(spaces, row))))
+    pivots = dict(qs_pivots)
+    chosen = [row for row in kernel.basis if _insert(pivots, row.mask)]
+    _check_kernel(spaces, chosen)
+    generators = [Generator(row, tuple(_lift(spaces, row))) for row in chosen]
 
     return BrauerReport(
         cover_kind=cfg.cover_kind,

@@ -50,13 +50,17 @@ def _matrix_lines(m, row_labels, col_note: str) -> list[str]:
     if m.rows == 0 or m.cols == 0:
         return [f"  ({m.rows}x{m.cols}, {col_note})"]
     width = max(len(lbl) for lbl in row_labels)
-    return [
-        f"  {lbl.ljust(width)}  [{' '.join(f2.bit_string(mask, m.cols))}]"
-        for lbl, mask in zip(row_labels, m.row_masks)
-    ]
+    # Each row is its bit string with a space between entries: the digits
+    # go to the even bytes of one reused buffer of spaces.
+    spaced = bytearray(b" " * (2 * m.cols - 1))
+    lines = []
+    for lbl, mask in zip(row_labels, m.row_masks):
+        spaced[::2] = f2.bit_string(mask, m.cols).encode()
+        lines.append(f"  {lbl.ljust(width)}  [{spaced.decode()}]")
+    return lines
 
 
-def _format_report(r: brauer.BrauerReport, symbols: tuple[str, ...]) -> str:
+def _format_report(r: brauer.BrauerReport, symbol_index: dict[str, tuple[int, ...]]) -> str:
     lines = []
     lines.append("dims:")
     for key in ("s", "p", "q", "r"):
@@ -79,7 +83,7 @@ def _format_report(r: brauer.BrauerReport, symbols: tuple[str, ...]) -> str:
         if not g.ramification:
             lines.append("  unramified over every curve")
         for cid, cls in g.ramification:
-            lines.append(f"  ramified at {cid}: {cls.render(symbols)}")
+            lines.append(f"  ramified at {cid}: {cls.render(symbol_index)}")
     lines.append("assertions: " + ", ".join(f"{k}={v}" for k, v in r.assertions))
     return "\n".join(lines) + "\n"
 
@@ -147,7 +151,7 @@ def _compute_and_print(cfg: model.Configuration, as_json: bool, out, err) -> int
     if as_json:
         print(report_json(result), file=out)
     else:
-        print(_format_report(result, cfg.symbols), end="", file=out)
+        print(_format_report(result, cfg.symbol_index), end="", file=out)
     return OK
 
 
@@ -166,13 +170,13 @@ def _cmd_explain(args, out, err) -> int:
     if report.errors:
         _print_validation(report, out, err)
         return INVALID
-    symbols = cfg.symbols
+    symbol_index = cfg.symbol_index
     for c in cfg.curves:
         behavior = c.cover_behavior.value
         print(f"curve {c.id} (type {c.deg_type.value}, {behavior}):", file=out)
         gens = brauer.residue_kernel(cfg, c)
         if gens:
-            rendered = ", ".join(g.render(symbols) for g in gens)
+            rendered = ", ".join(g.render(symbol_index) for g in gens)
             print(f"  local kernel generators: {rendered}", file=out)
         else:
             print("  local kernel generators: (none)", file=out)

@@ -29,7 +29,7 @@ computation, and the canonical emitter preserves it.  Parse errors carry
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .model import (
     Configuration,
@@ -86,6 +86,10 @@ class ConfigParseError(ValueError):
 _ID = r"[A-Za-z0-9_'\-]+"
 _NAME = r"[A-Za-z0-9_]+"
 
+_RE_KEYWORD = re.compile(r"[A-Za-z_]+")
+_RE_TOKEN = re.compile(r"\S+")
+_RE_IDENT = re.compile(_ID)
+_RE_NAME = re.compile(_NAME)
 _RE_COVER = re.compile(r"cover:\s*(?P<value>\S+)\s*$")
 _RE_SYMBOLS = re.compile(r"symbols:(?P<rest>.*)$")
 _RE_CURVE = re.compile(rf"curve\s+(?P<id>{_ID})\s*:\s*$")
@@ -98,26 +102,22 @@ _RE_CURVES = re.compile(rf"curves:\s*(?P<a>{_ID})\s*,\s*(?P<b>{_ID})\s*$")
 _RE_ETYPE = re.compile(r"etype:\s*(?P<value>\S+)\s*$")
 _RE_MEETS = re.compile(r"meets_marked:\s*(?P<rest>\S.*?)\s*$")
 
-_KEYWORDS = {
-    "cover", "symbols", "curve", "point", "type", "ext",
-    "mark", "cores", "curves", "etype", "meets_marked",
-}
-
 _COVER_KINDS = {"irreducible": CoverKind.IRREDUCIBLE, "split": CoverKind.SPLIT_EVERYWHERE}
 _BEHAVIORS = {b.value: b for b in CoverBehavior}
 _CURVE_TYPES = {t.value: t for t in CurveType}
 _POINT_TYPES = {t.value: t for t in PointType}
 
-
-@dataclass
-class _RawResidue:
-    names: list[tuple[str, SourceSpan]]  # empty list means the zero class
+# The raw records hold source positions as plain ``(line, column)`` pairs;
+# a ``SourceSpan`` is made only for a diagnostic.  A raw residue is its list
+# of ``(name, line, column)`` terms, empty for the zero class.
+_Pos = tuple[int, int]
+_RawResidue = list[tuple[str, int, int]]
 
 
 @dataclass
 class _RawExt:
     id: str
-    span: SourceSpan
+    pos: _Pos
     sheet: int | None
     residue: _RawResidue
 
@@ -125,21 +125,21 @@ class _RawExt:
 @dataclass
 class _RawCurve:
     id: str
-    span: SourceSpan
+    pos: _Pos
+    exts: list[_RawExt] = field(default_factory=list)
     deg_type: CurveType | None = None
     behavior: CoverBehavior | None = None
-    exts: list[_RawExt] | None = None
-    mark: tuple[str, SourceSpan] | None = None
+    mark: tuple[str, _Pos] | None = None
     cores: _RawResidue | None = None
 
 
 @dataclass
 class _RawPoint:
     id: str
-    span: SourceSpan
-    incident: tuple[tuple[str, SourceSpan], tuple[str, SourceSpan]] | None = None
+    pos: _Pos
+    meets: list[tuple[str, _Pos]] = field(default_factory=list)
+    incident: tuple[tuple[str, _Pos], tuple[str, _Pos]] | None = None
     etype: PointType | None = None
-    meets: list[tuple[str, SourceSpan]] | None = None
 
 
 class _Parser:
@@ -147,7 +147,8 @@ class _Parser:
         self.text = text
         self.diags: list[ParseDiagnostic] = []
         self.cover: CoverKind | None = None
-        self.symbols: list[tuple[str, SourceSpan]] | None = None
+        self.symbols: list[str] | None = None
+        self.declared: set[str] = set()
         self.curves: list[_RawCurve] = []
         self.points: list[_RawPoint] = []
         self.block: _RawCurve | _RawPoint | None = None
@@ -155,224 +156,251 @@ class _Parser:
         # diagnostic stands in for "missing ... declaration".
         self.rejected_declarations: set[str] = set()
 
-    def error(self, span: SourceSpan, message: str) -> None:
-        self.diags.append(ParseDiagnostic(span, message))
+    def error(self, line: int, column: int, message: str) -> None:
+        self.diags.append(ParseDiagnostic(SourceSpan(line, column), message))
 
     # -- residues -----------------------------------------------------------
 
-    def parse_residue(self, text: str, line: int, base_col: int) -> _RawResidue:
+    def parse_residue(self, text: str, line: int, col: int) -> _RawResidue:
         if text == "0":
-            return _RawResidue([])
+            return []
         if not text:
-            self.error(SourceSpan(line, base_col), "missing residue (use 0 for the zero class)")
-            return _RawResidue([])
-        names: list[tuple[str, SourceSpan]] = []
-        offset = 0
+            self.error(line, col, "missing residue (use 0 for the zero class)")
+            return []
+        names: _RawResidue = []
         for part in text.split("+"):
-            span = SourceSpan(line, base_col + offset)
             token = part.strip()
-            if not re.fullmatch(_NAME, token or ""):
-                self.error(span, f"bad residue symbol {part!r}")
+            if _RE_NAME.fullmatch(token):
+                names.append((token, line, col + part.index(token)))
             else:
-                names.append((token, SourceSpan(line, base_col + offset + part.index(token))))
-            offset += len(part) + 1
-        return _RawResidue(names)
+                self.error(line, col, f"bad residue symbol {part!r}")
+            col += len(part) + 1
+        return names
 
     # -- line handling ------------------------------------------------------
 
     def run(self) -> Configuration:
         for lineno, raw in enumerate(self.text.splitlines(), start=1):
             line = raw.split("#", 1)[0].rstrip()
-            if not line.strip():
-                continue
             stripped = line.lstrip()
-            base = len(line) - len(stripped) + 1
-            self.handle(stripped, lineno, base)
+            if not stripped:
+                continue
+            col = len(line) - len(stripped) + 1
+            word = _RE_KEYWORD.match(stripped)
+            handler = _HANDLERS.get(word.group()) if word else None
+            if handler is None:
+                self.error(lineno, col, f"unknown keyword {stripped.split(None, 1)[0]!r}")
+            else:
+                handler(self, stripped, lineno, col)
         self.close_block()
         return self.finish()
 
-    def handle(self, stripped: str, lineno: int, base: int) -> None:
-        span = SourceSpan(lineno, base)
-        word = re.match(r"[A-Za-z_]+", stripped)
-        keyword = word.group(0) if word else None
-        if keyword not in _KEYWORDS:
-            self.error(span, f"unknown keyword {stripped.split(None, 1)[0]!r}")
+    def on_curve(self, text: str, line: int, col: int) -> None:
+        m = _RE_CURVE.match(text)
+        self.close_block()
+        if m:
+            self.block = _RawCurve(m.group("id"), (line, col + m.start("id")))
+        else:
+            self.error(line, col, "malformed curve line")
+            self.block = _RawCurve("", (line, col))
+
+    def on_point(self, text: str, line: int, col: int) -> None:
+        m = _RE_POINT.match(text)
+        self.close_block()
+        if m:
+            self.block = _RawPoint(m.group("id"), (line, col + m.start("id")))
+        else:
+            self.error(line, col, "malformed point line")
+            self.block = _RawPoint("", (line, col))
+
+    def on_cover(self, text: str, line: int, col: int) -> None:
+        m = _RE_COVER.match(text)
+        block = self.block
+        if not m:
+            self.error(line, col, "malformed cover line")
+            if block is None:
+                self.rejected_declarations.add("cover")
             return
-
-        def col(m: re.Match, group: str) -> SourceSpan:
-            return SourceSpan(lineno, base + m.start(group))
-
-        def malformed() -> None:
-            self.error(span, f"malformed {keyword} line")
-
-        if keyword == "curve":
-            m = _RE_CURVE.match(stripped)
-            self.close_block()
-            if not m:
-                malformed()
-                self.block = _RawCurve("", span, exts=[])
-                return
-            self.block = _RawCurve(m.group("id"), col(m, "id"), exts=[])
-        elif keyword == "point":
-            m = _RE_POINT.match(stripped)
-            self.close_block()
-            if not m:
-                malformed()
-                self.block = _RawPoint("", span, meets=[])
-                return
-            self.block = _RawPoint(m.group("id"), col(m, "id"), meets=[])
-        elif keyword == "cover":
-            m = _RE_COVER.match(stripped)
-            if not m:
-                malformed()
-                if self.block is None:
-                    self.rejected_declarations.add(keyword)
-                return
-            value = m.group("value")
-            if isinstance(self.block, _RawCurve):
-                if value not in _BEHAVIORS:
-                    self.error(col(m, "value"), f"cover behavior must be inert, split, or ramified, got {value!r}")
-                elif self.block.behavior is not None:
-                    self.error(span, f"cover already set for curve {self.block.id!r}")
-                else:
-                    self.block.behavior = _BEHAVIORS[value]
-            elif isinstance(self.block, _RawPoint):
-                self.error(span, "cover is not allowed in a point block")
+        value = m.group("value")
+        if isinstance(block, _RawCurve):
+            if value not in _BEHAVIORS:
+                self.error(
+                    line, col + m.start("value"),
+                    f"cover behavior must be inert, split, or ramified, got {value!r}",
+                )
+            elif block.behavior is not None:
+                self.error(line, col, f"cover already set for curve {block.id!r}")
             else:
-                if value not in _COVER_KINDS:
-                    self.error(col(m, "value"), f"cover kind must be irreducible or split, got {value!r}")
-                    self.rejected_declarations.add(keyword)
-                elif self.cover is not None:
-                    self.error(span, "cover declared twice")
-                else:
-                    self.cover = _COVER_KINDS[value]
-        elif keyword == "symbols":
-            if self.block is not None:
-                self.error(span, "symbols must be declared at top level")
-                return
-            if self.symbols is not None:
-                self.error(span, "symbols declared twice")
-                return
-            m = _RE_SYMBOLS.match(stripped)
-            if not m:
-                malformed()
-                self.rejected_declarations.add(keyword)
-                return
-            rest = m.group("rest")
-            self.symbols = []
-            for tok in re.finditer(r"\S+", rest):
-                tspan = SourceSpan(lineno, base + m.start("rest") + tok.start())
-                name = tok.group(0)
-                if not re.fullmatch(_NAME, name):
-                    self.error(tspan, f"bad symbol name {name!r}")
-                elif name in [s for s, _ in self.symbols]:
-                    self.error(tspan, f"duplicate symbol {name!r}")
-                else:
-                    self.symbols.append((name, tspan))
-        elif keyword in ("type", "ext", "mark", "cores"):
-            if not isinstance(self.block, _RawCurve):
-                where = "a point block" if isinstance(self.block, _RawPoint) else "top level"
-                self.error(span, f"{keyword} is not allowed at {where}; it belongs in a curve block")
-                return
-            self.handle_curve_field(keyword, stripped, lineno, base, span)
-        else:  # curves, etype, meets_marked
-            if not isinstance(self.block, _RawPoint):
-                where = "a curve block" if isinstance(self.block, _RawCurve) else "top level"
-                self.error(span, f"{keyword} is not allowed at {where}; it belongs in a point block")
-                return
-            self.handle_point_field(keyword, stripped, lineno, base, span)
+                block.behavior = _BEHAVIORS[value]
+        elif isinstance(block, _RawPoint):
+            self.error(line, col, "cover is not allowed in a point block")
+        elif value not in _COVER_KINDS:
+            self.error(
+                line, col + m.start("value"), f"cover kind must be irreducible or split, got {value!r}"
+            )
+            self.rejected_declarations.add("cover")
+        elif self.cover is not None:
+            self.error(line, col, "cover declared twice")
+        else:
+            self.cover = _COVER_KINDS[value]
 
-    def handle_curve_field(self, keyword, stripped, lineno, base, span) -> None:
-        c = self.block
-
-        def col(m: re.Match, group: str) -> SourceSpan:
-            return SourceSpan(lineno, base + m.start(group))
-
-        if keyword == "type":
-            m = _RE_TYPE.match(stripped)
-            if not m:
-                self.error(span, "malformed type line")
-            elif m.group("value") not in _CURVE_TYPES:
-                self.error(col(m, "value"), f"type must be I, II, III, or IV, got {m.group('value')!r}")
-            elif c.deg_type is not None:
-                self.error(span, f"type already set for curve {c.id!r}")
+    def on_symbols(self, text: str, line: int, col: int) -> None:
+        if self.block is not None:
+            self.error(line, col, "symbols must be declared at top level")
+            return
+        if self.symbols is not None:
+            self.error(line, col, "symbols declared twice")
+            return
+        m = _RE_SYMBOLS.match(text)
+        if not m:
+            self.error(line, col, "malformed symbols line")
+            self.rejected_declarations.add("symbols")
+            return
+        self.symbols = []
+        declared = self.declared
+        for tok in _RE_TOKEN.finditer(text, m.start("rest")):
+            name = tok.group()
+            if not _RE_NAME.fullmatch(name):
+                self.error(line, col + tok.start(), f"bad symbol name {name!r}")
+            elif name in declared:
+                self.error(line, col + tok.start(), f"duplicate symbol {name!r}")
             else:
-                c.deg_type = _CURVE_TYPES[m.group("value")]
-        elif keyword == "ext":
-            m = _RE_EXT.match(stripped)
-            if not m:
-                self.error(span, "malformed ext line")
-                return
-            sheet: int | None = None
-            if m.group("sheet") is not None:
-                if m.group("sheet") not in ("1", "2"):
-                    self.error(col(m, "sheet"), f"sheet must be 1 or 2, got {m.group('sheet')!r}")
-                else:
-                    sheet = int(m.group("sheet"))
-            if len(c.exts) >= 2:
-                self.error(span, f"curve {c.id!r} already has two extensions")
-                return
-            residue = self.parse_residue(m.group("residue"), lineno, base + m.start("residue"))
-            c.exts.append(_RawExt(m.group("id"), col(m, "id"), sheet, residue))
-        elif keyword == "mark":
-            m = _RE_MARK.match(stripped)
-            if not m:
-                self.error(span, "malformed mark line")
-            elif c.mark is not None:
-                self.error(span, f"mark already set for curve {c.id!r}")
-            else:
-                c.mark = (m.group("id"), col(m, "id"))
-        else:  # cores
-            m = _RE_CORES.match(stripped)
-            if not m:
-                self.error(span, "malformed cores line")
-            elif c.cores is not None:
-                self.error(span, f"cores already set for curve {c.id!r}")
-            else:
-                c.cores = self.parse_residue(m.group("residue"), lineno, base + m.start("residue"))
+                declared.add(name)
+                self.symbols.append(name)
 
-    def handle_point_field(self, keyword, stripped, lineno, base, span) -> None:
-        p = self.block
+    # -- curve fields -------------------------------------------------------
 
-        def col(m: re.Match, group: str) -> SourceSpan:
-            return SourceSpan(lineno, base + m.start(group))
+    def curve_block(self, keyword: str, line: int, col: int) -> _RawCurve | None:
+        """The open curve block, or None after a diagnostic."""
+        block = self.block
+        if isinstance(block, _RawCurve):
+            return block
+        where = "a point block" if isinstance(block, _RawPoint) else "top level"
+        self.error(line, col, f"{keyword} is not allowed at {where}; it belongs in a curve block")
+        return None
 
-        if keyword == "curves":
-            m = _RE_CURVES.match(stripped)
-            if not m:
-                self.error(span, "malformed curves line (expected: curves: <id>, <id>)")
-            elif p.incident is not None:
-                self.error(span, f"curves already set for point {p.id!r}")
+    def on_type(self, text: str, line: int, col: int) -> None:
+        c = self.curve_block("type", line, col)
+        if c is None:
+            return
+        m = _RE_TYPE.match(text)
+        if not m:
+            self.error(line, col, "malformed type line")
+        elif m.group("value") not in _CURVE_TYPES:
+            self.error(
+                line, col + m.start("value"),
+                f"type must be I, II, III, or IV, got {m.group('value')!r}",
+            )
+        elif c.deg_type is not None:
+            self.error(line, col, f"type already set for curve {c.id!r}")
+        else:
+            c.deg_type = _CURVE_TYPES[m.group("value")]
+
+    def on_ext(self, text: str, line: int, col: int) -> None:
+        c = self.curve_block("ext", line, col)
+        if c is None:
+            return
+        m = _RE_EXT.match(text)
+        if not m:
+            self.error(line, col, "malformed ext line")
+            return
+        raw_sheet = m.group("sheet")
+        sheet: int | None = None
+        if raw_sheet is not None:
+            if raw_sheet not in ("1", "2"):
+                self.error(line, col + m.start("sheet"), f"sheet must be 1 or 2, got {raw_sheet!r}")
             else:
-                p.incident = ((m.group("a"), col(m, "a")), (m.group("b"), col(m, "b")))
-        elif keyword == "etype":
-            m = _RE_ETYPE.match(stripped)
-            if not m:
-                self.error(span, "malformed etype line")
-            elif m.group("value") not in _POINT_TYPES:
-                self.error(col(m, "value"), f"unknown point type {m.group('value')!r}")
-            elif p.etype is not None:
-                self.error(span, f"etype already set for point {p.id!r}")
+                sheet = int(raw_sheet)
+        if len(c.exts) >= 2:
+            self.error(line, col, f"curve {c.id!r} already has two extensions")
+            return
+        residue = self.parse_residue(m.group("residue"), line, col + m.start("residue"))
+        c.exts.append(_RawExt(m.group("id"), (line, col + m.start("id")), sheet, residue))
+
+    def on_mark(self, text: str, line: int, col: int) -> None:
+        c = self.curve_block("mark", line, col)
+        if c is None:
+            return
+        m = _RE_MARK.match(text)
+        if not m:
+            self.error(line, col, "malformed mark line")
+        elif c.mark is not None:
+            self.error(line, col, f"mark already set for curve {c.id!r}")
+        else:
+            c.mark = (m.group("id"), (line, col + m.start("id")))
+
+    def on_cores(self, text: str, line: int, col: int) -> None:
+        c = self.curve_block("cores", line, col)
+        if c is None:
+            return
+        m = _RE_CORES.match(text)
+        if not m:
+            self.error(line, col, "malformed cores line")
+        elif c.cores is not None:
+            self.error(line, col, f"cores already set for curve {c.id!r}")
+        else:
+            c.cores = self.parse_residue(m.group("residue"), line, col + m.start("residue"))
+
+    # -- point fields -------------------------------------------------------
+
+    def point_block(self, keyword: str, line: int, col: int) -> _RawPoint | None:
+        """The open point block, or None after a diagnostic."""
+        block = self.block
+        if isinstance(block, _RawPoint):
+            return block
+        where = "a curve block" if isinstance(block, _RawCurve) else "top level"
+        self.error(line, col, f"{keyword} is not allowed at {where}; it belongs in a point block")
+        return None
+
+    def on_curves(self, text: str, line: int, col: int) -> None:
+        p = self.point_block("curves", line, col)
+        if p is None:
+            return
+        m = _RE_CURVES.match(text)
+        if not m:
+            self.error(line, col, "malformed curves line (expected: curves: <id>, <id>)")
+        elif p.incident is not None:
+            self.error(line, col, f"curves already set for point {p.id!r}")
+        else:
+            p.incident = (
+                (m.group("a"), (line, col + m.start("a"))),
+                (m.group("b"), (line, col + m.start("b"))),
+            )
+
+    def on_etype(self, text: str, line: int, col: int) -> None:
+        p = self.point_block("etype", line, col)
+        if p is None:
+            return
+        m = _RE_ETYPE.match(text)
+        if not m:
+            self.error(line, col, "malformed etype line")
+        elif m.group("value") not in _POINT_TYPES:
+            self.error(line, col + m.start("value"), f"unknown point type {m.group('value')!r}")
+        elif p.etype is not None:
+            self.error(line, col, f"etype already set for point {p.id!r}")
+        else:
+            p.etype = _POINT_TYPES[m.group("value")]
+
+    def on_meets_marked(self, text: str, line: int, col: int) -> None:
+        p = self.point_block("meets_marked", line, col)
+        if p is None:
+            return
+        m = _RE_MEETS.match(text)
+        if not m:
+            self.error(line, col, "malformed meets_marked line")
+            return
+        if p.meets:
+            self.error(line, col, f"meets_marked already set for point {p.id!r}")
+            return
+        offset = col + m.start("rest")
+        for part in m.group("rest").split(","):
+            token = part.strip()
+            at = offset + part.index(token) if token else offset
+            if _RE_IDENT.fullmatch(token):
+                p.meets.append((token, (line, at)))
             else:
-                p.etype = _POINT_TYPES[m.group("value")]
-        else:  # meets_marked
-            m = _RE_MEETS.match(stripped)
-            if not m:
-                self.error(span, "malformed meets_marked line")
-                return
-            if p.meets:
-                self.error(span, f"meets_marked already set for point {p.id!r}")
-                return
-            rest = m.group("rest")
-            offset = base + m.start("rest")
-            for part in rest.split(","):
-                token = part.strip()
-                tspan = SourceSpan(lineno, offset + part.index(token) if token else offset)
-                if not re.fullmatch(_ID, token or ""):
-                    self.error(tspan, f"bad extension reference {part.strip()!r}")
-                else:
-                    p.meets.append((token, tspan))
-                offset += len(part) + 1
+                self.error(line, at, f"bad extension reference {token!r}")
+            offset += len(part) + 1
 
     def close_block(self) -> None:
         block, self.block = self.block, None
@@ -380,62 +408,62 @@ class _Parser:
             return
         if isinstance(block, _RawCurve):
             if block.deg_type is None:
-                self.error(block.span, f"curve {block.id!r} is missing a type line")
+                self.error(*block.pos, f"curve {block.id!r} is missing a type line")
             if block.behavior is None:
-                self.error(block.span, f"curve {block.id!r} is missing a cover line")
+                self.error(*block.pos, f"curve {block.id!r} is missing a cover line")
             if not block.exts:
-                self.error(block.span, f"curve {block.id!r} needs at least one ext line")
+                self.error(*block.pos, f"curve {block.id!r} needs at least one ext line")
             self.curves.append(block)
         else:
             if block.incident is None:
-                self.error(block.span, f"point {block.id!r} is missing a curves line")
+                self.error(*block.pos, f"point {block.id!r} is missing a curves line")
             if block.etype is None:
-                self.error(block.span, f"point {block.id!r} is missing an etype line")
+                self.error(*block.pos, f"point {block.id!r} is missing an etype line")
             self.points.append(block)
 
     # -- resolution ---------------------------------------------------------
 
+    def claim(self, ids: dict[str, _Pos], name: str, pos: _Pos) -> None:
+        if name in ids:
+            line, col = ids[name]
+            self.error(*pos, f"duplicate id {name!r} (first declared at {line}:{col})")
+        else:
+            ids[name] = pos
+
+    def resolve_residue(self, raw: _RawResidue) -> ResidueClass:
+        acc: set[str] = set()
+        declared = self.declared
+        for name, line, col in raw:
+            if name not in declared:
+                self.error(line, col, f"residue symbol {name!r} is not declared")
+            else:
+                acc ^= {name}
+        return ResidueClass(frozenset(acc))
+
     def finish(self) -> Configuration:
         if self.cover is None and "cover" not in self.rejected_declarations:
-            self.error(SourceSpan(1, 1), "missing cover declaration")
+            self.error(1, 1, "missing cover declaration")
         if self.symbols is None and "symbols" not in self.rejected_declarations:
-            self.error(SourceSpan(1, 1), "missing symbols declaration")
+            self.error(1, 1, "missing symbols declaration")
 
-        declared = {s for s, _ in (self.symbols or [])}
-        ids: dict[str, SourceSpan] = {}
-
-        def claim(name: str, span: SourceSpan) -> None:
-            if name in ids:
-                self.error(span, f"duplicate id {name!r} (first declared at {ids[name]})")
-            else:
-                ids[name] = span
-
+        ids: dict[str, _Pos] = {}
         ext_ids: set[str] = set()
         for c in self.curves:
-            claim(c.id, c.span)
+            self.claim(ids, c.id, c.pos)
             for e in c.exts:
-                claim(e.id, e.span)
+                self.claim(ids, e.id, e.pos)
                 ext_ids.add(e.id)
         for p in self.points:
-            claim(p.id, p.span)
-
-        def resolve_residue(raw: _RawResidue) -> ResidueClass:
-            acc: set[str] = set()
-            for name, span in raw.names:
-                if name not in declared:
-                    self.error(span, f"residue symbol {name!r} is not declared")
-                else:
-                    acc ^= {name}
-            return ResidueClass(frozenset(acc))
+            self.claim(ids, p.id, p.pos)
 
         curve_ids = {c.id for c in self.curves}
         curves: list[Curve] = []
         for c in self.curves:
             exts = tuple(
-                Extension(e.id, resolve_residue(e.residue), e.sheet) for e in c.exts
+                Extension(e.id, self.resolve_residue(e.residue), e.sheet) for e in c.exts
             )
             if c.mark is not None and c.mark[0] not in {e.id for e in c.exts}:
-                self.error(c.mark[1], f"mark {c.mark[0]!r} does not match an extension of {c.id!r}")
+                self.error(*c.mark[1], f"mark {c.mark[0]!r} does not match an extension of {c.id!r}")
             curves.append(
                 Curve(
                     id=c.id,
@@ -443,25 +471,25 @@ class _Parser:
                     cover_behavior=c.behavior or CoverBehavior.RAMIFIED,
                     extensions=exts,
                     marking=c.mark[0] if c.mark else None,
-                    cores_residue_input=resolve_residue(c.cores) if c.cores is not None else None,
+                    cores_residue_input=self.resolve_residue(c.cores) if c.cores is not None else None,
                 )
             )
 
         points: list[SingularPoint] = []
         for p in self.points:
-            incident = p.incident or (("", p.span), ("", p.span))
-            for name, span in incident:
+            incident = p.incident or (("", p.pos), ("", p.pos))
+            for name, pos in incident:
                 if name and name not in curve_ids:
-                    self.error(span, f"point references unknown curve {name!r}")
-            for name, span in p.meets or []:
+                    self.error(*pos, f"point references unknown curve {name!r}")
+            for name, pos in p.meets:
                 if name not in ext_ids:
-                    self.error(span, f"meets_marked references unknown extension {name!r}")
+                    self.error(*pos, f"meets_marked references unknown extension {name!r}")
             points.append(
                 SingularPoint(
                     id=p.id,
                     incident=(incident[0][0], incident[1][0]),
                     etype=p.etype or PointType.I_II,
-                    meets_marked=frozenset(name for name, _ in (p.meets or [])),
+                    meets_marked=frozenset(name for name, _ in p.meets),
                 )
             )
 
@@ -470,10 +498,27 @@ class _Parser:
             raise ConfigParseError(ordered)
         return Configuration(
             cover_kind=self.cover,
-            symbols=tuple(s for s, _ in self.symbols),
+            symbols=tuple(self.symbols),
             curves=tuple(curves),
             points=tuple(points),
         )
+
+
+# One handler per keyword; each takes the line without its indentation,
+# the line number and the column where the text starts.
+_HANDLERS = {
+    "cover": _Parser.on_cover,
+    "symbols": _Parser.on_symbols,
+    "curve": _Parser.on_curve,
+    "point": _Parser.on_point,
+    "type": _Parser.on_type,
+    "ext": _Parser.on_ext,
+    "mark": _Parser.on_mark,
+    "cores": _Parser.on_cores,
+    "curves": _Parser.on_curves,
+    "etype": _Parser.on_etype,
+    "meets_marked": _Parser.on_meets_marked,
+}
 
 
 def parse(text: str) -> Configuration:
@@ -495,7 +540,7 @@ def emit(cfg: Configuration) -> str:
     kind = "irreducible" if cfg.cover_kind is CoverKind.IRREDUCIBLE else "split"
     lines = [f"cover: {kind}"]
     lines.append("symbols:" + ("" if not cfg.symbols else " " + " ".join(cfg.symbols)))
-    order = list(cfg.symbols)
+    order = cfg.symbol_index
     for c in cfg.curves:
         lines.append("")
         lines.append(f"curve {c.id}:")

@@ -207,14 +207,18 @@ class F2Matrix:
             mask |= ((self.row_masks[i] >> j) & 1) << i
         return F2Vector(self.rows, mask)
 
-    def columns(self) -> list[F2Vector]:
-        """Every column, built in one pass over the set bits of each row."""
+    def column_masks(self) -> list[int]:
+        """Every column's bit mask, built in one pass over the set bits of each row."""
         masks = [0] * self.cols
         for i, row in enumerate(self.row_masks):
             bit = 1 << i
             for j in _set_bits(row):
                 masks[j] |= bit
-        return [F2Vector(self.rows, mask) for mask in masks]
+        return masks
+
+    def columns(self) -> list[F2Vector]:
+        """Every column, as ``column_masks`` builds them."""
+        return [F2Vector(self.rows, mask) for mask in self.column_masks()]
 
     def transpose(self) -> "F2Matrix":
         return F2Matrix.from_vectors(self.columns(), cols=self.rows)

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
-from .f2 import F2Vector, _insert
+from .f2 import _insert
 
 if TYPE_CHECKING:
     from .brauer import _Spaces
@@ -94,19 +95,36 @@ class ResidueClass:
     def __add__(self, other: "ResidueClass") -> "ResidueClass":
         return ResidueClass(self.symbols ^ other.symbols)
 
-    def render(self, symbol_order: Iterable[str] | None = None) -> str:
-        """Human/DSL form: ``0`` or ``a+b`` in declared symbol order."""
+    def render(
+        self, symbol_order: Iterable[str] | Mapping[str, tuple[int, ...]] | None = None
+    ) -> str:
+        """Human/DSL form: ``0`` or ``a+b`` in declared symbol order.
+
+        ``symbol_order`` is the declared symbols, or their positions as
+        ``Configuration.symbol_index`` holds them, which renders in time
+        that does not grow with the number of declared symbols.  A name
+        declared twice is written once per declaration.
+        """
         if self.is_zero:
             return "0"
         if symbol_order is None:
-            names = sorted(self.symbols)
+            return "+".join(sorted(self.symbols))
+        if isinstance(symbol_order, Mapping):
+            index = symbol_order
         else:
-            order = list(symbol_order)
-            missing = self.symbols - set(order)
-            if missing:
-                raise ValueError(f"symbols not in declared order list: {sorted(missing)}")
-            names = [s for s in order if s in self.symbols]
-        return "+".join(names)
+            index = _symbol_positions(symbol_order)
+        missing = self.symbols.difference(index)
+        if missing:
+            raise ValueError(f"symbols not in declared order list: {sorted(missing)}")
+        return "+".join(s for _, s in sorted((i, s) for s in self.symbols for i in index[s]))
+
+
+def _symbol_positions(symbols: Iterable[str]) -> dict[str, tuple[int, ...]]:
+    """Each name's positions in ``symbols``, in one pass."""
+    index: dict[str, tuple[int, ...]] = {}
+    for i, s in enumerate(symbols):
+        index[s] = index.get(s, ()) + (i,)
+    return index
 
 
 ZERO = ResidueClass()
@@ -160,6 +178,16 @@ class Configuration:
         object.__setattr__(self, "symbols", tuple(self.symbols))
         object.__setattr__(self, "curves", tuple(self.curves))
         object.__setattr__(self, "points", tuple(self.points))
+
+    @cached_property
+    def symbol_index(self) -> dict[str, tuple[int, ...]]:
+        """Each declared symbol's positions in ``symbols``, built once.
+
+        Validation, the emitter and the reports read it.  A name has more
+        than one position only when it is declared twice, which
+        validation rejects.
+        """
+        return _symbol_positions(self.symbols)
 
 
 class Diagnostic(NamedTuple):
@@ -275,13 +303,14 @@ def _structural_diagnostics(cfg: Configuration) -> tuple[list[Diagnostic], list[
             err("DUP_ID", f"{kind} id {ident!r} is not unique", ident)
         seen_ids.add(ident)
 
+    index = cfg.symbol_index
     split_cover = cfg.cover_kind is CoverKind.SPLIT_EVERYWHERE
 
     for c in cfg.curves:
         claim("curve", c.id)
         for ext in c.extensions:
             claim("extension", ext.id)
-            bad = ext.residue.symbols - set(cfg.symbols)
+            bad = ext.residue.symbols.difference(index)
             if bad:
                 err(
                     "RESIDUE_SYMBOLS",
@@ -352,7 +381,7 @@ def _structural_diagnostics(cfg: Configuration) -> tuple[list[Diagnostic], list[
             if c.cover_behavior is CoverBehavior.SPLIT:
                 err("CORES_INPUT", f"cores residue on split curve {c.id} (it is determined)", c.id)
             else:
-                bad = c.cores_residue_input.symbols - set(cfg.symbols)
+                bad = c.cores_residue_input.symbols.difference(index)
                 if bad:
                     err(
                         "RESIDUE_SYMBOLS",
@@ -440,19 +469,12 @@ def _consistency_diagnostics(spaces: _Spaces) -> list[Diagnostic]:
     GC1 and GC3 map a P vector to R as the XOR of the ``m_pr`` columns on
     its support.  GC4 and GC2 compare ranks, counted by pivot insertion:
     Q and S meet nontrivially exactly when rank Q + rank S > rank(Q + S).
+    The echelon basis of Q + S is the spaces' own, which generator
+    selection then extends.
     """
     errors: list[Diagnostic] = []
-    pr_columns = [col.mask for col in spaces.m_pr.columns()]
-    q_columns = spaces.m_qp.columns()
-
-    def maps_to_zero(vec: F2Vector) -> bool:
-        image = 0
-        for j in vec.support():
-            image ^= pr_columns[j]
-        return image == 0
-
-    for c, column in zip(spaces.vq, q_columns):
-        if not maps_to_zero(column):
+    for c, column in zip(spaces.vq, spaces.q_columns):
+        if spaces.r_image(column):
             errors.append(
                 Diagnostic(
                     "GC1",
@@ -461,7 +483,7 @@ def _consistency_diagnostics(spaces: _Spaces) -> list[Diagnostic]:
                 )
             )
     for label, vec in zip(spaces.s_labels, spaces.s_vectors):
-        if not maps_to_zero(vec):
+        if spaces.r_image(vec.mask):
             errors.append(
                 Diagnostic(
                     "GC3",
@@ -470,11 +492,10 @@ def _consistency_diagnostics(spaces: _Spaces) -> list[Diagnostic]:
                 )
             )
 
-    q_pivots: dict[int, int] = {}
+    q_rank, qs_pivots = spaces.qs_echelon
     s_pivots: dict[int, int] = {}
-    q_rank = sum(_insert(q_pivots, col.mask) for col in q_columns)
     s_rank = sum(_insert(s_pivots, vec.mask) for vec in spaces.s_vectors)
-    s_rank_past_q = sum(_insert(q_pivots, vec.mask) for vec in spaces.s_vectors)
+    s_rank_past_q = len(qs_pivots) - q_rank
     if q_rank < len(spaces.vq):
         errors.append(Diagnostic("GC4", "relation vectors of Q are linearly dependent in P", "Q"))
     if s_rank < len(spaces.s_vectors):

@@ -186,6 +186,24 @@ def test_help_exits_clean(capsys):
     assert "validate" in capsys.readouterr().out
 
 
+def test_repeated_runs_in_one_process_carry_no_state(tmp_path, capsys):
+    # Calls of run in one process, as a long-lived caller makes them: no
+    # call may leave anything behind for the next one.
+    cfg = tmp_path / "hpt.cfg"
+    cfg.write_text(dsl.builtin_source("hpt"))
+    code, text_report, _ = run("example", "hpt")
+    assert code == cli.OK and text_report.startswith("dims:\n")
+    for _ in range(2):
+        code, out, _ = run("compute", str(cfg), "--json")
+        assert code == cli.OK and json.loads(out)["dims"]["h2nr"] == 1
+        assert run("compute", str(cfg)) == (cli.OK, text_report, "")
+        assert run("compute")[0] == cli.USAGE
+        assert run("frobnicate", str(cfg))[0] == cli.USAGE
+        assert run("--help")[0] == cli.OK
+        assert "validate" in capsys.readouterr().out
+        assert run("compute", str(cfg)) == (cli.OK, text_report, "")
+
+
 def test_compute_json_roundtrips_dims(tmp_path):
     cfg = tmp_path / "hpt.cfg"
     cfg.write_text(dsl.builtin_source("hpt"))

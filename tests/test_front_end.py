@@ -1,0 +1,224 @@
+"""The front end: parse, structural validation and rendering.
+
+A pinned digest of the parser's outcome over a seeded mutation corpus
+guards every diagnostic, span and canonical emission; a call-count test
+shows the front end stays linear as a configuration grows.
+"""
+
+import hashlib
+import io
+import random
+
+import pytest
+
+from isbbrauer import cli, dsl, model, sampling
+from isbbrauer.model import ResidueClass
+
+from test_fuzz import CONFIG_SOURCES, Seeded, mutate
+
+# --- parser outcomes, pinned ---------------------------------------------------
+
+
+def parse_outcome(text: str) -> str:
+    """``emit`` of the parsed configuration, or the error and every diagnostic."""
+    try:
+        return "ok\n" + dsl.emit(dsl.parse(text))
+    except dsl.ConfigParseError as exc:
+        assert all(isinstance(d.span, dsl.SourceSpan) for d in exc.diagnostics)
+        return "\n".join(["error", str(exc), *map(str, exc.diagnostics)])
+
+
+# Repeated symbols and meets_marked lines, which the other sources lack.
+REPEATS_SOURCE = b"""\
+cover: irreducible
+symbols: a b a c b
+
+curve q:
+  type: IV
+  cover: inert
+  ext q_1: a + c+a
+  mark: q_1
+  cores: b
+
+curve r:
+  type: II
+  cover: split
+  ext r_1: a
+  ext r_2: a
+
+point z:
+  curves: q, r
+  etype: IV_II
+  meets_marked: r_1, , r_2
+  meets_marked: r_2
+"""
+
+
+def parse_corpus() -> list[bytes]:
+    """Three sources, 60 random emits, and 2500 byte-level mutations of them."""
+    sources = [*CONFIG_SOURCES, REPEATS_SOURCE]
+    sources += [dsl.emit(cfg).encode() for cfg in sampling.random_corpus(11, 60)]
+    pick = Seeded(1806)
+    return sources + [mutate(pick.element(sources), pick) for _ in range(2500)]
+
+
+# sha256 over every outcome of ``parse_corpus``.  It was computed with the
+# earlier parser, which built a ``SourceSpan`` for every token, so any
+# change to a diagnostic, a span or an emitted byte shows here.
+PARSE_OUTCOME_DIGEST = "15a74dd2856b3c2c97d668cc2795b87e62d3eb87b9a065bf005882f3a27905ce"
+
+
+def test_parser_outcomes_match_pinned_digest():
+    digest = hashlib.sha256()
+    kinds = set()
+    for data in parse_corpus():
+        outcome = parse_outcome(data.decode("utf-8", "replace"))
+        kinds.add(outcome.split("\n", 1)[0])
+        digest.update(outcome.encode() + b"\0")
+    assert kinds == {"ok", "error"}
+    assert digest.hexdigest() == PARSE_OUTCOME_DIGEST
+
+
+# --- linearity -------------------------------------------------------------------
+
+
+def ring_source(n: int) -> str:
+    """``n`` symbols and ``n`` split Type II curves around a ring of II_II points.
+
+    Curve ``ci`` carries symbol ``si`` on both extensions, so the single
+    generator is ramified at every curve: a report renders ``n`` residues.
+    """
+    lines = ["cover: irreducible", "symbols: " + " ".join(f"s{i}" for i in range(n))]
+    for i in range(n):
+        lines += ["", f"curve c{i}:", "  type: II", "  cover: split"]
+        lines += [f"  ext c{i}a: s{i}", f"  ext c{i}b: s{i}"]
+    for i in range(n):
+        lines += ["", f"point p{i}:", f"  curves: c{i}, c{(i + 1) % n}", "  etype: II_II"]
+    return "\n".join(lines) + "\n"
+
+
+class CountingSymbols(tuple):
+    """A symbol tuple that counts each pass over it: an iteration or a scan by ``in``."""
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+    def __contains__(self, name):
+        self.passes += 1
+        return super().__contains__(name)
+
+
+@pytest.fixture
+def counted_front_end(monkeypatch):
+    """Every configuration's symbols counted, and every symbol index build."""
+    seen: list[CountingSymbols] = []
+    builds = []
+    post_init = model.Configuration.__post_init__
+    positions = model._symbol_positions
+
+    def counting_post_init(self):
+        post_init(self)
+        symbols = CountingSymbols(self.symbols)
+        symbols.passes = 0
+        object.__setattr__(self, "symbols", symbols)
+        seen.append(symbols)
+
+    def counting_positions(symbols):
+        builds.append(len(symbols))
+        return positions(symbols)
+
+    monkeypatch.setattr(model.Configuration, "__post_init__", counting_post_init)
+    monkeypatch.setattr(model, "_symbol_positions", counting_positions)
+
+    def measure(action) -> tuple[int, list[int]]:
+        for symbols in seen:
+            symbols.passes = 0
+        builds.clear()
+        action()
+        return sum(symbols.passes for symbols in seen), list(builds)
+
+    return measure
+
+
+def test_front_end_passes_over_the_symbols_do_not_grow(counted_front_end, tmp_path):
+    sizes = (50, 200, 800)
+    passes = {}
+    for n in sizes:
+        path = tmp_path / f"ring{n}.cfg"
+        path.write_text(ring_source(n))
+        cfg = dsl.parse(path.read_text())
+        for argv in (["compute"], ["validate"], ["explain"]):
+            out = io.StringIO()
+
+            def command():
+                assert cli.run(argv + [str(path)], out, io.StringIO()) == cli.OK
+
+            count, builds = counted_front_end(command)
+            # One symbol index per run, built from the n declared symbols.
+            assert builds == [n], (argv, n)
+            passes[argv[0], n] = count
+            if argv == ["compute"]:
+                assert out.getvalue().count("  ramified at c") == n
+        count, builds = counted_front_end(lambda: dsl.emit(cfg))
+        assert builds == [n]
+        passes["emit", n] = count
+    for kind in ("compute", "validate", "explain", "emit"):
+        assert len({passes[kind, n] for n in sizes}) == 1, passes
+        assert passes[kind, sizes[0]] <= 3, passes
+
+
+# --- rendering -------------------------------------------------------------------
+
+
+def scan_render(cls: ResidueClass, order) -> str:
+    """``render`` as a scan of the whole order list, the reference."""
+    if cls.is_zero:
+        return "0"
+    missing = cls.symbols - set(order)
+    if missing:
+        raise ValueError(f"symbols not in declared order list: {sorted(missing)}")
+    return "+".join(s for s in order if s in cls.symbols)
+
+
+def outcome(render, *args):
+    try:
+        return render(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def test_render_through_the_index_matches_the_scan():
+    rng = random.Random(3)
+    seen = set()
+    for _ in range(3000):
+        order = [rng.choice("abcdef") for _ in range(rng.randint(0, 8))]
+        cls = ResidueClass(frozenset(rng.sample("abcdefg", rng.randint(0, 4))))
+        expect = outcome(scan_render, cls, order)
+        assert outcome(cls.render, order) == expect
+        assert outcome(cls.render, tuple(order)) == expect
+        assert outcome(cls.render, iter(order)) == expect
+        assert outcome(cls.render, model._symbol_positions(order)) == expect
+        if isinstance(expect, tuple):
+            seen.add("error")
+        else:
+            seen.add("repeat" if len(expect.split("+")) > len(cls.symbols) else "ok")
+    assert seen == {"ok", "repeat", "error"}
+
+
+def test_a_repeated_symbol_renders_once_per_declaration():
+    cfg = model.Configuration(
+        model.CoverKind.IRREDUCIBLE,
+        ("a", "b", "a"),
+        (
+            model.Curve(
+                "c",
+                model.CurveType.II,
+                model.CoverBehavior.INERT,
+                (model.Extension("c_t", ResidueClass.of("a", "b")),),
+            ),
+        ),
+    )
+    assert cfg.symbol_index == {"a": (0, 2), "b": (1,)}
+    assert ResidueClass.of("a", "b").render(cfg.symbol_index) == "a+b+a"
+    assert "  ext c_t: a+b+a\n" in dsl.emit(cfg)

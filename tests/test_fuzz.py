@@ -8,6 +8,7 @@ must be one of 0 (ok), 1 (invalid), 2 (parse error) and 3 (usage).
 """
 
 import io
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -35,28 +36,69 @@ TOKENS = (
 EXIT_CODES = {cli.OK, cli.INVALID, cli.PARSE_ERROR, cli.USAGE}
 
 
-@st.composite
-def mutated(draw, sources: tuple[bytes, ...]) -> bytes:
-    data = draw(st.sampled_from(sources))
-    for _ in range(draw(st.integers(min_value=1, max_value=4))):
-        op = draw(st.sampled_from(("delete", "insert", "token", "swap", "duplicate")))
-        at = draw(st.integers(min_value=0, max_value=len(data)))
+def mutate(data: bytes, pick) -> bytes:
+    """``data`` after one to four byte-level mutations chosen by ``pick``.
+
+    ``pick.integer(lo, hi)`` returns an integer in ``lo..hi`` inclusive,
+    ``pick.element(seq)`` one item of ``seq`` and ``pick.binary(lo, hi)``
+    a byte string of ``lo..hi`` bytes.
+    """
+    for _ in range(pick.integer(1, 4)):
+        op = pick.element(("delete", "insert", "token", "swap", "duplicate"))
+        at = pick.integer(0, len(data))
         if op == "delete":
-            data = data[:at] + data[at + draw(st.integers(min_value=1, max_value=12)):]
+            data = data[:at] + data[at + pick.integer(1, 12):]
         elif op == "insert":
-            data = data[:at] + draw(st.binary(min_size=1, max_size=6)) + data[at:]
+            data = data[:at] + pick.binary(1, 6) + data[at:]
         elif op == "token":
-            data = data[:at] + draw(st.sampled_from(TOKENS)) + data[at:]
+            data = data[:at] + pick.element(TOKENS) + data[at:]
         else:
             lines = data.split(b"\n")
-            i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
-            j = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+            i = pick.integer(0, len(lines) - 1)
+            j = pick.integer(0, len(lines) - 1)
             if op == "swap":
                 lines[i], lines[j] = lines[j], lines[i]
             else:
                 lines.insert(j, lines[i])
             data = b"\n".join(lines)
     return data
+
+
+class Draws:
+    """``mutate``'s choices drawn by Hypothesis, so a failure shrinks."""
+
+    def __init__(self, draw):
+        self.draw = draw
+
+    def integer(self, lo: int, hi: int) -> int:
+        return self.draw(st.integers(min_value=lo, max_value=hi))
+
+    def element(self, seq):
+        return self.draw(st.sampled_from(seq))
+
+    def binary(self, lo: int, hi: int) -> bytes:
+        return self.draw(st.binary(min_size=lo, max_size=hi))
+
+
+class Seeded:
+    """``mutate``'s choices from a seeded ``random.Random``: a fixed corpus."""
+
+    def __init__(self, seed: int):
+        self.rng = random.Random(seed)
+
+    def integer(self, lo: int, hi: int) -> int:
+        return self.rng.randint(lo, hi)
+
+    def element(self, seq):
+        return seq[self.rng.randrange(len(seq))]
+
+    def binary(self, lo: int, hi: int) -> bytes:
+        return self.rng.randbytes(self.rng.randint(lo, hi))
+
+
+@st.composite
+def mutated(draw, sources: tuple[bytes, ...]) -> bytes:
+    return mutate(draw(st.sampled_from(sources)), Draws(draw))
 
 
 @pytest.fixture(scope="module")

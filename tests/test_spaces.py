@@ -10,13 +10,22 @@ past the brute-force cap.
 """
 
 import io
+import random
 from collections import Counter
 
 import pytest
 
 from isbbrauer import brauer, cli, dsl, model
 from isbbrauer.brauer import matrix_p_to_r, matrix_q_to_p, s_to_p_vectors, unramified_brauer
-from isbbrauer.f2 import F2Matrix, Subspace, column_space, kernel_basis, member, sum_subspace
+from isbbrauer.f2 import (
+    F2Matrix,
+    F2Vector,
+    Subspace,
+    column_space,
+    kernel_basis,
+    member,
+    sum_subspace,
+)
 from isbbrauer.model import (
     Configuration,
     CoverKind,
@@ -206,3 +215,30 @@ def test_compute_validates_once_and_builds_spaces_once(monkeypatch, tmp_path):
     assert cli.run(["compute", str(path)], out, io.StringIO()) == cli.OK
     assert "generator g1:" in out.getvalue()
     assert calls == Counter({"_structural_diagnostics": 1, "_build_spaces": 1})
+
+
+NOT_IN_KERNEL = "^vector is not in the kernel of P -> R$"
+
+
+def test_kernel_check_agrees_with_each_product(large_union):
+    spaces = brauer._build_spaces(large_union)
+    kernel = list(kernel_basis(spaces.m_pr).basis)
+    p = len(spaces.vp)
+    rng = random.Random(5)
+    outcomes = Counter()
+    for _ in range(300):
+        vectors = rng.sample(kernel, rng.randint(0, len(kernel)))
+        if rng.random() < 0.5:
+            stray = F2Vector(p, rng.getrandbits(p) & rng.getrandbits(p) & rng.getrandbits(p))
+            vectors.insert(rng.randint(0, len(vectors)), stray)
+        in_kernel = all(spaces.m_pr.mul(v).is_zero for v in vectors)
+        if in_kernel:
+            brauer._check_kernel(spaces, vectors)
+        else:
+            with pytest.raises(brauer.KernelContractError, match=NOT_IN_KERNEL):
+                brauer._check_kernel(spaces, vectors)
+        outcomes[in_kernel] += 1
+    assert outcomes[True] > 100 and outcomes[False] > 100
+    wrong_length = f"^vector has length {p + 1}, expected dim P = {p}$"
+    with pytest.raises(brauer.KernelContractError, match=wrong_length):
+        brauer._check_kernel(spaces, kernel + [F2Vector(p + 1, 0)])
