@@ -33,7 +33,6 @@ from .model import (
     SingularPoint,
     ValidationReport,
     _validate_with_spaces,
-    cores_residue,
     extension_owner,
     validate,  # re-exported: ``brauer.validate`` is ``model.validate``
     vp_basis,
@@ -139,7 +138,7 @@ def s_space(cfg: Configuration) -> SpaceS:
     nonzero classes among beta_1, beta_2.
     """
     if cfg.cover_kind is CoverKind.IRREDUCIBLE:
-        if any(not cores_residue(cfg, c).is_zero for c in cfg.curves):
+        if any(not c.cores_residue.is_zero for c in cfg.curves):
             return SpaceS(1, ("cores(beta)",))
         return SpaceS(0, ())
     nonzero = {1: False, 2: False}
@@ -368,7 +367,7 @@ def _lift(spaces: _Spaces, vec: F2Vector) -> list[tuple[str, ResidueClass]]:
         ext = spaces.vp[j]
         curve = spaces.owner[ext.id]
         if curve.cover_behavior is CoverBehavior.INERT:
-            contribution = cores_residue(spaces.cfg, curve)
+            contribution = curve.cores_residue
         else:
             contribution = ext.residue
         acc[curve.id] = acc.get(curve.id, ResidueClass()) + contribution
@@ -389,7 +388,7 @@ def residue_kernel(cfg: Configuration, c: Curve) -> list[ResidueClass]:
     if c.deg_type is CurveType.IV:
         return [ext.residue for ext in c.extensions if ext.id == c.marking]
     if c.cover_behavior is CoverBehavior.INERT:
-        return [cores_residue(cfg, c)]
+        return [c.cores_residue]
     return [ext.residue for ext in c.extensions]
 
 

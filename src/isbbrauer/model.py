@@ -150,6 +150,25 @@ class Curve:
     marking: str | None = None
     cores_residue_input: ResidueClass | None = None
 
+    # Residue of the corestriction along the curve, set once on construction
+    # because validation, the bases and the lift all read it.  Split curves:
+    # the sum of the two extension residues.  Inert and ramified curves: the
+    # user-supplied ``cores_residue_input``, defaulting to the zero class (the
+    # corestriction of a symbolic class is not computable from the symbols).
+    cores_residue: ResidueClass = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.cover_behavior is CoverBehavior.SPLIT:
+            total: frozenset[str] = frozenset()
+            for ext in self.extensions:
+                total ^= ext.residue.symbols
+            cores = ResidueClass(total)
+        elif self.cores_residue_input is not None:
+            cores = self.cores_residue_input
+        else:
+            cores = ZERO
+        object.__setattr__(self, "cores_residue", cores)
+
 
 @dataclass(frozen=True)
 class SingularPoint:
@@ -218,21 +237,8 @@ _ALLOWED_PAIRS: dict[tuple[str, str], tuple[PointType, ...]] = {
 
 
 def cores_residue(cfg: Configuration, c: Curve) -> ResidueClass:
-    """Residue of the corestriction along ``c``.
-
-    Split curves: the sum of the two extension residues.  Inert and
-    ramified curves: the user-supplied ``cores_residue_input``, defaulting
-    to the zero class (the corestriction of a symbolic class is not
-    computable from the symbols alone).
-    """
-    if c.cover_behavior is CoverBehavior.SPLIT:
-        total = ZERO
-        for ext in c.extensions:
-            total = total + ext.residue
-        return total
-    if c.cores_residue_input is not None:
-        return c.cores_residue_input
-    return ZERO
+    """Residue of the corestriction along ``c``: ``Curve.cores_residue``."""
+    return c.cores_residue
 
 
 def extension_owner(cfg: Configuration) -> dict[str, Curve]:
@@ -260,7 +266,7 @@ def vq_basis(cfg: Configuration) -> list[Curve]:
     """
     out = []
     for c in cfg.curves:
-        if not cores_residue(cfg, c).is_zero:
+        if not c.cores_residue.is_zero:
             continue
         if any(not ext.residue.is_zero for ext in c.extensions):
             out.append(c)

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
+from operator import mul
 
 __all__ = [
     "DIM",
@@ -49,6 +51,9 @@ __all__ = [
 
 DIM = 4
 _RAY_CAP = 8
+# Lattice points ``hilbert_basis`` may enumerate in a cone's zonotope box.
+# Rays with coordinates in 0..3 give at most 13^4 = 28561.
+_BOX_CAP = 100_000
 
 Vec = tuple[int, ...]
 
@@ -367,6 +372,10 @@ def hilbert_basis(c: Cone) -> list[Vec]:
     so enumerating that box and greedily filtering by a strictly positive
     functional yields the (unique) minimal set; irreducibility of the
     result is re-verified before returning.
+
+    Raises:
+        CapExceededError: past the ray cap, or when the box holds more
+            than ``_BOX_CAP`` lattice points.
     """
     _check_cap(c)
     if not c.rays:
@@ -378,6 +387,9 @@ def hilbert_basis(c: Cone) -> list[Vec]:
 
     lo = [sum(min(0, r[j]) for r in c.rays) for j in range(DIM)]
     hi = [sum(max(0, r[j]) for r in c.rays) for j in range(DIM)]
+    box = prod(h - l + 1 for l, h in zip(lo, hi))
+    if box > _BOX_CAP:
+        raise CapExceededError(f"search box of {box} lattice points exceeds the cap of {_BOX_CAP}")
     weight = tuple(sum(m[j] for m in dual) for j in range(DIM))
     candidates = [
         p
@@ -580,15 +592,49 @@ _SAMPLE_SEED = 48112
 
 
 def _sample_points(cone: Cone, count: int, seed: int) -> list[Vec]:
-    rng = random.Random(seed)
+    """``count`` points sum(t_i * r_i) of the cone, each t_i drawn from 0..4."""
+    randint = random.Random(seed).randint
+    columns = list(zip(*cone.rays)) or [()] * DIM
     points = []
     for _ in range(count):
-        coeffs = [rng.randint(0, 4) for _ in cone.rays]
-        p = (0,) * DIM
-        for t, r in zip(coeffs, cone.rays):
-            p = _add(p, tuple(t * x for x in r))
-        points.append(p)
+        coeffs = [randint(0, 4) for _ in cone.rays]
+        points.append(tuple([sum(map(mul, coeffs, col)) for col in columns]))
     return points
+
+
+def _halfspace_mask(m: Vec, points: list[Vec]) -> int:
+    """One bit per point, set where <m, p> >= 0; ``points[0]`` is the top bit."""
+    a, b, c, d = m
+    bits = ["1" if a * x + b * y + c * z + d * w >= 0 else "0" for x, y, z, w in points]
+    return int("".join(bits), 2)
+
+
+def _fans_cover(fans: list[Fan], points: list[Vec]) -> list[bool]:
+    """For each fan, whether every point lies in its support.
+
+    The verdict of ``all(support_contains(f, p) for p in points)``, for
+    all fans at once: each distinct point is one bit, each distinct facet
+    normal one mask shared by every fan, a cone's points are the AND of
+    its normals' masks, and a fan covers the points when the OR of its
+    maximal cones' masks has every bit set.
+    """
+    distinct = list(dict.fromkeys(points))
+    if not distinct:
+        return [True] * len(fans)
+    full = (1 << len(distinct)) - 1
+    masks: dict[Vec, int] = {}
+    verdicts = []
+    for f in fans:
+        covered = 0
+        for c in f.maximal_cones:
+            inside = full
+            for m in _dual_rays(c.rays):
+                if m not in masks:
+                    masks[m] = _halfspace_mask(m, distinct)
+                inside &= masks[m]
+            covered |= inside
+        verdicts.append(covered == full)
+    return verdicts
 
 
 def resolve_demo(samples: int = _SUPPORT_SAMPLES) -> ResolutionReport:
@@ -620,8 +666,8 @@ def resolve_demo(samples: int = _SUPPORT_SAMPLES) -> ResolutionReport:
         if not report.smooth:
             continue
         steps = tuple(
-            SubdivisionStep(ray, f, all(support_contains(f, p) for p in points))
-            for ray, f in zip(order, fans)
+            SubdivisionStep(ray, f, ok)
+            for ray, f, ok in zip(order, fans, _fans_cover(fans, points))
         )
         return ResolutionReport(
             cone=sigma,
@@ -652,6 +698,26 @@ class FanScript:
     subdivisions: tuple[tuple[int, Vec], ...]  # (source line, ray)
 
 
+_TOKEN = re.compile(r"\S+")
+
+
+def _integers(spans: list[tuple[str, int]], expected: int | None, lineno: int) -> list[int]:
+    """The integer arguments after a line's keyword, ``expected`` of them unless None.
+
+    ``spans`` holds the line's tokens with their 1-based columns.
+    """
+    (keyword, key_col), *args = spans
+    if expected is not None and len(args) != expected:
+        raise FanParseError(f"{keyword} expects {expected} integers, got {len(args)}", lineno, key_col)
+    out = []
+    for tok, col in args:
+        try:
+            out.append(int(tok))
+        except ValueError:
+            raise FanParseError(f"expected an integer, got {tok!r}", lineno, col) from None
+    return out
+
+
 def parse_fan_script(text: str) -> FanScript:
     """Parse the fan text format.
 
@@ -660,8 +726,6 @@ def parse_fan_script(text: str) -> FanScript:
         FanScriptError: structurally valid text with bad semantics
             (unknown ray index, invalid cone, empty fan).
     """
-    import re
-
     rays: list[Vec] = []
     cones: list[Cone] = []
     subdivisions: list[tuple[int, Vec]] = []
@@ -669,31 +733,12 @@ def parse_fan_script(text: str) -> FanScript:
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
-        spans = [(m.group(0), m.start() + 1) for m in re.finditer(r"\S+", line)]
+        spans = [(m.group(0), m.start() + 1) for m in _TOKEN.finditer(line)]
         keyword, key_col = spans[0]
-        args = spans[1:]
-
-        def integers(expected: int | None) -> list[int]:
-            if expected is not None and len(args) != expected:
-                raise FanParseError(
-                    f"{keyword} expects {expected} integers, got {len(args)}",
-                    lineno,
-                    key_col,
-                )
-            out = []
-            for tok, col in args:
-                try:
-                    out.append(int(tok))
-                except ValueError:
-                    raise FanParseError(
-                        f"expected an integer, got {tok!r}", lineno, col
-                    ) from None
-            return out
-
         if keyword == "ray":
-            rays.append(tuple(integers(DIM)))
+            rays.append(tuple(_integers(spans, DIM, lineno)))
         elif keyword == "cone":
-            idx = integers(None)
+            idx = _integers(spans, None, lineno)
             if not idx:
                 raise FanParseError("cone needs at least one ray index", lineno, key_col)
             picked = []
@@ -706,7 +751,7 @@ def parse_fan_script(text: str) -> FanScript:
             except ValueError as exc:
                 raise FanScriptError(str(exc), lineno) from None
         elif keyword == "subdivide":
-            subdivisions.append((lineno, tuple(integers(DIM))))
+            subdivisions.append((lineno, tuple(_integers(spans, DIM, lineno))))
         else:
             raise FanParseError(f"unknown keyword {keyword!r}", lineno, key_col)
     if not cones:

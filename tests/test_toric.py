@@ -1,7 +1,9 @@
 """Exact lattice geometry: duals, Hilbert bases, smoothness, subdivisions."""
 
+import hashlib
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -192,6 +194,14 @@ def test_hilbert_basis_properties(raw):
         assert tuple(a + b for a, b in zip(x, y)) not in members
 
 
+def test_hilbert_basis_search_box_is_capped():
+    # the box holds 5 * 1001^3, about 5e9 lattice points; the cap refuses
+    # it before enumerating any
+    wide = Cone(((1, 0, 0, 0), (1, 1000, 0, 0), (1, 0, 1000, 0), (1, 0, 0, 1000)))
+    with pytest.raises(CapExceededError, match="search box"):
+        hilbert_basis(wide)
+
+
 def _proportional(u, v):
     return all(a * d == b * c for (a, b), (c, d) in itertools.combinations(zip(u, v), 2))
 
@@ -319,6 +329,75 @@ def test_resolve_demo_certificate_chain():
     assert all(len(c.rays) == 4 for c in final.maximal_cones)
 
 
+# sha256 of repr(_sample_points(uv_xyz_cone(), 1000, 48112)), computed when
+# each point was built by repeated vector additions of scaled rays.
+SAMPLE_POINTS_DIGEST = "3557bfce4ac44afa0ff64c920c5f4bdecbfbe586143daaf30d70335f52cb18f3"
+
+
+def test_sample_points_are_pinned():
+    points = toric._sample_points(uv_xyz_cone(), 1000, 48112)
+    assert len(set(points)) == 838
+    assert hashlib.sha256(repr(points).encode()).hexdigest() == SAMPLE_POINTS_DIGEST
+
+
+def _unimodular(rng, steps=6):
+    """A product of elementary integer matrices: determinant 1."""
+    m = [[int(i == j) for j in range(4)] for i in range(4)]
+    for _ in range(steps):
+        i, j = rng.sample(range(4), 2)
+        s = rng.choice((-1, 1))
+        m[i] = [x + s * y for x, y in zip(m[i], m[j])]
+    return m
+
+
+def _apply(m, v):
+    return tuple(sum(m[i][k] * v[k] for k in range(4)) for i in range(4))
+
+
+RESOLVING_RAYS = ((1, 1, 0, 1), (1, 1, 1, 0), (1, 1, 1, 1))
+
+
+def test_fans_cover_agrees_with_support_contains():
+    verdicts = set()
+    for seed in range(3):
+        rng = random.Random(seed)
+        u = _unimodular(rng)
+        sigma = Cone(tuple(_apply(u, r) for r in SIGMA_RAYS))
+        inside = toric._sample_points(sigma, 60, seed)
+        outside = [_apply(u, tuple(rng.randint(-3, 3) for _ in range(4))) for _ in range(40)]
+        point_sets = [[], inside, inside + inside[:10], outside, inside + outside]
+        for order in itertools.permutations(RESOLVING_RAYS):
+            fan = Fan((sigma,))
+            fans = [fan]
+            for ray in order:
+                fan = star_subdivide(fan, _apply(u, ray))
+                fans.append(fan)
+            # one maximal cone removed: a hole in the support
+            for f in fans[:]:
+                drop = rng.randrange(len(f.maximal_cones))
+                fans.append(Fan(f.maximal_cones[:drop] + f.maximal_cones[drop + 1 :]))
+            for points in point_sets:
+                expected = [all(support_contains(f, p) for p in points) for f in fans]
+                assert toric._fans_cover(fans, points) == expected
+                verdicts.update(expected)
+    assert verdicts == {True, False}
+
+
+def test_resolve_demo_checks_support_once_per_subdivision(monkeypatch):
+    callers = []
+    original = toric.support_contains
+
+    def counted(f, x):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(f, x)
+
+    monkeypatch.setattr(toric, "support_contains", counted)
+    report = resolve_demo()
+    assert all(step.support_ok for step in report.steps)
+    assert len(callers) <= 3
+    assert set(callers) <= {"star_subdivide"}
+
+
 def test_resolve_demo_is_deterministic():
     a = resolve_demo(samples=16)
     b = resolve_demo(samples=16)
@@ -365,6 +444,71 @@ def test_fan_script_errors_carry_positions(text, exc, line):
     assert caught.value.line == line
     if isinstance(caught.value, FanParseError):
         assert caught.value.column >= 1
+
+
+DEMO_FAN_TEXT = """\
+# the uv = xyz cone and the three subdivisions that resolve it
+ray 1 0 0 0
+ray 0 1 0 0
+ray 1 0 1 0
+ray 0 1 1 0
+ray 1 0 0 1
+ray 0 1 0 1
+cone 0 1 2 3 4 5
+subdivide 1 1 0 1
+subdivide 1 1 1 0
+subdivide 1 1 1 1
+"""
+
+
+def _fan_outcome(text):
+    try:
+        script = parse_fan_script(text)
+    except FanParseError as exc:
+        return f"parse {exc.line}:{exc.column} {exc}"
+    except FanScriptError as exc:
+        return f"script {exc.line} {exc}"
+    return f"ok {script!r}"
+
+
+def _fan_mutants(count, seed):
+    """Demo fan scripts with one to three ASCII bytes inserted, replaced or deleted."""
+    rng = random.Random(seed)
+    source = DEMO_FAN_TEXT.encode("ascii")
+    for _ in range(count):
+        data = bytearray(source)
+        for _ in range(rng.randint(1, 3)):
+            byte = rng.choice(b"0123456789 -\n#") if rng.random() < 0.5 else rng.randrange(128)
+            op = rng.randrange(3)
+            if op == 0 or not data:
+                data.insert(rng.randrange(len(data) + 1), byte)
+            elif op == 1:
+                data[rng.randrange(len(data))] = byte
+            else:
+                del data[rng.randrange(len(data))]
+        yield data.decode("ascii")
+
+
+# sha256 over the newline-joined outcomes of _fan_mutants(200, 5), computed
+# when parse_fan_script compiled its token pattern and built its integer
+# reader on every line.
+FAN_MUTANT_DIGEST = "5749cc58be21f3a38f02ce362f68307be3d9670a8217afd35d85851a3247c1f8"
+
+
+def test_fan_script_diagnostics_are_pinned():
+    assert _fan_outcome("ray 1 0\ncone 0\n") == "parse 1:1 1:1: ray expects 4 integers, got 2"
+    assert _fan_outcome("ray 1 0 0 x\ncone 0\n") == "parse 1:11 1:11: expected an integer, got 'x'"
+    assert _fan_outcome("blah 1\n") == "parse 1:1 1:1: unknown keyword 'blah'"
+    assert _fan_outcome("ray 1 0 0 0\ncone 0 3\n") == "script 2 line 2: ray index 3 is out of range"
+    assert (
+        _fan_outcome("ray 1 0 0 0\nray 2 0 0 0\ncone 0 1\n")
+        == "script 3 line 3: ray (2, 0, 0, 0) is not primitive"
+    )
+    assert _fan_outcome("ray 1 0 0 0\n") == "script 1 line 1: fan has no cones"
+    assert _fan_outcome("ray 1 0 zz 0\ncone 0\n") == "parse 1:9 1:9: expected an integer, got 'zz'"
+    outcomes = [_fan_outcome(t) for t in _fan_mutants(200, 5)]
+    assert {o.split(" ", 1)[0] for o in outcomes} == {"ok", "parse", "script"}
+    assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == FAN_MUTANT_DIGEST
 
 
 def test_fan_script_column_points_at_offending_token():
