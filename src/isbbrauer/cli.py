@@ -22,28 +22,54 @@ PARSE_ERROR = 2
 USAGE = 3
 
 
+def _json_at(value, level: int) -> str:
+    """``json.dumps(value, indent=2)`` as it reads nested ``level`` deep."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * level)
+
+
+def _json_block(brackets: str, items, level: int) -> str:
+    """An array or object of rendered ``items``, laid out as ``indent=2`` does."""
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (level + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * level + brackets[1]
+
+
 def report_json(r: brauer.BrauerReport) -> str:
-    """Deterministic JSON for a report: fixed key order, integers only."""
-    doc = {
-        "dims": r.dims,
-        "p_labels": list(r.p_labels),
-        "q_labels": list(r.q_labels),
-        "r_labels": list(r.r_labels),
-        "m_pr": r.m_pr.to_lists(),
-        "m_qp": r.m_qp.to_lists(),
-        "m_sp": r.m_sp.to_lists(),
-        "generators": [
-            {
-                "vector": list(g.vector.bits),
-                "ramification": {
-                    cid: sorted(cls.symbols) for cid, cls in g.ramification
-                },
-            }
-            for g in r.generators
-        ],
-        "assertions": dict(r.assertions),
+    """Deterministic JSON for a report: fixed key order, integers only.
+
+    The bytes of ``json.dumps(doc, indent=2)``, whose ``indent`` takes the
+    pure-Python encoder through every matrix cell.  So each matrix row and
+    generator vector is written from its mask, its bit string joined by
+    one separator, and ``json.dumps`` lays out only the rest.
+    """
+
+    def bits(mask: int, length: int, level: int) -> str:
+        return _json_block("[]", f2.bit_string(mask, length), level)
+
+    def matrix(m: f2.F2Matrix) -> str:
+        return _json_block("[]", [bits(row, m.cols, 2) for row in m.row_masks], 1)
+
+    def generator(g: brauer.Generator) -> str:
+        ramification = {cid: sorted(cls.symbols) for cid, cls in g.ramification}
+        fields = [
+            '"vector": ' + bits(g.vector.mask, g.vector.length, 3),
+            '"ramification": ' + _json_at(ramification, 3),
+        ]
+        return _json_block("{}", fields, 2)
+
+    fields = {
+        "dims": _json_at(r.dims, 1),
+        "p_labels": _json_at(list(r.p_labels), 1),
+        "q_labels": _json_at(list(r.q_labels), 1),
+        "r_labels": _json_at(list(r.r_labels), 1),
+        "m_pr": matrix(r.m_pr),
+        "m_qp": matrix(r.m_qp),
+        "m_sp": matrix(r.m_sp),
+        "generators": _json_block("[]", [generator(g) for g in r.generators], 1),
+        "assertions": _json_at(dict(r.assertions), 1),
     }
-    return json.dumps(doc, indent=2)
+    return _json_block("{}", [f'"{key}": {text}' for key, text in fields.items()], 0)
 
 
 def _matrix_lines(m, row_labels, col_note: str) -> list[str]:

@@ -17,10 +17,11 @@ from __future__ import annotations
 import itertools
 import random
 import re
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, prod
-from operator import mul
+from operator import and_, lshift, mul, or_
 
 __all__ = [
     "DIM",
@@ -591,49 +592,116 @@ _SUPPORT_SAMPLES = 1000
 _SAMPLE_SEED = 48112
 
 
+# randint(0, 4) is _randbelow(5): getrandbits(3), drawn again while it is
+# 5 or more.  getrandbits(3) is the top 3 bits of one 32-bit output, the top
+# byte shifted right by 5, and the top bits are 5..7 exactly for bytes 160..255.
+_TOP3 = bytes(b >> 5 for b in range(256))
+_REDRAWN = bytes(range(160, 256))
+_WORD = (1 << 64) - 1
+
+
+def _draws(rng: random.Random, n: int) -> bytes:
+    """The next ``n`` values of ``rng.randint(0, 4)``, one per byte.
+
+    ``getrandbits(32 * m)`` packs ``m`` outputs, the first in the lowest
+    word, so the top byte of each little-endian word is ``[3::4]``.  Five
+    of eight outputs are kept on average, so a batch of ``2 * n`` outputs
+    nearly always suffices.
+    """
+    out = b""
+    while len(out) < n:
+        words = 2 * (n - len(out)) + 8
+        batch = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+        out += batch[3::4].translate(_TOP3, _REDRAWN)
+    return out[:n]
+
+
 def _sample_points(cone: Cone, count: int, seed: int) -> list[Vec]:
-    """``count`` points sum(t_i * r_i) of the cone, each t_i drawn from 0..4."""
-    randint = random.Random(seed).randint
-    columns = list(zip(*cone.rays)) or [()] * DIM
-    points = []
-    for _ in range(count):
-        coeffs = [randint(0, 4) for _ in cone.rays]
-        points.append(tuple([sum(map(mul, coeffs, col)) for col in columns]))
-    return points
+    """``count`` points sum(t_i * r_i) of the cone, each t_i drawn from 0..4.
+
+    Every coordinate column is one int with a lane per point:
+    ``sum(r_ij * T_i)``, where ``T_i`` holds ray ``i``'s coefficients.  A
+    lane is enough 64-bit words to hold ``4 * sum_i |r_ij|`` with a sign,
+    so no lane carries into the next; biased by its sign bit, each lane
+    reads back as a two's complement value.
+    """
+    k = len(cone.rays)
+    coeffs = _draws(random.Random(seed), count * k)
+    bound = max(4 * sum(abs(r[j]) for r in cone.rays) for j in range(DIM))
+    words = bound.bit_length() // 64 + 1
+    lane = 8 * words
+    sign = int.from_bytes(b"\x80".rjust(lane, b"\0") * count, "little")
+    planes = []
+    for i in range(k):
+        spread = bytearray(lane * count)
+        spread[::lane] = coeffs[i::k]
+        planes.append(int.from_bytes(spread, "little"))
+    columns = []
+    for j in range(DIM):
+        packed = sum(r[j] * t for r, t in zip(cone.rays, planes)) + sign
+        data = (packed ^ sign).to_bytes(lane * count, "little")
+        signed = struct.unpack(f"<{words * count}q", data)
+        column = signed[words - 1 :: words]
+        for q in range(words - 2, -1, -1):
+            # a lower word is unsigned: its sign bit is the 2**63 place
+            low = map(and_, signed[q::words], itertools.repeat(_WORD))
+            column = map(or_, map(lshift, column, itertools.repeat(64)), low)
+        columns.append(column)
+    return list(zip(*columns))
 
 
-def _halfspace_mask(m: Vec, points: list[Vec]) -> int:
-    """One bit per point, set where <m, p> >= 0; ``points[0]`` is the top bit."""
-    a, b, c, d = m
-    bits = ["1" if a * x + b * y + c * z + d * w >= 0 else "0" for x, y, z, w in points]
-    return int("".join(bits), 2)
+def _pack_lanes(values: list[int], width: int) -> int:
+    """``sum(v << (width * p) for p, v in enumerate(values))``, neighbours paired.
+
+    A negative value borrows from the lane above it; the sum is exact.
+    """
+    lanes = values
+    while len(lanes) > 1:
+        if len(lanes) % 2:
+            lanes.append(0)
+        pairs = iter(lanes)
+        lanes = [low + (high << width) for low, high in zip(pairs, pairs)]
+        width *= 2
+    return lanes[0] if lanes else 0
 
 
 def _fans_cover(fans: list[Fan], points: list[Vec]) -> list[bool]:
     """For each fan, whether every point lies in its support.
 
     The verdict of ``all(support_contains(f, p) for p in points)``, for
-    all fans at once: each distinct point is one bit, each distinct facet
-    normal one mask shared by every fan, a cone's points are the AND of
-    its normals' masks, and a fan covers the points when the OR of its
-    maximal cones' masks has every bit set.
+    all fans at once.  Each coordinate of the distinct points is one int
+    with a ``width``-bit lane per point, so ``sum(m_j * X_j)`` holds every
+    ``<m, p>`` in its lanes.  ``width`` leaves room for the sign over the
+    bound ``sum_j |m_j| * max|x_j|`` of every normal; plus ``2**(width-1)``
+    in each lane, the lane's top bit is set exactly where ``<m, p> >= 0``.
+    That is one mask per distinct facet normal, shared by every fan; a
+    cone's points are the AND of its normals' masks, and a fan covers the
+    points when the OR of its maximal cones' masks has every lane's bit.
     """
     distinct = list(dict.fromkeys(points))
-    if not distinct:
-        return [True] * len(fans)
-    full = (1 << len(distinct)) - 1
-    masks: dict[Vec, int] = {}
+    columns = list(zip(*distinct))
+    reach = [max(max(column), -min(column)) for column in columns]
+    normals = {m for f in fans for c in f.maximal_cones for m in _dual_rays(c.rays)}
+    bound = max((sum(abs(a) * b for a, b in zip(m, reach)) for m in normals), default=0)
+    width = bound.bit_length() + 1
+    top = 1 << (width * len(distinct))
+    ones = (top - 1) // ((1 << width) - 1)
+    half = ones << (width - 1)
+    packed = [_pack_lanes(list(column), width) for column in columns]
+    masks = {}
+    for m in normals:
+        biased = sum(map(mul, m, packed)) + half
+        assert 0 <= biased < top, "a lane of <m, p> overflowed its width"
+        masks[m] = (biased >> (width - 1)) & ones
     verdicts = []
     for f in fans:
         covered = 0
         for c in f.maximal_cones:
-            inside = full
+            inside = ones
             for m in _dual_rays(c.rays):
-                if m not in masks:
-                    masks[m] = _halfspace_mask(m, distinct)
                 inside &= masks[m]
             covered |= inside
-        verdicts.append(covered == full)
+        verdicts.append(covered == ones)
     return verdicts
 
 

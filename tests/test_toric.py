@@ -383,6 +383,87 @@ def test_fans_cover_agrees_with_support_contains():
     assert verdicts == {True, False}
 
 
+def _randint_stream(seed, n):
+    rng = random.Random(seed)
+    return bytes(rng.randint(0, 4) for _ in range(n))
+
+
+def test_draws_are_the_randint_stream():
+    for seed in range(200):
+        for n in (0, 1, 5, 6, 7, 313, 6000):
+            assert toric._draws(random.Random(seed), n) == _randint_stream(seed, n), (seed, n)
+
+
+def _per_point_sample(cone, count, seed):
+    """The sampler as a loop over points: ``count * len(rays)`` randint calls."""
+    randint = random.Random(seed).randint
+    columns = list(zip(*cone.rays)) or [()] * 4
+    points = []
+    for _ in range(count):
+        coeffs = [randint(0, 4) for _ in cone.rays]
+        points.append(tuple(sum(t * x for t, x in zip(coeffs, col)) for col in columns))
+    return points
+
+
+def _scaled_sigma(scale):
+    """The rays of uv_xyz_cone() times ``scale``, plus 1 in the last coordinate.
+
+    Every ray stays primitive and positive on (1, 1, 0, 0), so the cone is
+    pointed; ``4 * sum_i |r_i3|`` is ``8 * scale + 24``.
+    """
+    return tuple((scale * a, scale * b, scale * c, scale * d + 1) for a, b, c, d in SIGMA_RAYS)
+
+
+def test_sample_points_match_the_per_point_loop():
+    # 2**60 and 2**61 put the last column's bound just past 2**63 and 2**64,
+    # so a lane needs a second word; 2**125 needs a third
+    scales = (1, 10**6, 2**40, 2**60, 2**61, 2**125)
+    cones = [Cone(SIGMA_RAYS), Cone(())]
+    for seed, scale in enumerate(scales):
+        rays = _scaled_sigma(scale) if scale > 1 else SIGMA_RAYS
+        cones.append(Cone(rays))
+        u = _unimodular(random.Random(seed))
+        cones.append(Cone(tuple(_apply(u, r) for r in rays)))  # negative entries
+    for cone in cones:
+        for count, seed in ((0, 1), (1, 2), (300, 3)):
+            assert toric._sample_points(cone, count, seed) == _per_point_sample(cone, count, seed)
+
+
+def _orthant_fan(u):
+    """The 16 orthants mapped by the unimodular ``u``: a complete fan."""
+    cones = []
+    for signs in itertools.product((1, -1), repeat=4):
+        rays = [tuple(s * int(i == j) for j in range(4)) for i, s in enumerate(signs)]
+        cones.append(Cone(tuple(_apply(u, r) for r in rays)))
+    return Fan(tuple(cones))
+
+
+def test_fans_cover_lane_widths_at_large_coordinates():
+    identity = [[int(i == j) for j in range(4)] for i in range(4)]
+    shear = [[1, 3**25, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]  # a normal (1, -3**25, 0, 0)
+    rng = random.Random(7)
+    verdicts = set()
+    for reach in (2**40, 2**40 - 1, 2**70, 2**70 - 1, 3**44):
+        # every sign pattern at the full reach: for the orthant normals, and
+        # for the shear's, some corner meets the bound the width is chosen
+        # from; then points on the walls and one step off them
+        corners = [tuple(reach * s for s in signs) for signs in itertools.product((1, 0, -1), repeat=4)]
+        steps = [tuple(c + rng.choice((-1, 1)) * int(k % 4 == j) for j, c in enumerate(corner))
+                 for k, corner in enumerate(corners[:40])]
+        scattered = [tuple(rng.randint(-reach, reach) for _ in range(4)) for _ in range(20)]
+        points = corners + steps + scattered
+        for u in (identity, shear, _unimodular(rng)):
+            full = _orthant_fan(u)
+            holed = Fan(full.maximal_cones[1:])
+            inner = star_subdivide(Fan((full.maximal_cones[0],)), _apply(u, (1, 1, 1, 1)))
+            for fans in ([full, holed], [full, holed, inner, Fan(())]):
+                for sample in ([], points, points + points[:20], corners[::-1], points[81:]):
+                    expected = [all(support_contains(f, p) for p in sample) for f in fans]
+                    assert toric._fans_cover(fans, sample) == expected
+                    verdicts.update(expected)
+    assert verdicts == {True, False}
+
+
 def test_resolve_demo_checks_support_once_per_subdivision(monkeypatch):
     callers = []
     original = toric.support_contains

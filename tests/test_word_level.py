@@ -9,11 +9,12 @@ cap) is checked against its number of connected components.
 """
 
 import dataclasses
+import json
 import random
 
 import pytest
 
-from isbbrauer import brauer, cli, model, sampling
+from isbbrauer import brauer, cli, dsl, model, sampling
 from isbbrauer.brauer import unramified_brauer
 from isbbrauer.f2 import (
     DimensionMismatch,
@@ -331,3 +332,45 @@ def test_ring_kernel_is_component_count(cuts, chords):
     assert len(report.generators) == count
     for g in report.generators:
         assert report.m_pr.mul(g.vector).is_zero
+
+
+# --- JSON report ------------------------------------------------------------------
+
+
+def reference_report_json(r: brauer.BrauerReport) -> str:
+    """The whole document through ``json.dumps(indent=2)``, cell by cell."""
+    doc = {
+        "dims": r.dims,
+        "p_labels": list(r.p_labels),
+        "q_labels": list(r.q_labels),
+        "r_labels": list(r.r_labels),
+        "m_pr": r.m_pr.to_lists(),
+        "m_qp": r.m_qp.to_lists(),
+        "m_sp": r.m_sp.to_lists(),
+        "generators": [
+            {
+                "vector": list(g.vector.bits),
+                "ramification": {cid: sorted(cls.symbols) for cid, cls in g.ramification},
+            }
+            for g in r.generators
+        ],
+        "assertions": dict(r.assertions),
+    }
+    return json.dumps(doc, indent=2)
+
+
+def test_report_json_matches_json_dumps():
+    reports = [unramified_brauer(dsl.builtin(name)) for name in dsl.BUILTIN_NAMES]
+    reports += [unramified_brauer(cfg) for cfg in sampling.random_corpus(3, 200)]
+    reports.append(unramified_brauer(ring(random.Random(7), 400, 12, 20)[0]))
+    base = reports[0]
+    odd = F2Vector(0, 0), F2Vector(3, 0b101)
+    reports += [
+        dataclasses.replace(base, m_pr=F2Matrix(0, 5), m_qp=F2Matrix(4, 0, (0,) * 4), m_sp=F2Matrix(0, 0)),
+        dataclasses.replace(base, generators=()),
+        dataclasses.replace(base, generators=tuple(brauer.Generator(v, ()) for v in odd)),
+        dataclasses.replace(base, p_labels=('quote " here', "back\\slash", "new\nline", "ümlaut ☃"), assertions=()),
+    ]
+    for r in reports:
+        assert cli.report_json(r) == reference_report_json(r)
+    assert {len(r.generators) > 1 for r in reports} == {True, False}
