@@ -8,6 +8,18 @@ structural rules of that geometry plus four geometric-consistency
 checks computed by linear algebra; configurations that pass feed the
 Brauer-group computation.
 
+The GF(2) spaces of the computation are built here too, once per
+configuration (``Configuration.spaces``):
+
+* ``P``  — one coordinate per extension with nonzero residue,
+* ``Q``  — one relation per curve whose corestriction residue vanishes,
+* ``R``  — one constraint per contributing crossing point,
+* ``S``  — the kernel of restriction to the generic fiber,
+
+with the incidence map ``m_pr: P -> R``, the relation map ``m_qp: Q -> P``
+and the diagonal inclusion ``S -> P``.  The GC checks, the computation and
+the ramification lift all read that one value.
+
 Declaration order is semantic: curves, extensions, and points index the
 bases of the computation in the order they are listed here.
 """
@@ -17,12 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
-from .f2 import _insert
-
-if TYPE_CHECKING:
-    from .brauer import _Spaces
+from .f2 import F2Matrix, F2Vector, _insert, _set_bits
 
 __all__ = [
     "CoverKind",
@@ -36,11 +45,13 @@ __all__ = [
     "Configuration",
     "Diagnostic",
     "ValidationReport",
+    "SpaceS",
     "cores_residue",
     "extension_owner",
     "vp_basis",
     "vq_basis",
     "zr_basis",
+    "s_space",
     "validate",
 ]
 
@@ -208,6 +219,16 @@ class Configuration:
         """
         return _symbol_positions(self.symbols)
 
+    @cached_property
+    def spaces(self) -> _Spaces:
+        """The bases and maps of P, Q, R and S, built once.
+
+        Validation, the computation, the lift and the public matrix
+        builders all read it.  Like ``symbol_index`` it is not a field, so
+        equality, hashing and ``repr`` do not see it.
+        """
+        return _build_spaces(self)
+
 
 class Diagnostic(NamedTuple):
     code: str
@@ -280,6 +301,194 @@ def zr_basis(cfg: Configuration) -> list[SingularPoint]:
     """
     keep = {PointType.II_II, PointType.III_II, PointType.IV_II, PointType.IVP_IV}
     return [p for p in cfg.points if p.etype in keep]
+
+
+@dataclass(frozen=True)
+class SpaceS:
+    """Kernel of restriction to the generic fiber, with named generators."""
+
+    dim: int
+    generator_labels: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.dim != len(self.generator_labels):
+            raise ValueError("dim must equal the number of generator labels")
+
+
+def s_space(cfg: Configuration) -> SpaceS:
+    """Dimension and generators of the restriction kernel."""
+    labels = cfg.spaces.s_labels
+    return SpaceS(len(labels), labels)
+
+
+def _s_generators(
+    cfg: Configuration, vp: list[Extension]
+) -> tuple[tuple[str, ...], tuple[F2Vector, ...]]:
+    """The labels of the generators of S, and their images in P.
+
+    Irreducible cover: one generator, cores(beta), iff some curve has a
+    nonzero corestriction residue; it is the sum of every P coordinate.
+    Split cover: beta_i is nonzero iff some sheet-i extension carries
+    residue, and beta_1 = beta_2 iff the sheet-wise residues agree curve
+    by curve (a curve listing one sheet twice keeps the last); generators
+    are the distinct nonzero classes among beta_1, beta_2, and beta_i is
+    the sum of the sheet-i coordinates of P.
+    """
+    p = len(vp)
+    if cfg.cover_kind is CoverKind.IRREDUCIBLE:
+        if any(not c.cores_residue.is_zero for c in cfg.curves):
+            return ("cores(beta)",), (F2Vector(p, (1 << p) - 1),)
+        return (), ()
+    nonzero = {1: False, 2: False}
+    equal = True
+    for c in cfg.curves:
+        res = {ext.sheet: ext.residue for ext in c.extensions if ext.sheet in (1, 2)}
+        for i in (1, 2):
+            if not res.get(i, ZERO).is_zero:
+                nonzero[i] = True
+        if res.get(1, ZERO) != res.get(2, ZERO):
+            equal = False
+    sheets = [1] if nonzero[1] else []
+    if nonzero[2] and not (equal and nonzero[1]):
+        sheets.append(2)
+    labels = tuple(f"beta_{i}" for i in sheets)
+    vectors = tuple(
+        F2Vector(p, sum(1 << j for j, ext in enumerate(vp) if ext.sheet == i)) for i in sheets
+    )
+    return labels, vectors
+
+
+def _point_relates(point: SingularPoint, curve: Curve, ext_id: str) -> bool:
+    """Whether the extension contributes to the point's constraint row.
+
+    Encodes the incidence rules: II_II fires for split curves; III_II
+    always fires; IV_II fires for the marked extension on the Type IV
+    side and for listed extensions on the Type II side; IVp_IV fires for
+    the marked extensions.
+    """
+    et = point.etype
+    if et is PointType.II_II:
+        return curve.cover_behavior is CoverBehavior.SPLIT
+    if et is PointType.III_II:
+        return True
+    if et is PointType.IV_II:
+        if curve.deg_type is CurveType.IV:
+            return ext_id == curve.marking
+        return ext_id in point.meets_marked
+    if et is PointType.IVP_IV:
+        return ext_id == curve.marking
+    return False
+
+
+def _incidence_matrix(
+    vp: list[Extension], zr: list[SingularPoint], owner: dict[str, Curve]
+) -> F2Matrix:
+    """m_pr, by walking each point's incident curves.
+
+    Bit j of a point's row is set when the owner of extension j is one of
+    the point's curves and ``_point_relates`` fires, exactly as a scan of
+    every (point, extension) pair would find, but each point only visits
+    the P coordinates of its own curves.
+    """
+    by_curve: dict[str, list[tuple[int, Extension, Curve]]] = {}
+    for j, ext in enumerate(vp):
+        curve = owner[ext.id]
+        by_curve.setdefault(curve.id, []).append((j, ext, curve))
+    masks = []
+    for point in zr:
+        mask = 0
+        for curve_id in point.incident:
+            for j, ext, curve in by_curve.get(curve_id, ()):
+                if _point_relates(point, curve, ext.id):
+                    mask |= 1 << j
+        masks.append(mask)
+    return F2Matrix(len(zr), len(vp), tuple(masks))
+
+
+def _relation_matrix(
+    vp: list[Extension], vq: list[Curve], owner: dict[str, Curve]
+) -> F2Matrix:
+    index = {c.id: i for i, c in enumerate(vq)}
+    masks = []
+    for ext in vp:
+        col = index.get(owner[ext.id].id)
+        masks.append(0 if col is None else 1 << col)
+    return F2Matrix(len(vp), len(vq), tuple(masks))
+
+
+@dataclass(frozen=True)
+class _Spaces:
+    """Every basis and map of one configuration: ``Configuration.spaces``.
+
+    ``owner`` maps an extension id to its curve and ``curve_rank`` a
+    curve id to its declaration index; both let the last declaration
+    win, as ``extension_owner`` does.
+    """
+
+    vp: tuple[Extension, ...]
+    vq: tuple[Curve, ...]
+    zr: tuple[SingularPoint, ...]
+    owner: dict[str, Curve]
+    curve_rank: dict[str, int]
+    m_pr: F2Matrix
+    m_qp: F2Matrix
+    s_labels: tuple[str, ...]
+    s_vectors: tuple[F2Vector, ...]
+
+    @cached_property
+    def pr_columns(self) -> list[int]:
+        """The column masks of ``m_pr``: the image in R of each basis vector of P."""
+        return self.m_pr.column_masks()
+
+    def r_image(self, mask: int) -> int:
+        """The image in R of the P vector ``mask``.
+
+        That is the XOR of the ``m_pr`` columns on the support of ``mask``.
+        """
+        columns = self.pr_columns
+        image = 0
+        for j in _set_bits(mask):
+            image ^= columns[j]
+        return image
+
+    @cached_property
+    def q_columns(self) -> list[int]:
+        """The column masks of ``m_qp``: each Q relation as a vector of P."""
+        return self.m_qp.column_masks()
+
+    @cached_property
+    def qs_echelon(self) -> tuple[int, dict[int, int]]:
+        """Rank of Q, and an echelon basis of image(Q) + image(S).
+
+        Built by pivot insertion, the Q columns first and then the S
+        vectors.  The GC2/GC4 checks count ranks with it and generator
+        selection extends a copy of it.
+        """
+        pivots: dict[int, int] = {}
+        q_rank = sum(_insert(pivots, col) for col in self.q_columns)
+        for vec in self.s_vectors:
+            _insert(pivots, vec.mask)
+        return q_rank, pivots
+
+
+def _build_spaces(cfg: Configuration) -> _Spaces:
+    """The spaces of ``cfg``; each piece equals its public builder's result."""
+    vp = vp_basis(cfg)
+    vq = vq_basis(cfg)
+    zr = zr_basis(cfg)
+    owner = extension_owner(cfg)
+    s_labels, s_vectors = _s_generators(cfg, vp)
+    return _Spaces(
+        vp=tuple(vp),
+        vq=tuple(vq),
+        zr=tuple(zr),
+        owner=owner,
+        curve_rank={c.id: i for i, c in enumerate(cfg.curves)},
+        m_pr=_incidence_matrix(vp, zr, owner),
+        m_qp=_relation_matrix(vp, vq, owner),
+        s_labels=s_labels,
+        s_vectors=s_vectors,
+    )
 
 
 def _structural_diagnostics(cfg: Configuration) -> tuple[list[Diagnostic], list[Diagnostic]]:
@@ -511,27 +720,14 @@ def _consistency_diagnostics(spaces: _Spaces) -> list[Diagnostic]:
     return errors
 
 
-def _validate_with_spaces(cfg: Configuration) -> tuple[ValidationReport, _Spaces | None]:
-    """``validate``'s report, plus the spaces its GC checks read.
-
-    The spaces are None when a structural error stopped the checks before
-    they were built.
-    """
-    # Imported here: brauer builds on this module for the bases.
-    from . import brauer
-
-    errors, warnings = _structural_diagnostics(cfg)
-    spaces = None
-    if not errors:
-        spaces = brauer._build_spaces(cfg)
-        errors.extend(_consistency_diagnostics(spaces))
-    return ValidationReport(tuple(errors), tuple(warnings)), spaces
-
-
 def validate(cfg: Configuration) -> ValidationReport:
     """Check every structural invariant, then the geometric-consistency ones.
 
-    The GC checks need well-formed data, so they run only when no
-    structural errors were found.  Warnings never reject a configuration.
+    The GC checks need well-formed data, so they run, on ``cfg.spaces``,
+    only when no structural errors were found.  Warnings never reject a
+    configuration.
     """
-    return _validate_with_spaces(cfg)[0]
+    errors, warnings = _structural_diagnostics(cfg)
+    if not errors:
+        errors.extend(_consistency_diagnostics(cfg.spaces))
+    return ValidationReport(tuple(errors), tuple(warnings))

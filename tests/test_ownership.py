@@ -1,0 +1,202 @@
+"""One owner for the spaces of a configuration.
+
+``model`` builds the bases and maps of P, Q, R and S, once per
+configuration, as ``Configuration.spaces``; validation, the computation,
+the lift, the public matrix builders and the brute-force oracle all read
+that value.  ``model`` needs nothing from ``brauer``, and no module of the
+package imports lazily.  ``_s_generators`` is pinned to the
+label-then-vector construction it replaced.
+"""
+
+import ast
+import dataclasses
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+from isbbrauer import brauer, dsl, model, sampling
+from isbbrauer.f2 import F2Vector
+from isbbrauer.model import (
+    Configuration,
+    CoverBehavior,
+    CoverKind,
+    Curve,
+    CurveType,
+    Extension,
+    ResidueClass,
+    vp_basis,
+)
+
+PACKAGE = Path(model.__file__).parent
+
+
+# --- no lazy import ----------------------------------------------------------
+
+
+def test_every_import_is_at_module_level():
+    late = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        top = set(map(id, tree.body))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top:
+                late.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.If) and "TYPE_CHECKING" in ast.unparse(node.test):
+                late.append(f"{path.name}:{node.lineno} TYPE_CHECKING")
+    assert late == []
+
+
+def test_model_validates_without_brauer():
+    # The package's __init__ imports brauer for its exports, so the
+    # package is stood in for by a bare module with the same path: only
+    # model and what model itself imports get loaded.
+    code = (
+        "import sys, types\n"
+        "pkg = types.ModuleType('isbbrauer')\n"
+        "pkg.__path__ = [sys.argv[1]]\n"
+        "sys.modules['isbbrauer'] = pkg\n"
+        "import isbbrauer.model as m\n"
+        "assert m.validate(m.Configuration(m.CoverKind.IRREDUCIBLE)).ok\n"
+        "print(sorted(n for n in sys.modules if n.startswith('isbbrauer')))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(PACKAGE)], capture_output=True, text=True, check=True
+    )
+    assert done.stdout.split("\n")[0] == str(["isbbrauer", "isbbrauer.f2", "isbbrauer.model"])
+
+
+# --- built once per configuration -------------------------------------------
+
+
+def test_spaces_are_built_once_per_configuration(monkeypatch):
+    built = []
+    original = model._build_spaces
+
+    def counted(cfg):
+        built.append(cfg)
+        return original(cfg)
+
+    monkeypatch.setattr(model, "_build_spaces", counted)
+    cfg = dsl.builtin("hpt")
+    assert model.validate(cfg).ok
+    report = brauer.unramified_brauer(cfg)
+    assert brauer.matrix_p_to_r(cfg) == report.m_pr
+    assert brauer.matrix_q_to_p(cfg) == report.m_qp
+    assert brauer.s_to_p_vectors(cfg) == report.m_sp.columns()
+    for g in report.generators:
+        assert brauer.ramification_lift(cfg, g.vector) == list(g.ramification)
+    assert brauer.brute_force_unramified(cfg) == (report.kernel_dim, report.h2nr_dim)
+    assert brauer.s_space(cfg).generator_labels == report.s_labels
+    assert built == [cfg]
+
+
+def test_spaces_are_not_part_of_the_value():
+    cfg = dsl.builtin("hpt")
+    twin = dsl.builtin("hpt")
+    fields = dataclasses.fields(Configuration)
+    before = (repr(cfg), hash(cfg))
+    assert cfg.spaces is cfg.spaces
+    assert dataclasses.fields(Configuration) == fields
+    assert "spaces" not in {f.name for f in fields}
+    assert (repr(cfg), hash(cfg)) == before
+    assert cfg == twin and "spaces" not in vars(twin)
+
+
+# --- S pinned to the construction it replaced --------------------------------
+
+
+def reference_s(cfg: Configuration) -> tuple[tuple[str, ...], tuple[F2Vector, ...]]:
+    """The labels from the residues, then each label's vector from its name."""
+
+    def sheet_residues(c: Curve) -> dict[int, ResidueClass]:
+        return {ext.sheet: ext.residue for ext in c.extensions if ext.sheet in (1, 2)}
+
+    if cfg.cover_kind is CoverKind.IRREDUCIBLE:
+        if any(not c.cores_residue.is_zero for c in cfg.curves):
+            labels: tuple[str, ...] = ("cores(beta)",)
+        else:
+            labels = ()
+    else:
+        nonzero = {1: False, 2: False}
+        equal = True
+        for c in cfg.curves:
+            res = sheet_residues(c)
+            for i in (1, 2):
+                if not res.get(i, ResidueClass()).is_zero:
+                    nonzero[i] = True
+            if res.get(1, ResidueClass()) != res.get(2, ResidueClass()):
+                equal = False
+        found = []
+        if nonzero[1]:
+            found.append("beta_1")
+        if nonzero[2] and not (equal and nonzero[1]):
+            found.append("beta_2")
+        labels = tuple(found)
+
+    vp = vp_basis(cfg)
+    p = len(vp)
+    vectors = []
+    for label in labels:
+        if label == "cores(beta)":
+            mask = (1 << p) - 1
+        else:
+            sheet = 1 if label == "beta_1" else 2
+            mask = 0
+            for j, ext in enumerate(vp):
+                if ext.sheet == sheet:
+                    mask |= 1 << j
+        vectors.append(F2Vector(p, mask))
+    return labels, tuple(vectors)
+
+
+def assert_s_pinned(cfg: Configuration) -> None:
+    vp = vp_basis(cfg)
+    assert model._s_generators(cfg, vp) == reference_s(cfg), cfg
+    assert (cfg.spaces.s_labels, cfg.spaces.s_vectors) == reference_s(cfg)
+
+
+def test_s_generators_match_reference_on_raw_draws():
+    rng = random.Random(41)
+    seen = set()
+    invalid = 0
+    for _ in range(500):
+        cfg = sampling._draw(rng)
+        assert_s_pinned(cfg)
+        seen.add(cfg.spaces.s_labels)
+        invalid += bool(model.validate(cfg).errors)
+    assert seen == {(), ("cores(beta)",), ("beta_1",), ("beta_2",), ("beta_1", "beta_2")}
+    assert invalid > 100
+
+
+def irregular_sheets(rng: random.Random) -> Configuration:
+    """A split configuration whose curves may repeat a sheet or lack one."""
+    symbols = ("a", "b")
+    curves = []
+    for i in range(rng.randint(1, 4)):
+        exts = tuple(
+            Extension(
+                f"c{i}e{j}",
+                ResidueClass(frozenset(rng.sample(symbols, rng.randint(0, 2)))),
+                rng.choice((1, 2, None)),
+            )
+            for j in range(rng.randint(0, 3))
+        )
+        curves.append(Curve(f"c{i}", CurveType.II, CoverBehavior.SPLIT, exts))
+    return Configuration(CoverKind.SPLIT_EVERYWHERE, symbols, tuple(curves))
+
+
+def test_s_generators_match_reference_on_irregular_sheets():
+    rng = random.Random(42)
+    last_wins = 0
+    seen = set()
+    for _ in range(500):
+        cfg = irregular_sheets(rng)
+        assert_s_pinned(cfg)
+        seen.add(cfg.spaces.s_labels)
+        for c in cfg.curves:
+            for sheet in (1, 2):
+                residues = [ext.residue for ext in c.extensions if ext.sheet == sheet]
+                last_wins += len(set(residues)) > 1
+    assert seen == {(), ("beta_1",), ("beta_2",), ("beta_1", "beta_2")}
+    assert last_wins > 50

@@ -51,7 +51,7 @@ def scan_p_to_r(cfg: Configuration) -> F2Matrix:
         mask = 0
         for j, ext in enumerate(vp):
             curve = owner[ext.id]
-            if curve.id in point.incident and brauer._point_relates(point, curve, ext.id):
+            if curve.id in point.incident and model._point_relates(point, curve, ext.id):
                 mask |= 1 << j
         masks.append(mask)
     return F2Matrix(len(zr), len(vp), tuple(masks))
@@ -206,7 +206,7 @@ def test_compute_validates_once_and_builds_spaces_once(monkeypatch, tmp_path):
         monkeypatch.setattr(module, name, counted)
 
     count(model, "_structural_diagnostics")
-    count(brauer, "_build_spaces")
+    count(model, "_build_spaces")
     count(brauer, "matrix_p_to_r")
     count(brauer, "ramification_lift")
     path = tmp_path / "hpt.cfg"
@@ -221,7 +221,7 @@ NOT_IN_KERNEL = "^vector is not in the kernel of P -> R$"
 
 
 def test_kernel_check_agrees_with_each_product(large_union):
-    spaces = brauer._build_spaces(large_union)
+    spaces = model._build_spaces(large_union)
     kernel = list(kernel_basis(spaces.m_pr).basis)
     p = len(spaces.vp)
     rng = random.Random(5)

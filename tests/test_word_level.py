@@ -227,7 +227,7 @@ def test_consistency_checks_match_reference_on_raw_draws():
         errors, warnings = model._structural_diagnostics(cfg)
         if errors:
             continue
-        spaces = brauer._build_spaces(cfg)
+        spaces = model._build_spaces(cfg)
         expect = reference_consistency(spaces)
         assert model._consistency_diagnostics(spaces) == expect
         assert model.validate(cfg) == model.ValidationReport(tuple(expect), tuple(warnings))
@@ -246,7 +246,7 @@ def test_consistency_checks_match_reference_on_random_maps():
         cfg = sampling._draw(rng)
         if model._structural_diagnostics(cfg)[0]:
             continue
-        spaces = brauer._build_spaces(cfg)
+        spaces = model._build_spaces(cfg)
         p = len(spaces.vp)
 
         def sparse() -> int:
