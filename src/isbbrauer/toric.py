@@ -2,10 +2,18 @@
 
 Pointed rational cones in Z^4, their duals by brute-force inequality
 enumeration, Hilbert bases by bounded lattice-point search, smoothness
-via Smith normal form, and star subdivisions.  Everything is exact
-integer arithmetic; scope is deliberately capped at ambient rank 4 and
-8 rays per cone, which covers the one cone this package cares about —
-``uv_xyz_cone()`` — and all of its transforms.
+certificates, and star subdivisions.  Everything is exact integer
+arithmetic.  Ranks and determinants come from one fraction-free
+(Bareiss) elimination.  The Smith normal form is kept where its
+transforms or invariant factors are read: the lattice basis of a dual's
+lineality space, the unimodular completion of a lower-dimensional face,
+and the invariant factors that say why a cone is not smooth.  So a
+full-dimensional cone is certified smooth by a ray determinant of +/-1,
+and a lower-dimensional face by Smith invariant factors all equal to 1.
+Scope is deliberately capped at ambient rank 4 and 8 rays per cone
+(fan scripts refuse a longer ``cone`` line), which covers the one cone
+this package cares about — ``uv_xyz_cone()`` — and all of its
+transforms.
 
 ``resolve_demo`` runs the whole story: find the three singular faces,
 derive candidate blow-up rays from their ray sums, and search the
@@ -125,24 +133,49 @@ def _is_primitive(v) -> bool:
     return _gcd_all(v) == 1
 
 
-def _det(m: list[list[int]]) -> int:
+def _bareiss(rows) -> tuple[int, int]:
+    """Rank of an integer matrix and, if it is square, its determinant.
+
+    Fraction-free (Bareiss) elimination: when row ``r`` pivots on column
+    ``c``, every later row becomes ``(row * p - row[c] * m[r]) // prev``,
+    where ``p = m[r][c]`` and ``prev`` is the pivot before it (1 at the
+    start).  By Sylvester's identity each entry is then a minor of the
+    row-permuted input, so every division is exact.  Returns
+    ``(rank, d)``, where ``d`` is the last pivot signed by the row swaps:
+    the determinant of a square matrix of full rank.
+    """
+    m = [list(r) for r in rows]
     n = len(m)
-    if n == 0:
-        return 1
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    total = 0
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        total += (-1) ** j * m[0][j] * _det(minor)
-    return total
+    rank, prev, sign = 0, 1, 1
+    for c in range(len(m[0]) if m else 0):
+        for i in range(rank, n):
+            if m[i][c]:
+                break
+        else:
+            continue
+        if i != rank:
+            m[rank], m[i] = m[i], m[rank]
+            sign = -sign
+        top = m[rank]
+        p = top[c]
+        for i in range(rank + 1, n):
+            row = m[i]
+            a = row[c]
+            m[i] = [(x * p - a * y) // prev for x, y in zip(row, top)]
+        prev = p
+        rank += 1
+    return rank, sign * prev
+
+
+def _det(m) -> int:
+    """Determinant of a square integer matrix (1 for the empty one)."""
+    rank, d = _bareiss(m)
+    return d if rank == len(m) else 0
 
 
 def _rank(vectors) -> int:
-    """Rank over Q: the number of invariant factors."""
-    return len(_smith_normal_form(list(vectors), DIM)[0])
+    """Rank over Q."""
+    return _bareiss(vectors)[0]
 
 
 def _cofactor_normal(rows: tuple[Vec, ...]) -> Vec | None:
@@ -476,6 +509,12 @@ class SmoothnessReport:
 
 def _cone_certificate(c: Cone) -> SmoothnessCertificate:
     k = len(c.rays)
+    if k == DIM:
+        # a full-dimensional cone is smooth exactly when its rays are a
+        # lattice basis; the Smith path would return the same certificate
+        det = _det(c.rays)
+        if abs(det) == 1:
+            return SmoothnessCertificate(c, True, "unimodular", c.rays, det)
     diag, _, w = _smith_normal_form(list(c.rays), DIM)
     if len(diag) != k:
         return SmoothnessCertificate(c, False, "not simplicial")
@@ -483,7 +522,7 @@ def _cone_certificate(c: Cone) -> SmoothnessCertificate:
         return SmoothnessCertificate(c, False, f"invariant factors {tuple(diag)}")
     completion = [tuple(w[i]) for i in range(k, DIM)]
     matrix = tuple(list(c.rays) + completion)
-    det = _det([list(row) for row in matrix])
+    det = _det(matrix)
     if abs(det) != 1:
         raise AssertionError("smooth certificate completion failed")
     return SmoothnessCertificate(c, True, "unimodular", matrix, det)
@@ -494,7 +533,9 @@ def is_smooth(obj: "Cone | Fan") -> SmoothnessReport:
 
     A cone is smooth iff it is simplicial and the Smith normal form of
     its ray matrix has all invariant factors equal to 1; the certificate
-    records a unimodular completion of the ray matrix as a witness.
+    records a unimodular completion of the ray matrix as a witness.  A
+    full-dimensional cone whose rays have determinant +/-1 is its own
+    witness, with an empty completion, so no Smith form is computed.
     """
     cones = obj.maximal_cones if isinstance(obj, Fan) else (obj,)
     certs = tuple(_cone_certificate(c) for c in cones)
@@ -792,7 +833,8 @@ def parse_fan_script(text: str) -> FanScript:
     Raises:
         FanParseError: malformed syntax, with 1-based line/column.
         FanScriptError: structurally valid text with bad semantics
-            (unknown ray index, invalid cone, empty fan).
+            (unknown ray index, a cone past the ray cap, invalid cone,
+            empty fan).
     """
     rays: list[Vec] = []
     cones: list[Cone] = []
@@ -809,6 +851,8 @@ def parse_fan_script(text: str) -> FanScript:
             idx = _integers(spans, None, lineno)
             if not idx:
                 raise FanParseError("cone needs at least one ray index", lineno, key_col)
+            if len(idx) > _RAY_CAP:
+                raise FanScriptError(f"cone lists {len(idx)} rays; the cap is {_RAY_CAP}", lineno)
             picked = []
             for i in idx:
                 if not 0 <= i < len(rays):

@@ -3,6 +3,7 @@
 import io
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -306,6 +307,34 @@ def test_toric_check_resolves_fan(tmp_path):
     assert code == cli.OK
     assert "smooth: true" in out
     assert "unimodular" in out
+
+
+FANS = Path(__file__).parent / "fans"
+
+
+def test_committed_fan_example_is_the_readme_example():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Fan format", 1)[1]
+    block = section.split("```\n", 2)[1]
+    assert (FANS / "readme_example.fan").read_text() == block
+
+
+def test_toric_check_on_the_committed_fans():
+    example = str(FANS / "readme_example.fan")
+    assert run("toric", "check", example) == (
+        cli.OK,
+        "subdivide (1,1,0,0) -> 2 maximal cones\n"
+        "cone (1,0,0,0) (1,1,0,0): unimodular\n"
+        "cone (1,1,0,0) (1,2,0,0): unimodular\n"
+        "smooth: true\n",
+        "",
+    )
+    nine = str(FANS / "nine_rays.fan")
+    assert run("toric", "check", nine) == (
+        cli.INVALID,
+        "",
+        f"{nine}: line 11: cone lists 9 rays; the cap is 8\n",
+    )
 
 
 def test_toric_check_parse_error(tmp_path):

@@ -486,6 +486,161 @@ def test_resolve_demo_is_deterministic():
     assert a.steps[-1].fan == b.steps[-1].fan
 
 
+# --- exact kernels: rank, determinant, certificates ------------------------------------
+
+
+def _smith_rank(rows):
+    """The rank as the number of Smith invariant factors."""
+    return len(toric._smith_normal_form(list(rows), toric.DIM)[0])
+
+
+def _cofactor_det(m):
+    """The determinant by cofactor expansion along the first row."""
+    n = len(m)
+    if n == 0:
+        return 1
+    if n == 1:
+        return m[0][0]
+    return sum(
+        (-1) ** j * m[0][j] * _cofactor_det([tuple(row[:j]) + tuple(row[j + 1 :]) for row in m[1:]])
+        for j in range(n)
+    )
+
+
+_ENTRIES = st.integers(-3, 3) | st.integers(-(2**70), 2**70)
+
+
+@st.composite
+def _int_rows(draw, width, min_rows, max_rows):
+    """Integer rows; a row may repeat an earlier one or combine two of them."""
+    rows = []
+    for _ in range(draw(st.integers(min_rows, max_rows))):
+        kind = draw(st.sampled_from(("fresh", "copy", "combination"))) if rows else "fresh"
+        if kind == "fresh":
+            rows.append(tuple(draw(st.lists(_ENTRIES, min_size=width, max_size=width))))
+        elif kind == "copy":
+            rows.append(draw(st.sampled_from(rows)))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
+            rows.append(tuple(s * x + t * y for x, y in zip(a, b)))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_int_rows(4, 0, 8))
+@example([])
+@example([E1, E1, E2])
+@example([(0, 0, 0, 0), (0, 2, 4, 6), (0, 1, 2, 3), (0, 0, 0, 5)])
+def test_rank_matches_the_smith_form(rows):
+    assert toric._rank(rows) == _smith_rank(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: _int_rows(n, n, n)))
+@example([])
+@example([(0, 1), (1, 0)])
+@example([(0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1)])
+@example([(2, 1, 0, 0), (4, 2, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+def test_det_matches_cofactor_expansion(m):
+    assert toric._det(m) == _cofactor_det(m)
+    if len(m) == 4:
+        assert (toric._rank(m) == 4) == (_cofactor_det(m) != 0)
+
+
+def _smith_certificate(c):
+    """The certificate as the Smith form alone decides it."""
+    k = len(c.rays)
+    diag, _, w = toric._smith_normal_form(list(c.rays), toric.DIM)
+    if len(diag) != k:
+        return (False, "not simplicial", None, None)
+    if any(d != 1 for d in diag):
+        return (False, f"invariant factors {tuple(diag)}", None, None)
+    matrix = tuple(list(c.rays) + [tuple(w[i]) for i in range(k, toric.DIM)])
+    return (True, "unimodular", matrix, _cofactor_det(matrix))
+
+
+def _certificate_fields(c):
+    (cert,) = is_smooth(c).certificates
+    return (cert.smooth, cert.reason, cert.matrix, cert.determinant)
+
+
+def test_certificates_match_the_smith_form_on_resolved_fans():
+    kinds = set()
+    for seed in range(50):
+        u = _unimodular(random.Random(seed))
+        sigma = Cone(tuple(_apply(u, r) for r in SIGMA_RAYS))
+        cones, resolved = set(faces(sigma)), set()
+        for order in itertools.permutations(RESOLVING_RAYS):
+            fan = Fan((sigma,))
+            for ray in order:
+                fan = star_subdivide(fan, _apply(u, ray))
+                cones.update(fan.maximal_cones)
+            assert is_smooth(fan)
+            resolved.update(fan.maximal_cones)
+        for c in resolved:
+            cones.update(faces(c))
+        for c in cones:
+            fields = _certificate_fields(c)
+            assert fields == _smith_certificate(c), c.rays
+            kinds.add((len(c.rays), fields[1].split(" ")[0]))
+    # full-dimensional unimodular cones, lower-dimensional faces and the
+    # singular 4-ray faces all occur
+    assert {(4, "unimodular"), (3, "unimodular"), (0, "unimodular"), (4, "not")} <= kinds
+
+
+def test_certificates_match_the_smith_form_off_the_unimodular_path():
+    cones = [
+        Cone((E1, E2, E3, (1, 1, 1, 2))),  # |det| 2
+        Cone((E1, E2, (1, 1, 2, 0), (0, 1, 0, 3))),  # |det| 6 = 2 * 3
+        Cone((E1, E2, E3, (1, 2, 0, 3))),  # |det| 3
+        Cone((E1, (1, 1, 0, 0), (0, 1, 3, 0), (0, 0, 2, 3))),  # |det| 9
+        Cone((E1, E2, E3, (1, 1, -1, 0))),  # four rays spanning only three dimensions
+        Cone(((0, 1, 0, 0), (0, 1, 0, 1), (1, 0, 0, 0), (1, 0, 0, 1))),  # a singular face of sigma
+        Cone((E1, E2, (1, 0, 2, 0), (0, 1, 2, 0))),  # a 3-dim cone over a quadrilateral
+    ]
+    seen = set()
+    for seed in range(20):
+        u = _unimodular(random.Random(seed))
+        for c in cones:
+            image = Cone(tuple(_apply(u, r) for r in c.rays))
+            fields = _certificate_fields(image)
+            assert fields == _smith_certificate(image), image.rays
+            assert not fields[0]
+            seen.add(fields[1])
+    assert "not simplicial" in seen
+    assert {"invariant factors (1, 1, 1, 2)", "invariant factors (1, 1, 1, 3)"} <= seen
+
+
+def test_warm_demo_runs_smith_forms_only_on_lower_dimensional_faces(monkeypatch):
+    report = resolve_demo()  # fills the dual cache, as a long-running process has it
+    calls = []
+    original = toric._smith_normal_form
+
+    def counted(rows, n):
+        calls.append((sys._getframe(1).f_code.co_name, tuple(map(tuple, rows))))
+        return original(rows, n)
+
+    monkeypatch.setattr(toric, "_smith_normal_form", counted)
+    assert resolve_demo() == report
+    assert len(calls) <= 21
+    assert {name for name, _ in calls} <= {"_cone_certificate"}
+    for _, rows in calls:
+        assert not (len(rows) == toric.DIM and abs(_cofactor_det(rows)) == 1), rows
+
+    # constructing a cone proves its pointedness by rank, with no Smith form
+    calls.clear()
+    built = [f.rays for f in report.singular] + [c.rays for s in report.steps for c in s.fan.maximal_cones]
+    for rays in built + [f.rays for f in faces(report.cone)]:
+        Cone(rays)
+    assert calls == []
+    # a cone seen for the first time computes its dual; only the lattice
+    # basis of the dual's lineality space reads a Smith form
+    Cone(((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 7, 0), (1, 1, 0, 7)))
+    Cone(((3, 0, 0, 1), (0, 3, 0, 1), (1, 1, 7, 0)))
+    assert {name for name, _ in calls} <= {"_nullspace"}
+
+
 # --- the fan text format ---------------------------------------------------------------
 
 
@@ -525,6 +680,29 @@ def test_fan_script_errors_carry_positions(text, exc, line):
     assert caught.value.line == line
     if isinstance(caught.value, FanParseError):
         assert caught.value.column >= 1
+
+
+def _fan_of_rays(count):
+    """One cone over ``count`` rays (1, i, 0, 0) of a plane."""
+    text = "".join(f"ray 1 {i} 0 0\n" for i in range(count))
+    return text + "cone " + " ".join(map(str, range(count))) + "\n"
+
+
+def test_fan_script_accepts_a_cone_at_the_ray_cap():
+    (cone,) = parse_fan_script(_fan_of_rays(8)).fan.maximal_cones
+    assert len(cone.rays) == 8
+
+
+@pytest.mark.parametrize("count", [9, 30])
+def test_fan_script_refuses_a_cone_past_the_ray_cap(monkeypatch, count):
+    text = _fan_of_rays(count)
+    duals = []
+    monkeypatch.setattr(toric, "_dual_rays", duals.append)
+    with pytest.raises(FanScriptError) as caught:
+        parse_fan_script(text)
+    assert caught.value.line == count + 1
+    assert str(caught.value) == f"line {count + 1}: cone lists {count} rays; the cap is 8"
+    assert duals == []
 
 
 DEMO_FAN_TEXT = """\
