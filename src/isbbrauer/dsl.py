@@ -23,12 +23,16 @@ A residue is ``0`` or ``name(+name)*``, folded by symmetric difference.
 Declaration order is semantic: it fixes the basis order of the
 computation, and the canonical emitter preserves it.  Parse errors carry
 1-based line/column spans; ``emit`` always produces LF line endings and
-``parse(emit(cfg))`` returns a structurally equal configuration.
+``parse(emit(cfg))`` returns a structurally equal configuration.  The
+parser reads each block in the canonical layout with one match and every
+other line through a per-keyword handler; both give the same result and
+the same diagnostics.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .model import (
@@ -85,6 +89,7 @@ class ConfigParseError(ValueError):
 
 _ID = r"[A-Za-z0-9_'\-]+"
 _NAME = r"[A-Za-z0-9_]+"
+_RESIDUE = rf"{_NAME}(?:\+{_NAME})*"
 
 _RE_KEYWORD = re.compile(r"[A-Za-z_]+")
 _RE_TOKEN = re.compile(r"\S+")
@@ -107,17 +112,51 @@ _BEHAVIORS = {b.value: b for b in CoverBehavior}
 _CURVE_TYPES = {t.value: t for t in CurveType}
 _POINT_TYPES = {t.value: t for t in PointType}
 
-# The raw records hold source positions as plain ``(line, column)`` pairs;
-# a ``SourceSpan`` is made only for a diagnostic.  A raw residue is its list
-# of ``(name, line, column)`` terms, empty for the zero class.
-_Pos = tuple[int, int]
-_RawResidue = list[tuple[str, int, int]]
+# Every line break ``str.splitlines`` knows besides "\n" and "\r\n".  The
+# parser maps them all to "\n" first, so that one offset into the text
+# names a line and a column.
+_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_TO_LF = str.maketrans(dict.fromkeys(_BREAKS, "\n"))
+
+
+def _alternatives(values) -> str:
+    return "|".join(map(re.escape, values))
+
+
+def _ext_line(n: int) -> str:
+    return rf"  ext (?P<ext{n}>{_ID})(?: sheet=(?P<sheet{n}>[12]))?: (?P<residue{n}>{_RESIDUE})\n"
+
+
+# A curve or point block exactly as ``emit`` writes it, after any blank
+# lines.  It admits only values the line handlers take without a
+# diagnostic, so a match stands for the handler calls of its lines; any
+# other layout fails to match and goes through the handlers line by line.
+_RE_BLOCK = re.compile(
+    r"\n*(?:"
+    rf"curve (?P<curve>{_ID}):\n"
+    rf"  type: (?P<type>{_alternatives(_CURVE_TYPES)})\n"
+    rf"  cover: (?P<behavior>{_alternatives(_BEHAVIORS)})\n"
+    rf"{_ext_line(1)}(?:{_ext_line(2)})?"
+    rf"(?:  mark: (?P<mark>{_ID})\n)?"
+    rf"(?:  cores: (?P<cores>{_RESIDUE})\n)?"
+    "|"
+    rf"point (?P<point>{_ID}):\n"
+    rf"  curves: (?P<a>{_ID}), (?P<b>{_ID})\n"
+    rf"  etype: (?P<etype>{_alternatives(_POINT_TYPES)})\n"
+    rf"(?:  meets_marked: (?P<meets>{_ID}(?:, {_ID})*)\n)?"
+    ")"
+)
+
+# The raw records hold each source position as one offset into the text;
+# ``_Parser.span`` turns an offset into a line and a column, for a
+# diagnostic only.  A raw residue is its text and the offset where it starts.
+_RawResidue = tuple[str, int]
 
 
 @dataclass
 class _RawExt:
     id: str
-    pos: _Pos
+    pos: int
     sheet: int | None
     residue: _RawResidue
 
@@ -125,27 +164,30 @@ class _RawExt:
 @dataclass
 class _RawCurve:
     id: str
-    pos: _Pos
+    pos: int
     exts: list[_RawExt] = field(default_factory=list)
     deg_type: CurveType | None = None
     behavior: CoverBehavior | None = None
-    mark: tuple[str, _Pos] | None = None
+    mark: tuple[str, int] | None = None
     cores: _RawResidue | None = None
 
 
 @dataclass
 class _RawPoint:
     id: str
-    pos: _Pos
-    meets: list[tuple[str, _Pos]] = field(default_factory=list)
-    incident: tuple[tuple[str, _Pos], tuple[str, _Pos]] | None = None
+    pos: int
+    meets: list[tuple[str, int]] = field(default_factory=list)
+    incident: tuple[tuple[str, int], tuple[str, int]] | None = None
     etype: PointType | None = None
 
 
 class _Parser:
     def __init__(self, text: str):
+        if any(brk in text for brk in _BREAKS):
+            text = text.replace("\r\n", "\n").translate(_TO_LF)
         self.text = text
-        self.diags: list[ParseDiagnostic] = []
+        self.line_starts: list[int] | None = None
+        self.diags: list[tuple[int, str]] = []
         self.cover: CoverKind | None = None
         self.symbols: list[str] | None = None
         self.declared: set[str] = set()
@@ -155,69 +197,108 @@ class _Parser:
         # Top-level declarations seen only on a rejected line: that line's
         # diagnostic stands in for "missing ... declaration".
         self.rejected_declarations: set[str] = set()
+        # Each distinct residue text, read once in ``finish``: its class and
+        # its problems, at offsets from the start of the residue text.
+        self.residues: dict[str, tuple[ResidueClass, list[tuple[int, str]]]] = {}
 
-    def error(self, line: int, column: int, message: str) -> None:
-        self.diags.append(ParseDiagnostic(SourceSpan(line, column), message))
+    def error(self, at: int, message: str) -> None:
+        self.diags.append((at, message))
 
-    # -- residues -----------------------------------------------------------
-
-    def parse_residue(self, text: str, line: int, col: int) -> _RawResidue:
-        if text == "0":
-            return []
-        if not text:
-            self.error(line, col, "missing residue (use 0 for the zero class)")
-            return []
-        names: _RawResidue = []
-        for part in text.split("+"):
-            token = part.strip()
-            if _RE_NAME.fullmatch(token):
-                names.append((token, line, col + part.index(token)))
-            else:
-                self.error(line, col, f"bad residue symbol {part!r}")
-            col += len(part) + 1
-        return names
+    def span(self, at: int) -> SourceSpan:
+        starts = self.line_starts
+        if starts is None:
+            starts = self.line_starts = [0]
+            end = self.text.find("\n")
+            while end >= 0:
+                starts.append(end + 1)
+                end = self.text.find("\n", end + 1)
+        line = bisect_right(starts, at)
+        return SourceSpan(line, at - starts[line - 1] + 1)
 
     # -- line handling ------------------------------------------------------
 
     def run(self) -> Configuration:
-        for lineno, raw in enumerate(self.text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].rstrip()
-            stripped = line.lstrip()
-            if not stripped:
+        text = self.text
+        block = _RE_BLOCK.match
+        handlers = _HANDLERS
+        pos, size = 0, len(text)
+        while pos < size:
+            m = block(text, pos)
+            if m:
+                self.on_block(m)
+                pos = m.end()
                 continue
-            col = len(line) - len(stripped) + 1
-            word = _RE_KEYWORD.match(stripped)
-            handler = _HANDLERS.get(word.group()) if word else None
-            if handler is None:
-                self.error(lineno, col, f"unknown keyword {stripped.split(None, 1)[0]!r}")
-            else:
-                handler(self, stripped, lineno, col)
+            end = text.find("\n", pos)
+            if end < 0:
+                end = size
+            line = text[pos:end].split("#", 1)[0].rstrip()
+            stripped = line.lstrip()
+            if stripped:
+                at = pos + len(line) - len(stripped)
+                word = _RE_KEYWORD.match(stripped)
+                handler = handlers.get(word.group()) if word else None
+                if handler is None:
+                    self.error(at, f"unknown keyword {stripped.split(None, 1)[0]!r}")
+                else:
+                    handler(self, stripped, at)
+            pos = end + 1
         self.close_block()
         return self.finish()
 
-    def on_curve(self, text: str, line: int, col: int) -> None:
+    def on_block(self, m: re.Match) -> None:
+        """Open the block ``m`` matched, with every field its lines set."""
+        self.close_block()
+        start = m.start
+        if m["point"] is not None:
+            point, a, b, etype, meets = m.group("point", "a", "b", "etype", "meets")
+            p = self.block = _RawPoint(
+                point,
+                start("point"),
+                incident=((a, start("a")), (b, start("b"))),
+                etype=_POINT_TYPES[etype],
+            )
+            if meets is not None:
+                self.read_meets(p, meets, start("meets"))
+            return
+        curve, deg_type, behavior, mark, cores, ext1, sheet1, residue1, ext2, sheet2, residue2 = m.group(
+            "curve", "type", "behavior", "mark", "cores", "ext1", "sheet1", "residue1", "ext2", "sheet2", "residue2"
+        )
+        exts = [_RawExt(ext1, start("ext1"), int(sheet1) if sheet1 else None, (residue1, start("residue1")))]
+        if ext2 is not None:
+            exts.append(_RawExt(ext2, start("ext2"), int(sheet2) if sheet2 else None, (residue2, start("residue2"))))
+        self.block = _RawCurve(
+            curve,
+            start("curve"),
+            exts,
+            deg_type=_CURVE_TYPES[deg_type],
+            behavior=_BEHAVIORS[behavior],
+            mark=None if mark is None else (mark, start("mark")),
+            cores=None if cores is None else (cores, start("cores")),
+        )
+
+    def on_curve(self, text: str, at: int) -> None:
         m = _RE_CURVE.match(text)
         self.close_block()
         if m:
-            self.block = _RawCurve(m.group("id"), (line, col + m.start("id")))
+            self.block = _RawCurve(m.group("id"), at + m.start("id"))
         else:
-            self.error(line, col, "malformed curve line")
-            self.block = _RawCurve("", (line, col))
+            self.error(at, "malformed curve line")
+            self.block = _RawCurve("", at)
 
-    def on_point(self, text: str, line: int, col: int) -> None:
+    def on_point(self, text: str, at: int) -> None:
         m = _RE_POINT.match(text)
         self.close_block()
         if m:
-            self.block = _RawPoint(m.group("id"), (line, col + m.start("id")))
+            self.block = _RawPoint(m.group("id"), at + m.start("id"))
         else:
-            self.error(line, col, "malformed point line")
-            self.block = _RawPoint("", (line, col))
+            self.error(at, "malformed point line")
+            self.block = _RawPoint("", at)
 
-    def on_cover(self, text: str, line: int, col: int) -> None:
+    def on_cover(self, text: str, at: int) -> None:
         m = _RE_COVER.match(text)
         block = self.block
         if not m:
-            self.error(line, col, "malformed cover line")
+            self.error(at, "malformed cover line")
             if block is None:
                 self.rejected_declarations.add("cover")
             return
@@ -225,35 +306,33 @@ class _Parser:
         if isinstance(block, _RawCurve):
             if value not in _BEHAVIORS:
                 self.error(
-                    line, col + m.start("value"),
+                    at + m.start("value"),
                     f"cover behavior must be inert, split, or ramified, got {value!r}",
                 )
             elif block.behavior is not None:
-                self.error(line, col, f"cover already set for curve {block.id!r}")
+                self.error(at, f"cover already set for curve {block.id!r}")
             else:
                 block.behavior = _BEHAVIORS[value]
         elif isinstance(block, _RawPoint):
-            self.error(line, col, "cover is not allowed in a point block")
+            self.error(at, "cover is not allowed in a point block")
         elif value not in _COVER_KINDS:
-            self.error(
-                line, col + m.start("value"), f"cover kind must be irreducible or split, got {value!r}"
-            )
+            self.error(at + m.start("value"), f"cover kind must be irreducible or split, got {value!r}")
             self.rejected_declarations.add("cover")
         elif self.cover is not None:
-            self.error(line, col, "cover declared twice")
+            self.error(at, "cover declared twice")
         else:
             self.cover = _COVER_KINDS[value]
 
-    def on_symbols(self, text: str, line: int, col: int) -> None:
+    def on_symbols(self, text: str, at: int) -> None:
         if self.block is not None:
-            self.error(line, col, "symbols must be declared at top level")
+            self.error(at, "symbols must be declared at top level")
             return
         if self.symbols is not None:
-            self.error(line, col, "symbols declared twice")
+            self.error(at, "symbols declared twice")
             return
         m = _RE_SYMBOLS.match(text)
         if not m:
-            self.error(line, col, "malformed symbols line")
+            self.error(at, "malformed symbols line")
             self.rejected_declarations.add("symbols")
             return
         self.symbols = []
@@ -261,146 +340,142 @@ class _Parser:
         for tok in _RE_TOKEN.finditer(text, m.start("rest")):
             name = tok.group()
             if not _RE_NAME.fullmatch(name):
-                self.error(line, col + tok.start(), f"bad symbol name {name!r}")
+                self.error(at + tok.start(), f"bad symbol name {name!r}")
             elif name in declared:
-                self.error(line, col + tok.start(), f"duplicate symbol {name!r}")
+                self.error(at + tok.start(), f"duplicate symbol {name!r}")
             else:
                 declared.add(name)
                 self.symbols.append(name)
 
     # -- curve fields -------------------------------------------------------
 
-    def curve_block(self, keyword: str, line: int, col: int) -> _RawCurve | None:
+    def curve_block(self, keyword: str, at: int) -> _RawCurve | None:
         """The open curve block, or None after a diagnostic."""
         block = self.block
         if isinstance(block, _RawCurve):
             return block
         where = "a point block" if isinstance(block, _RawPoint) else "top level"
-        self.error(line, col, f"{keyword} is not allowed at {where}; it belongs in a curve block")
+        self.error(at, f"{keyword} is not allowed at {where}; it belongs in a curve block")
         return None
 
-    def on_type(self, text: str, line: int, col: int) -> None:
-        c = self.curve_block("type", line, col)
+    def on_type(self, text: str, at: int) -> None:
+        c = self.curve_block("type", at)
         if c is None:
             return
         m = _RE_TYPE.match(text)
         if not m:
-            self.error(line, col, "malformed type line")
+            self.error(at, "malformed type line")
         elif m.group("value") not in _CURVE_TYPES:
-            self.error(
-                line, col + m.start("value"),
-                f"type must be I, II, III, or IV, got {m.group('value')!r}",
-            )
+            self.error(at + m.start("value"), f"type must be I, II, III, or IV, got {m.group('value')!r}")
         elif c.deg_type is not None:
-            self.error(line, col, f"type already set for curve {c.id!r}")
+            self.error(at, f"type already set for curve {c.id!r}")
         else:
             c.deg_type = _CURVE_TYPES[m.group("value")]
 
-    def on_ext(self, text: str, line: int, col: int) -> None:
-        c = self.curve_block("ext", line, col)
+    def on_ext(self, text: str, at: int) -> None:
+        c = self.curve_block("ext", at)
         if c is None:
             return
         m = _RE_EXT.match(text)
         if not m:
-            self.error(line, col, "malformed ext line")
+            self.error(at, "malformed ext line")
             return
         raw_sheet = m.group("sheet")
         sheet: int | None = None
         if raw_sheet is not None:
             if raw_sheet not in ("1", "2"):
-                self.error(line, col + m.start("sheet"), f"sheet must be 1 or 2, got {raw_sheet!r}")
+                self.error(at + m.start("sheet"), f"sheet must be 1 or 2, got {raw_sheet!r}")
             else:
                 sheet = int(raw_sheet)
         if len(c.exts) >= 2:
-            self.error(line, col, f"curve {c.id!r} already has two extensions")
+            self.error(at, f"curve {c.id!r} already has two extensions")
             return
-        residue = self.parse_residue(m.group("residue"), line, col + m.start("residue"))
-        c.exts.append(_RawExt(m.group("id"), (line, col + m.start("id")), sheet, residue))
+        residue = (m.group("residue"), at + m.start("residue"))
+        c.exts.append(_RawExt(m.group("id"), at + m.start("id"), sheet, residue))
 
-    def on_mark(self, text: str, line: int, col: int) -> None:
-        c = self.curve_block("mark", line, col)
+    def on_mark(self, text: str, at: int) -> None:
+        c = self.curve_block("mark", at)
         if c is None:
             return
         m = _RE_MARK.match(text)
         if not m:
-            self.error(line, col, "malformed mark line")
+            self.error(at, "malformed mark line")
         elif c.mark is not None:
-            self.error(line, col, f"mark already set for curve {c.id!r}")
+            self.error(at, f"mark already set for curve {c.id!r}")
         else:
-            c.mark = (m.group("id"), (line, col + m.start("id")))
+            c.mark = (m.group("id"), at + m.start("id"))
 
-    def on_cores(self, text: str, line: int, col: int) -> None:
-        c = self.curve_block("cores", line, col)
+    def on_cores(self, text: str, at: int) -> None:
+        c = self.curve_block("cores", at)
         if c is None:
             return
         m = _RE_CORES.match(text)
         if not m:
-            self.error(line, col, "malformed cores line")
+            self.error(at, "malformed cores line")
         elif c.cores is not None:
-            self.error(line, col, f"cores already set for curve {c.id!r}")
+            self.error(at, f"cores already set for curve {c.id!r}")
         else:
-            c.cores = self.parse_residue(m.group("residue"), line, col + m.start("residue"))
+            c.cores = (m.group("residue"), at + m.start("residue"))
 
     # -- point fields -------------------------------------------------------
 
-    def point_block(self, keyword: str, line: int, col: int) -> _RawPoint | None:
+    def point_block(self, keyword: str, at: int) -> _RawPoint | None:
         """The open point block, or None after a diagnostic."""
         block = self.block
         if isinstance(block, _RawPoint):
             return block
         where = "a curve block" if isinstance(block, _RawCurve) else "top level"
-        self.error(line, col, f"{keyword} is not allowed at {where}; it belongs in a point block")
+        self.error(at, f"{keyword} is not allowed at {where}; it belongs in a point block")
         return None
 
-    def on_curves(self, text: str, line: int, col: int) -> None:
-        p = self.point_block("curves", line, col)
+    def on_curves(self, text: str, at: int) -> None:
+        p = self.point_block("curves", at)
         if p is None:
             return
         m = _RE_CURVES.match(text)
         if not m:
-            self.error(line, col, "malformed curves line (expected: curves: <id>, <id>)")
+            self.error(at, "malformed curves line (expected: curves: <id>, <id>)")
         elif p.incident is not None:
-            self.error(line, col, f"curves already set for point {p.id!r}")
+            self.error(at, f"curves already set for point {p.id!r}")
         else:
-            p.incident = (
-                (m.group("a"), (line, col + m.start("a"))),
-                (m.group("b"), (line, col + m.start("b"))),
-            )
+            p.incident = ((m.group("a"), at + m.start("a")), (m.group("b"), at + m.start("b")))
 
-    def on_etype(self, text: str, line: int, col: int) -> None:
-        p = self.point_block("etype", line, col)
+    def on_etype(self, text: str, at: int) -> None:
+        p = self.point_block("etype", at)
         if p is None:
             return
         m = _RE_ETYPE.match(text)
         if not m:
-            self.error(line, col, "malformed etype line")
+            self.error(at, "malformed etype line")
         elif m.group("value") not in _POINT_TYPES:
-            self.error(line, col + m.start("value"), f"unknown point type {m.group('value')!r}")
+            self.error(at + m.start("value"), f"unknown point type {m.group('value')!r}")
         elif p.etype is not None:
-            self.error(line, col, f"etype already set for point {p.id!r}")
+            self.error(at, f"etype already set for point {p.id!r}")
         else:
             p.etype = _POINT_TYPES[m.group("value")]
 
-    def on_meets_marked(self, text: str, line: int, col: int) -> None:
-        p = self.point_block("meets_marked", line, col)
+    def on_meets_marked(self, text: str, at: int) -> None:
+        p = self.point_block("meets_marked", at)
         if p is None:
             return
         m = _RE_MEETS.match(text)
         if not m:
-            self.error(line, col, "malformed meets_marked line")
-            return
-        if p.meets:
-            self.error(line, col, f"meets_marked already set for point {p.id!r}")
-            return
-        offset = col + m.start("rest")
-        for part in m.group("rest").split(","):
+            self.error(at, "malformed meets_marked line")
+        elif p.meets:
+            self.error(at, f"meets_marked already set for point {p.id!r}")
+        else:
+            self.read_meets(p, m.group("rest"), at + m.start("rest"))
+
+    def read_meets(self, p: _RawPoint, rest: str, at: int) -> None:
+        """The comma-separated extension ids ``rest``, which starts at offset ``at``."""
+        for part in rest.split(","):
             token = part.strip()
-            at = offset + part.index(token) if token else offset
+            start = at + part.index(token) if token else at
             if _RE_IDENT.fullmatch(token):
-                p.meets.append((token, (line, at)))
+                p.meets.append((token, start))
             else:
-                self.error(line, at, f"bad extension reference {token!r}")
-            offset += len(part) + 1
+                self.error(start, f"bad extension reference {token!r}")
+            at += len(part) + 1
 
     def close_block(self) -> None:
         block, self.block = self.block, None
@@ -408,45 +483,65 @@ class _Parser:
             return
         if isinstance(block, _RawCurve):
             if block.deg_type is None:
-                self.error(*block.pos, f"curve {block.id!r} is missing a type line")
+                self.error(block.pos, f"curve {block.id!r} is missing a type line")
             if block.behavior is None:
-                self.error(*block.pos, f"curve {block.id!r} is missing a cover line")
+                self.error(block.pos, f"curve {block.id!r} is missing a cover line")
             if not block.exts:
-                self.error(*block.pos, f"curve {block.id!r} needs at least one ext line")
+                self.error(block.pos, f"curve {block.id!r} needs at least one ext line")
             self.curves.append(block)
         else:
             if block.incident is None:
-                self.error(*block.pos, f"point {block.id!r} is missing a curves line")
+                self.error(block.pos, f"point {block.id!r} is missing a curves line")
             if block.etype is None:
-                self.error(*block.pos, f"point {block.id!r} is missing an etype line")
+                self.error(block.pos, f"point {block.id!r} is missing an etype line")
             self.points.append(block)
 
     # -- resolution ---------------------------------------------------------
 
-    def claim(self, ids: dict[str, _Pos], name: str, pos: _Pos) -> None:
+    def claim(self, ids: dict[str, int], name: str, at: int) -> None:
         if name in ids:
-            line, col = ids[name]
-            self.error(*pos, f"duplicate id {name!r} (first declared at {line}:{col})")
+            self.error(at, f"duplicate id {name!r} (first declared at {self.span(ids[name])})")
         else:
-            ids[name] = pos
+            ids[name] = at
 
     def resolve_residue(self, raw: _RawResidue) -> ResidueClass:
+        text, at = raw
+        known = self.residues.get(text)
+        if known is None:
+            known = self.residues[text] = self.read_residue(text)
+        cls, problems = known
+        for offset, message in problems:
+            self.error(at + offset, message)
+        return cls
+
+    def read_residue(self, text: str) -> tuple[ResidueClass, list[tuple[int, str]]]:
+        """The class ``text`` names and its problems, at offsets into ``text``."""
+        if text == "0":
+            return ResidueClass(), []
+        if not text:
+            return ResidueClass(), [(0, "missing residue (use 0 for the zero class)")]
         acc: set[str] = set()
+        problems: list[tuple[int, str]] = []
         declared = self.declared
-        for name, line, col in raw:
-            if name not in declared:
-                self.error(line, col, f"residue symbol {name!r} is not declared")
+        offset = 0
+        for part in text.split("+"):
+            token = part.strip()
+            if not _RE_NAME.fullmatch(token):
+                problems.append((offset, f"bad residue symbol {part!r}"))
+            elif token not in declared:
+                problems.append((offset + part.index(token), f"residue symbol {token!r} is not declared"))
             else:
-                acc ^= {name}
-        return ResidueClass(frozenset(acc))
+                acc ^= {token}
+            offset += len(part) + 1
+        return ResidueClass(frozenset(acc)), problems
 
     def finish(self) -> Configuration:
         if self.cover is None and "cover" not in self.rejected_declarations:
-            self.error(1, 1, "missing cover declaration")
+            self.error(0, "missing cover declaration")
         if self.symbols is None and "symbols" not in self.rejected_declarations:
-            self.error(1, 1, "missing symbols declaration")
+            self.error(0, "missing symbols declaration")
 
-        ids: dict[str, _Pos] = {}
+        ids: dict[str, int] = {}
         ext_ids: set[str] = set()
         for c in self.curves:
             self.claim(ids, c.id, c.pos)
@@ -463,7 +558,7 @@ class _Parser:
                 Extension(e.id, self.resolve_residue(e.residue), e.sheet) for e in c.exts
             )
             if c.mark is not None and c.mark[0] not in {e.id for e in c.exts}:
-                self.error(*c.mark[1], f"mark {c.mark[0]!r} does not match an extension of {c.id!r}")
+                self.error(c.mark[1], f"mark {c.mark[0]!r} does not match an extension of {c.id!r}")
             curves.append(
                 Curve(
                     id=c.id,
@@ -478,12 +573,12 @@ class _Parser:
         points: list[SingularPoint] = []
         for p in self.points:
             incident = p.incident or (("", p.pos), ("", p.pos))
-            for name, pos in incident:
+            for name, at in incident:
                 if name and name not in curve_ids:
-                    self.error(*pos, f"point references unknown curve {name!r}")
-            for name, pos in p.meets:
+                    self.error(at, f"point references unknown curve {name!r}")
+            for name, at in p.meets:
                 if name not in ext_ids:
-                    self.error(*pos, f"meets_marked references unknown extension {name!r}")
+                    self.error(at, f"meets_marked references unknown extension {name!r}")
             points.append(
                 SingularPoint(
                     id=p.id,
@@ -494,8 +589,8 @@ class _Parser:
             )
 
         if self.diags:
-            ordered = tuple(sorted(self.diags, key=lambda d: (d.span.line, d.span.column)))
-            raise ConfigParseError(ordered)
+            ordered = sorted(self.diags, key=lambda d: d[0])
+            raise ConfigParseError(tuple(ParseDiagnostic(self.span(at), message) for at, message in ordered))
         return Configuration(
             cover_kind=self.cover,
             symbols=tuple(self.symbols),
@@ -504,8 +599,8 @@ class _Parser:
         )
 
 
-# One handler per keyword; each takes the line without its indentation,
-# the line number and the column where the text starts.
+# One handler per keyword; each takes the line without its indentation and
+# the offset in the text where that starts.
 _HANDLERS = {
     "cover": _Parser.on_cover,
     "symbols": _Parser.on_symbols,

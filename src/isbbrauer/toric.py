@@ -60,6 +60,9 @@ __all__ = [
 
 DIM = 4
 _RAY_CAP = 8
+# Cone lines a fan script may hold.  The fan condition is checked on every
+# pair of its cones; 16, the complete fan of (P^1)^4, makes 120 pairs.
+_CONE_CAP = 16
 # Lattice points ``hilbert_basis`` may enumerate in a cone's zonotope box.
 # Rays with coordinates in 0..3 give at most 13^4 = 28561.
 _BOX_CAP = 100_000
@@ -584,13 +587,14 @@ def _is_face_of(candidate: Cone, c: Cone) -> bool:
     return any(candidate == f for f in faces(c))
 
 
+def _meet_is_a_face(a: Cone, b: Cone) -> bool:
+    meet = intersection_cone(a, b)
+    return _is_face_of(meet, a) and _is_face_of(meet, b)
+
+
 def fan_intersections_are_faces(f: Fan) -> bool:
     """The defining fan condition, checked pairwise by brute force."""
-    for a, b in itertools.combinations(f.maximal_cones, 2):
-        meet = intersection_cone(a, b)
-        if not (_is_face_of(meet, a) and _is_face_of(meet, b)):
-            return False
-    return True
+    return all(_meet_is_a_face(a, b) for a, b in itertools.combinations(f.maximal_cones, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -833,11 +837,12 @@ def parse_fan_script(text: str) -> FanScript:
     Raises:
         FanParseError: malformed syntax, with 1-based line/column.
         FanScriptError: structurally valid text with bad semantics
-            (unknown ray index, a cone past the ray cap, invalid cone,
-            empty fan).
+            (unknown ray index, a cone past the ray cap, a cone line past
+            the cone cap, invalid cone, empty fan, cones that meet outside
+            a common face).
     """
     rays: list[Vec] = []
-    cones: list[Cone] = []
+    cones: list[tuple[int, Cone]] = []  # (source line, cone)
     subdivisions: list[tuple[int, Vec]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -853,13 +858,15 @@ def parse_fan_script(text: str) -> FanScript:
                 raise FanParseError("cone needs at least one ray index", lineno, key_col)
             if len(idx) > _RAY_CAP:
                 raise FanScriptError(f"cone lists {len(idx)} rays; the cap is {_RAY_CAP}", lineno)
+            if len(cones) == _CONE_CAP:
+                raise FanScriptError(f"script lists more than {_CONE_CAP} cones; the cap is {_CONE_CAP}", lineno)
             picked = []
             for i in idx:
                 if not 0 <= i < len(rays):
                     raise FanScriptError(f"ray index {i} is out of range", lineno)
                 picked.append(rays[i])
             try:
-                cones.append(Cone(tuple(picked)))
+                cones.append((lineno, Cone(tuple(picked))))
             except ValueError as exc:
                 raise FanScriptError(str(exc), lineno) from None
         elif keyword == "subdivide":
@@ -868,4 +875,8 @@ def parse_fan_script(text: str) -> FanScript:
             raise FanParseError(f"unknown keyword {keyword!r}", lineno, key_col)
     if not cones:
         raise FanScriptError("fan has no cones", len(text.splitlines()) or 1)
-    return FanScript(Fan(tuple(cones)), tuple(subdivisions))
+    for j, (line_b, b) in enumerate(cones):
+        for line_a, a in cones[:j]:
+            if not _meet_is_a_face(a, b):
+                raise FanScriptError(f"cone meets the cone of line {line_a} outside a common face; not a fan", line_b)
+    return FanScript(Fan(tuple(c for _, c in cones)), tuple(subdivisions))

@@ -1,0 +1,234 @@
+"""The parser's block path: a canonical block read by one match.
+
+``dsl._RE_BLOCK`` reads a ``curve`` or ``point`` block written as ``emit``
+writes it in one match; everything else goes through the per-line
+handlers.  With the pattern replaced by one that never matches, every line
+goes through the handlers, which is the reference: both paths must give
+the same configuration, or the same diagnostics at the same line:column.
+"""
+
+import re
+
+import pytest
+
+from isbbrauer import dsl
+from isbbrauer.model import CoverBehavior, CoverKind, CurveType, vp_basis
+from isbbrauer.sampling import random_corpus
+
+from test_front_end import parse_corpus, parse_outcome, ring_source
+from test_spaces import relabel, union
+
+NEVER = re.compile(r"(?!)")
+
+
+def line_path_outcome(monkeypatch, text: str) -> str:
+    with monkeypatch.context() as patch:
+        patch.setattr(dsl, "_RE_BLOCK", NEVER)
+        return parse_outcome(text)
+
+
+# Every line break ``str.splitlines`` knows.
+BREAKS = ("\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+def swap_first_fields(block: list[str]) -> list[str]:
+    return [block[0], block[2], block[1], *block[3:]] if len(block) > 2 else block
+
+
+def repeat_type(block: list[str]) -> list[str]:
+    return [*block[:2], *block[1:]] if block[0].startswith("curve") else block
+
+
+def third_ext(block: list[str]) -> list[str]:
+    if not block[0].startswith("curve"):
+        return block
+    last = max(i for i, line in enumerate(block) if line.startswith("  ext "))
+    return [*block[: last + 1], "  ext extra_t: 0", *block[last + 1:]]
+
+
+def mark_after_cores(block: list[str]) -> list[str]:
+    marks = [line for line in block if line.startswith("  mark:")]
+    return [line for line in block if not line.startswith("  mark:")] + marks
+
+
+def comment_inside(block: list[str]) -> list[str]:
+    return [block[0], "  # a comment inside the block", *block[1:]]
+
+
+def blank_inside(block: list[str]) -> list[str]:
+    return [*block[:2], "", *block[2:]]
+
+
+def edit_blocks(text: str, edit) -> str:
+    """``text`` with ``edit`` applied to the lines of each curve and point block."""
+    head, *blocks = text.rstrip("\n").split("\n\n")
+    return "\n\n".join([head, *("\n".join(edit(b.split("\n"))) for b in blocks)]) + "\n"
+
+
+# Values the canonical layout could carry but the handlers refuse.
+BAD_VALUES = (
+    ("sheet=2", "sheet=3"),
+    ("sheet=1", "sheet=01"),
+    ("type: II\n", "type: V\n"),
+    ("cover: split\n", "cover: splits\n"),
+    ("etype: II_II", "etype: II_III"),
+    ("+", "++"),
+    (": 0\n", ": \n"),
+    (", ", ",, "),
+)
+
+
+def variants(text: str) -> list[str]:
+    """Non-canonical layouts of the canonical ``text``, and refused values in it."""
+    out = [text.replace("\n", brk) for brk in BREAKS]
+    out += [text.replace(old, new) for old, new in BAD_VALUES if old in text]
+    lines = text.split("\n")
+    out.append("".join(line + BREAKS[i % len(BREAKS)] for i, line in enumerate(lines)))
+    out.append(text.rstrip("\n"))
+    out.append("\n".join(line + "  # trailing comment" if line else line for line in lines))
+    out.append("\n".join(line.replace("  ", "\t", 1) for line in lines))
+    out.append("\n".join(line.replace("  ", "   ", 1) for line in lines))
+    out.append(text.replace(": ", ":  "))
+    out.append(text.replace("\n\n", "\n  \n"))
+    for edit in (swap_first_fields, repeat_type, third_ext, mark_after_cores, comment_inside, blank_inside):
+        out.append(edit_blocks(text, edit))
+    return out
+
+
+def canonical_sources() -> list[str]:
+    sources = [dsl.builtin_source(name) for name in dsl.BUILTIN_NAMES]
+    sources += [dsl.emit(cfg) for cfg in random_corpus(11, 60)]
+    return sources + [dsl.emit(mixed_union())]
+
+
+def test_block_path_matches_line_path_on_the_digest_corpus(monkeypatch):
+    for data in parse_corpus():
+        text = data.decode("utf-8", "replace")
+        assert parse_outcome(text) == line_path_outcome(monkeypatch, text)
+
+
+def test_block_path_matches_line_path_on_other_layouts(monkeypatch):
+    kinds = set()
+    for source in canonical_sources():
+        for text in variants(source):
+            outcome = parse_outcome(text)
+            assert outcome == line_path_outcome(monkeypatch, text)
+            kinds.add(outcome.split("\n", 1)[0])
+    assert kinds == {"ok", "error"}
+
+
+def test_layouts_that_only_look_different_parse_alike():
+    for source in canonical_sources():
+        cfg = dsl.parse(source)
+        for brk in BREAKS:
+            assert dsl.parse(source.replace("\n", brk)) == cfg
+        assert dsl.parse(source.rstrip("\n")) == cfg
+        assert dsl.parse(edit_blocks(source, swap_first_fields)) == cfg
+        assert dsl.parse(edit_blocks(source, comment_inside)) == cfg
+
+
+# --- positions and fallback at scale -------------------------------------------
+
+
+def plant(text: str) -> str:
+    """The 4002-line ring of 400 curves with five faults planted in it."""
+    lines = text.split("\n")
+    assert lines[744] == "  ext c123a: s123"
+    lines[744] = "  ext c123a: s123+zz"
+    assert lines[1207] == "  ext c200b: s200"
+    lines[1207] = "  ext c17a: s200"
+    assert lines[3404] == "  curves: c250, c251"
+    lines[3404] = "  curves: c250, nope"
+    assert lines[4001] == "  etype: II_II"
+    lines.insert(4002, "  meets_marked: c0a, ghost")
+    assert lines[2401] == "  ext c399b: s399"
+    lines.insert(2402, "  cores: s399+qq")
+    return "\n".join(lines)
+
+
+PLANTED = [
+    "745:19: residue symbol 'zz' is not declared",
+    "1208:7: duplicate id 'c17a' (first declared at 109:7)",
+    "2403:15: residue symbol 'qq' is not declared",
+    "3406:17: point references unknown curve 'nope'",
+    "4004:22: meets_marked references unknown extension 'ghost'",
+]
+
+
+@pytest.fixture
+def handler_calls(monkeypatch):
+    """Per-keyword counts of the line handlers called."""
+    calls: dict[str, int] = {}
+
+    def counting(keyword, handler):
+        def call(parser, text, at):
+            calls[keyword] = calls.get(keyword, 0) + 1
+            return handler(parser, text, at)
+
+        return call
+
+    for keyword, handler in list(dsl._HANDLERS.items()):
+        monkeypatch.setitem(dsl._HANDLERS, keyword, counting(keyword, handler))
+    return calls
+
+
+def test_planted_faults_are_reported_at_their_positions(handler_calls, monkeypatch):
+    source = ring_source(400)
+    assert dsl.emit(dsl.parse(source)) == source and source.count("\n") == 4002
+    text = plant(source)
+    handler_calls.clear()
+    with pytest.raises(dsl.ConfigParseError) as caught:
+        dsl.parse(text)
+    assert [str(d) for d in caught.value.diagnostics] == PLANTED
+    assert handler_calls == {"cover": 1, "symbols": 1}
+    assert parse_outcome(text) == line_path_outcome(monkeypatch, text)
+
+
+@pytest.mark.parametrize("n", [50, 200, 800])
+def test_only_top_level_lines_reach_a_handler_on_emitted_rings(handler_calls, n):
+    source = dsl.emit(dsl.parse(ring_source(n)))
+    handler_calls.clear()
+    cfg = dsl.parse(source)
+    assert len(cfg.curves) == len(cfg.points) == n
+    assert handler_calls == {"cover": 1, "symbols": 1}
+
+
+def test_only_top_level_lines_reach_a_handler_on_a_mixed_union(handler_calls):
+    source = dsl.emit(mixed_union())
+    handler_calls.clear()
+    dsl.parse(source)
+    assert handler_calls == {"cover": 1, "symbols": 1}
+
+
+# --- round trip on large mixed configurations -------------------------------
+
+
+def mixed_union():
+    """Every corpus block of both cover kinds, relabelled, in one configuration.
+
+    Parsing does not validate, so one text holds sheets beside inert and
+    ramified curves, and every field of the format.
+    """
+    blocks = random_corpus(13, 200)
+    return union(CoverKind.IRREDUCIBLE, [relabel(b, k) for k, b in enumerate(blocks)])
+
+
+def kind_union(kind: CoverKind):
+    blocks = [b for b in random_corpus(17, 300) if b.cover_kind is kind]
+    return union(kind, [relabel(b, k) for k, b in enumerate(blocks)])
+
+
+def test_round_trip_on_large_unions():
+    mixed = mixed_union()
+    curves = mixed.curves
+    assert {c.deg_type for c in curves} == set(CurveType)
+    assert {c.cover_behavior for c in curves} == set(CoverBehavior)
+    assert any(c.marking for c in curves)
+    assert any(c.cores_residue_input is not None for c in curves)
+    assert any(e.sheet for c in curves for e in c.extensions)
+    assert any(p.meets_marked for p in mixed.points)
+    for cfg in (mixed, kind_union(CoverKind.IRREDUCIBLE), kind_union(CoverKind.SPLIT_EVERYWHERE)):
+        assert len(vp_basis(cfg)) >= 200
+        text = dsl.emit(cfg)
+        assert dsl.parse(text) == cfg
+        assert dsl.emit(dsl.parse(text)) == text

@@ -335,6 +335,12 @@ def test_toric_check_on_the_committed_fans():
         "",
         f"{nine}: line 11: cone lists 9 rays; the cap is 8\n",
     )
+    not_a_fan = str(FANS / "not_a_fan.fan")
+    assert run("toric", "check", not_a_fan) == (
+        cli.INVALID,
+        "",
+        f"{not_a_fan}: line 8: cone meets the cone of line 7 outside a common face; not a fan\n",
+    )
 
 
 def test_toric_check_parse_error(tmp_path):

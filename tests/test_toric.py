@@ -705,6 +705,38 @@ def test_fan_script_refuses_a_cone_past_the_ray_cap(monkeypatch, count):
     assert duals == []
 
 
+ORTHANT_SCRIPT = "ray 1 0 0 0\nray 0 1 0 0\nray 0 0 1 0\nray 0 0 0 1\nray 1 1 0 0\ncone 0 1 2 3\n"
+
+
+def test_fan_script_refuses_cones_that_do_not_form_a_fan():
+    # The second cone lies inside the first: their meet is not a face of the first.
+    with pytest.raises(FanScriptError) as caught:
+        parse_fan_script(ORTHANT_SCRIPT + "cone 4 1 2 3\n")
+    assert caught.value.line == 7
+    assert "cone of line 6" in str(caught.value)
+    # A later syntax error still wins: the fan condition is checked last.
+    with pytest.raises(FanParseError):
+        parse_fan_script(ORTHANT_SCRIPT + "cone 4 1 2 3\nray 1 0\n")
+
+
+def test_fan_script_accepts_a_cone_that_is_a_face_of_another():
+    fan = parse_fan_script(ORTHANT_SCRIPT + "cone 0 1\ncone 0 1 2 3\n").fan
+    assert len(fan.maximal_cones) == 3
+
+
+def test_fan_script_refuses_cone_lines_past_the_cap():
+    # The complete fan of (P^1)^4: 16 orthants, at the cap.
+    rays = [tuple(s if j == i else 0 for j in range(4)) for i in range(4) for s in (1, -1)]
+    text = "".join("ray " + " ".join(map(str, r)) + "\n" for r in rays)
+    for signs in itertools.product((0, 1), repeat=4):
+        text += "cone " + " ".join(str(2 * i + s) for i, s in enumerate(signs)) + "\n"
+    assert len(parse_fan_script(text).fan.maximal_cones) == toric._CONE_CAP == 16
+    with pytest.raises(FanScriptError) as caught:
+        parse_fan_script(text + "cone 0\n")
+    assert caught.value.line == 8 + 16 + 1
+    assert str(caught.value) == "line 25: script lists more than 16 cones; the cap is 16"
+
+
 DEMO_FAN_TEXT = """\
 # the uv = xyz cone and the three subdivisions that resolve it
 ray 1 0 0 0
