@@ -10,10 +10,12 @@ lineality space, the unimodular completion of a lower-dimensional face,
 and the invariant factors that say why a cone is not smooth.  So a
 full-dimensional cone is certified smooth by a ray determinant of +/-1,
 and a lower-dimensional face by Smith invariant factors all equal to 1.
-Scope is deliberately capped at ambient rank 4 and 8 rays per cone
-(fan scripts refuse a longer ``cone`` line), which covers the one cone
-this package cares about — ``uv_xyz_cone()`` — and all of its
-transforms.
+Where only the verdict is read, as for singular faces, it is the gcd of
+the ray matrix's maximal minors.  Faces and star-subdivision cones are
+built without re-proving what their parent cone already proved.  Scope
+is deliberately capped at ambient rank 4 and 8 rays per cone (fan
+scripts refuse a longer ``cone`` line), which covers the one cone this
+package cares about — ``uv_xyz_cone()`` — and all of its transforms.
 
 ``resolve_demo`` runs the whole story: find the three singular faces,
 derive candidate blow-up rays from their ray sums, and search the
@@ -181,18 +183,62 @@ def _rank(vectors) -> int:
     return _bareiss(vectors)[0]
 
 
+def _pair_minors(b, c) -> Vec:
+    """The six 2x2 minors of the rows ``b``, ``c``, columns (0,1), (0,2),
+    (0,3), (1,2), (1,3), (2,3)."""
+    b0, b1, b2, b3 = b
+    c0, c1, c2, c3 = c
+    return (
+        b0 * c1 - b1 * c0,
+        b0 * c2 - b2 * c0,
+        b0 * c3 - b3 * c0,
+        b1 * c2 - b2 * c1,
+        b1 * c3 - b3 * c1,
+        b2 * c3 - b3 * c2,
+    )
+
+
 def _cofactor_normal(rows: tuple[Vec, ...]) -> Vec | None:
     """Vector orthogonal to DIM-1 given vectors, by cofactors.
 
+    Entry ``j`` is ``(-1)**j`` times the 3x3 minor without column ``j``,
+    expanded along the first row over the 2x2 minors of the other two.
     Returns None when the input has rank below DIM-1 (no unique normal).
     """
-    n = []
-    for j in range(DIM):
-        minor = [[row[k] for k in range(DIM) if k != j] for row in rows]
-        n.append((-1) ** j * _det(minor))
-    if all(x == 0 for x in n):
+    a0, a1, a2, a3 = rows[0]
+    p01, p02, p03, p12, p13, p23 = _pair_minors(rows[1], rows[2])
+    n = (
+        a1 * p23 - a2 * p13 + a3 * p12,
+        a2 * p03 - a0 * p23 - a3 * p02,
+        a0 * p13 - a1 * p03 + a3 * p01,
+        a1 * p02 - a0 * p12 - a2 * p01,
+    )
+    if not any(n):
         return None
-    return tuple(n)
+    return n
+
+
+def _minor_gcd(rays) -> int:
+    """The gcd of the k x k minors of the k x DIM ray matrix, k = len(rays).
+
+    It is the product of the Smith invariant factors when the rays are
+    independent and 0 otherwise, so the rays span a smooth cone exactly
+    when it is 1.  No Smith form is computed: one ray's minors are its
+    entries, two rays' are their 2x2 minors, three rays' are the entries
+    of their cofactor normal, and DIM rays' is the determinant.
+    """
+    k = len(rays)
+    if k == 0:
+        return 1  # the empty minor
+    if k == 1:
+        return _gcd_all(rays[0])
+    if k == 2:
+        return _gcd_all(_pair_minors(*rays))
+    if k == DIM - 1:
+        return _gcd_all(_cofactor_normal(rays) or ())
+    if k == DIM:
+        return abs(_det(rays))
+    return 0  # more rays than dimensions: there is no k x k minor
 
 
 def _smith_normal_form(
@@ -328,7 +374,8 @@ def _dual_rays(vectors: tuple[Vec, ...]) -> tuple[Vec, ...]:
     dual, so the dual's pointed generators are the facet normals of the
     enlarged set.
     """
-    lineal = _nullspace(vectors)
+    # a spanning input has no lineality space: no Smith form is needed
+    lineal = [] if _rank(vectors) == DIM else _nullspace(vectors)
     lines = lineal + [_neg(b) for b in lineal]
     return tuple(sorted(_facet_normals(list(vectors) + lines) + lines))
 
@@ -362,6 +409,17 @@ class Cone:
         # pointedness: the dual is full-dimensional exactly for pointed cones
         if rays and _rank(_dual_rays(rays)) != DIM:
             raise ValueError("cone contains a line (not strongly convex)")
+
+    @classmethod
+    def _from_proven(cls, rays) -> "Cone":
+        """A cone whose rays are already known to pass every check above.
+
+        Only ``faces`` and ``star_subdivide`` build cones this way; each
+        says there why its rays need no second proof.
+        """
+        cone = object.__new__(cls)
+        object.__setattr__(cone, "rays", tuple(sorted(rays)))
+        return cone
 
     @property
     def dim(self) -> int:
@@ -475,18 +533,18 @@ def faces(c: Cone) -> list[Cone]:
                 known.add(g)
                 frontier.append(g)
     ordered = sorted(known, key=lambda rs: (len(rs), tuple(sorted(rs))))
-    return [Cone(tuple(rs)) for rs in ordered]
+    # a subset of a pointed cone's primitive, pairwise non-proportional
+    # rays spans a pointed cone with the same properties
+    return [Cone._from_proven(rs) for rs in ordered]
 
 
 def singular_faces(c: Cone) -> list[Cone]:
-    """Proper faces of ``c`` that fail the smoothness test."""
-    out = []
-    for f in faces(c):
-        if frozenset(f.rays) == frozenset(c.rays):
-            continue
-        if not is_smooth(f).smooth:
-            out.append(f)
-    return out
+    """Proper faces of ``c`` that fail the smoothness test.
+
+    Only the verdict is read, so it comes from ``_minor_gcd``: the same
+    answer as ``is_smooth(f).smooth``, with no certificate built.
+    """
+    return [f for f in faces(c) if len(f.rays) < len(c.rays) and _minor_gcd(f.rays) != 1]
 
 
 @dataclass(frozen=True)
@@ -572,8 +630,10 @@ def star_subdivide(f: Fan, rho) -> Fan:
         for m in _dual_rays(c.rays):
             if _dot(m, ray) <= 0:
                 continue
+            # cone(facet, ray) is pointed, since m is 0 on the facet and
+            # positive on ray, and ray is primitive and not +/- a facet ray
             facet = tuple(r for r in c.rays if _dot(m, r) == 0)
-            new_cones.append(Cone(facet + (ray,)))
+            new_cones.append(Cone._from_proven(facet + (ray,)))
     return Fan(tuple(dict.fromkeys(new_cones)))
 
 

@@ -343,6 +343,32 @@ def test_toric_check_on_the_committed_fans():
     )
 
 
+# the complete fan of (P^1)^4: 16 cones, the cap, so 120 pairs meet in a face
+ORTHANTS_CHECK_OUT = """\
+cone (0,0,0,1) (0,0,1,0) (0,1,0,0) (1,0,0,0): unimodular
+cone (0,0,0,-1) (0,0,1,0) (0,1,0,0) (1,0,0,0): unimodular
+cone (0,0,-1,0) (0,0,0,1) (0,1,0,0) (1,0,0,0): unimodular
+cone (0,0,-1,0) (0,0,0,-1) (0,1,0,0) (1,0,0,0): unimodular
+cone (0,-1,0,0) (0,0,0,1) (0,0,1,0) (1,0,0,0): unimodular
+cone (0,-1,0,0) (0,0,0,-1) (0,0,1,0) (1,0,0,0): unimodular
+cone (0,-1,0,0) (0,0,-1,0) (0,0,0,1) (1,0,0,0): unimodular
+cone (0,-1,0,0) (0,0,-1,0) (0,0,0,-1) (1,0,0,0): unimodular
+cone (-1,0,0,0) (0,0,0,1) (0,0,1,0) (0,1,0,0): unimodular
+cone (-1,0,0,0) (0,0,0,-1) (0,0,1,0) (0,1,0,0): unimodular
+cone (-1,0,0,0) (0,0,-1,0) (0,0,0,1) (0,1,0,0): unimodular
+cone (-1,0,0,0) (0,0,-1,0) (0,0,0,-1) (0,1,0,0): unimodular
+cone (-1,0,0,0) (0,-1,0,0) (0,0,0,1) (0,0,1,0): unimodular
+cone (-1,0,0,0) (0,-1,0,0) (0,0,0,-1) (0,0,1,0): unimodular
+cone (-1,0,0,0) (0,-1,0,0) (0,0,-1,0) (0,0,0,1): unimodular
+cone (-1,0,0,0) (0,-1,0,0) (0,0,-1,0) (0,0,0,-1): unimodular
+smooth: true
+"""
+
+
+def test_toric_check_on_the_orthant_fan_at_the_cone_cap():
+    assert run("toric", "check", str(FANS / "orthants.fan")) == (cli.OK, ORTHANTS_CHECK_OUT, "")
+
+
 def test_toric_check_parse_error(tmp_path):
     fan = tmp_path / "short.fan"
     fan.write_text("ray 1 0\ncone 0\n")

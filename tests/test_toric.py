@@ -3,7 +3,10 @@
 import hashlib
 import itertools
 import random
+import subprocess
 import sys
+from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -622,23 +625,178 @@ def test_warm_demo_runs_smith_forms_only_on_lower_dimensional_faces(monkeypatch)
         return original(rows, n)
 
     monkeypatch.setattr(toric, "_smith_normal_form", counted)
+    # faces are judged by their minor gcd and the resolved fan's cones by a
+    # unimodular determinant: no Smith form at all
     assert resolve_demo() == report
-    assert len(calls) <= 21
-    assert {name for name, _ in calls} <= {"_cone_certificate"}
-    for _, rows in calls:
-        assert not (len(rows) == toric.DIM and abs(_cofactor_det(rows)) == 1), rows
+    assert calls == []
 
-    # constructing a cone proves its pointedness by rank, with no Smith form
-    calls.clear()
+    # the first public construction of a lower-dimensional face computes its
+    # dual, and the dual's lineality space reads a Smith form; a second
+    # construction proves pointedness by rank on the cached dual alone
     built = [f.rays for f in report.singular] + [c.rays for s in report.steps for c in s.fan.maximal_cones]
-    for rays in built + [f.rays for f in faces(report.cone)]:
+    built += [f.rays for f in faces(report.cone)]
+    for rays in built:
+        Cone(rays)
+    assert {name for name, _ in calls} <= {"_nullspace"}
+    assert all(toric._rank(rows) < toric.DIM for _, rows in calls)
+    calls.clear()
+    for rays in built:
         Cone(rays)
     assert calls == []
     # a cone seen for the first time computes its dual; only the lattice
-    # basis of the dual's lineality space reads a Smith form
+    # basis of a lower-dimensional dual's lineality space reads a Smith form
+    toric._dual_rays.cache_clear()
     Cone(((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 7, 0), (1, 1, 0, 7)))
+    assert calls == []
     Cone(((3, 0, 0, 1), (0, 3, 0, 1), (1, 1, 7, 0)))
-    assert {name for name, _ in calls} <= {"_nullspace"}
+    assert [name for name, _ in calls] == ["_nullspace"]
+
+
+# One resolve_demo() in a fresh interpreter, counting the cold dual
+# computations and the exact kernels they and the smoothness checks run.
+COLD_DEMO = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+from isbbrauer import toric
+counts = dict.fromkeys(("_bareiss", "_smith_normal_form"), 0)
+def counted(name, original):
+    def call(*args):
+        counts[name] += 1
+        return original(*args)
+    return call
+for name in counts:
+    setattr(toric, name, counted(name, getattr(toric, name)))
+toric.resolve_demo()
+print(toric._dual_rays.cache_info().misses, *counts.values())
+"""
+
+
+def test_cold_demo_computes_each_dual_once_and_no_smith_form():
+    src = str(Path(toric.__file__).parents[1])
+    run = subprocess.run([sys.executable, "-I", "-c", COLD_DEMO, src], capture_output=True, text=True, check=True)
+    misses, bareiss, smith = map(int, run.stdout.split())
+    # before faces and subdivision cones inherited their parent's proofs:
+    # 33 dual misses, 2265 eliminations and 54 Smith forms
+    assert misses <= 13
+    assert bareiss <= 30
+    assert smith == 0
+
+
+# --- cones built without a second proof -----------------------------------------------
+
+
+def _random_pointed_cones(count, seed):
+    """``count`` pointed cones of 1 to 8 rays and every dimension.
+
+    Rays are primitive combinations of 1 to 4 random lattice vectors,
+    flipped to be positive on a random functional (so the cone is
+    pointed); a combination on the functional's hyperplane is dropped.
+    """
+    rng = random.Random(seed)
+    cones = []
+    while len(cones) < count:
+        # every third cone takes 0/1 combinations of a lattice basis, so
+        # smooth full-dimensional faces occur too
+        frame = len(cones) % 3 == 0
+        basis = _unimodular(rng) if frame else [tuple(rng.randint(-2, 2) for _ in range(4)) for _ in range(4)]
+        basis = basis[: rng.randint(1, 4)]
+        low, high = (0, 1) if frame else (-2, 2)
+        w = tuple(rng.randint(-3, 3) for _ in range(4))
+        rays = set()
+        for _ in range(rng.randint(1, 8)):
+            v = tuple(sum(rng.randint(low, high) * b[j] for b in basis) for j in range(4))
+            side = toric._dot(w, v)
+            if side:
+                rays.add(toric._primitive(v if side > 0 else toric._neg(v)))
+        if rays:
+            cones.append(Cone(tuple(rays)))
+    return cones
+
+
+def _assert_publicly_constructible(cones):
+    for c in set(cones):
+        assert Cone(c.rays) == c, c.rays
+
+
+def _derived_cones(fan):
+    """Every maximal cone of ``fan`` and every face of one."""
+    return [f for c in fan.maximal_cones for f in [c] + faces(c)]
+
+
+def test_derived_cones_pass_the_public_constructor_on_the_demo():
+    report = resolve_demo()
+    _assert_publicly_constructible(faces(report.cone))
+    for step in report.steps:
+        _assert_publicly_constructible(_derived_cones(step.fan))
+
+
+def test_derived_cones_pass_the_public_constructor_on_seeded_demo_scripts():
+    # the fan scripts of the toric-demo benchmark workload, seeds 0..29
+    for seed in range(30):
+        rng = random.Random(seed)
+        u = _unimodular(rng)
+        order = rng.choice(list(itertools.permutations(RESOLVING_RAYS)))
+        lines = ["ray " + " ".join(map(str, _apply(u, r))) for r in SIGMA_RAYS]
+        lines.append("cone " + " ".join(map(str, range(len(SIGMA_RAYS)))))
+        lines += ["subdivide " + " ".join(map(str, _apply(u, r))) for r in order]
+        script = parse_fan_script("\n".join(lines) + "\n")
+        fan = script.fan
+        _assert_publicly_constructible(_derived_cones(fan))
+        for _, ray in script.subdivisions:
+            fan = star_subdivide(fan, ray)
+            _assert_publicly_constructible(_derived_cones(fan))
+        assert is_smooth(fan)
+
+
+def test_derived_cones_pass_the_public_constructor_on_random_cones():
+    rng = random.Random(11)
+    subdivided = 0
+    for c in _random_pointed_cones(200, 3):
+        _assert_publicly_constructible(faces(c))
+        picks = [rng.sample(c.rays, rng.randint(1, len(c.rays))) for _ in range(2)] + [c.rays, c.rays[:1]]
+        for pick in picks:
+            rho = toric._primitive(tuple(map(sum, zip(*pick))))
+            fan = star_subdivide(Fan((c,)), rho)
+            _assert_publicly_constructible(_derived_cones(fan))
+            subdivided += len(fan.maximal_cones) > 1
+    assert subdivided > 100
+
+
+def test_minor_gcd_verdict_matches_the_smith_form_on_random_faces():
+    verdicts = set()
+    checked = 0
+    for c in _random_pointed_cones(300, 5):
+        for f in faces(c):
+            k = len(f.rays)
+            diag = toric._smith_normal_form(list(f.rays), toric.DIM)[0]
+            g = toric._minor_gcd(f.rays)
+            assert g == (prod(diag) if len(diag) == k else 0), f.rays
+            assert (g == 1) == is_smooth(f).smooth, f.rays
+            verdicts.add((k, g == 1))
+            checked += 1
+    assert checked > 3000
+    # smooth and singular faces of every size up to DIM, and non-simplicial ones
+    assert {(k, s) for k in range(2, 5) for s in (True, False)} | {(5, False)} <= verdicts
+
+
+def _bareiss_normal(rows):
+    """The cofactor normal as one determinant per deleted column."""
+    n = tuple((-1) ** j * toric._det([[r[k] for k in range(4) if k != j] for r in rows]) for j in range(4))
+    return n if any(n) else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_int_rows(4, 3, 3))
+@example([E1, E2, E3])
+@example([E1, E2, (1, 1, 0, 0)])
+@example([(1, 2, 3, 4), (2, 4, 6, 8), (0, 0, 0, 1)])
+@example([(0, 0, 0, 0), E1, E2])
+def test_cofactor_normal_matches_the_bareiss_minors(rows):
+    n = toric._cofactor_normal(tuple(rows))
+    assert n == _bareiss_normal(rows)
+    assert (n is None) == (toric._rank(rows) < 3)
+    if n is not None:
+        assert all(toric._dot(n, r) == 0 for r in rows)
 
 
 # --- the fan text format ---------------------------------------------------------------
