@@ -132,10 +132,14 @@ def _print_validation(report: model.ValidationReport, out, err) -> None:
 
 
 def _read_text(path: str, err) -> str | int:
-    """The file's text, or the exit code after a diagnostic on stderr."""
+    """The file's text, or the exit code after a diagnostic on stderr.
+
+    One leading byte order mark is dropped after decoding, so the offset
+    of an invalid byte still counts from the start of the file.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            return fh.read().removeprefix("\ufeff")
     except OSError as exc:
         print(f"error: cannot read {path}: {exc.strerror}", file=err)
         return USAGE

@@ -7,12 +7,10 @@ arithmetic.  Ranks and determinants come from one fraction-free
 (Bareiss) elimination.  The Smith normal form is kept where its
 transforms or invariant factors are read: the lattice basis of a dual's
 lineality space, the unimodular completion of a lower-dimensional face,
-and the invariant factors that say why a cone is not smooth.  So a
-full-dimensional cone is certified smooth by a ray determinant of +/-1,
-and a lower-dimensional face by Smith invariant factors all equal to 1.
-Where only the verdict is read, as for singular faces, it is the gcd of
-the ray matrix's maximal minors.  Faces and star-subdivision cones are
-built without re-proving what their parent cone already proved.  Scope
+and the invariant factors that say why a cone is not smooth.  Where only
+the verdict is read, as for singular faces, it is the gcd of the ray
+matrix's maximal minors.  Faces and star-subdivision cones are built
+without re-proving what their parent cone already proved.  Scope
 is deliberately capped at ambient rank 4 and 8 rays per cone (fan
 scripts refuse a longer ``cone`` line), which covers the one cone this
 package cares about — ``uv_xyz_cone()`` — and all of its transforms.
@@ -20,6 +18,8 @@ package cares about — ``uv_xyz_cone()`` — and all of its transforms.
 ``resolve_demo`` runs the whole story: find the three singular faces,
 derive candidate blow-up rays from their ray sums, and search the
 orderings of three star subdivisions for one whose final fan is smooth.
+Each step's support is checked on points ``sum t_i r_i`` of the cone
+with seeded draws ``t_i``, read off the draws without building a point.
 """
 
 from __future__ import annotations
@@ -27,11 +27,9 @@ from __future__ import annotations
 import itertools
 import random
 import re
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, prod
-from operator import and_, lshift, mul, or_
 
 __all__ = [
     "DIM",
@@ -644,7 +642,18 @@ def intersection_cone(a: Cone, b: Cone) -> Cone:
 
 
 def _is_face_of(candidate: Cone, c: Cone) -> bool:
-    return any(candidate == f for f in faces(c))
+    """Whether ``candidate`` is one of ``faces(c)``, without listing them.
+
+    The dual generators of ``c`` are >= 0 on its rays, so the sum ``m`` of
+    those vanishing on the candidate is 0 on exactly the rays of the smallest
+    face holding the candidate's rays; it is a face iff it has no other rays.
+    """
+    _check_cap(c)
+    m = (0,) * DIM
+    for n in _dual_rays(c.rays):
+        if not any(_dot(n, r) for r in candidate.rays):
+            m = _add(m, n)
+    return set(candidate.rays) == {r for r in c.rays if _dot(m, r) == 0}
 
 
 def _meet_is_a_face(a: Cone, b: Cone) -> bool:
@@ -702,7 +711,6 @@ _SAMPLE_SEED = 48112
 # byte shifted right by 5, and the top bits are 5..7 exactly for bytes 160..255.
 _TOP3 = bytes(b >> 5 for b in range(256))
 _REDRAWN = bytes(range(160, 256))
-_WORD = (1 << 64) - 1
 
 
 def _draws(rng: random.Random, n: int) -> bytes:
@@ -721,81 +729,36 @@ def _draws(rng: random.Random, n: int) -> bytes:
     return out[:n]
 
 
-def _sample_points(cone: Cone, count: int, seed: int) -> list[Vec]:
-    """``count`` points sum(t_i * r_i) of the cone, each t_i drawn from 0..4.
+def _support_verdicts(cone: Cone, fans: list[Fan], count: int, seed: int) -> list[bool]:
+    """For each fan, whether ``count`` sampled points of ``cone`` lie in its support.
 
-    Every coordinate column is one int with a lane per point:
-    ``sum(r_ij * T_i)``, where ``T_i`` holds ray ``i``'s coefficients.  A
-    lane is enough 64-bit words to hold ``4 * sum_i |r_ij|`` with a sign,
-    so no lane carries into the next; biased by its sign bit, each lane
-    reads back as a two's complement value.
+    Point ``p`` is ``sum_i t_i * r_i``, each ``t_i`` the next ``randint(0, 4)``
+    of ``random.Random(seed)``.  Ray ``i``'s ``t_i`` are one int ``T_i`` with a
+    lane per point, so ``sum_i <m, r_i> * T_i`` holds every ``<m, p>``.  A
+    lane is whole bytes, room for ``4 * sum_i |<m, r_i>|`` and a sign; plus
+    ``2**(width-1)`` per lane, its top bit is set exactly where ``<m, p> >= 0``.
+    That is one mask per distinct facet normal ``m``; a cone's points are the
+    AND of its normals' masks, and a fan covers them when the OR of its
+    cones' masks has every lane's bit.
     """
     k = len(cone.rays)
     coeffs = _draws(random.Random(seed), count * k)
-    bound = max(4 * sum(abs(r[j]) for r in cone.rays) for j in range(DIM))
-    words = bound.bit_length() // 64 + 1
-    lane = 8 * words
-    sign = int.from_bytes(b"\x80".rjust(lane, b"\0") * count, "little")
+    normals = {m for f in fans for c in f.maximal_cones for m in _dual_rays(c.rays)}
+    weights = {m: [_dot(m, r) for r in cone.rays] for m in normals}
+    bound = max((4 * sum(map(abs, w)) for w in weights.values()), default=0)
+    lane = bound.bit_length() // 8 + 1
+    width = 8 * lane
     planes = []
     for i in range(k):
         spread = bytearray(lane * count)
         spread[::lane] = coeffs[i::k]
         planes.append(int.from_bytes(spread, "little"))
-    columns = []
-    for j in range(DIM):
-        packed = sum(r[j] * t for r, t in zip(cone.rays, planes)) + sign
-        data = (packed ^ sign).to_bytes(lane * count, "little")
-        signed = struct.unpack(f"<{words * count}q", data)
-        column = signed[words - 1 :: words]
-        for q in range(words - 2, -1, -1):
-            # a lower word is unsigned: its sign bit is the 2**63 place
-            low = map(and_, signed[q::words], itertools.repeat(_WORD))
-            column = map(or_, map(lshift, column, itertools.repeat(64)), low)
-        columns.append(column)
-    return list(zip(*columns))
-
-
-def _pack_lanes(values: list[int], width: int) -> int:
-    """``sum(v << (width * p) for p, v in enumerate(values))``, neighbours paired.
-
-    A negative value borrows from the lane above it; the sum is exact.
-    """
-    lanes = values
-    while len(lanes) > 1:
-        if len(lanes) % 2:
-            lanes.append(0)
-        pairs = iter(lanes)
-        lanes = [low + (high << width) for low, high in zip(pairs, pairs)]
-        width *= 2
-    return lanes[0] if lanes else 0
-
-
-def _fans_cover(fans: list[Fan], points: list[Vec]) -> list[bool]:
-    """For each fan, whether every point lies in its support.
-
-    The verdict of ``all(support_contains(f, p) for p in points)``, for
-    all fans at once.  Each coordinate of the distinct points is one int
-    with a ``width``-bit lane per point, so ``sum(m_j * X_j)`` holds every
-    ``<m, p>`` in its lanes.  ``width`` leaves room for the sign over the
-    bound ``sum_j |m_j| * max|x_j|`` of every normal; plus ``2**(width-1)``
-    in each lane, the lane's top bit is set exactly where ``<m, p> >= 0``.
-    That is one mask per distinct facet normal, shared by every fan; a
-    cone's points are the AND of its normals' masks, and a fan covers the
-    points when the OR of its maximal cones' masks has every lane's bit.
-    """
-    distinct = list(dict.fromkeys(points))
-    columns = list(zip(*distinct))
-    reach = [max(max(column), -min(column)) for column in columns]
-    normals = {m for f in fans for c in f.maximal_cones for m in _dual_rays(c.rays)}
-    bound = max((sum(abs(a) * b for a, b in zip(m, reach)) for m in normals), default=0)
-    width = bound.bit_length() + 1
-    top = 1 << (width * len(distinct))
+    top = 1 << (width * count)
     ones = (top - 1) // ((1 << width) - 1)
     half = ones << (width - 1)
-    packed = [_pack_lanes(list(column), width) for column in columns]
     masks = {}
-    for m in normals:
-        biased = sum(map(mul, m, packed)) + half
+    for m, w in weights.items():
+        biased = sum(a * t for a, t in zip(w, planes)) + half
         assert 0 <= biased < top, "a lane of <m, p> overflowed its width"
         masks[m] = (biased >> (width - 1)) & ones
     verdicts = []
@@ -824,7 +787,6 @@ def resolve_demo(samples: int = _SUPPORT_SAMPLES) -> ResolutionReport:
     sigma = uv_xyz_cone()
     singular = tuple(singular_faces(sigma))
     candidates = tuple(sorted(_primitive(_ray_sum(f)) for f in singular))
-    points = _sample_points(sigma, samples, _SAMPLE_SEED)
 
     for order in itertools.permutations(candidates):
         fan = Fan((sigma,))
@@ -840,7 +802,7 @@ def resolve_demo(samples: int = _SUPPORT_SAMPLES) -> ResolutionReport:
             continue
         steps = tuple(
             SubdivisionStep(ray, f, ok)
-            for ray, f, ok in zip(order, fans, _fans_cover(fans, points))
+            for ray, f, ok in zip(order, fans, _support_verdicts(sigma, fans, samples, _SAMPLE_SEED))
         )
         return ResolutionReport(
             cone=sigma,

@@ -151,6 +151,27 @@ def test_non_utf8_offset_counts_from_the_start_of_the_file(tmp_path):
     assert err == f"{path}: input is not valid UTF-8 (byte offset 20020)\n"
 
 
+@pytest.mark.parametrize(
+    "argv", [("validate",), ("compute",), ("explain",), ("toric", "check")]
+)
+def test_a_byte_order_mark_is_dropped(tmp_path, argv):
+    text = FAN_OK if argv[0] == "toric" else run("example", "hpt", "--emit")[1]
+    path = tmp_path / "input.txt"
+    path.write_bytes(text.encode())
+    plain = run(*argv, str(path))
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert run(*argv, str(path)) == plain
+    assert plain[0] == cli.OK
+
+
+def test_non_utf8_offset_counts_the_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbfsymbols: \xff\n")
+    code, _, err = run("compute", str(path))
+    assert code == cli.PARSE_ERROR
+    assert err == f"{path}: input is not valid UTF-8 (byte offset 12)\n"
+
+
 def test_parse_error_reports_position(tmp_path):
     cfg = tmp_path / "broken.cfg"
     cfg.write_text("cover: sideways\nsymbols: a\n")

@@ -316,6 +316,26 @@ def test_overlapping_cones_are_not_a_fan():
     assert not fan_intersections_are_faces(Fan((ORTHANT, narrow)))
 
 
+def test_is_face_of_matches_the_face_lattice():
+    # random cones may list a ray that is not extremal; a meet never does
+    cones = _random_pointed_cones(30, 5)
+    lattices = {c: faces(c) for c in cones}
+    checked = []
+    for a, b in itertools.combinations(cones, 2):
+        meet = intersection_cone(a, b)
+        for c in (a, b):
+            checked.append(toric._is_face_of(meet, c))
+            assert checked[-1] == any(meet == f for f in lattices[c]), (meet.rays, c.rays)
+    for c in cones:
+        # every subset of the rays: the faces and the rest
+        for k in range(len(c.rays) + 1):
+            for rays in itertools.combinations(c.rays, k):
+                candidate = Cone._from_proven(rays)
+                checked.append(toric._is_face_of(candidate, c))
+                assert checked[-1] == any(candidate == f for f in lattices[c]), (rays, c.rays)
+    assert set(checked) == {True, False}
+
+
 # --- the demo resolution -------------------------------------------------------------
 
 
@@ -332,15 +352,33 @@ def test_resolve_demo_certificate_chain():
     assert all(len(c.rays) == 4 for c in final.maximal_cones)
 
 
-# sha256 of repr(_sample_points(uv_xyz_cone(), 1000, 48112)), computed when
-# each point was built by repeated vector additions of scaled rays.
+# sha256 of repr(_per_point_sample(uv_xyz_cone(), 1000, 48112)), computed
+# when each point was built by repeated vector additions of scaled rays.
 SAMPLE_POINTS_DIGEST = "3557bfce4ac44afa0ff64c920c5f4bdecbfbe586143daaf30d70335f52cb18f3"
 
 
+def _holed(f, drop):
+    """``f`` without its maximal cone at index ``drop``: a hole in the support."""
+    return Fan(f.maximal_cones[:drop] + f.maximal_cones[drop + 1 :])
+
+
+def _assert_verdicts_match(cone, fans, count, seed):
+    """``_support_verdicts`` against the per-point loop; returns the verdicts."""
+    points = _per_point_sample(cone, count, seed)
+    expected = [all(support_contains(f, p) for p in points) for f in fans]
+    assert toric._support_verdicts(cone, fans, count, seed) == expected, (cone, count, seed)
+    return expected
+
+
 def test_sample_points_are_pinned():
-    points = toric._sample_points(uv_xyz_cone(), 1000, 48112)
+    sigma = uv_xyz_cone()
+    points = _per_point_sample(sigma, 1000, 48112)
     assert len(set(points)) == 838
     assert hashlib.sha256(repr(points).encode()).hexdigest() == SAMPLE_POINTS_DIGEST
+    # the demo's own check: its three step fans, and each with a cone dropped
+    steps = [step.fan for step in resolve_demo().steps]
+    fans = steps + [_holed(f, 0) for f in steps]
+    assert _assert_verdicts_match(sigma, fans, 1000, 48112) == [True] * 3 + [False] * 3
 
 
 def _unimodular(rng, steps=6):
@@ -366,23 +404,18 @@ def test_fans_cover_agrees_with_support_contains():
         rng = random.Random(seed)
         u = _unimodular(rng)
         sigma = Cone(tuple(_apply(u, r) for r in SIGMA_RAYS))
-        inside = toric._sample_points(sigma, 60, seed)
-        outside = [_apply(u, tuple(rng.randint(-3, 3) for _ in range(4))) for _ in range(40)]
-        point_sets = [[], inside, inside + inside[:10], outside, inside + outside]
+        # the orthant's image holds points outside sigma's
+        orthant = Cone(tuple(_apply(u, r) for r in (E1, E2, E3, E4)))
         for order in itertools.permutations(RESOLVING_RAYS):
             fan = Fan((sigma,))
             fans = [fan]
             for ray in order:
                 fan = star_subdivide(fan, _apply(u, ray))
                 fans.append(fan)
-            # one maximal cone removed: a hole in the support
-            for f in fans[:]:
-                drop = rng.randrange(len(f.maximal_cones))
-                fans.append(Fan(f.maximal_cones[:drop] + f.maximal_cones[drop + 1 :]))
-            for points in point_sets:
-                expected = [all(support_contains(f, p) for p in points) for f in fans]
-                assert toric._fans_cover(fans, points) == expected
-                verdicts.update(expected)
+            fans += [_holed(f, rng.randrange(len(f.maximal_cones))) for f in fans]
+            for cone in (sigma, orthant):
+                for count in (0, 1, 60):
+                    verdicts.update(_assert_verdicts_match(cone, fans, count, rng.randrange(1000)))
     assert verdicts == {True, False}
 
 
@@ -418,8 +451,8 @@ def _scaled_sigma(scale):
 
 
 def test_sample_points_match_the_per_point_loop():
-    # 2**60 and 2**61 put the last column's bound just past 2**63 and 2**64,
-    # so a lane needs a second word; 2**125 needs a third
+    # 2**60 and 2**61 put the bound just past a 64-bit word; 2**125 needs
+    # lanes of many words
     scales = (1, 10**6, 2**40, 2**60, 2**61, 2**125)
     cones = [Cone(SIGMA_RAYS), Cone(())]
     for seed, scale in enumerate(scales):
@@ -427,9 +460,16 @@ def test_sample_points_match_the_per_point_loop():
         cones.append(Cone(rays))
         u = _unimodular(random.Random(seed))
         cones.append(Cone(tuple(_apply(u, r) for r in rays)))  # negative entries
+    verdicts = set()
     for cone in cones:
+        fans = [Fan((cone,)), Fan(())]
+        if cone.rays:
+            rho = toric._primitive(tuple(map(sum, zip(*cone.rays))))
+            inner = star_subdivide(Fan((cone,)), rho)
+            fans += [inner, _holed(inner, 0)]
         for count, seed in ((0, 1), (1, 2), (300, 3)):
-            assert toric._sample_points(cone, count, seed) == _per_point_sample(cone, count, seed)
+            verdicts.update(_assert_verdicts_match(cone, fans, count, seed))
+    assert verdicts == {True, False}
 
 
 def _orthant_fan(u):
@@ -441,29 +481,48 @@ def _orthant_fan(u):
     return Fan(tuple(cones))
 
 
+def _sign_rays(reach, patterns):
+    """Rays ``reach * s`` on the first three coordinates, 1 on the last.
+
+    The last coordinate keeps every ray primitive and the cone pointed.
+    """
+    return tuple(tuple(reach * x for x in signs) + (1,) for signs in patterns)
+
+
 def test_fans_cover_lane_widths_at_large_coordinates():
     identity = [[int(i == j) for j in range(4)] for i in range(4)]
     shear = [[1, 3**25, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]  # a normal (1, -3**25, 0, 0)
     rng = random.Random(7)
+    patterns = list(itertools.product((1, 0, -1), repeat=3))
     verdicts = set()
     for reach in (2**40, 2**40 - 1, 2**70, 2**70 - 1, 3**44):
-        # every sign pattern at the full reach: for the orthant normals, and
-        # for the shear's, some corner meets the bound the width is chosen
-        # from; then points on the walls and one step off them
-        corners = [tuple(reach * s for s in signs) for signs in itertools.product((1, 0, -1), repeat=4)]
-        steps = [tuple(c + rng.choice((-1, 1)) * int(k % 4 == j) for j, c in enumerate(corner))
-                 for k, corner in enumerate(corners[:40])]
-        scattered = [tuple(rng.randint(-reach, reach) for _ in range(4)) for _ in range(20)]
-        points = corners + steps + scattered
+        # one-ray cones reach the bound the width is chosen from whenever a
+        # draw is 4; cones of more rays mix the signs
+        cones = [Cone(_sign_rays(reach, rng.sample(patterns, k))) for k in (1, 1, 3, 8)]
         for u in (identity, shear, _unimodular(rng)):
             full = _orthant_fan(u)
             holed = Fan(full.maximal_cones[1:])
             inner = star_subdivide(Fan((full.maximal_cones[0],)), _apply(u, (1, 1, 1, 1)))
             for fans in ([full, holed], [full, holed, inner, Fan(())]):
-                for sample in ([], points, points + points[:20], corners[::-1], points[81:]):
-                    expected = [all(support_contains(f, p) for p in sample) for f in fans]
-                    assert toric._fans_cover(fans, sample) == expected
-                    verdicts.update(expected)
+                for cone in cones:
+                    for count, seed in ((0, 1), (1, 2), (300, 3)):
+                        verdicts.update(_assert_verdicts_match(cone, fans, count, seed))
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("lane", [1, 2, 8, 9, 16])
+def test_support_verdicts_at_a_lane_byte_boundary(lane):
+    # A one-ray cone's bound is 4 * max |<m, r>| = 4 * c over the orthant
+    # normals.  The largest bound below 2**(8 * lane - 1) fits a lane of
+    # ``lane`` bytes with its sign; 2**(8 * lane - 1) itself needs one more.
+    fans = [_orthant_fan([[int(i == j) for j in range(4)] for i in range(4)])]
+    fans.append(Fan(fans[0].maximal_cones[1:]))  # no positive orthant
+    verdicts = set()
+    below, at = 2 ** (8 * lane - 3) - 1, 2 ** (8 * lane - 3)
+    assert (4 * below).bit_length() == 8 * lane - 1 and (4 * at).bit_length() == 8 * lane
+    for c in (below, at):
+        for ray in ((1, c, 1, 1), (1, -c, 1, 1)):
+            verdicts.update(_assert_verdicts_match(Cone((ray,)), fans, 300, lane))
     assert verdicts == {True, False}
 
 
