@@ -9,8 +9,8 @@ transforms or invariant factors are read: the lattice basis of a dual's
 lineality space, the unimodular completion of a lower-dimensional face,
 and the invariant factors that say why a cone is not smooth.  Where only
 the verdict is read, as for singular faces, it is the gcd of the ray
-matrix's maximal minors.  Faces and star-subdivision cones are built
-without re-proving what their parent cone already proved.  Scope
+matrix's maximal minors.  Faces, meets and star-subdivision cones are
+built without re-proving what their parent cones already proved.  Scope
 is deliberately capped at ambient rank 4 and 8 rays per cone (fan
 scripts refuse a longer ``cone`` line), which covers the one cone this
 package cares about — ``uv_xyz_cone()`` — and all of its transforms.
@@ -412,8 +412,8 @@ class Cone:
     def _from_proven(cls, rays) -> "Cone":
         """A cone whose rays are already known to pass every check above.
 
-        Only ``faces`` and ``star_subdivide`` build cones this way; each
-        says there why its rays need no second proof.
+        Only ``faces``, ``star_subdivide`` and ``intersection_cone`` build
+        cones this way; each says there why its rays need no second proof.
         """
         cone = object.__new__(cls)
         object.__setattr__(cone, "rays", tuple(sorted(rays)))
@@ -436,10 +436,6 @@ class Fan:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "maximal_cones", tuple(self.maximal_cones))
-
-    def rays(self) -> list[Vec]:
-        seen = sorted({r for c in self.maximal_cones for r in c.rays})
-        return seen
 
 
 def _check_cap(c: Cone) -> None:
@@ -638,27 +634,28 @@ def star_subdivide(f: Fan, rho) -> Fan:
 def intersection_cone(a: Cone, b: Cone) -> Cone:
     """The cone a ∩ b (pointed whenever a is), via double duality."""
     combined = tuple(sorted(set(_dual_rays(a.rays)) | set(_dual_rays(b.rays))))
-    return Cone(_dual_rays(combined))
-
-
-def _is_face_of(candidate: Cone, c: Cone) -> bool:
-    """Whether ``candidate`` is one of ``faces(c)``, without listing them.
-
-    The dual generators of ``c`` are >= 0 on its rays, so the sum ``m`` of
-    those vanishing on the candidate is 0 on exactly the rays of the smallest
-    face holding the candidate's rays; it is a face iff it has no other rays.
-    """
-    _check_cap(c)
-    m = (0,) * DIM
-    for n in _dual_rays(c.rays):
-        if not any(_dot(n, r) for r in candidate.rays):
-            m = _add(m, n)
-    return set(candidate.rays) == {r for r in c.rays if _dot(m, r) == 0}
+    # a pointed ``a`` has a full-dimensional dual, so ``combined`` spans and its
+    # dual rays are the primitive, sorted extremal rays of the pointed meet
+    return Cone._from_proven(_dual_rays(combined))
 
 
 def _meet_is_a_face(a: Cone, b: Cone) -> bool:
-    meet = intersection_cone(a, b)
-    return _is_face_of(meet, a) and _is_face_of(meet, b)
+    """Whether ``a ∩ b`` is a face of both cones, without building the meet.
+
+    Every generator of the dual of ``a``'s rays and ``b``'s negated rays is
+    >= 0 on ``a`` and <= 0 on ``b``, so 0 on ``a ∩ b``; their sum ``m`` is in
+    the relative interior of that dual.  By the separation lemma (Cox, Little
+    and Schenck, *Toric Varieties*, 1.2.13) ``a ∩ b`` is a face of both iff
+    ``a ∩ m^⊥ = a ∩ b = b ∩ m^⊥``.  Each side holds ``a ∩ b``, and the face
+    ``a ∩ m^⊥`` is the cone over the rays of ``a`` where ``m`` is 0, so it
+    lies in ``a ∩ b`` iff those rays lie in ``b``; the same for ``b``.
+    """
+    m = (0,) * DIM
+    for n in _dual_rays(tuple(sorted(a.rays + tuple(_neg(r) for r in b.rays)))):
+        m = _add(m, n)
+    return all(b.contains(r) for r in a.rays if not _dot(m, r)) and all(
+        a.contains(r) for r in b.rays if not _dot(m, r)
+    )
 
 
 def fan_intersections_are_faces(f: Fan) -> bool:
@@ -834,6 +831,8 @@ class FanScript:
 
 
 _TOKEN = re.compile(r"\S+")
+# ``int`` would also read ``1_0`` and non-ASCII digits such as a fullwidth ``１``
+_INTEGER = re.compile(r"[-+]?[0-9]+")
 
 
 def _integers(spans: list[tuple[str, int]], expected: int | None, lineno: int) -> list[int]:
@@ -847,10 +846,32 @@ def _integers(spans: list[tuple[str, int]], expected: int | None, lineno: int) -
     out = []
     for tok, col in args:
         try:
-            out.append(int(tok))
+            if not _INTEGER.fullmatch(tok):
+                raise ValueError(tok)
+            out.append(int(tok))  # raises past the interpreter's limit on digits
         except ValueError:
             raise FanParseError(f"expected an integer, got {tok!r}", lineno, col) from None
     return out
+
+
+def _first_non_extremal(rays: tuple[Vec, ...]) -> Vec | None:
+    """The first of a pointed cone's rays that is not extremal, or None.
+
+    Each dual generator's mask has bit ``i`` where it is 0 on ray ``i``.  The
+    AND of the masks holding bit ``i`` is the smallest face holding ray ``i``,
+    the intersection of the faces the generators cut out, and ray ``i`` is
+    extremal exactly when that face holds no other ray.
+    """
+    dual = _dual_rays(tuple(sorted(rays)))
+    masks = [sum(1 << i for i, r in enumerate(rays) if not _dot(m, r)) for m in dual]
+    for i, r in enumerate(rays):
+        face = (1 << len(rays)) - 1
+        for mask in masks:
+            if mask >> i & 1:
+                face &= mask
+        if face != 1 << i:
+            return r
+    return None
 
 
 def parse_fan_script(text: str) -> FanScript:
@@ -860,8 +881,8 @@ def parse_fan_script(text: str) -> FanScript:
         FanParseError: malformed syntax, with 1-based line/column.
         FanScriptError: structurally valid text with bad semantics
             (unknown ray index, a cone past the ray cap, a cone line past
-            the cone cap, invalid cone, empty fan, cones that meet outside
-            a common face).
+            the cone cap, invalid cone, a cone listing a ray that is not
+            extremal, empty fan, cones that meet outside a common face).
     """
     rays: list[Vec] = []
     cones: list[tuple[int, Cone]] = []  # (source line, cone)
@@ -891,6 +912,10 @@ def parse_fan_script(text: str) -> FanScript:
                 cones.append((lineno, Cone(tuple(picked))))
             except ValueError as exc:
                 raise FanScriptError(str(exc), lineno) from None
+            # certificates read the listed rays, so each must be extremal
+            spare = _first_non_extremal(tuple(picked))
+            if spare is not None:
+                raise FanScriptError(f"ray {spare} is not an extremal ray of the cone", lineno)
         elif keyword == "subdivide":
             subdivisions.append((lineno, tuple(_integers(spans, DIM, lineno))))
         else:

@@ -362,6 +362,19 @@ def test_toric_check_on_the_committed_fans():
         "",
         f"{not_a_fan}: line 8: cone meets the cone of line 7 outside a common face; not a fan\n",
     )
+    non_extremal = str(FANS / "non_extremal.fan")
+    assert run("toric", "check", non_extremal) == (
+        cli.INVALID,
+        "",
+        f"{non_extremal}: line 7: ray (1, 1, 0, 0) is not an extremal ray of the cone\n",
+    )
+    assert run("toric", "check", str(FANS / "shared_face.fan")) == (
+        cli.OK,
+        "cone (0,0,1,0) (0,1,0,0) (1,0,0,0): unimodular\n"
+        "cone (0,0,-1,0) (0,1,0,0) (1,0,0,0): unimodular\n"
+        "smooth: true\n",
+        "",
+    )
 
 
 # the complete fan of (P^1)^4: 16 cones, the cap, so 120 pairs meet in a face

@@ -316,24 +316,34 @@ def test_overlapping_cones_are_not_a_fan():
     assert not fan_intersections_are_faces(Fan((ORTHANT, narrow)))
 
 
+def _same_points(c, d):
+    return all(d.contains(r) for r in c.rays) and all(c.contains(r) for r in d.rays)
+
+
 def test_is_face_of_matches_the_face_lattice():
-    # random cones may list a ray that is not extremal; a meet never does
+    # random cones may list a ray that is not extremal, so faces are compared
+    # as point sets, never by their listed rays
     cones = _random_pointed_cones(30, 5)
-    lattices = {c: faces(c) for c in cones}
-    checked = []
-    for a, b in itertools.combinations(cones, 2):
+    pairs = list(itertools.combinations(cones, 2))
+    # the first cone lists e1 + e2; the two meet in cone(e1, e2), a face of both
+    pairs.append((Cone((E1, E2, (1, 1, 0, 0), E3)), Cone((E1, E2, (0, 0, -1, 0)))))
+    lattices = {c: faces(c) for pair in pairs for c in pair}
+    verdicts = []
+    for a, b in pairs:
         meet = intersection_cone(a, b)
-        for c in (a, b):
-            checked.append(toric._is_face_of(meet, c))
-            assert checked[-1] == any(meet == f for f in lattices[c]), (meet.rays, c.rays)
-    for c in cones:
-        # every subset of the rays: the faces and the rest
-        for k in range(len(c.rays) + 1):
-            for rays in itertools.combinations(c.rays, k):
-                candidate = Cone._from_proven(rays)
-                checked.append(toric._is_face_of(candidate, c))
-                assert checked[-1] == any(candidate == f for f in lattices[c]), (rays, c.rays)
-    assert set(checked) == {True, False}
+        verdicts.append(toric._meet_is_a_face(a, b))
+        assert verdicts[-1] == all(any(_same_points(meet, f) for f in lattices[c]) for c in (a, b)), (a.rays, b.rays)
+    assert verdicts[-1] is True
+    assert set(verdicts) == {True, False}
+
+
+def test_first_non_extremal_ray_matches_the_face_lattice():
+    found = []
+    for c in _random_pointed_cones(300, 5):
+        rays = {f.rays for f in faces(c)}
+        found.append(toric._first_non_extremal(c.rays))
+        assert found[-1] == next((r for r in c.rays if (r,) not in rays), None), c.rays
+    assert None in found and any(found)
 
 
 # --- the demo resolution -------------------------------------------------------------
@@ -810,7 +820,9 @@ def test_derived_cones_pass_the_public_constructor_on_seeded_demo_scripts():
 def test_derived_cones_pass_the_public_constructor_on_random_cones():
     rng = random.Random(11)
     subdivided = 0
-    for c in _random_pointed_cones(200, 3):
+    cones = _random_pointed_cones(200, 3)
+    _assert_publicly_constructible(intersection_cone(a, b) for a, b in itertools.combinations(cones[:40], 2))
+    for c in cones:
         _assert_publicly_constructible(faces(c))
         picks = [rng.sample(c.rays, rng.randint(1, len(c.rays))) for _ in range(2)] + [c.rays, c.rays[:1]]
         for pick in picks:
@@ -900,8 +912,9 @@ def test_fan_script_errors_carry_positions(text, exc, line):
 
 
 def _fan_of_rays(count):
-    """One cone over ``count`` rays (1, i, 0, 0) of a plane."""
-    text = "".join(f"ray 1 {i} 0 0\n" for i in range(count))
+    """One cone over ``count`` rays (1, i, i * i, 0), all of them extremal:
+    the points (i, i * i) of a parabola are in convex position."""
+    text = "".join(f"ray 1 {i} {i * i} 0\n" for i in range(count))
     return text + "cone " + " ".join(map(str, range(count))) + "\n"
 
 
@@ -934,6 +947,51 @@ def test_fan_script_refuses_cones_that_do_not_form_a_fan():
     # A later syntax error still wins: the fan condition is checked last.
     with pytest.raises(FanParseError):
         parse_fan_script(ORTHANT_SCRIPT + "cone 4 1 2 3\nray 1 0\n")
+
+
+NON_EXTREMAL_SCRIPT = "ray 1 0 0 0\nray 0 1 0 0\nray 1 1 0 0\nray 0 0 1 0\nray 0 0 -1 0\ncone 0 1 2 3\ncone 0 1 4\n"
+
+
+def test_fan_script_refuses_a_ray_that_is_not_extremal():
+    # certificates read the listed rays: cone(e1, e2, e3) listed with e1 + e2
+    # would be certified "not simplicial"
+    with pytest.raises(FanScriptError) as caught:
+        parse_fan_script(NON_EXTREMAL_SCRIPT)
+    assert str(caught.value) == "line 6: ray (1, 1, 0, 0) is not an extremal ray of the cone"
+    with pytest.raises(FanScriptError) as caught:
+        parse_fan_script(NON_EXTREMAL_SCRIPT.replace("cone 0 1 2 3", "cone 3 2 1 0"))
+    assert str(caught.value) == "line 6: ray (1, 1, 0, 0) is not an extremal ray of the cone"
+    # without the spare ray the cones meet in cone(e1, e2), a face of both
+    fan = parse_fan_script(NON_EXTREMAL_SCRIPT.replace("cone 0 1 2 3", "cone 0 1 3")).fan
+    assert is_smooth(fan)
+
+
+def test_fan_script_integers_are_ascii_decimal():
+    # int() also reads a digit group separator and non-ASCII decimal digits
+    tokens = ["1_0", "\uff11", "\u0663", "1_000"]
+    if getattr(sys, "get_int_max_str_digits", lambda: 0)():
+        tokens.append("9" * (sys.get_int_max_str_digits() + 1))  # past int()'s limit
+    for token in tokens:
+        with pytest.raises(FanParseError) as caught:
+            parse_fan_script(f"ray {token} 0 0 1\ncone 0\n")
+        assert str(caught.value) == f"1:5: expected an integer, got {token!r}"
+        assert (caught.value.line, caught.value.column) == (1, 5)
+    assert parse_fan_script("ray +1 -0 00 0\ncone 0\n").fan.maximal_cones[0].rays == (E1,)
+
+
+def test_a_cold_fan_check_builds_only_the_script_cones(monkeypatch):
+    # the pair check reads one dual per pair and builds no meet
+    built = []
+    post_init = Cone.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Cone, "__post_init__", counting_post_init)
+    toric._dual_rays.cache_clear()
+    text = (Path(__file__).parent / "fans" / "orthants.fan").read_text()
+    assert len(parse_fan_script(text).fan.maximal_cones) == len(built) == 16
 
 
 def test_fan_script_accepts_a_cone_that_is_a_face_of_another():
@@ -998,9 +1056,9 @@ def _fan_mutants(count, seed):
 
 
 # sha256 over the newline-joined outcomes of _fan_mutants(200, 5), computed
-# when parse_fan_script compiled its token pattern and built its integer
-# reader on every line.
-FAN_MUTANT_DIGEST = "5749cc58be21f3a38f02ce362f68307be3d9670a8217afd35d85851a3247c1f8"
+# once cone lines were refused for a ray that is not extremal and integers
+# were read as ASCII decimal only.
+FAN_MUTANT_DIGEST = "d17554b6c4d38777999541acb1c667306b9762f8d0efeb2dab3294c6451b3dd5"
 
 
 def test_fan_script_diagnostics_are_pinned():
