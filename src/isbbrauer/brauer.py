@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .f2 import F2Matrix, F2Vector, _insert, column_space, kernel_basis, member
+from .f2 import F2Matrix, F2Vector, _check_len, _insert, kernel_basis
 from .model import (
     Configuration,
     CoverBehavior,
@@ -246,7 +246,12 @@ def unramified_brauer(cfg: Configuration) -> BrauerReport:
 
 def coset_equivalent(report: BrauerReport, a: F2Vector, b: F2Vector) -> bool:
     """Whether two vectors in P represent the same class modulo image(Q)."""
-    return member(column_space(report.m_qp), a + b)
+    diff = a + b  # raises DimensionMismatch when a and b differ in length
+    _check_len(report.m_qp.rows, diff.length)
+    pivots: dict[int, int] = {}
+    for column in report.m_qp.column_masks():
+        _insert(pivots, column)
+    return not _insert(pivots, diff.mask)
 
 
 _BRUTE_FORCE_CAP = 20

@@ -231,28 +231,30 @@ def _cmd_example(args, out, err) -> int:
     return _compute_and_print(dsl.parse(source), False, out, err)
 
 
-def _format_cone(c: toric.Cone) -> str:
-    return " ".join("(" + ",".join(str(x) for x in r) + ")" for r in c.rays)
+def _format_vec(v) -> str:
+    return "(" + ",".join(map(str, v)) + ")"
+
+
+def _format_rays(rays) -> str:
+    return " ".join(map(_format_vec, rays))
 
 
 def _cmd_toric_demo(args, out, err) -> int:
     report = toric.resolve_demo()
-    print(f"cone: {_format_cone(report.cone)}", file=out)
+    print(f"cone: {_format_rays(report.cone.rays)}", file=out)
     print(f"singular faces: {len(report.singular)}", file=out)
     for f in report.singular:
-        print(f"  dim {f.dim}: {_format_cone(f)}", file=out)
-    cands = " ".join("(" + ",".join(str(x) for x in v) + ")" for v in report.candidates)
-    print(f"candidate rays: {cands}", file=out)
+        print(f"  dim {f.dim}: {_format_rays(f.rays)}", file=out)
+    print(f"candidate rays: {_format_rays(report.candidates)}", file=out)
     for i, step in enumerate(report.steps, start=1):
-        ray = "(" + ",".join(str(x) for x in step.ray) + ")"
         support = "preserved" if step.support_ok else "BROKEN"
         print(
-            f"step {i}: subdivide at {ray} -> {len(step.fan.maximal_cones)} maximal cones,"
+            f"step {i}: subdivide at {_format_vec(step.ray)} -> {len(step.fan.maximal_cones)} maximal cones,"
             f" support {support} ({report.samples} samples)",
             file=out,
         )
     for cert in report.smoothness.certificates:
-        print(f"  cone {_format_cone(cert.cone)}: {cert.reason}", file=out)
+        print(f"  cone {_format_rays(cert.cone.rays)}: {cert.reason}", file=out)
     print(f"smooth: {'true' if report.smoothness.smooth else 'false'}", file=out)
     return OK if report.smoothness.smooth else INVALID
 
@@ -264,7 +266,7 @@ def _cmd_toric_check(args, out, err) -> int:
     try:
         script = toric.parse_fan_script(text)
     except toric.FanParseError as exc:
-        print(f"{args.file}:{exc.line}:{exc.column}: {exc.args[0].split(': ', 1)[-1]}", file=err)
+        print(f"{args.file}:{exc.line}:{exc.column}: {exc.message}", file=err)
         return PARSE_ERROR
     except toric.FanScriptError as exc:
         print(f"{args.file}: {exc}", file=err)
@@ -276,13 +278,10 @@ def _cmd_toric_check(args, out, err) -> int:
         except ValueError as exc:
             print(f"{args.file}: line {lineno}: {exc}", file=err)
             return INVALID
-        print(
-            f"subdivide ({','.join(str(x) for x in ray)}) -> {len(fan.maximal_cones)} maximal cones",
-            file=out,
-        )
+        print(f"subdivide {_format_vec(ray)} -> {len(fan.maximal_cones)} maximal cones", file=out)
     report = toric.is_smooth(fan)
     for cert in report.certificates:
-        print(f"cone {_format_cone(cert.cone)}: {cert.reason}", file=out)
+        print(f"cone {_format_rays(cert.cone.rays)}: {cert.reason}", file=out)
     print(f"smooth: {'true' if report.smooth else 'false'}", file=out)
     return OK
 

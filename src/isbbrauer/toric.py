@@ -16,8 +16,8 @@ scripts refuse a longer ``cone`` line), which covers the one cone this
 package cares about — ``uv_xyz_cone()`` — and all of its transforms.
 
 ``resolve_demo`` runs the whole story: find the three singular faces,
-derive candidate blow-up rays from their ray sums, and search the
-orderings of three star subdivisions for one whose final fan is smooth.
+derive candidate blow-up rays from their ray sums, and star-subdivide at
+them in sorted order, certifying that the final fan is smooth.
 Each step's support is checked on points ``sum t_i r_i`` of the cone
 with seeded draws ``t_i``, read off the draws without building a point.
 """
@@ -75,12 +75,13 @@ class CapExceededError(ValueError):
 
 
 class ResolutionSearchError(RuntimeError):
-    """No ordering of the candidate subdivisions produced a smooth fan."""
+    """The candidate subdivisions did not produce a smooth fan."""
 
 
 class FanParseError(ValueError):
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"{line}:{column}: {message}")
+        self.message = message
         self.line = line
         self.column = column
 
@@ -110,8 +111,9 @@ def _neg(v) -> Vec:
     return tuple(-x for x in v)
 
 
-def _add(a, b) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
+def _sum(vectors) -> Vec:
+    """The sum of ``vectors``; the zero vector for none."""
+    return tuple(map(sum, zip((0,) * DIM, *vectors)))
 
 
 def _sub(a, b) -> Vec:
@@ -361,7 +363,12 @@ def _facet_normals(vectors: list[Vec]) -> list[Vec]:
     return sorted(normals)
 
 
-@lru_cache(maxsize=None)
+# Duals ``_dual_rays`` keeps: a toric-demo op reads about 13 and a check of the
+# 16-cone orthant fan 56, and a long-lived process must not grow without bound.
+_DUAL_CACHE = 256
+
+
+@lru_cache(maxsize=_DUAL_CACHE)
 def _dual_rays(vectors: tuple[Vec, ...]) -> tuple[Vec, ...]:
     """Minimal generating set of {m : <m, v> >= 0 for all v}.
 
@@ -504,32 +511,31 @@ def hilbert_basis(c: Cone) -> list[Vec]:
     return sorted(basis)
 
 
-def faces(c: Cone) -> list[Cone]:
-    """All faces of ``c`` (including itself and the zero face).
+def _face_masks(rays: tuple[Vec, ...]) -> set[int]:
+    """Every face of the pointed cone over ``rays``, as a mask with bit ``i`` for ``rays[i]``.
 
-    Faces are intersections of facets, and every face is spanned by the
-    rays it contains, so closure over facet ray-sets enumerates them.
+    A face is spanned by the rays it holds and is an intersection of the
+    faces the dual generators cut out, so the generators' zero masks, closed
+    under AND from the whole cone down, are the faces.
     """
-    _check_cap(c)
-    all_rays = frozenset(c.rays)
-    facet_sets = []
-    for m in _dual_rays(c.rays):
-        zeros = frozenset(r for r in c.rays if _dot(m, r) == 0)
-        if zeros != all_rays:
-            facet_sets.append(zeros)
-    known = {all_rays}
-    frontier = [all_rays]
+    cuts = {sum(1 << i for i, r in enumerate(rays) if not _dot(m, r)) for m in _dual_rays(tuple(sorted(rays)))}
+    known = {(1 << len(rays)) - 1}
+    frontier = list(known)
     while frontier:
         f = frontier.pop()
-        for ft in facet_sets:
-            g = f & ft
-            if g not in known:
-                known.add(g)
-                frontier.append(g)
-    ordered = sorted(known, key=lambda rs: (len(rs), tuple(sorted(rs))))
+        new = {f & cut for cut in cuts} - known
+        known |= new
+        frontier += new
+    return known
+
+
+def faces(c: Cone) -> list[Cone]:
+    """All faces of ``c`` (including itself and the zero face)."""
+    _check_cap(c)
+    subsets = [tuple(r for i, r in enumerate(c.rays) if mask >> i & 1) for mask in _face_masks(c.rays)]
     # a subset of a pointed cone's primitive, pairwise non-proportional
     # rays spans a pointed cone with the same properties
-    return [Cone._from_proven(rs) for rs in ordered]
+    return [Cone._from_proven(rs) for rs in sorted(subsets, key=lambda rs: (len(rs), rs))]
 
 
 def singular_faces(c: Cone) -> list[Cone]:
@@ -650,17 +656,25 @@ def _meet_is_a_face(a: Cone, b: Cone) -> bool:
     ``a ∩ m^⊥`` is the cone over the rays of ``a`` where ``m`` is 0, so it
     lies in ``a ∩ b`` iff those rays lie in ``b``; the same for ``b``.
     """
-    m = (0,) * DIM
-    for n in _dual_rays(tuple(sorted(a.rays + tuple(_neg(r) for r in b.rays)))):
-        m = _add(m, n)
+    m = _sum(_dual_rays(tuple(sorted(a.rays + tuple(_neg(r) for r in b.rays)))))
     return all(b.contains(r) for r in a.rays if not _dot(m, r)) and all(
         a.contains(r) for r in b.rays if not _dot(m, r)
     )
 
 
+def _first_overlap(cones: list[Cone]) -> tuple[int, int] | None:
+    """Indices ``(i, j)``, ``i < j``, of the first pair of cones whose meet is
+    not a face of both, scanning each cone against the ones before it."""
+    for j, b in enumerate(cones):
+        for i in range(j):
+            if not _meet_is_a_face(cones[i], b):
+                return i, j
+    return None
+
+
 def fan_intersections_are_faces(f: Fan) -> bool:
     """The defining fan condition, checked pairwise by brute force."""
-    return all(_meet_is_a_face(a, b) for a, b in itertools.combinations(f.maximal_cones, 2))
+    return _first_overlap(list(f.maximal_cones)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -774,50 +788,30 @@ def resolve_demo(samples: int = _SUPPORT_SAMPLES) -> ResolutionReport:
     """Resolve the uv = xyz cone by three star subdivisions.
 
     Candidate rays are the primitive halved ray-sums of the three
-    singular faces.  All orderings of the three subdivisions are tried
-    in deterministic order; the first one whose final fan is smooth is
-    reported with per-step support verification on sampled points.
+    singular faces.  The cone is subdivided at them in sorted order (every
+    order gives a smooth fan), and the result is reported with per-step
+    support verification on sampled points.
 
     Raises:
-        ResolutionSearchError: if no ordering yields a smooth fan.
+        ResolutionSearchError: if the final fan is not smooth.
     """
     sigma = uv_xyz_cone()
     singular = tuple(singular_faces(sigma))
-    candidates = tuple(sorted(_primitive(_ray_sum(f)) for f in singular))
-
-    for order in itertools.permutations(candidates):
-        fan = Fan((sigma,))
-        fans = []
-        try:
-            for ray in order:
-                fan = star_subdivide(fan, ray)
-                fans.append(fan)
-        except ValueError:
-            continue
-        report = is_smooth(fan)
-        if not report.smooth:
-            continue
-        steps = tuple(
-            SubdivisionStep(ray, f, ok)
-            for ray, f, ok in zip(order, fans, _support_verdicts(sigma, fans, samples, _SAMPLE_SEED))
-        )
-        return ResolutionReport(
-            cone=sigma,
-            singular=singular,
-            candidates=candidates,
-            order=order,
-            steps=steps,
-            smoothness=report,
-            samples=samples,
-        )
-    raise ResolutionSearchError("no ordering of the candidate subdivisions is smooth")
-
-
-def _ray_sum(c: Cone) -> Vec:
-    total = (0,) * DIM
-    for r in c.rays:
-        total = _add(total, r)
-    return total
+    candidates = tuple(sorted(_primitive(_sum(f.rays)) for f in singular))
+    fans = list(itertools.accumulate(candidates, star_subdivide, initial=Fan((sigma,))))[1:]
+    report = is_smooth(fans[-1])
+    if not report.smooth:
+        raise ResolutionSearchError("the candidate subdivisions do not give a smooth fan")
+    verdicts = _support_verdicts(sigma, fans, samples, _SAMPLE_SEED)
+    return ResolutionReport(
+        cone=sigma,
+        singular=singular,
+        candidates=candidates,
+        order=candidates,
+        steps=tuple(map(SubdivisionStep, candidates, fans, verdicts)),
+        smoothness=report,
+        samples=samples,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -852,26 +846,6 @@ def _integers(spans: list[tuple[str, int]], expected: int | None, lineno: int) -
         except ValueError:
             raise FanParseError(f"expected an integer, got {tok!r}", lineno, col) from None
     return out
-
-
-def _first_non_extremal(rays: tuple[Vec, ...]) -> Vec | None:
-    """The first of a pointed cone's rays that is not extremal, or None.
-
-    Each dual generator's mask has bit ``i`` where it is 0 on ray ``i``.  The
-    AND of the masks holding bit ``i`` is the smallest face holding ray ``i``,
-    the intersection of the faces the generators cut out, and ray ``i`` is
-    extremal exactly when that face holds no other ray.
-    """
-    dual = _dual_rays(tuple(sorted(rays)))
-    masks = [sum(1 << i for i, r in enumerate(rays) if not _dot(m, r)) for m in dual]
-    for i, r in enumerate(rays):
-        face = (1 << len(rays)) - 1
-        for mask in masks:
-            if mask >> i & 1:
-                face &= mask
-        if face != 1 << i:
-            return r
-    return None
 
 
 def parse_fan_script(text: str) -> FanScript:
@@ -912,18 +886,19 @@ def parse_fan_script(text: str) -> FanScript:
                 cones.append((lineno, Cone(tuple(picked))))
             except ValueError as exc:
                 raise FanScriptError(str(exc), lineno) from None
-            # certificates read the listed rays, so each must be extremal
-            spare = _first_non_extremal(tuple(picked))
-            if spare is not None:
-                raise FanScriptError(f"ray {spare} is not an extremal ray of the cone", lineno)
+            # certificates read the listed rays, so each must be a one-ray face
+            masks = _face_masks(tuple(picked))
+            for i, r in enumerate(picked):
+                if 1 << i not in masks:
+                    raise FanScriptError(f"ray {r} is not an extremal ray of the cone", lineno)
         elif keyword == "subdivide":
             subdivisions.append((lineno, tuple(_integers(spans, DIM, lineno))))
         else:
             raise FanParseError(f"unknown keyword {keyword!r}", lineno, key_col)
     if not cones:
         raise FanScriptError("fan has no cones", len(text.splitlines()) or 1)
-    for j, (line_b, b) in enumerate(cones):
-        for line_a, a in cones[:j]:
-            if not _meet_is_a_face(a, b):
-                raise FanScriptError(f"cone meets the cone of line {line_a} outside a common face; not a fan", line_b)
+    overlap = _first_overlap([c for _, c in cones])
+    if overlap is not None:
+        (line_a, _), (line_b, _) = (cones[k] for k in overlap)
+        raise FanScriptError(f"cone meets the cone of line {line_a} outside a common face; not a fan", line_b)
     return FanScript(Fan(tuple(c for _, c in cones)), tuple(subdivisions))

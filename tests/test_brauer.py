@@ -23,7 +23,7 @@ from isbbrauer.brauer import (
     s_to_p_vectors,
     unramified_brauer,
 )
-from isbbrauer.f2 import F2Vector, Subspace, column_space, kernel_basis, member
+from isbbrauer.f2 import DimensionMismatch, F2Vector, Subspace, column_space, kernel_basis, member
 from isbbrauer.model import (
     Configuration,
     CoverBehavior,
@@ -37,7 +37,7 @@ from isbbrauer.model import (
     cores_residue,
     vp_basis,
 )
-from isbbrauer.sampling import random_configuration
+from isbbrauer.sampling import random_configuration, random_corpus
 
 HPT = dsl.builtin("hpt")
 CUBIC_QUARTIC = dsl.builtin("cubic-quartic")
@@ -109,6 +109,29 @@ def test_hpt_generator_matches_reference_coset():
     reference = F2Vector.from_bits([1, 0, 1, 0, 1, 0])
     assert coset_equivalent(report, gen.vector, reference)
     assert not coset_equivalent(report, gen.vector, F2Vector.zero(6))
+
+
+def test_coset_equivalent_matches_membership_in_the_q_image():
+    # the reference is the f2 subspace stack: membership of a + b in the
+    # column space of m_qp
+    rng = random.Random(3)
+    verdicts = set()
+    for cfg in random_corpus(seed=21, count=60):
+        report = unramified_brauer(cfg)
+        relations = column_space(report.m_qp)
+        p = report.m_qp.rows
+        pairs = [(g.vector, F2Vector(p, rng.getrandbits(p))) for g in report.generators]
+        pairs += [(F2Vector(p, rng.getrandbits(p)), F2Vector(p, rng.getrandbits(p))) for _ in range(4)]
+        # a relation added to a vector stays in its coset
+        pairs += [(v, v + c) for v, _ in pairs[:2] for c in report.m_qp.columns()[:2]]
+        for a, b in pairs:
+            verdicts.add(coset_equivalent(report, a, b))
+            assert coset_equivalent(report, a, b) == member(relations, a + b), (cfg, a, b)
+    assert verdicts == {True, False}
+    report = unramified_brauer(HPT)
+    for a, b in ((F2Vector.zero(6), F2Vector.zero(5)), (F2Vector.zero(5), F2Vector.zero(5))):
+        with pytest.raises(DimensionMismatch):
+            coset_equivalent(report, a, b)
 
 
 def test_hpt_generator_ramifies_on_all_three_axes():

@@ -403,6 +403,17 @@ def test_toric_check_on_the_orthant_fan_at_the_cone_cap():
     assert run("toric", "check", str(FANS / "orthants.fan")) == (cli.OK, ORTHANTS_CHECK_OUT, "")
 
 
+def test_toric_check_refuses_an_overlap_at_the_cone_cap():
+    # 16 cones, the cap: the last lies inside the orthant of line 20 and
+    # meets the eight orthants listed before it in a common face
+    overlap = str(FANS / "overlap_at_cap.fan")
+    assert run("toric", "check", overlap) == (
+        cli.INVALID,
+        "",
+        f"{overlap}: line 27: cone meets the cone of line 20 outside a common face; not a fan\n",
+    )
+
+
 def test_toric_check_parse_error(tmp_path):
     fan = tmp_path / "short.fan"
     fan.write_text("ray 1 0\ncone 0\n")

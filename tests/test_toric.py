@@ -219,6 +219,31 @@ def test_orthant_face_lattice():
     assert sizes == sorted(len(s) for k in range(5) for s in itertools.combinations(range(4), k))
 
 
+def _frozenset_faces(c):
+    """Faces as the closure of the dual generators' zero ray sets under
+    intersection, sorted by size and then by rays: an independent copy of
+    the frozenset closure ``faces`` ran before it read bit masks."""
+    all_rays = frozenset(c.rays)
+    cuts = [frozenset(r for r in c.rays if toric._dot(m, r) == 0) for m in dual_generators(c)]
+    known, frontier = {all_rays}, [all_rays]
+    while frontier:
+        f = frontier.pop()
+        for cut in cuts:
+            if f & cut not in known:
+                known.add(f & cut)
+                frontier.append(f & cut)
+    return [tuple(sorted(rs)) for rs in sorted(known, key=lambda rs: (len(rs), tuple(sorted(rs))))]
+
+
+def test_faces_match_the_frozenset_closure():
+    sizes = set()
+    for c in _random_pointed_cones(300, 5):
+        found = [f.rays for f in faces(c)]
+        assert found == _frozenset_faces(c), c.rays
+        sizes.add(len(found))
+    assert len(sizes) > 10
+
+
 def test_sigma_singular_faces():
     sigma = uv_xyz_cone()
     assert len(faces(sigma)) == 22
@@ -337,13 +362,75 @@ def test_is_face_of_matches_the_face_lattice():
     assert set(verdicts) == {True, False}
 
 
-def test_first_non_extremal_ray_matches_the_face_lattice():
-    found = []
+def _spans_from_the_others(listed, i):
+    """Whether the cone over the other listed rays holds ``listed[i]``: for
+    pairwise non-proportional rays of a pointed cone, exactly when that ray
+    is not extremal."""
+    others = listed[:i] + listed[i + 1 :]
+    return bool(others) and Cone(tuple(others)).contains(listed[i])
+
+
+def _script(cones):
+    """A fan script listing each cone's rays and then its ``cone`` line;
+    returns the text and the ``cone`` lines' numbers."""
+    lines, cone_lines, count = [], [], 0
+    for rays in cones:
+        lines += ["ray " + " ".join(map(str, r)) for r in rays]
+        lines.append("cone " + " ".join(map(str, range(count, count + len(rays)))))
+        count += len(rays)
+        cone_lines.append(len(lines))
+    return "\n".join(lines) + "\n", cone_lines
+
+
+def test_fan_script_refuses_exactly_the_non_extremal_rays():
+    rng = random.Random(7)
+    refused = []
     for c in _random_pointed_cones(300, 5):
-        rays = {f.rays for f in faces(c)}
-        found.append(toric._first_non_extremal(c.rays))
-        assert found[-1] == next((r for r in c.rays if (r,) not in rays), None), c.rays
-    assert None in found and any(found)
+        listed = rng.sample(c.rays, len(c.rays))
+        text, (line,) = _script([listed])
+        spare = next((r for i, r in enumerate(listed) if _spans_from_the_others(listed, i)), None)
+        refused.append(spare is not None)
+        if spare is None:
+            assert parse_fan_script(text).fan == Fan((c,))
+            continue
+        with pytest.raises(FanScriptError) as caught:
+            parse_fan_script(text)
+        assert str(caught.value) == f"line {line}: ray {spare} is not an extremal ray of the cone", listed
+    assert set(refused) == {True, False}
+
+
+def _pair_loop_refusal(cones, cone_lines):
+    """The fan check's message, by the nested loop ``parse_fan_script`` ran
+    before it shared one scan with ``fan_intersections_are_faces``."""
+    for j, b in enumerate(cones):
+        for i, a in enumerate(cones[:j]):
+            if not toric._meet_is_a_face(a, b):
+                return f"line {cone_lines[j]}: cone meets the cone of line {cone_lines[i]} outside a common face; not a fan"
+    return None
+
+
+def test_fan_script_refusal_matches_the_nested_pair_loop():
+    rng = random.Random(17)
+    orthants = [Cone(rays) for rays in itertools.product(*[(e, toric._neg(e)) for e in (E1, E2, E3, E4)])]
+    pool = []
+    for c in _random_pointed_cones(60, 9):
+        listed = list(c.rays)
+        pool.append(Cone(tuple(r for i, r in enumerate(listed) if not _spans_from_the_others(listed, i))))
+    outcomes = []
+    for _ in range(150):
+        cones = rng.sample(orthants, rng.randint(1, 6)) + rng.sample(pool, rng.randint(0, 2))
+        rng.shuffle(cones)
+        text, cone_lines = _script([c.rays for c in cones])
+        expected = _pair_loop_refusal(cones, cone_lines)
+        assert fan_intersections_are_faces(Fan(tuple(cones))) == (expected is None)
+        try:
+            parse_fan_script(text)
+            outcomes.append(None)
+        except FanScriptError as exc:
+            outcomes.append(str(exc))
+        assert outcomes[-1] == expected, text
+    # fans, and refusals naming many different pairs of lines
+    assert None in outcomes and len(set(outcomes)) > 20
 
 
 # --- the demo resolution -------------------------------------------------------------
@@ -740,6 +827,24 @@ print(toric._dual_rays.cache_info().misses, *counts.values())
 """
 
 
+def test_dual_cache_stays_bounded_over_many_scripts():
+    toric._dual_rays.cache_clear()
+    for seed in range(400):
+        script = parse_fan_script(_seeded_demo_script(seed))
+        fan = script.fan
+        for _, ray in script.subdivisions:
+            fan = star_subdivide(fan, ray)
+        assert is_smooth(fan)
+    info = toric._dual_rays.cache_info()
+    assert info.misses > info.maxsize == toric._DUAL_CACHE
+    assert info.currsize <= toric._DUAL_CACHE
+    # the demo's working set fits: once it is read, a second demo misses nothing
+    resolve_demo()
+    misses = toric._dual_rays.cache_info().misses
+    resolve_demo()
+    assert toric._dual_rays.cache_info().misses == misses
+
+
 def test_cold_demo_computes_each_dual_once_and_no_smith_form():
     src = str(Path(toric.__file__).parents[1])
     run = subprocess.run([sys.executable, "-I", "-c", COLD_DEMO, src], capture_output=True, text=True, check=True)
@@ -799,16 +904,20 @@ def test_derived_cones_pass_the_public_constructor_on_the_demo():
         _assert_publicly_constructible(_derived_cones(step.fan))
 
 
+def _seeded_demo_script(seed):
+    """The fan script of the toric-demo benchmark workload at ``seed``."""
+    rng = random.Random(seed)
+    u = _unimodular(rng)
+    order = rng.choice(list(itertools.permutations(RESOLVING_RAYS)))
+    lines = ["ray " + " ".join(map(str, _apply(u, r))) for r in SIGMA_RAYS]
+    lines.append("cone " + " ".join(map(str, range(len(SIGMA_RAYS)))))
+    lines += ["subdivide " + " ".join(map(str, _apply(u, r))) for r in order]
+    return "\n".join(lines) + "\n"
+
+
 def test_derived_cones_pass_the_public_constructor_on_seeded_demo_scripts():
-    # the fan scripts of the toric-demo benchmark workload, seeds 0..29
     for seed in range(30):
-        rng = random.Random(seed)
-        u = _unimodular(rng)
-        order = rng.choice(list(itertools.permutations(RESOLVING_RAYS)))
-        lines = ["ray " + " ".join(map(str, _apply(u, r))) for r in SIGMA_RAYS]
-        lines.append("cone " + " ".join(map(str, range(len(SIGMA_RAYS)))))
-        lines += ["subdivide " + " ".join(map(str, _apply(u, r))) for r in order]
-        script = parse_fan_script("\n".join(lines) + "\n")
+        script = parse_fan_script(_seeded_demo_script(seed))
         fan = script.fan
         _assert_publicly_constructible(_derived_cones(fan))
         for _, ray in script.subdivisions:
