@@ -236,7 +236,9 @@ def unramified_brauer(cfg: Configuration) -> BrauerReport:
         r_labels=tuple(p.id for p in spaces.zr),
         m_pr=spaces.m_pr,
         m_qp=spaces.m_qp,
-        m_sp=F2Matrix.from_columns(spaces.s_vectors, rows=len(spaces.vp)),
+        m_sp=F2Matrix(
+            len(spaces.s_vectors), len(spaces.vp), tuple(v.mask for v in spaces.s_vectors)
+        ).transpose(),
         kernel_dim=kernel_dim,
         h2nr_dim=h2nr_dim,
         generators=tuple(generators),

@@ -23,7 +23,7 @@ from isbbrauer.brauer import (
     s_to_p_vectors,
     unramified_brauer,
 )
-from isbbrauer.f2 import DimensionMismatch, F2Vector, Subspace, column_space, kernel_basis, member
+from isbbrauer.f2 import DimensionMismatch, F2Vector, kernel_basis
 from isbbrauer.model import (
     Configuration,
     CoverBehavior,
@@ -38,6 +38,8 @@ from isbbrauer.model import (
     vp_basis,
 )
 from isbbrauer.sampling import random_configuration, random_corpus
+
+from f2_reference import bits, column_space, columns, from_bits, member, span, to_lists
 
 HPT = dsl.builtin("hpt")
 CUBIC_QUARTIC = dsl.builtin("cubic-quartic")
@@ -84,17 +86,17 @@ def split_cover_equal_sheets() -> Configuration:
 def test_hpt_dimensions_and_matrix():
     report = unramified_brauer(HPT)
     assert report.dims == {"s": 0, "p": 6, "q": 3, "r": 3, "kernel": 1, "h2nr": 1}
-    assert report.m_pr.to_lists() == [
+    assert to_lists(report.m_pr) == [
         [0, 0, 1, 1, 1, 1],
         [1, 1, 0, 0, 1, 1],
         [1, 1, 1, 1, 0, 0],
     ]
-    expected_q = Subspace.span(
+    expected_q = span(
         6,
         [
-            F2Vector.from_bits([1, 1, 0, 0, 0, 0]),
-            F2Vector.from_bits([0, 0, 1, 1, 0, 0]),
-            F2Vector.from_bits([0, 0, 0, 0, 1, 1]),
+            from_bits([1, 1, 0, 0, 0, 0]),
+            from_bits([0, 0, 1, 1, 0, 0]),
+            from_bits([0, 0, 0, 0, 1, 1]),
         ],
     )
     assert column_space(report.m_qp) == expected_q
@@ -106,14 +108,14 @@ def test_hpt_generator_matches_reference_coset():
     report = unramified_brauer(HPT)
     assert len(report.generators) == 1
     gen = report.generators[0]
-    reference = F2Vector.from_bits([1, 0, 1, 0, 1, 0])
+    reference = from_bits([1, 0, 1, 0, 1, 0])
     assert coset_equivalent(report, gen.vector, reference)
-    assert not coset_equivalent(report, gen.vector, F2Vector.zero(6))
+    assert not coset_equivalent(report, gen.vector, F2Vector(6))
 
 
 def test_coset_equivalent_matches_membership_in_the_q_image():
-    # the reference is the f2 subspace stack: membership of a + b in the
-    # column space of m_qp
+    # the reference is membership of a + b in the column space of m_qp,
+    # from f2_reference
     rng = random.Random(3)
     verdicts = set()
     for cfg in random_corpus(seed=21, count=60):
@@ -123,13 +125,13 @@ def test_coset_equivalent_matches_membership_in_the_q_image():
         pairs = [(g.vector, F2Vector(p, rng.getrandbits(p))) for g in report.generators]
         pairs += [(F2Vector(p, rng.getrandbits(p)), F2Vector(p, rng.getrandbits(p))) for _ in range(4)]
         # a relation added to a vector stays in its coset
-        pairs += [(v, v + c) for v, _ in pairs[:2] for c in report.m_qp.columns()[:2]]
+        pairs += [(v, v + c) for v, _ in pairs[:2] for c in columns(report.m_qp)[:2]]
         for a, b in pairs:
             verdicts.add(coset_equivalent(report, a, b))
             assert coset_equivalent(report, a, b) == member(relations, a + b), (cfg, a, b)
     assert verdicts == {True, False}
     report = unramified_brauer(HPT)
-    for a, b in ((F2Vector.zero(6), F2Vector.zero(5)), (F2Vector.zero(5), F2Vector.zero(5))):
+    for a, b in ((F2Vector(6), F2Vector(5)), (F2Vector(5), F2Vector(5))):
         with pytest.raises(DimensionMismatch):
             coset_equivalent(report, a, b)
 
@@ -191,7 +193,7 @@ def test_s_space_split_distinct_sheets():
 
 def test_s_to_p_vectors():
     assert s_to_p_vectors(HPT) == []
-    assert s_to_p_vectors(inert_carrier()) == [F2Vector.from_bits([1])]
+    assert s_to_p_vectors(inert_carrier()) == [from_bits([1])]
     cfg = split_cover_equal_sheets()
     # only sheet 1 would carry ramification here if sheet 2's residue is 0;
     # with one generator the indicator covers the whole of P
@@ -246,7 +248,7 @@ def test_iv_ii_row_marks_listed_and_marked_extensions():
     assert validate(cfg).ok
     m = matrix_p_to_r(cfg)
     # columns are (f_1, f_2, quad_m): the listed extension and the marked one
-    assert m.to_lists() == [[1, 0, 1]]
+    assert to_lists(m) == [[1, 0, 1]]
 
 
 def test_inert_relation_is_a_unit_column():
@@ -265,8 +267,7 @@ def test_inert_relation_is_a_unit_column():
     )
     m = matrix_q_to_p(cfg)
     assert (m.rows, m.cols) == (3, 2)
-    assert m.column(0).bits == (1, 0, 0)
-    assert m.column(1).bits == (0, 1, 1)
+    assert [bits(c) for c in columns(m)] == [[1, 0, 0], [0, 1, 1]]
 
 
 def test_empty_vq_gives_zero_width_matrix():
@@ -281,25 +282,25 @@ def test_empty_vq_gives_zero_width_matrix():
 def test_lift_of_relation_vectors_is_empty():
     for cfg in (HPT, CUBIC_QUARTIC):
         m_qp = matrix_q_to_p(cfg)
-        for j in range(m_qp.cols):
-            assert ramification_lift(cfg, m_qp.column(j)) == []
+        for column in columns(m_qp):
+            assert ramification_lift(cfg, column) == []
 
 
 def test_lift_of_zero_vector_is_empty():
-    assert ramification_lift(HPT, F2Vector.zero(6)) == []
+    assert ramification_lift(HPT, F2Vector(6)) == []
 
 
 def test_lift_contract_violations():
     with pytest.raises(KernelContractError):
-        ramification_lift(HPT, F2Vector.zero(5))
+        ramification_lift(HPT, F2Vector(5))
     # e_yxz alone hits the p100 and p001 rows once each
     with pytest.raises(KernelContractError):
-        ramification_lift(HPT, F2Vector.unit(6, 2))
+        ramification_lift(HPT, F2Vector(6, 1 << 2))
 
 
 def test_lift_of_all_ones_recovers_cores_assignment():
     cfg = inert_carrier()
-    lift = ramification_lift(cfg, F2Vector.from_bits([1]))
+    lift = ramification_lift(cfg, from_bits([1]))
     assert lift == [("carrier", ResidueClass.of("a"))]
 
 
@@ -379,8 +380,8 @@ def test_exactness_bookkeeping(seed):
     assert report.h2nr_dim >= 0
 
     kernel = kernel_basis(report.m_pr)
-    for j in range(report.m_qp.cols):
-        assert member(kernel, report.m_qp.column(j))
+    for column in columns(report.m_qp):
+        assert member(kernel, column)
     for vec in s_to_p_vectors(cfg):
         assert member(kernel, vec)
     for gen in report.generators:
@@ -393,8 +394,8 @@ def test_exactness_bookkeeping(seed):
 def test_lift_well_defined_modulo_relations(seed):
     cfg = random_configuration(random.Random(seed))
     m_qp = matrix_q_to_p(cfg)
-    for j in range(m_qp.cols):
-        assert ramification_lift(cfg, m_qp.column(j)) == []
+    for column in columns(m_qp):
+        assert ramification_lift(cfg, column) == []
 
 
 @settings(max_examples=40)

@@ -3,9 +3,10 @@
 ``model`` builds the bases and maps of P, Q, R and S, once per
 configuration, as ``Configuration.spaces``; validation, the computation,
 the lift, the public matrix builders and the brute-force oracle all read
-that value.  ``model`` needs nothing from ``brauer``, and no module of the
-package imports lazily.  ``_s_generators`` is pinned to the
-label-then-vector construction it replaced.
+that value.  ``model`` needs nothing from ``brauer``; no module of the
+package imports lazily or names the Gauss-Jordan ``rref`` or a test
+module.  ``_s_generators`` is pinned to the label-then-vector
+construction it replaced.
 """
 
 import ast
@@ -28,6 +29,8 @@ from isbbrauer.model import (
     vp_basis,
 )
 
+from f2_reference import columns
+
 PACKAGE = Path(model.__file__).parent
 
 
@@ -45,6 +48,36 @@ def test_every_import_is_at_module_level():
             if isinstance(node, ast.If) and "TYPE_CHECKING" in ast.unparse(node.test):
                 late.append(f"{path.name}:{node.lineno} TYPE_CHECKING")
     assert late == []
+
+
+def mentioned_names(path: Path) -> set[str]:
+    """Every variable, attribute and imported module or name in a module."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.update(node.name.split("."))
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found.update(node.module.split("."))
+    return found
+
+
+def test_reference_code_stays_out_of_the_product():
+    # The Gauss-Jordan rref and the test helpers are references: the
+    # package must not run them, and the references must not run the
+    # elimination they check.
+    tests = Path(__file__).parent
+    test_modules = {path.stem for path in tests.glob("*.py")}
+    assert "f2_reference" in test_modules
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "f2.py":
+            assert mentioned_names(path) & ({"rref", "Rref"} | test_modules) == set(), path.name
+    reference = mentioned_names(tests / "f2_reference.py")
+    assert "rref" in reference
+    assert reference & {"kernel_basis", "_insert", "_set_bits"} == set()
 
 
 def test_model_validates_without_brauer():
@@ -83,7 +116,7 @@ def test_spaces_are_built_once_per_configuration(monkeypatch):
     report = brauer.unramified_brauer(cfg)
     assert brauer.matrix_p_to_r(cfg) == report.m_pr
     assert brauer.matrix_q_to_p(cfg) == report.m_qp
-    assert brauer.s_to_p_vectors(cfg) == report.m_sp.columns()
+    assert brauer.s_to_p_vectors(cfg) == columns(report.m_sp)
     for g in report.generators:
         assert brauer.ramification_lift(cfg, g.vector) == list(g.ramification)
     assert brauer.brute_force_unramified(cfg) == (report.kernel_dim, report.h2nr_dim)
