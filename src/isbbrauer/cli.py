@@ -116,19 +116,10 @@ def _format_report(r: brauer.BrauerReport, symbol_index: dict[str, tuple[int, ..
 
 def _print_validation(report: model.ValidationReport, out, err) -> None:
     stream = err if report.errors else out
-    if report.errors:
-        print("errors:", file=stream)
-        for d in report.errors:
+    for title, found in (("errors", report.errors), ("warnings", report.warnings)):
+        print(f"{title}:" if found else f"{title}: (none)", file=stream)
+        for d in found:
             print(f"  [{d.code}] {d.subject}: {d.message}", file=stream)
-    else:
-        print("errors: (none)", file=stream)
-    target = err if report.errors else out
-    if report.warnings:
-        print("warnings:", file=target)
-        for d in report.warnings:
-            print(f"  [{d.code}] {d.subject}: {d.message}", file=target)
-    else:
-        print("warnings: (none)", file=target)
 
 
 def _read_text(path: str, err) -> str | int:

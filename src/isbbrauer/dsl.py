@@ -26,7 +26,8 @@ computation, and the canonical emitter preserves it.  Parse errors carry
 ``parse(emit(cfg))`` returns a structurally equal configuration.  The
 parser reads each block in the canonical layout with one match and every
 other line through a per-keyword handler; both give the same result and
-the same diagnostics.
+the same diagnostics.  Every field line goes through one check of where
+it belongs and whether it is malformed, and one "already set" check.
 """
 
 from __future__ import annotations
@@ -97,8 +98,6 @@ _RE_IDENT = re.compile(_ID)
 _RE_NAME = re.compile(_NAME)
 _RE_COVER = re.compile(r"cover:\s*(?P<value>\S+)\s*$")
 _RE_SYMBOLS = re.compile(r"symbols:(?P<rest>.*)$")
-_RE_CURVE = re.compile(rf"curve\s+(?P<id>{_ID})\s*:\s*$")
-_RE_POINT = re.compile(rf"point\s+(?P<id>{_ID})\s*:\s*$")
 _RE_TYPE = re.compile(r"type:\s*(?P<value>\S+)\s*$")
 _RE_EXT = re.compile(rf"ext\s+(?P<id>{_ID})(?:\s+sheet=(?P<sheet>\S+))?\s*:\s*(?P<residue>.*?)\s*$")
 _RE_MARK = re.compile(rf"mark:\s*(?P<id>{_ID})\s*$")
@@ -163,6 +162,16 @@ class _RawExt:
 
 @dataclass
 class _RawCurve:
+    # The keyword and the pattern of the line that opens the block.
+    keyword = "curve"
+    header = re.compile(rf"curve\s+(?P<id>{_ID})\s*:\s*$")
+    # Each required field and the problem its absence is.
+    required = (
+        ("deg_type", "is missing a type line"),
+        ("behavior", "is missing a cover line"),
+        ("exts", "needs at least one ext line"),
+    )
+
     id: str
     pos: int
     exts: list[_RawExt] = field(default_factory=list)
@@ -174,6 +183,10 @@ class _RawCurve:
 
 @dataclass
 class _RawPoint:
+    keyword = "point"
+    header = re.compile(rf"point\s+(?P<id>{_ID})\s*:\s*$")
+    required = (("incident", "is missing a curves line"), ("etype", "is missing an etype line"))
+
     id: str
     pos: int
     meets: list[tuple[str, int]] = field(default_factory=list)
@@ -276,23 +289,15 @@ class _Parser:
             cores=None if cores is None else (cores, start("cores")),
         )
 
-    def on_curve(self, text: str, at: int) -> None:
-        m = _RE_CURVE.match(text)
+    def on_header(self, text: str, at: int) -> None:
+        kind = _RawCurve if text.startswith(_RawCurve.keyword) else _RawPoint
+        m = kind.header.match(text)
         self.close_block()
         if m:
-            self.block = _RawCurve(m.group("id"), at + m.start("id"))
+            self.block = kind(m.group("id"), at + m.start("id"))
         else:
-            self.error(at, "malformed curve line")
-            self.block = _RawCurve("", at)
-
-    def on_point(self, text: str, at: int) -> None:
-        m = _RE_POINT.match(text)
-        self.close_block()
-        if m:
-            self.block = _RawPoint(m.group("id"), at + m.start("id"))
-        else:
-            self.error(at, "malformed point line")
-            self.block = _RawPoint("", at)
+            self.error(at, f"malformed {kind.keyword} line")
+            self.block = kind("", at)
 
     def on_cover(self, text: str, at: int) -> None:
         m = _RE_COVER.match(text)
@@ -347,38 +352,46 @@ class _Parser:
                 declared.add(name)
                 self.symbols.append(name)
 
-    # -- curve fields -------------------------------------------------------
+    # -- block fields -------------------------------------------------------
 
-    def curve_block(self, keyword: str, at: int) -> _RawCurve | None:
-        """The open curve block, or None after a diagnostic."""
+    def field_match(
+        self, kind: type[_RawCurve | _RawPoint], keyword: str, pattern: re.Pattern, text: str, at: int, usage: str = ""
+    ) -> tuple:
+        """The open ``kind`` block and ``pattern``'s match on the field line ``text``.
+
+        A line outside a ``kind`` block, or one ``pattern`` does not match,
+        gets its diagnostic and ``(None, None)``.
+        """
         block = self.block
-        if isinstance(block, _RawCurve):
-            return block
-        where = "a point block" if isinstance(block, _RawPoint) else "top level"
-        self.error(at, f"{keyword} is not allowed at {where}; it belongs in a curve block")
-        return None
+        if not isinstance(block, kind):
+            where = "top level" if block is None else f"a {block.keyword} block"
+            self.error(at, f"{keyword} is not allowed at {where}; it belongs in a {kind.keyword} block")
+            return None, None
+        m = pattern.match(text)
+        if not m:
+            self.error(at, f"malformed {keyword} line{usage}")
+            return None, None
+        return block, m
+
+    def unset(self, block: _RawCurve | _RawPoint, keyword: str, value: object, at: int) -> bool:
+        """Whether ``value``, ``block``'s ``keyword`` field, is unset; a diagnostic if not."""
+        if value:
+            self.error(at, f"{keyword} already set for {block.keyword} {block.id!r}")
+        return not value
 
     def on_type(self, text: str, at: int) -> None:
-        c = self.curve_block("type", at)
-        if c is None:
+        c, m = self.field_match(_RawCurve, "type", _RE_TYPE, text, at)
+        if m is None:
             return
-        m = _RE_TYPE.match(text)
-        if not m:
-            self.error(at, "malformed type line")
-        elif m.group("value") not in _CURVE_TYPES:
-            self.error(at + m.start("value"), f"type must be I, II, III, or IV, got {m.group('value')!r}")
-        elif c.deg_type is not None:
-            self.error(at, f"type already set for curve {c.id!r}")
-        else:
-            c.deg_type = _CURVE_TYPES[m.group("value")]
+        value = m.group("value")
+        if value not in _CURVE_TYPES:
+            self.error(at + m.start("value"), f"type must be I, II, III, or IV, got {value!r}")
+        elif self.unset(c, "type", c.deg_type, at):
+            c.deg_type = _CURVE_TYPES[value]
 
     def on_ext(self, text: str, at: int) -> None:
-        c = self.curve_block("ext", at)
-        if c is None:
-            return
-        m = _RE_EXT.match(text)
-        if not m:
-            self.error(at, "malformed ext line")
+        c, m = self.field_match(_RawCurve, "ext", _RE_EXT, text, at)
+        if m is None:
             return
         raw_sheet = m.group("sheet")
         sheet: int | None = None
@@ -394,76 +407,33 @@ class _Parser:
         c.exts.append(_RawExt(m.group("id"), at + m.start("id"), sheet, residue))
 
     def on_mark(self, text: str, at: int) -> None:
-        c = self.curve_block("mark", at)
-        if c is None:
-            return
-        m = _RE_MARK.match(text)
-        if not m:
-            self.error(at, "malformed mark line")
-        elif c.mark is not None:
-            self.error(at, f"mark already set for curve {c.id!r}")
-        else:
+        c, m = self.field_match(_RawCurve, "mark", _RE_MARK, text, at)
+        if m is not None and self.unset(c, "mark", c.mark, at):
             c.mark = (m.group("id"), at + m.start("id"))
 
     def on_cores(self, text: str, at: int) -> None:
-        c = self.curve_block("cores", at)
-        if c is None:
-            return
-        m = _RE_CORES.match(text)
-        if not m:
-            self.error(at, "malformed cores line")
-        elif c.cores is not None:
-            self.error(at, f"cores already set for curve {c.id!r}")
-        else:
+        c, m = self.field_match(_RawCurve, "cores", _RE_CORES, text, at)
+        if m is not None and self.unset(c, "cores", c.cores, at):
             c.cores = (m.group("residue"), at + m.start("residue"))
 
-    # -- point fields -------------------------------------------------------
-
-    def point_block(self, keyword: str, at: int) -> _RawPoint | None:
-        """The open point block, or None after a diagnostic."""
-        block = self.block
-        if isinstance(block, _RawPoint):
-            return block
-        where = "a curve block" if isinstance(block, _RawCurve) else "top level"
-        self.error(at, f"{keyword} is not allowed at {where}; it belongs in a point block")
-        return None
-
     def on_curves(self, text: str, at: int) -> None:
-        p = self.point_block("curves", at)
-        if p is None:
-            return
-        m = _RE_CURVES.match(text)
-        if not m:
-            self.error(at, "malformed curves line (expected: curves: <id>, <id>)")
-        elif p.incident is not None:
-            self.error(at, f"curves already set for point {p.id!r}")
-        else:
+        p, m = self.field_match(_RawPoint, "curves", _RE_CURVES, text, at, " (expected: curves: <id>, <id>)")
+        if m is not None and self.unset(p, "curves", p.incident, at):
             p.incident = ((m.group("a"), at + m.start("a")), (m.group("b"), at + m.start("b")))
 
     def on_etype(self, text: str, at: int) -> None:
-        p = self.point_block("etype", at)
-        if p is None:
+        p, m = self.field_match(_RawPoint, "etype", _RE_ETYPE, text, at)
+        if m is None:
             return
-        m = _RE_ETYPE.match(text)
-        if not m:
-            self.error(at, "malformed etype line")
-        elif m.group("value") not in _POINT_TYPES:
-            self.error(at + m.start("value"), f"unknown point type {m.group('value')!r}")
-        elif p.etype is not None:
-            self.error(at, f"etype already set for point {p.id!r}")
-        else:
-            p.etype = _POINT_TYPES[m.group("value")]
+        value = m.group("value")
+        if value not in _POINT_TYPES:
+            self.error(at + m.start("value"), f"unknown point type {value!r}")
+        elif self.unset(p, "etype", p.etype, at):
+            p.etype = _POINT_TYPES[value]
 
     def on_meets_marked(self, text: str, at: int) -> None:
-        p = self.point_block("meets_marked", at)
-        if p is None:
-            return
-        m = _RE_MEETS.match(text)
-        if not m:
-            self.error(at, "malformed meets_marked line")
-        elif p.meets:
-            self.error(at, f"meets_marked already set for point {p.id!r}")
-        else:
+        p, m = self.field_match(_RawPoint, "meets_marked", _RE_MEETS, text, at)
+        if m is not None and self.unset(p, "meets_marked", p.meets, at):
             self.read_meets(p, m.group("rest"), at + m.start("rest"))
 
     def read_meets(self, p: _RawPoint, rest: str, at: int) -> None:
@@ -481,20 +451,10 @@ class _Parser:
         block, self.block = self.block, None
         if block is None:
             return
-        if isinstance(block, _RawCurve):
-            if block.deg_type is None:
-                self.error(block.pos, f"curve {block.id!r} is missing a type line")
-            if block.behavior is None:
-                self.error(block.pos, f"curve {block.id!r} is missing a cover line")
-            if not block.exts:
-                self.error(block.pos, f"curve {block.id!r} needs at least one ext line")
-            self.curves.append(block)
-        else:
-            if block.incident is None:
-                self.error(block.pos, f"point {block.id!r} is missing a curves line")
-            if block.etype is None:
-                self.error(block.pos, f"point {block.id!r} is missing an etype line")
-            self.points.append(block)
+        for name, problem in block.required:
+            if not getattr(block, name):
+                self.error(block.pos, f"{block.keyword} {block.id!r} {problem}")
+        (self.curves if isinstance(block, _RawCurve) else self.points).append(block)
 
     # -- resolution ---------------------------------------------------------
 
@@ -604,8 +564,8 @@ class _Parser:
 _HANDLERS = {
     "cover": _Parser.on_cover,
     "symbols": _Parser.on_symbols,
-    "curve": _Parser.on_curve,
-    "point": _Parser.on_point,
+    "curve": _Parser.on_header,
+    "point": _Parser.on_header,
     "type": _Parser.on_type,
     "ext": _Parser.on_ext,
     "mark": _Parser.on_mark,

@@ -1,6 +1,7 @@
 """Parser and emitter for the configuration text format."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -262,6 +263,168 @@ def test_diagnostics_sorted_by_position():
         parse(src)
     assert spans(caught.value) == sorted(spans(caught.value))
     assert "(+" in str(caught.value)  # headline mentions the remainder
+
+
+# --- the line path, pinned message by message ---------------------------------
+
+PRE = "cover: irreducible\nsymbols: a\n"
+TWO_EXTS = "curve c:\n  type: II\n  cover: split\n  ext c_1: a\n  ext c_2: a\n"
+MARKED = "curve q:\n  type: IV\n  cover: inert\n  ext q_1: a\n  mark: q_1\n  cores: a\n"
+POINT = "point p:\n  curves: c, q\n  etype: IV_II\n  meets_marked: c_1\n"
+
+
+def top(line):
+    return PRE + line + "\n"  # the line is line 3
+
+
+def in_curve(line):
+    return PRE + MARKED + "  " + line + "\n"  # the line is line 9
+
+
+def in_point(line):
+    return PRE + TWO_EXTS + MARKED + POINT + "  " + line + "\n"  # the line is line 18
+
+
+LINE_PATH_CASES = [
+    # Each field keyword at top level, in a curve block and in a point block.
+    (top("type: II"), ["3:1: type is not allowed at top level; it belongs in a curve block"]),
+    (in_curve("type: II"), ["9:3: type already set for curve 'q'"]),
+    (in_point("type: II"), ["18:3: type is not allowed at a point block; it belongs in a curve block"]),
+    (top("cover: split"), ["3:1: cover declared twice"]),
+    (in_curve("cover: split"), ["9:3: cover already set for curve 'q'"]),
+    (in_point("cover: split"), ["18:3: cover is not allowed in a point block"]),
+    (top("ext e: a"), ["3:1: ext is not allowed at top level; it belongs in a curve block"]),
+    (in_curve("ext e: a"), []),
+    (in_point("ext e: a"), ["18:3: ext is not allowed at a point block; it belongs in a curve block"]),
+    (top("mark: q_1"), ["3:1: mark is not allowed at top level; it belongs in a curve block"]),
+    (in_curve("mark: q_1"), ["9:3: mark already set for curve 'q'"]),
+    (in_point("mark: q_1"), ["18:3: mark is not allowed at a point block; it belongs in a curve block"]),
+    (top("cores: a"), ["3:1: cores is not allowed at top level; it belongs in a curve block"]),
+    (in_curve("cores: a"), ["9:3: cores already set for curve 'q'"]),
+    (in_point("cores: a"), ["18:3: cores is not allowed at a point block; it belongs in a curve block"]),
+    (top("curves: c, q"), ["3:1: curves is not allowed at top level; it belongs in a point block"]),
+    (in_curve("curves: c, q"), ["9:3: curves is not allowed at a curve block; it belongs in a point block"]),
+    (in_point("curves: c, q"), ["18:3: curves already set for point 'p'"]),
+    (top("etype: II_II"), ["3:1: etype is not allowed at top level; it belongs in a point block"]),
+    (in_curve("etype: II_II"), ["9:3: etype is not allowed at a curve block; it belongs in a point block"]),
+    (in_point("etype: II_II"), ["18:3: etype already set for point 'p'"]),
+    (top("meets_marked: c_1"), ["3:1: meets_marked is not allowed at top level; it belongs in a point block"]),
+    (
+        in_curve("meets_marked: c_1"),
+        ["9:3: meets_marked is not allowed at a curve block; it belongs in a point block"],
+    ),
+    (in_point("meets_marked: c_1"), ["18:3: meets_marked already set for point 'p'"]),
+    # Each field keyword malformed in its own block.
+    (in_curve("type II"), ["9:3: malformed type line"]),
+    (in_curve("cover split"), ["9:3: malformed cover line"]),
+    (in_curve("ext e a"), ["9:3: malformed ext line"]),
+    (in_curve("mark: q_1 q_2"), ["9:3: malformed mark line"]),
+    (in_curve("cores a"), ["9:3: malformed cores line"]),
+    (in_point("curves: c"), ["18:3: malformed curves line (expected: curves: <id>, <id>)"]),
+    (in_point("etype:"), ["18:3: malformed etype line"]),
+    (in_point("meets_marked:"), ["18:3: malformed meets_marked line"]),
+    # Bad values; a bad value is reported before "already set".
+    (
+        PRE + "curve c:\n  type: V\n",
+        [
+            "3:7: curve 'c' is missing a type line",
+            "3:7: curve 'c' is missing a cover line",
+            "3:7: curve 'c' needs at least one ext line",
+            "4:9: type must be I, II, III, or IV, got 'V'",
+        ],
+    ),
+    (
+        PRE + "curve c:\n  cover: splits\n",
+        [
+            "3:7: curve 'c' is missing a type line",
+            "3:7: curve 'c' is missing a cover line",
+            "3:7: curve 'c' needs at least one ext line",
+            "4:10: cover behavior must be inert, split, or ramified, got 'splits'",
+        ],
+    ),
+    (
+        PRE + "curve c:\n  ext e sheet=3: a\n",
+        [
+            "3:7: curve 'c' is missing a type line",
+            "3:7: curve 'c' is missing a cover line",
+            "4:15: sheet must be 1 or 2, got '3'",
+        ],
+    ),
+    (
+        PRE + "point p:\n  etype: II_III\n",
+        [
+            "3:7: point 'p' is missing a curves line",
+            "3:7: point 'p' is missing an etype line",
+            "4:10: unknown point type 'II_III'",
+        ],
+    ),
+    ("cover: sideways\nsymbols: a\n", ["1:8: cover kind must be irreducible or split, got 'sideways'"]),
+    (in_curve("type: V"), ["9:9: type must be I, II, III, or IV, got 'V'"]),
+    (in_point("etype: II_III"), ["18:10: unknown point type 'II_III'"]),
+    (
+        PRE + TWO_EXTS + "  ext c_3 sheet=0: a\n",
+        ["8:3: curve 'c' already has two extensions", "8:17: sheet must be 1 or 2, got '0'"],
+    ),
+    # Malformed headers open a block with an empty id.
+    (
+        top("curve :") + "  type: II\n",
+        [
+            "3:1: malformed curve line",
+            "3:1: curve '' is missing a cover line",
+            "3:1: curve '' needs at least one ext line",
+        ],
+    ),
+    (
+        top("curve c") + "  type: II\n",
+        [
+            "3:1: malformed curve line",
+            "3:1: curve '' is missing a cover line",
+            "3:1: curve '' needs at least one ext line",
+        ],
+    ),
+    (
+        top("point") + "  type: II\n",
+        [
+            "3:1: malformed point line",
+            "3:1: point '' is missing a curves line",
+            "3:1: point '' is missing an etype line",
+            "4:3: type is not allowed at a point block; it belongs in a curve block",
+        ],
+    ),
+    (
+        top("point p q:") + "  type: II\n",
+        [
+            "3:1: malformed point line",
+            "3:1: point '' is missing a curves line",
+            "3:1: point '' is missing an etype line",
+            "4:3: type is not allowed at a point block; it belongs in a curve block",
+        ],
+    ),
+    # Blocks missing every required field.
+    (
+        top("curve c:"),
+        [
+            "3:7: curve 'c' is missing a type line",
+            "3:7: curve 'c' is missing a cover line",
+            "3:7: curve 'c' needs at least one ext line",
+        ],
+    ),
+    (top("point p:"), ["3:7: point 'p' is missing a curves line", "3:7: point 'p' is missing an etype line"]),
+    # A repeated meets_marked line is refused before its tokens are read.
+    (in_point("meets_marked: c_2, !x"), ["18:3: meets_marked already set for point 'p'"]),
+]
+
+
+def test_line_path_diagnostics_are_pinned(monkeypatch):
+    for pattern in (dsl._RE_BLOCK, re.compile(r"(?!)")):
+        monkeypatch.setattr(dsl, "_RE_BLOCK", pattern)
+        for source, expected in LINE_PATH_CASES:
+            try:
+                parse(source)
+                found = []
+            except ConfigParseError as exc:
+                found = [str(d) for d in exc.diagnostics]
+            assert found == expected, source
 
 
 def test_sheet_values():

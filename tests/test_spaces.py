@@ -6,7 +6,10 @@ they replaced, kept here as references: the scan of every (point,
 extension) pair, and the greedy loop that tests each kernel row with
 ``member`` and grows the covered space with ``sum_subspace``.  Inputs are
 a random corpus and disjoint unions of corpus blocks large enough to be
-past the brute-force cap.
+past the brute-force cap.  ``m_pr`` and ``m_qp`` are also rebuilt from the
+incidence rules as ``model``'s docstrings state them, without
+``_point_relates`` or ``cfg.spaces``, and their ranks checked against
+``h2nr_dim``.
 """
 
 import io
@@ -17,15 +20,19 @@ import pytest
 
 from isbbrauer import brauer, cli, dsl, model
 from isbbrauer.brauer import matrix_p_to_r, matrix_q_to_p, s_to_p_vectors, unramified_brauer
-from isbbrauer.f2 import F2Matrix, F2Vector, kernel_basis
+from isbbrauer.f2 import F2Matrix, F2Vector, kernel_basis, rref
 from isbbrauer.model import (
     Configuration,
+    CoverBehavior,
     CoverKind,
     Curve,
+    CurveType,
     Extension,
+    PointType,
     ResidueClass,
     SingularPoint,
     extension_owner,
+    s_space,
     validate,
     vp_basis,
     zr_basis,
@@ -33,6 +40,7 @@ from isbbrauer.model import (
 from isbbrauer.sampling import random_corpus
 
 from f2_reference import column_space, member, mul, span, sum_subspace
+from test_word_level import ring
 
 
 def scan_p_to_r(cfg: Configuration) -> F2Matrix:
@@ -167,6 +175,71 @@ def test_incidence_walk_matches_scan_on_clashing_ids():
         cfg.points + (SingularPoint("p_self", ("x-axis", "x-axis"), cfg.points[0].etype),),
     )
     assert matrix_p_to_r(clash) == scan_p_to_r(clash)
+
+
+# --- m_pr and m_qp from the stated rules --------------------------------------
+
+
+def fires(point: SingularPoint, curve: Curve, ext: Extension) -> bool:
+    """Whether ``ext``, on one of ``point``'s curves, is in ``point``'s R row."""
+    if point.etype is PointType.II_II:
+        return curve.cover_behavior is CoverBehavior.SPLIT
+    if point.etype is PointType.III_II:
+        return True
+    if point.etype is PointType.IV_II and curve.deg_type is not CurveType.IV:
+        return ext.id in point.meets_marked
+    return ext.id == curve.marking  # IV_II on the Type IV side, and IVp_IV
+
+
+def rule_rows_and_columns(cfg: Configuration) -> tuple[int, list[int], list[int]]:
+    """dim P, the R rows and the Q columns as masks over P, from the rules alone.
+
+    P is every extension with nonzero residue, in declaration order.  Every
+    point but I_II and IVpp_IV has a row, marking the extensions of its own
+    curves that ``fires`` picks.  A curve with zero corestriction residue
+    and a nonzero extension has a column, marking its own extensions.
+    """
+    coords = [(c, e) for c in cfg.curves for e in c.extensions if not e.residue.is_zero]
+    rows = [
+        sum(1 << j for j, (c, e) in enumerate(coords) if c.id in point.incident and fires(point, c, e))
+        for point in cfg.points
+        if point.etype not in (PointType.I_II, PointType.IVPP_IV)
+    ]
+    columns = [
+        sum(1 << j for j, (owner, _) in enumerate(coords) if owner is c)
+        for c in cfg.curves
+        if c.cores_residue.is_zero and any(not e.residue.is_zero for e in c.extensions)
+    ]
+    return len(coords), rows, columns
+
+
+def check_rule_oracle(cfg: Configuration) -> None:
+    p, rows, columns = rule_rows_and_columns(cfg)
+    m_pr = F2Matrix(len(rows), p, tuple(rows))
+    assert matrix_p_to_r(cfg) == m_pr
+    assert matrix_q_to_p(cfg).column_masks() == columns
+    pr_rank = rref(m_pr).rank
+    qp_rank = rref(F2Matrix(len(columns), p, tuple(columns))).rank  # the rank of m_qp's transpose
+    assert p - pr_rank - qp_rank - s_space(cfg).dim == unramified_brauer(cfg).h2nr_dim
+
+
+def test_rule_oracle_on_corpus():
+    kinds = set()
+    for cfg in random_corpus(11, 200):
+        check_rule_oracle(cfg)
+        kinds |= {point.etype for point in cfg.points}
+    assert kinds == set(PointType)
+
+
+def test_rule_oracle_on_large_union(large_union):
+    check_rule_oracle(large_union)
+
+
+@pytest.mark.parametrize("cuts,chords", [(0, 100), (12, 20), (40, 0)])
+def test_rule_oracle_on_rings(cuts, chords):
+    cfg, _ = ring(random.Random(cuts * 101 + chords), 400, cuts, chords)
+    assert len(vp_basis(cfg)) == 800
+    check_rule_oracle(cfg)
 
 
 def test_pivot_selection_matches_greedy_loop_on_corpus():
