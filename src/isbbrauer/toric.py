@@ -241,97 +241,64 @@ def _minor_gcd(rays) -> int:
     return 0  # more rays than dimensions: there is no k x k minor
 
 
-def _smith_normal_form(
-    rows: list[Vec], n: int
-) -> tuple[list[int], list[list[int]], list[list[int]]]:
-    """Invariant factors, the column-operation matrix V (U*M*V diagonal)
-    and its inverse, kept by applying each column operation's inverse to
-    the rows of V^-1."""
+def _smith_normal_form(rows: list[Vec]) -> tuple[list[int], list[list[int]]]:
+    """Invariant factors and the column-operation matrix V (U*M*V diagonal).
+
+    Only V is kept: V^-1 is unique, so the certificate, the one reader of
+    its rows, computes them from V by cofactors."""
     m = [list(r) for r in rows]
     k = len(m)
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    w = [row[:] for row in v]
+    v = [[int(i == j) for j in range(DIM)] for i in range(DIM)]
 
     def col_swap(a, b):
-        for row in m:
+        for row in m + v:
             row[a], row[b] = row[b], row[a]
-        for row in v:
-            row[a], row[b] = row[b], row[a]
-        w[a], w[b] = w[b], w[a]
 
     def col_add(src, dst, q):
-        for row in m:
+        for row in m + v:
             row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-        w[src] = [x - q * y for x, y in zip(w[src], w[dst])]
-
-    def col_negate(a):
-        for row in m:
-            row[a] = -row[a]
-        for row in v:
-            row[a] = -row[a]
-        w[a] = [-x for x in w[a]]
 
     t = 0
-    while t < k and t < n:
-        pivot = None
-        for i in range(t, k):
-            for j in range(t, n):
-                if m[i][j] and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
+    while t < min(k, DIM):
+        entries = [(abs(m[i][j]), i, j) for i in range(t, k) for j in range(t, DIM) if m[i][j]]
+        if not entries:
             break
-        m[t], m[pivot[0]] = m[pivot[0]], m[t]
-        col_swap(t, pivot[1])
+        _, i, j = min(entries)
+        m[t], m[i] = m[i], m[t]
+        col_swap(t, j)
         while True:
+            p = m[t][t]
             for i in range(k):
                 if i != t and m[i][t]:
-                    q = m[i][t] // m[t][t]
+                    q = m[i][t] // p
                     m[i] = [a - q * b for a, b in zip(m[i], m[t])]
-            for j in range(n):
+            for j in range(DIM):
                 if j != t and m[t][j]:
-                    col_add(t, j, -(m[t][j] // m[t][t]))
-            clean = all(not m[i][t] for i in range(k) if i != t) and all(
-                not m[t][j] for j in range(n) if j != t
-            )
-            if clean:
+                    col_add(t, j, -(m[t][j] // p))
+            # every entry left beside the pivot is a remainder, smaller than
+            # the pivot, so the smallest of them becomes the next pivot
+            rest = [(abs(m[i][t]), 0, i) for i in range(k) if i != t and m[i][t]]
+            rest += [(abs(m[t][j]), 1, j) for j in range(DIM) if j != t and m[t][j]]
+            if not rest:
                 break
-            # a division left a remainder strictly smaller than the pivot;
-            # bring the smallest entry of row/column t to the pivot spot
-            best_val = abs(m[t][t])
-            best = None
-            for i in range(k):
-                if i != t and m[i][t] and abs(m[i][t]) < best_val:
-                    best, best_val = ("row", i), abs(m[i][t])
-            for j in range(n):
-                if j != t and m[t][j] and abs(m[t][j]) < best_val:
-                    best, best_val = ("col", j), abs(m[t][j])
-            assert best is not None, "remainder after division must shrink"
-            if best[0] == "row":
-                m[t], m[best[1]] = m[best[1]], m[t]
+            _, in_row_t, i = min(rest)
+            if in_row_t:
+                col_swap(t, i)
             else:
-                col_swap(t, best[1])
-        offender = None
-        for i in range(t + 1, k):
-            for j in range(t + 1, n):
-                if m[i][j] % m[t][t]:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+                m[t], m[i] = m[i], m[t]
+        offender = next((i for i in range(t + 1, k) if any(m[i][j] % m[t][t] for j in range(t + 1, DIM))), None)
         if offender is not None:
             m[t] = [a + b for a, b in zip(m[t], m[offender])]
             continue
         if m[t][t] < 0:
-            col_negate(t)
+            col_add(t, t, -2)  # negates column t
         t += 1
-    return [m[i][i] for i in range(t)], v, w
+    return [m[i][i] for i in range(t)], v
 
 
 def _nullspace(vectors) -> list[Vec]:
     """Saturated lattice basis of {x in Z^4 : <x, v> = 0 for all v}."""
-    diag, v, _ = _smith_normal_form(list(vectors), DIM)
+    diag, v = _smith_normal_form(list(vectors))
     kernel = []
     for j in range(len(diag), DIM):
         col = tuple(v[i][j] for i in range(DIM))
@@ -576,12 +543,19 @@ def _cone_certificate(c: Cone) -> SmoothnessCertificate:
         det = _det(c.rays)
         if abs(det) == 1:
             return SmoothnessCertificate(c, True, "unimodular", c.rays, det)
-    diag, _, w = _smith_normal_form(list(c.rays), DIM)
+    diag, v = _smith_normal_form(list(c.rays))
     if len(diag) != k:
         return SmoothnessCertificate(c, False, "not simplicial")
     if any(d != 1 for d in diag):
         return SmoothnessCertificate(c, False, f"invariant factors {tuple(diag)}")
-    completion = [tuple(w[i]) for i in range(k, DIM)]
+    # the completion is rows k..DIM-1 of V^-1.  Row i is orthogonal to every
+    # column of V but column i and meets it in 1; since |det V| = 1, it is
+    # the cofactor normal of the other three columns, signed
+    cols = list(zip(*v))
+    completion = []
+    for i in range(k, DIM):
+        n = _cofactor_normal(tuple(cols[:i] + cols[i + 1 :]))
+        completion.append(n if _dot(n, cols[i]) == 1 else _neg(n))
     matrix = tuple(list(c.rays) + completion)
     det = _det(matrix)
     if abs(det) != 1:

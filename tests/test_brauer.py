@@ -34,6 +34,7 @@ from isbbrauer.model import (
     PointType,
     ResidueClass,
     SingularPoint,
+    ZERO,
     cores_residue,
     vp_basis,
 )
@@ -210,6 +211,10 @@ def test_restriction_kernel_descriptions():
     assert space.dim == 1 and "cores(beta)" in desc
     space, desc = restriction_kernel(split_cover_equal_sheets())
     assert space.dim == 1 and "beta_1" in desc
+    (curve,) = split_cover_equal_sheets().curves
+    unramified = replace(curve, extensions=tuple(replace(e, residue=ZERO) for e in curve.extensions))
+    space, desc = restriction_kernel(Configuration(CoverKind.SPLIT_EVERYWHERE, ("a",), (unramified,)))
+    assert (space.dim, desc) == (0, "trivial: beta_1 and beta_2 are both unramified")
 
 
 # --- constraint and relation matrices ----------------------------------------

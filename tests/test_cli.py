@@ -59,6 +59,10 @@ point z:
   etype: III_II
 """
 
+# the inert carrier with its cores residue given: S is spanned by
+# cores(beta), which lies in the kernel, so no generator is left
+INERT_CARRIER_WITH_CORES = WARNED_BUT_VALID + "  cores: a\n"
+
 FAN_OK = """\
 ray 1 0 0 0
 ray 1 2 0 0
@@ -287,6 +291,27 @@ def test_explain_describes_local_kernels(tmp_path):
     assert "restriction kernel (dim 0)" in out
 
 
+def test_explain_refuses_an_invalid_file_and_notes_warnings(tmp_path):
+    cfg = tmp_path / "explained.cfg"
+    cfg.write_text(INVALID_POINT_PAIR)
+    code, out, err = run("explain", str(cfg))
+    assert (code, out, err) == run("validate", str(cfg))
+    assert code == cli.INVALID and out == "" and "[POINT_PAIR]" in err
+    cfg.write_text(WARNED_BUT_VALID)
+    code, out, _ = run("explain", str(cfg))
+    assert code == cli.OK
+    assert out.endswith("note: [W_CORES_DEFAULTED] carrier: cores residue of inert curve carrier defaulted to 0\n")
+
+
+def test_compute_text_lists_s_generators_and_no_generators(tmp_path):
+    cfg = tmp_path / "inert.cfg"
+    cfg.write_text(INERT_CARRIER_WITH_CORES)
+    code, out, err = run("compute", str(cfg))
+    assert (code, err) == (cli.OK, "")
+    assert "\ns_generators: cores(beta)\n" in out
+    assert out.endswith("\ngenerators: (none)\nassertions: gc1=ok, gc2=ok, gc3=ok, gc4=ok\n")
+
+
 def test_toric_demo_ends_smooth():
     code, out, _ = run("toric", "demo")
     assert code == cli.OK
@@ -375,6 +400,13 @@ def test_toric_check_on_the_committed_fans():
         "smooth: true\n",
         "",
     )
+    # a lower-dimensional singular cone: the verdict comes from the Smith form
+    assert run("toric", "check", str(FANS / "singular_plane.fan")) == (
+        cli.OK,
+        "cone (1,0,0,0) (1,2,0,0): invariant factors (1, 2)\n"
+        "smooth: false\n",
+        "",
+    )
 
 
 # the complete fan of (P^1)^4: 16 cones, the cap, so 120 pairs meet in a face
@@ -420,6 +452,8 @@ def test_toric_check_parse_error(tmp_path):
     code, _, err = run("toric", "check", str(fan))
     assert code == cli.PARSE_ERROR
     assert f"{fan}:1:1:" in err
+    fan.write_text("ray 1 0 0 0\ncone\n")
+    assert run("toric", "check", str(fan)) == (cli.PARSE_ERROR, "", f"{fan}:2:1: cone needs at least one ray index\n")
 
 
 def test_toric_check_semantic_errors(tmp_path):

@@ -137,6 +137,7 @@ def _mutations():
     yield "duplicate symbol", "DUP_ID", replace(cfg, symbols=("a", "b", "a"))
     yield "empty symbol name", "SYMBOLS", replace(cfg, symbols=("a", ""))
     yield "split cover over non-split curves", "SPLIT_COVER", replace(cfg, cover_kind=CoverKind.SPLIT_EVERYWHERE)
+    yield "empty curve id", "DUP_ID", swap_curve(cfg, "ramline", replace(ramline, id=""))
 
 
 @pytest.mark.parametrize("label,code,mutated", list(_mutations()), ids=lambda v: v if isinstance(v, str) and " " in v else None)
@@ -321,6 +322,10 @@ def test_warning_cores_defaulted():
     cfg = Configuration(CoverKind.IRREDUCIBLE, ("a",), (inert,))
     assert "W_CORES_DEFAULTED" in warn_codes(cfg)
 
+    cusp = Curve("c", CurveType.III, CoverBehavior.RAMIFIED, (Extension("c_t", ResidueClass.of("a")),))
+    (warning,) = validate(Configuration(CoverKind.IRREDUCIBLE, ("a",), (cusp,))).warnings
+    assert warning.code == "W_CORES_DEFAULTED" and "carries residue" in warning.message
+
 
 # --- bases and residues -------------------------------------------------------
 
@@ -332,6 +337,7 @@ def test_residue_class_algebra():
     assert ZERO.is_zero and not (a + b).is_zero
     assert (a + b).render(("b", "a")) == "b+a"
     assert ZERO.render() == "0"
+    assert ResidueClass.of("b", "a").render() == "a+b"  # no order given: sorted
     with pytest.raises(ValueError):
         (a + b).render(("a",))
 

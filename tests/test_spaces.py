@@ -6,15 +6,17 @@ they replaced, kept here as references: the scan of every (point,
 extension) pair, and the greedy loop that tests each kernel row with
 ``member`` and grows the covered space with ``sum_subspace``.  Inputs are
 a random corpus and disjoint unions of corpus blocks large enough to be
-past the brute-force cap.  ``m_pr`` and ``m_qp`` are also rebuilt from the
-incidence rules as ``model``'s docstrings state them, without
+past the brute-force cap.  ``m_pr``, ``m_qp`` and the S vectors are also
+rebuilt from the rules as ``model``'s docstrings state them, without
 ``_point_relates`` or ``cfg.spaces``, and their ranks checked against
-``h2nr_dim``.
+``h2nr_dim``.  Metamorphic relations (renaming, reordering, a copied point,
+a disjoint union) are checked on a corpus.
 """
 
 import io
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -32,7 +34,6 @@ from isbbrauer.model import (
     ResidueClass,
     SingularPoint,
     extension_owner,
-    s_space,
     validate,
     vp_basis,
     zr_basis,
@@ -40,6 +41,7 @@ from isbbrauer.model import (
 from isbbrauer.sampling import random_corpus
 
 from f2_reference import column_space, member, mul, span, sum_subspace
+from test_ownership import reference_s
 from test_word_level import ring
 
 
@@ -74,34 +76,38 @@ def greedy_generators(cfg: Configuration) -> list:
     return picked
 
 
-def relabel(cfg: Configuration, k: int) -> Configuration:
-    pre = f"k{k}_"
-    sym = {s: f"k{k}{s}" for s in cfg.symbols}
+def rename(cfg: Configuration, ident, symbol) -> Configuration:
+    """``cfg`` with every curve, extension and point id passed through
+    ``ident`` and every symbol through ``symbol``."""
 
     def cls(r):
-        return None if r is None else ResidueClass(frozenset(sym[s] for s in r.symbols))
+        return None if r is None else ResidueClass(frozenset(symbol(s) for s in r.symbols))
 
     curves = tuple(
         Curve(
-            pre + c.id,
+            ident(c.id),
             c.deg_type,
             c.cover_behavior,
-            tuple(Extension(pre + e.id, cls(e.residue), e.sheet) for e in c.extensions),
-            None if c.marking is None else pre + c.marking,
+            tuple(Extension(ident(e.id), cls(e.residue), e.sheet) for e in c.extensions),
+            None if c.marking is None else ident(c.marking),
             cls(c.cores_residue_input),
         )
         for c in cfg.curves
     )
     points = tuple(
         SingularPoint(
-            pre + p.id,
-            tuple(pre + cid for cid in p.incident),
+            ident(p.id),
+            tuple(ident(cid) for cid in p.incident),
             p.etype,
-            frozenset(pre + e for e in p.meets_marked),
+            frozenset(ident(e) for e in p.meets_marked),
         )
         for p in cfg.points
     )
-    return Configuration(cfg.cover_kind, tuple(sym.values()), curves, points)
+    return Configuration(cfg.cover_kind, tuple(symbol(s) for s in cfg.symbols), curves, points)
+
+
+def relabel(cfg: Configuration, k: int) -> Configuration:
+    return rename(cfg, lambda name: f"k{k}_{name}", lambda s: f"k{k}{s}")
 
 
 def union(kind: CoverKind, blocks: list[Configuration]) -> Configuration:
@@ -191,13 +197,16 @@ def fires(point: SingularPoint, curve: Curve, ext: Extension) -> bool:
     return ext.id == curve.marking  # IV_II on the Type IV side, and IVp_IV
 
 
-def rule_rows_and_columns(cfg: Configuration) -> tuple[int, list[int], list[int]]:
-    """dim P, the R rows and the Q columns as masks over P, from the rules alone.
+def rule_rows_and_columns(cfg: Configuration) -> tuple[int, list[int], list[int], list[int]]:
+    """dim P, the R rows, the Q columns and the S vectors as masks over P,
+    from the rules alone.
 
     P is every extension with nonzero residue, in declaration order.  Every
     point but I_II and IVpp_IV has a row, marking the extensions of its own
     curves that ``fires`` picks.  A curve with zero corestriction residue
-    and a nonzero extension has a column, marking its own extensions.
+    and a nonzero extension has a column, marking its own extensions.  S
+    has ``reference_s``'s generators, read from the residues: cores(beta)
+    marks every extension and beta_i every sheet-i extension.
     """
     coords = [(c, e) for c in cfg.curves for e in c.extensions if not e.residue.is_zero]
     rows = [
@@ -210,17 +219,24 @@ def rule_rows_and_columns(cfg: Configuration) -> tuple[int, list[int], list[int]
         for c in cfg.curves
         if c.cores_residue.is_zero and any(not e.residue.is_zero for e in c.extensions)
     ]
-    return len(coords), rows, columns
+    labels, _ = reference_s(cfg)
+    s = [
+        sum(1 << j for j, (_, e) in enumerate(coords) if label in ("cores(beta)", f"beta_{e.sheet}"))
+        for label in labels
+    ]
+    return len(coords), rows, columns, s
 
 
 def check_rule_oracle(cfg: Configuration) -> None:
-    p, rows, columns = rule_rows_and_columns(cfg)
+    p, rows, columns, s = rule_rows_and_columns(cfg)
     m_pr = F2Matrix(len(rows), p, tuple(rows))
     assert matrix_p_to_r(cfg) == m_pr
     assert matrix_q_to_p(cfg).column_masks() == columns
+    assert [v.mask for v in s_to_p_vectors(cfg)] == s
     pr_rank = rref(m_pr).rank
     qp_rank = rref(F2Matrix(len(columns), p, tuple(columns))).rank  # the rank of m_qp's transpose
-    assert p - pr_rank - qp_rank - s_space(cfg).dim == unramified_brauer(cfg).h2nr_dim
+    s_rank = rref(F2Matrix(len(s), p, tuple(s))).rank
+    assert p - pr_rank - qp_rank - s_rank == unramified_brauer(cfg).h2nr_dim
 
 
 def test_rule_oracle_on_corpus():
@@ -240,6 +256,65 @@ def test_rule_oracle_on_rings(cuts, chords):
     cfg, _ = ring(random.Random(cuts * 101 + chords), 400, cuts, chords)
     assert len(vp_basis(cfg)) == 800
     check_rule_oracle(cfg)
+
+
+# --- metamorphic relations on the corpus ----------------------------------------
+
+
+@pytest.fixture(scope="module")
+def corpus() -> list[Configuration]:
+    return random_corpus(7, 300)
+
+
+def dims(cfg: Configuration) -> tuple[int, int]:
+    report = unramified_brauer(cfg)
+    return report.kernel_dim, report.h2nr_dim
+
+
+def reversed_names(cfg: Configuration) -> Configuration:
+    """Every symbol and id renamed, so that their sorted order reverses."""
+    ids = [c.id for c in cfg.curves] + [e.id for c in cfg.curves for e in c.extensions] + [p.id for p in cfg.points]
+    names = sorted({*cfg.symbols, *ids})
+    new = {name: f"n{len(names) - i:03d}" for i, name in enumerate(names)}
+    return rename(cfg, new.__getitem__, new.__getitem__)
+
+
+def test_renaming_keeps_the_dims_and_the_generators(corpus):
+    for cfg in corpus:
+        report, renamed = unramified_brauer(cfg), unramified_brauer(reversed_names(cfg))
+        assert (renamed.kernel_dim, renamed.h2nr_dim) == (report.kernel_dim, report.h2nr_dim)
+        assert [g.vector for g in renamed.generators] == [g.vector for g in report.generators]
+
+
+def test_reversing_the_curve_order_keeps_the_dims(corpus):
+    for cfg in corpus:
+        assert dims(replace(cfg, curves=cfg.curves[::-1])) == dims(cfg)
+
+
+def test_a_copied_contributing_point_keeps_the_dims(corpus):
+    # the copy repeats an R row, which leaves every rank as it was
+    copied = 0
+    for cfg in corpus:
+        for point in cfg.points:
+            if point.etype not in (PointType.I_II, PointType.IVPP_IV):
+                twin = replace(cfg, points=cfg.points + (replace(point, id=point.id + "_copy"),))
+                assert dims(twin) == dims(cfg)
+                copied += 1
+    assert copied > 80
+
+
+def test_a_disjoint_union_adds_the_kernel_dims(corpus):
+    # h2nr_dim need not add: an irreducible union has dim S <= 1, where
+    # each of its blocks may have its own cores(beta)
+    unions = 0
+    for a, b in zip(corpus, corpus[1:]):
+        if a.cover_kind is not b.cover_kind:
+            continue
+        joined = union(a.cover_kind, [relabel(a, 0), relabel(b, 1)])
+        if not validate(joined).errors:
+            assert dims(joined)[0] == dims(a)[0] + dims(b)[0]
+            unions += 1
+    assert unions > 100
 
 
 def test_pivot_selection_matches_greedy_loop_on_corpus():

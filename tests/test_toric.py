@@ -62,6 +62,10 @@ def test_rejects_bad_rays():
         Cone((E1, (-1, 0, 0, 0)))  # contains a line
     with pytest.raises(ValueError):
         Cone(((1, 0, 0),))  # wrong ambient rank
+    with pytest.raises(ValueError, match="zero vector"):
+        Cone(((0, 0, 0, 0),))
+    with pytest.raises(ValueError, match="contains a line"):
+        Cone((E1, E2, (-1, -1, 0, 0)))  # E1 + E2 and its negative
 
 
 def test_ray_cap_guards_enumeration():
@@ -326,6 +330,13 @@ def test_star_subdivision_at_existing_ray_is_identity():
 def test_star_subdivision_outside_support_rejected():
     with pytest.raises(ValueError):
         star_subdivide(Fan((ORTHANT,)), (1, -1, 0, 0))
+
+
+def test_star_subdivision_needs_a_primitive_ray():
+    with pytest.raises(ValueError, match="nonzero"):
+        star_subdivide(Fan((ORTHANT,)), (0, 0, 0, 0))
+    with pytest.raises(ValueError, match="not primitive"):
+        star_subdivide(Fan((ORTHANT,)), (2, 0, 0, 0))
 
 
 def test_intersection_cone_of_adjacent_cones():
@@ -650,7 +661,42 @@ def test_resolve_demo_is_deterministic():
 
 def _smith_rank(rows):
     """The rank as the number of Smith invariant factors."""
-    return len(toric._smith_normal_form(list(rows), toric.DIM)[0])
+    return len(toric._smith_normal_form(list(rows))[0])
+
+
+def _seeded_int_matrices(count, seed):
+    """``count`` matrices of 0 to 8 rows in Z^4, with entries in -4..4 or up
+    to 2**40; a row may repeat an earlier one or combine two of them."""
+    rng = random.Random(seed)
+    matrices = []
+    for _ in range(count):
+        bound = rng.choice((4, 2**40))
+        rows = []
+        for _ in range(rng.randint(0, 8)):
+            kind = rng.choice(("fresh", "copy", "combination")) if rows else "fresh"
+            if kind == "fresh":
+                rows.append(tuple(rng.randint(-bound, bound) for _ in range(toric.DIM)))
+            elif kind == "copy":
+                rows.append(rng.choice(rows))
+            else:
+                a, b = rng.choice(rows), rng.choice(rows)
+                s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+                rows.append(tuple(s * x + t * y for x, y in zip(a, b)))
+        matrices.append(rows)
+    return matrices
+
+
+# sha256 over repr((diag, V)) for each of _seeded_int_matrices(2000, 0), in order
+SMITH_FORM_DIGEST = "f2c8577537516f95cf474c23693a5b8958936e3d4b7dac275548a48985405349"
+
+
+def test_smith_form_is_pinned():
+    # the invariant factors and the column transform V, with its choice of
+    # pivots and ties, are part of the output: _nullspace reads V
+    h = hashlib.sha256()
+    for rows in _seeded_int_matrices(2000, 0):
+        h.update(repr(toric._smith_normal_form(rows)).encode())
+    assert h.hexdigest() == SMITH_FORM_DIGEST
 
 
 def _cofactor_det(m):
@@ -707,14 +753,27 @@ def test_det_matches_cofactor_expansion(m):
         assert (toric._rank(m) == 4) == (_cofactor_det(m) != 0)
 
 
+def _adjugate_inverse(v):
+    """The inverse of a unimodular matrix as its adjugate over the
+    determinant, both by cofactor expansion."""
+    n, d = len(v), _cofactor_det(v)
+    assert abs(d) == 1
+
+    def cofactor(i, j):
+        return (-1) ** (i + j) * _cofactor_det([row[:j] + row[j + 1 :] for r, row in enumerate(v) if r != i])
+
+    return [[cofactor(j, i) * d for j in range(n)] for i in range(n)]
+
+
 def _smith_certificate(c):
     """The certificate as the Smith form alone decides it."""
     k = len(c.rays)
-    diag, _, w = toric._smith_normal_form(list(c.rays), toric.DIM)
+    diag, v = toric._smith_normal_form(list(c.rays))
     if len(diag) != k:
         return (False, "not simplicial", None, None)
     if any(d != 1 for d in diag):
         return (False, f"invariant factors {tuple(diag)}", None, None)
+    w = _adjugate_inverse(v)
     matrix = tuple(list(c.rays) + [tuple(w[i]) for i in range(k, toric.DIM)])
     return (True, "unimodular", matrix, _cofactor_det(matrix))
 
@@ -776,9 +835,9 @@ def test_warm_demo_runs_smith_forms_only_on_lower_dimensional_faces(monkeypatch)
     calls = []
     original = toric._smith_normal_form
 
-    def counted(rows, n):
+    def counted(rows):
         calls.append((sys._getframe(1).f_code.co_name, tuple(map(tuple, rows))))
-        return original(rows, n)
+        return original(rows)
 
     monkeypatch.setattr(toric, "_smith_normal_form", counted)
     # faces are judged by their minor gcd and the resolved fan's cones by a
@@ -948,7 +1007,7 @@ def test_minor_gcd_verdict_matches_the_smith_form_on_random_faces():
     for c in _random_pointed_cones(300, 5):
         for f in faces(c):
             k = len(f.rays)
-            diag = toric._smith_normal_form(list(f.rays), toric.DIM)[0]
+            diag = toric._smith_normal_form(list(f.rays))[0]
             g = toric._minor_gcd(f.rays)
             assert g == (prod(diag) if len(diag) == k else 0), f.rays
             assert (g == 1) == is_smooth(f).smooth, f.rays
