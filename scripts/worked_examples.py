@@ -3,30 +3,25 @@
 
 Reproduces the two headline numbers (both built-ins have a 2-torsion
 unramified class) and the certified resolution of the uv = xyz cone.
+For JSON reports, run ``isbbrauer compute FILE --json``.
 """
 
-import argparse
 import sys
 
 from isbbrauer import cli, dsl, toric
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--json", action="store_true", help="emit reports as JSON")
-    args = ap.parse_args()
-
     for name in dsl.BUILTIN_NAMES:
         print(f"=== {name} ===")
-        argv = ["example", name] + (["--json"] if args.json else [])
-        code = cli.run(argv, sys.stdout, sys.stderr)
+        code = cli.run(["example", name], sys.stdout, sys.stderr)
         if code != 0:
             return code
         print()
 
     print("=== toric resolution of uv = xyz ===")
     report = toric.resolve_demo()
-    print("subdivision order:", " -> ".join(map(str, report.order)))
+    print("subdivision order:", " -> ".join(map(str, report.candidates)))
     for step in report.steps:
         status = "support ok" if step.support_ok else "SUPPORT CHANGED"
         print(f"  insert {step.ray}: {len(step.fan.maximal_cones)} maximal cones, {status}")

@@ -14,7 +14,6 @@ from .brauer import (
     ramification_lift,
     residue_kernel,
     restriction_kernel,
-    s_space,
     unramified_brauer,
 )
 from .dsl import ConfigParseError, builtin, emit, parse
@@ -53,7 +52,6 @@ __all__ = [
     "ramification_lift",
     "residue_kernel",
     "restriction_kernel",
-    "s_space",
     "unramified_brauer",
     "validate",
 ]

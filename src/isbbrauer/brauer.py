@@ -21,24 +21,19 @@ from .model import (
     Curve,
     CurveType,
     ResidueClass,
-    SpaceS,  # re-exported, as are ``s_space`` and ``validate``
     ValidationReport,
     _Spaces,
-    s_space,
     validate,
 )
 
 __all__ = [
-    "SpaceS",
     "BrauerReport",
     "Generator",
     "InvalidConfigurationError",
     "KernelContractError",
     "CapExceededError",
-    "s_space",
     "matrix_p_to_r",
     "matrix_q_to_p",
-    "s_to_p_vectors",
     "unramified_brauer",
     "coset_equivalent",
     "ramification_lift",
@@ -101,18 +96,13 @@ class BrauerReport:
 
 
 def matrix_p_to_r(cfg: Configuration) -> F2Matrix:
-    """Incidence map P -> R; rows follow zr_basis, columns vp_basis."""
+    """``cfg.spaces.m_pr``; kept because perfbench calls it and traces it by name."""
     return cfg.spaces.m_pr
 
 
 def matrix_q_to_p(cfg: Configuration) -> F2Matrix:
-    """Relation map Q -> P; column of a curve marks its extensions in P."""
+    """``cfg.spaces.m_qp``; kept because perfbench traces it by name."""
     return cfg.spaces.m_qp
-
-
-def s_to_p_vectors(cfg: Configuration) -> list[F2Vector]:
-    """Images in P of the s_space generators (diagonal inclusions)."""
-    return list(cfg.spaces.s_vectors)
 
 
 def ramification_lift(
@@ -180,16 +170,14 @@ def residue_kernel(cfg: Configuration, c: Curve) -> list[ResidueClass]:
     return [ext.residue for ext in c.extensions]
 
 
-def restriction_kernel(cfg: Configuration) -> tuple[SpaceS, str]:
-    """The s_space together with a one-line description of its case."""
-    space = s_space(cfg)
+def restriction_kernel(cfg: Configuration) -> str:
+    """A one-line description of S, the kernel of restriction to the generic fiber."""
+    labels = cfg.spaces.s_labels
+    if labels:
+        return "generated by " + ", ".join(labels)
     if cfg.cover_kind is CoverKind.IRREDUCIBLE:
-        if space.dim == 0:
-            return space, "trivial: cores(beta) has no ramification"
-        return space, "generated by cores(beta)"
-    if space.dim == 0:
-        return space, "trivial: beta_1 and beta_2 are both unramified"
-    return space, "generated by " + ", ".join(space.generator_labels)
+        return "trivial: cores(beta) has no ramification"
+    return "trivial: beta_1 and beta_2 are both unramified"
 
 
 # Not derived: a report is built only after ``validate`` ran GC1-GC4 and all four passed.

@@ -203,8 +203,8 @@ def _cmd_explain(args, out, err) -> int:
             print("  local kernel generators: (none)", file=out)
         # 2-torsion setting: the odd-part injectivity means only these
         # residues can obstruct, which is why the local list is complete.
-    space, description = brauer.restriction_kernel(cfg)
-    print(f"restriction kernel (dim {space.dim}): {description}", file=out)
+    description = brauer.restriction_kernel(cfg)
+    print(f"restriction kernel (dim {len(cfg.spaces.s_labels)}): {description}", file=out)
     for d in report.warnings:
         print(f"note: [{d.code}] {d.subject}: {d.message}", file=out)
     return OK

@@ -18,7 +18,9 @@ configuration (``Configuration.spaces``):
 
 with the incidence map ``m_pr: P -> R``, the relation map ``m_qp: Q -> P``
 and the diagonal inclusion ``S -> P``.  The GC checks, the computation and
-the ramification lift all read that one value.
+the ramification lift all read that one value, and it is the only way to
+the bases.  ``vp_basis`` and ``cores_residue`` stay as one-line readers
+because ``sampling`` and the benchmark workloads call them by name.
 
 Declaration order is semantic: curves, extensions, and points index the
 bases of the computation in the order they are listed here.
@@ -45,13 +47,8 @@ __all__ = [
     "Configuration",
     "Diagnostic",
     "ValidationReport",
-    "SpaceS",
     "cores_residue",
-    "extension_owner",
     "vp_basis",
-    "vq_basis",
-    "zr_basis",
-    "s_space",
     "validate",
 ]
 
@@ -223,9 +220,9 @@ class Configuration:
     def spaces(self) -> _Spaces:
         """The bases and maps of P, Q, R and S, built once.
 
-        Validation, the computation, the lift and the public matrix
-        builders all read it.  Like ``symbol_index`` it is not a field, so
-        equality, hashing and ``repr`` do not see it.
+        Validation, the computation, the lift and the public readers of
+        the bases and maps all read it.  Like ``symbol_index`` it is not a
+        field, so equality, hashing and ``repr`` do not see it.
         """
         return _build_spaces(self)
 
@@ -257,68 +254,18 @@ _ALLOWED_PAIRS: dict[tuple[str, str], tuple[PointType, ...]] = {
 }
 
 
+# Point types whose constraint rows make up R: all but I_II and IVpp_IV.
+_R_POINT_TYPES = frozenset({PointType.II_II, PointType.III_II, PointType.IV_II, PointType.IVP_IV})
+
+
 def cores_residue(cfg: Configuration, c: Curve) -> ResidueClass:
-    """Residue of the corestriction along ``c``: ``Curve.cores_residue``."""
+    """``Curve.cores_residue``; kept because perfbench's workloads call it."""
     return c.cores_residue
 
 
-def extension_owner(cfg: Configuration) -> dict[str, Curve]:
-    """Map extension id -> owning curve (last declaration wins on clashes)."""
-    owner: dict[str, Curve] = {}
-    for c in cfg.curves:
-        for ext in c.extensions:
-            owner[ext.id] = c
-    return owner
-
-
 def vp_basis(cfg: Configuration) -> list[Extension]:
-    """Extensions carrying nonzero residue, in declaration order.
-
-    These index the coordinates of the space P.
-    """
-    return [ext for c in cfg.curves for ext in c.extensions if not ext.residue.is_zero]
-
-
-def vq_basis(cfg: Configuration) -> list[Curve]:
-    """Curves indexing the relation space Q, in declaration order.
-
-    A curve qualifies when its corestriction residue vanishes and at
-    least one of its extensions carries nonzero residue.
-    """
-    out = []
-    for c in cfg.curves:
-        if not c.cores_residue.is_zero:
-            continue
-        if any(not ext.residue.is_zero for ext in c.extensions):
-            out.append(c)
-    return out
-
-
-def zr_basis(cfg: Configuration) -> list[SingularPoint]:
-    """Points indexing the obstruction space R, in declaration order.
-
-    All point types except I_II and IVpp_IV contribute.
-    """
-    keep = {PointType.II_II, PointType.III_II, PointType.IV_II, PointType.IVP_IV}
-    return [p for p in cfg.points if p.etype in keep]
-
-
-@dataclass(frozen=True)
-class SpaceS:
-    """Kernel of restriction to the generic fiber, with named generators."""
-
-    dim: int
-    generator_labels: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.dim != len(self.generator_labels):
-            raise ValueError("dim must equal the number of generator labels")
-
-
-def s_space(cfg: Configuration) -> SpaceS:
-    """Dimension and generators of the restriction kernel."""
-    labels = cfg.spaces.s_labels
-    return SpaceS(len(labels), labels)
+    """``cfg.spaces.vp`` as a list; kept because ``sampling`` and perfbench call it."""
+    return list(cfg.spaces.vp)
 
 
 def _s_generators(
@@ -420,9 +367,13 @@ def _relation_matrix(
 class _Spaces:
     """Every basis and map of one configuration: ``Configuration.spaces``.
 
-    ``owner`` maps an extension id to its curve and ``curve_rank`` a
-    curve id to its declaration index; both let the last declaration
-    win, as ``extension_owner`` does.
+    ``vp`` holds the extensions with nonzero residue, which index P.
+    ``vq`` holds the curves whose corestriction residue vanishes while
+    some extension carries residue; they index Q.  ``zr`` holds the
+    points of a type in ``_R_POINT_TYPES``, which index R.  All three
+    keep declaration order.  ``owner`` maps an extension id to its curve
+    and ``curve_rank`` a curve id to its declaration index; in both the
+    last declaration wins.
     """
 
     vp: tuple[Extension, ...]
@@ -472,18 +423,27 @@ class _Spaces:
 
 
 def _build_spaces(cfg: Configuration) -> _Spaces:
-    """The spaces of ``cfg``; each piece equals its public builder's result."""
-    vp = vp_basis(cfg)
-    vq = vq_basis(cfg)
-    zr = zr_basis(cfg)
-    owner = extension_owner(cfg)
+    """The spaces of ``cfg``; the curve-indexed pieces come from one walk."""
+    vp: list[Extension] = []
+    vq: list[Curve] = []
+    owner: dict[str, Curve] = {}
+    curve_rank: dict[str, int] = {}
+    for i, c in enumerate(cfg.curves):
+        carrying = [ext for ext in c.extensions if not ext.residue.is_zero]
+        vp.extend(carrying)
+        if carrying and c.cores_residue.is_zero:
+            vq.append(c)
+        for ext in c.extensions:
+            owner[ext.id] = c
+        curve_rank[c.id] = i
+    zr = [p for p in cfg.points if p.etype in _R_POINT_TYPES]
     s_labels, s_vectors = _s_generators(cfg, vp)
     return _Spaces(
         vp=tuple(vp),
         vq=tuple(vq),
         zr=tuple(zr),
         owner=owner,
-        curve_rank={c.id: i for i, c in enumerate(cfg.curves)},
+        curve_rank=curve_rank,
         m_pr=_incidence_matrix(vp, zr, owner),
         m_qp=_relation_matrix(vp, vq, owner),
         s_labels=s_labels,

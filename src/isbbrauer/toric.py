@@ -681,7 +681,6 @@ class ResolutionReport:
     cone: Cone
     singular: tuple[Cone, ...]
     candidates: tuple[Vec, ...]
-    order: tuple[Vec, ...]
     steps: tuple[SubdivisionStep, ...]
     smoothness: SmoothnessReport
     samples: int
@@ -781,7 +780,6 @@ def resolve_demo(samples: int = _SUPPORT_SAMPLES) -> ResolutionReport:
         cone=sigma,
         singular=singular,
         candidates=candidates,
-        order=candidates,
         steps=tuple(map(SubdivisionStep, candidates, fans, verdicts)),
         smoothness=report,
         samples=samples,

@@ -19,11 +19,9 @@ from isbbrauer.brauer import (
     matrix_p_to_r,
     matrix_q_to_p,
     ramification_lift,
-    s_to_p_vectors,
     unramified_brauer,
 )
 from isbbrauer.f2 import F2Matrix, F2Vector, kernel_basis, rref
-from isbbrauer.model import vq_basis
 from isbbrauer.sampling import random_corpus
 
 from f2_reference import (
@@ -124,12 +122,12 @@ def test_acceptance_5_structural_assertions(corpus):
         m_pr = matrix_p_to_r(cfg)
         kernel = kernel_basis(m_pr)
         q_image = column_space(matrix_q_to_p(cfg))
-        svecs = s_to_p_vectors(cfg)
+        svecs = cfg.spaces.s_vectors
         s_image = span(m_pr.cols, svecs)
         ok = (
             all(member(kernel, v) for v in q_image.basis)
             and all(member(kernel, v) for v in svecs)
-            and q_image.dim == len(vq_basis(cfg))
+            and q_image.dim == len(cfg.spaces.vq)
             and s_image.dim == len(svecs)
             and intersection_basis(q_image, s_image).dim == 0
             and sum_subspace(q_image, s_image).dim == q_image.dim + s_image.dim
@@ -160,7 +158,7 @@ def test_acceptance_6_toric_demo():
 
     report = toric.resolve_demo(samples=1000)
     assert report.smoothness.smooth
-    assert len(report.order) == 3
+    assert len(report.candidates) == 3
     assert all(step.support_ok for step in report.steps)
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0

@@ -19,8 +19,6 @@ from isbbrauer.brauer import (
     ramification_lift,
     residue_kernel,
     restriction_kernel,
-    s_space,
-    s_to_p_vectors,
     unramified_brauer,
 )
 from isbbrauer.f2 import DimensionMismatch, F2Vector, kernel_basis
@@ -166,11 +164,9 @@ def test_empty_configuration():
 
 
 def test_s_space_cases():
-    assert s_space(HPT).dim == 0
-    carrier = s_space(inert_carrier())
-    assert (carrier.dim, carrier.generator_labels) == (1, ("cores(beta)",))
-    equal = s_space(split_cover_equal_sheets())
-    assert (equal.dim, equal.generator_labels) == (1, ("beta_1",))
+    assert HPT.spaces.s_labels == ()
+    assert inert_carrier().spaces.s_labels == ("cores(beta)",)
+    assert split_cover_equal_sheets().spaces.s_labels == ("beta_1",)
 
 
 def test_s_space_split_distinct_sheets():
@@ -181,40 +177,38 @@ def test_s_space_split_distinct_sheets():
         extensions=(curve.extensions[0], Extension("c_2", ResidueClass.of("b"), sheet=2)),
     )
     cfg = Configuration(cfg.cover_kind, ("a", "b"), (twisted,))
-    space = s_space(cfg)
-    assert (space.dim, space.generator_labels) == (2, ("beta_1", "beta_2"))
+    assert cfg.spaces.s_labels == ("beta_1", "beta_2")
+    assert restriction_kernel(cfg) == "generated by beta_1, beta_2"
 
     sheet2_only = replace(
         curve,
         extensions=(Extension("c_1", sheet=1), Extension("c_2", ResidueClass.of("a"), sheet=2)),
     )
     cfg = Configuration(CoverKind.SPLIT_EVERYWHERE, ("a",), (sheet2_only,))
-    assert s_space(cfg).generator_labels == ("beta_2",)
+    assert cfg.spaces.s_labels == ("beta_2",)
 
 
 def test_s_to_p_vectors():
-    assert s_to_p_vectors(HPT) == []
-    assert s_to_p_vectors(inert_carrier()) == [from_bits([1])]
+    assert HPT.spaces.s_vectors == ()
+    assert inert_carrier().spaces.s_vectors == (from_bits([1]),)
     cfg = split_cover_equal_sheets()
     # only sheet 1 would carry ramification here if sheet 2's residue is 0;
     # with one generator the indicator covers the whole of P
     vp = vp_basis(cfg)
-    (vec,) = s_to_p_vectors(cfg)
+    (vec,) = cfg.spaces.s_vectors
     assert vec.length == len(vp)
     assert vec.support() == tuple(j for j, e in enumerate(vp) if e.sheet == 1)
 
 
 def test_restriction_kernel_descriptions():
-    _, desc = restriction_kernel(HPT)
-    assert "trivial" in desc
-    space, desc = restriction_kernel(inert_carrier())
-    assert space.dim == 1 and "cores(beta)" in desc
-    space, desc = restriction_kernel(split_cover_equal_sheets())
-    assert space.dim == 1 and "beta_1" in desc
+    assert restriction_kernel(HPT) == "trivial: cores(beta) has no ramification"
+    assert restriction_kernel(inert_carrier()) == "generated by cores(beta)"
+    assert restriction_kernel(split_cover_equal_sheets()) == "generated by beta_1"
     (curve,) = split_cover_equal_sheets().curves
     unramified = replace(curve, extensions=tuple(replace(e, residue=ZERO) for e in curve.extensions))
-    space, desc = restriction_kernel(Configuration(CoverKind.SPLIT_EVERYWHERE, ("a",), (unramified,)))
-    assert (space.dim, desc) == (0, "trivial: beta_1 and beta_2 are both unramified")
+    cfg = Configuration(CoverKind.SPLIT_EVERYWHERE, ("a",), (unramified,))
+    assert cfg.spaces.s_labels == ()
+    assert restriction_kernel(cfg) == "trivial: beta_1 and beta_2 are both unramified"
 
 
 # --- constraint and relation matrices ----------------------------------------
@@ -387,7 +381,7 @@ def test_exactness_bookkeeping(seed):
     kernel = kernel_basis(report.m_pr)
     for column in columns(report.m_qp):
         assert member(kernel, column)
-    for vec in s_to_p_vectors(cfg):
+    for vec in cfg.spaces.s_vectors:
         assert member(kernel, vec)
     for gen in report.generators:
         assert member(kernel, gen.vector)
@@ -418,9 +412,9 @@ def test_dimensions_invariant_under_reordering(seed, rng):
 @given(st.integers(min_value=0, max_value=10_000))
 def test_irreducible_all_ones_lift_is_cores_assignment(seed):
     cfg = random_configuration(random.Random(seed))
-    if cfg.cover_kind is not CoverKind.IRREDUCIBLE or s_space(cfg).dim != 1:
+    if cfg.cover_kind is not CoverKind.IRREDUCIBLE or len(cfg.spaces.s_labels) != 1:
         return
-    (vec,) = s_to_p_vectors(cfg)
+    (vec,) = cfg.spaces.s_vectors
     lift = dict(ramification_lift(cfg, vec))
     carriers = {c.id for c in cfg.curves if any(not e.residue.is_zero for e in c.extensions)}
     expected = {}

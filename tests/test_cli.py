@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, output formats, determinism."""
 
+import hashlib
 import io
 import json
 import re
@@ -9,6 +10,7 @@ import pytest
 
 from isbbrauer import cli, dsl
 from isbbrauer.brauer import unramified_brauer
+from isbbrauer.sampling import random_corpus
 
 INVALID_POINT_PAIR = """\
 cover: irreducible
@@ -280,6 +282,26 @@ def test_output_is_byte_deterministic(tmp_path):
     second = run("compute", str(cfg), "--json")
     assert first == second
     assert run("example", "hpt") == run("example", "hpt")
+
+
+# sha256 over every (argv, exit code, stdout, stderr) of the four config
+# commands on the corpus, the built-ins and one invalid file
+CLI_BYTES_SHA256 = "d7e654167c2c1df5a63c16843cabe1e72231f340c43eff9663dab6e1d9d3a197"
+
+
+def test_cli_output_bytes_are_pinned(tmp_path):
+    path = tmp_path / "input.cfg"
+    sources = [dsl.emit(cfg) for cfg in random_corpus(0, 200)]
+    sources += [dsl.builtin_source(name) for name in dsl.BUILTIN_NAMES]
+    sources.append(INVALID_POINT_PAIR)
+    digest = hashlib.sha256()
+    for source in sources:
+        path.write_text(source)
+        for argv in (["compute", "FILE"], ["compute", "FILE", "--json"], ["validate", "FILE"], ["explain", "FILE"]):
+            code, out, err = run(*[str(path) if a == "FILE" else a for a in argv])
+            record = [argv, code, out, err.replace(str(path), "FILE")]
+            digest.update(json.dumps(record).encode() + b"\n")
+    assert digest.hexdigest() == CLI_BYTES_SHA256
 
 
 def test_explain_describes_local_kernels(tmp_path):

@@ -23,8 +23,6 @@ from isbbrauer.model import (
     cores_residue,
     validate,
     vp_basis,
-    vq_basis,
-    zr_basis,
 )
 
 
@@ -357,15 +355,15 @@ def test_cores_residue_rules():
 def test_hpt_bases_follow_declaration_order():
     cfg = dsl.builtin("hpt")
     assert [e.id for e in vp_basis(cfg)] == ["e_xyz", "e_xzy", "e_yxz", "e_yzx", "e_zxy", "e_zyx"]
-    assert [c.id for c in vq_basis(cfg)] == ["x-axis", "y-axis", "z-axis"]
-    assert [p.id for p in zr_basis(cfg)] == ["p100", "p010", "p001"]
+    assert [c.id for c in cfg.spaces.vq] == ["x-axis", "y-axis", "z-axis"]
+    assert [p.id for p in cfg.spaces.zr] == ["p100", "p010", "p001"]
 
 
 def test_cubic_quartic_bases():
     cfg = dsl.builtin("cubic-quartic")
     assert [e.id for e in vp_basis(cfg)] == ["cubic_1", "cubic_2"]
-    assert [c.id for c in vq_basis(cfg)] == ["cubic"]
-    assert zr_basis(cfg) == []
+    assert [c.id for c in cfg.spaces.vq] == ["cubic"]
+    assert cfg.spaces.zr == ()
 
 
 def test_zr_excludes_transverse_and_double_iv_points():
@@ -375,7 +373,7 @@ def test_zr_excludes_transverse_and_double_iv_points():
         cfg.points[0],
     )
     cfg = replace(cfg, points=extra)
-    assert [p.id for p in zr_basis(cfg)] == ["z0"]
+    assert [p.id for p in cfg.spaces.zr] == ["z0"]
     assert validate(cfg).ok
 
 
@@ -391,7 +389,7 @@ def test_vq_excludes_curve_with_nonzero_cores():
             ),
         ),
     )
-    assert vq_basis(cfg) == []
+    assert cfg.spaces.vq == ()
     assert validate(cfg).ok
 
 

@@ -1,9 +1,10 @@
 """One owner for the spaces of a configuration.
 
 ``model`` builds the bases and maps of P, Q, R and S, once per
-configuration, as ``Configuration.spaces``; validation, the computation,
-the lift, the public matrix builders and the brute-force oracle all read
-that value.  ``model`` needs nothing from ``brauer``; no module of the
+configuration, as ``Configuration.spaces``, the only way to them;
+validation, the computation, the lift, the brute-force oracle and the
+one-line readers ``vp_basis``, ``matrix_p_to_r`` and ``matrix_q_to_p``
+all read that value.  ``model`` needs nothing from ``brauer``; no module of the
 package imports lazily or names the Gauss-Jordan ``rref`` or a test
 module.  ``_s_generators`` is pinned to the label-then-vector
 construction it replaced.
@@ -116,11 +117,11 @@ def test_spaces_are_built_once_per_configuration(monkeypatch):
     report = brauer.unramified_brauer(cfg)
     assert brauer.matrix_p_to_r(cfg) == report.m_pr
     assert brauer.matrix_q_to_p(cfg) == report.m_qp
-    assert brauer.s_to_p_vectors(cfg) == columns(report.m_sp)
+    assert list(cfg.spaces.s_vectors) == columns(report.m_sp)
     for g in report.generators:
         assert brauer.ramification_lift(cfg, g.vector) == list(g.ramification)
     assert brauer.brute_force_unramified(cfg) == (report.kernel_dim, report.h2nr_dim)
-    assert brauer.s_space(cfg).generator_labels == report.s_labels
+    assert cfg.spaces.s_labels == report.s_labels
     assert built == [cfg]
 
 

@@ -13,6 +13,7 @@ rebuilt from the rules as ``model``'s docstrings state them, without
 a disjoint union) are checked on a corpus.
 """
 
+import hashlib
 import io
 import random
 from collections import Counter
@@ -21,7 +22,7 @@ from dataclasses import replace
 import pytest
 
 from isbbrauer import brauer, cli, dsl, model
-from isbbrauer.brauer import matrix_p_to_r, matrix_q_to_p, s_to_p_vectors, unramified_brauer
+from isbbrauer.brauer import matrix_p_to_r, matrix_q_to_p, unramified_brauer
 from isbbrauer.f2 import F2Matrix, F2Vector, kernel_basis, rref
 from isbbrauer.model import (
     Configuration,
@@ -33,10 +34,8 @@ from isbbrauer.model import (
     PointType,
     ResidueClass,
     SingularPoint,
-    extension_owner,
     validate,
     vp_basis,
-    zr_basis,
 )
 from isbbrauer.sampling import random_corpus
 
@@ -46,10 +45,8 @@ from test_word_level import ring
 
 
 def scan_p_to_r(cfg: Configuration) -> F2Matrix:
-    """m_pr by testing every (point, extension) pair."""
-    vp = vp_basis(cfg)
-    zr = zr_basis(cfg)
-    owner = extension_owner(cfg)
+    """m_pr by testing every (point, extension) pair of the bases."""
+    vp, zr, owner = cfg.spaces.vp, cfg.spaces.zr, cfg.spaces.owner
     masks = []
     for point in zr:
         mask = 0
@@ -65,7 +62,7 @@ def greedy_generators(cfg: Configuration) -> list:
     """Kernel rows outside image(Q) + image(S) + earlier picks, by ``member``."""
     p = len(vp_basis(cfg))
     covered = sum_subspace(
-        column_space(matrix_q_to_p(cfg)), span(p, s_to_p_vectors(cfg))
+        column_space(matrix_q_to_p(cfg)), span(p, cfg.spaces.s_vectors)
     )
     picked = []
     for row in kernel_basis(scan_p_to_r(cfg)).basis:
@@ -167,7 +164,7 @@ def test_incidence_walk_matches_scan_on_unfiltered_union(kind):
     blocks = [cfg for cfg in random_corpus(13, 200) if cfg.cover_kind is kind]
     cfg = union(kind, [relabel(b, k) for k, b in enumerate(blocks)])
     assert len(blocks) >= 15 and len(vp_basis(cfg)) > brauer._BRUTE_FORCE_CAP
-    assert len(zr_basis(cfg)) > 20
+    assert len(cfg.spaces.zr) > 20
     assert matrix_p_to_r(cfg) == scan_p_to_r(cfg)
 
 
@@ -232,7 +229,7 @@ def check_rule_oracle(cfg: Configuration) -> None:
     m_pr = F2Matrix(len(rows), p, tuple(rows))
     assert matrix_p_to_r(cfg) == m_pr
     assert matrix_q_to_p(cfg).column_masks() == columns
-    assert [v.mask for v in s_to_p_vectors(cfg)] == s
+    assert [v.mask for v in cfg.spaces.s_vectors] == s
     pr_rank = rref(m_pr).rank
     qp_rank = rref(F2Matrix(len(columns), p, tuple(columns))).rank  # the rank of m_qp's transpose
     s_rank = rref(F2Matrix(len(s), p, tuple(s))).rank
@@ -264,6 +261,21 @@ def test_rule_oracle_on_rings(cuts, chords):
 @pytest.fixture(scope="module")
 def corpus() -> list[Configuration]:
     return random_corpus(7, 300)
+
+
+# sha256 of ``dsl.emit`` over each corpus.  The sampler keeps only what
+# ``validate`` accepts, so a change in ``model`` could otherwise change what
+# every corpus oracle sees without a test failing.
+CORPUS_SHA256 = {
+    (7, 300): "b3e7d532b5e85b877b444a58042481cdea39e51321db3526167cd2468d8c066a",
+    (0, 200): "929731b0da7f0d19016446fd064d278fa6f79a2bb64a88567a5e8b30e31f5bfb",
+}
+
+
+@pytest.mark.parametrize("seed,count", sorted(CORPUS_SHA256))
+def test_the_corpus_is_pinned(seed, count):
+    emitted = "".join(dsl.emit(cfg) for cfg in random_corpus(seed, count))
+    assert hashlib.sha256(emitted.encode()).hexdigest() == CORPUS_SHA256[seed, count]
 
 
 def dims(cfg: Configuration) -> tuple[int, int]:

@@ -450,8 +450,8 @@ def test_fan_script_refusal_matches_the_nested_pair_loop():
 def test_resolve_demo_certificate_chain():
     report = resolve_demo(samples=64)
     assert report.smoothness.smooth
-    assert len(report.order) == 3
-    assert set(report.order) == {(1, 1, 0, 1), (1, 1, 1, 0), (1, 1, 1, 1)}
+    assert len(report.candidates) == 3
+    assert set(report.candidates) == {(1, 1, 0, 1), (1, 1, 1, 0), (1, 1, 1, 1)}
     assert [len(s.fan.maximal_cones) for s in report.steps] == [4, 7, 10]
     assert all(step.support_ok for step in report.steps)
     for step in report.steps:
@@ -652,7 +652,7 @@ def test_resolve_demo_checks_support_once_per_subdivision(monkeypatch):
 def test_resolve_demo_is_deterministic():
     a = resolve_demo(samples=16)
     b = resolve_demo(samples=16)
-    assert a.order == b.order
+    assert a.candidates == b.candidates
     assert a.steps[-1].fan == b.steps[-1].fan
 
 
