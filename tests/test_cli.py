@@ -1,8 +1,10 @@
 """Command-line surface: exit codes, output formats, determinism."""
 
+import errno
 import hashlib
 import io
 import json
+import os
 import re
 from pathlib import Path
 
@@ -489,3 +491,73 @@ def test_toric_check_semantic_errors(tmp_path):
     code, _, err = run("toric", "check", str(fan))
     assert code == cli.INVALID
     assert "outside the support" in err
+
+
+# --- every refusal, byte for byte ------------------------------------------------------
+
+POINT_PAIR_ERR = """\
+errors:
+  [POINT_PAIR] p: curves of types I and I cannot cross at a point
+warnings: (none)
+"""
+
+GC1_ERR = """\
+errors:
+  [GC1] line: relation vector of curve line does not map to zero in R
+warnings:
+  [W_CORES_DEFAULTED] line: cores residue of inert curve line defaulted to 0
+"""
+
+SUBDIVIDE_AFTER_A_STEP = FAN_OK + "subdivide 0 0 1 0\n"
+
+# (input bytes or None for a missing file, exit code, stdout, stderr), with
+# FILE standing for the input's path
+CONFIG_REFUSALS = {
+    "missing": (None, cli.USAGE, "", f"error: cannot read FILE: {os.strerror(errno.ENOENT)}\n"),
+    "not-utf8": (b"symbols: \xff\n", cli.PARSE_ERROR, "", "FILE: input is not valid UTF-8 (byte offset 9)\n"),
+    "parse": (
+        b"cover: sideways\nsymbols: a\n",
+        cli.PARSE_ERROR,
+        "",
+        "FILE:1:8: cover kind must be irreducible or split, got 'sideways'\n",
+    ),
+    "structural": (INVALID_POINT_PAIR.encode(), cli.INVALID, "", POINT_PAIR_ERR),
+    "gc": (GC1_WITH_WARNING.encode(), cli.INVALID, "", GC1_ERR),
+}
+
+FAN_REFUSALS = {
+    "missing": CONFIG_REFUSALS["missing"],
+    "not-utf8": CONFIG_REFUSALS["not-utf8"],
+    "parse": (b"ray 1 0 0 0\ncone\n", cli.PARSE_ERROR, "", "FILE:2:1: cone needs at least one ray index\n"),
+    "script": (b"ray 1 0 0 0\ncone 0 7\n", cli.INVALID, "", "FILE: line 2: ray index 7 is out of range\n"),
+    "subdivide": (
+        SUBDIVIDE_AFTER_A_STEP.encode(),
+        cli.INVALID,
+        "subdivide (1,1,0,0) -> 2 maximal cones\n",
+        "FILE: line 5: subdivision ray (0, 0, 1, 0) lies outside the support of the fan\n",
+    ),
+}
+
+REFUSALS = [
+    pytest.param((cmd,), *case, id=f"{cmd}-{name}")
+    for cmd in ("validate", "compute", "explain")
+    for name, case in CONFIG_REFUSALS.items()
+] + [pytest.param(("toric", "check"), *case, id=f"toric-check-{name}") for name, case in FAN_REFUSALS.items()]
+
+
+@pytest.mark.parametrize("argv, data, code, out, err", REFUSALS)
+def test_every_refusal_is_pinned(tmp_path, argv, data, code, out, err):
+    path = tmp_path / "input.txt"
+    if data is not None:
+        path.write_bytes(data)
+    got = run(*argv, str(path))
+    assert tuple(text.replace(str(path), "FILE") for text in got[1:]) == (out, err)
+    assert got[0] == code
+    # one stream for both: what a step printed comes before the refusal
+    both = io.StringIO()
+    assert cli.run([*argv, str(path)], both, both) == code
+    assert both.getvalue() == got[1] + got[2]
+
+
+def test_an_unknown_example_is_pinned():
+    assert run("example", "nope") == (cli.USAGE, "", "error: unknown builtin 'nope'; choose from cubic-quartic, hpt\n")
