@@ -1,15 +1,19 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 validation or semantic errors in an input
-file, 2 parse errors (an input that is not UTF-8 included), 3 usage
-errors.  All diagnostics go to stderr; output for fixed input bytes and
-arguments is byte-identical.
+A command raises on a refusal; ``run`` alone prints its diagnostic to
+stderr and returns its exit code: 0 success, 1 a configuration that
+fails validation or a fan script that is not a fan, 2 a parse error or
+an input that is not UTF-8, 3 bad arguments, an unreadable file or an
+unknown example.  ``main`` exits 141, as SIGPIPE would, when stdout is
+closed early.  Output for fixed input bytes and arguments is
+byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import brauer, dsl, f2, model, toric
@@ -20,6 +24,7 @@ OK = 0
 INVALID = 1
 PARSE_ERROR = 2
 USAGE = 3
+CLOSED_STDOUT = 141
 
 
 def _json_at(value, level: int) -> str:
@@ -122,8 +127,16 @@ def _print_validation(report: model.ValidationReport, out, err) -> None:
             print(f"  [{d.code}] {d.subject}: {d.message}", file=stream)
 
 
-def _read_text(path: str, err) -> str | int:
-    """The file's text, or the exit code after a diagnostic on stderr.
+class _Refusal(Exception):
+    """A refusal that carries its exit code; its message is the diagnostic."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+def _read_text(path: str) -> str:
+    """The file's text; a file that cannot be read or decoded raises ``_Refusal``.
 
     One leading byte order mark is dropped after decoding, so the offset
     of an invalid byte still counts from the start of the file.
@@ -132,65 +145,36 @@ def _read_text(path: str, err) -> str | int:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read().removeprefix("\ufeff")
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc.strerror}", file=err)
-        return USAGE
+        raise _Refusal(USAGE, f"error: cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
-        print(f"{path}: input is not valid UTF-8 (byte offset {exc.start})", file=err)
-        return PARSE_ERROR
+        raise _Refusal(PARSE_ERROR, f"{path}: input is not valid UTF-8 (byte offset {exc.start})") from None
 
 
-def _load_config(path: str, err) -> model.Configuration | int:
-    text = _read_text(path, err)
-    if isinstance(text, int):
-        return text
-    try:
-        return dsl.parse(text)
-    except dsl.ConfigParseError as exc:
-        for diag in exc.diagnostics:
-            print(f"{path}:{diag}", file=err)
-        return PARSE_ERROR
-
-
-def _cmd_validate(args, out, err) -> int:
-    cfg = _load_config(args.file, err)
-    if isinstance(cfg, int):
-        return cfg
-    report = model.validate(cfg)
-    _print_validation(report, out, err)
+def _cmd_validate(args, out, err) -> None:
+    report = model.validate(dsl.parse(_read_text(args.file)))
     if report.errors:
-        return INVALID
+        raise brauer.InvalidConfigurationError(report)
+    _print_validation(report, out, err)
     print("result: ok", file=out)
-    return OK
 
 
-def _compute_and_print(cfg: model.Configuration, as_json: bool, out, err) -> int:
-    try:
-        result = brauer.unramified_brauer(cfg)
-    except brauer.InvalidConfigurationError as exc:
-        _print_validation(exc.report, out, err)
-        return INVALID
+def _compute_and_print(cfg: model.Configuration, as_json: bool, out) -> None:
+    result = brauer.unramified_brauer(cfg)
     if as_json:
         print(report_json(result), file=out)
     else:
         print(_format_report(result, cfg.symbol_index), end="", file=out)
-    return OK
 
 
-def _cmd_compute(args, out, err) -> int:
-    cfg = _load_config(args.file, err)
-    if isinstance(cfg, int):
-        return cfg
-    return _compute_and_print(cfg, args.json, out, err)
+def _cmd_compute(args, out, err) -> None:
+    _compute_and_print(dsl.parse(_read_text(args.file)), args.json, out)
 
 
-def _cmd_explain(args, out, err) -> int:
-    cfg = _load_config(args.file, err)
-    if isinstance(cfg, int):
-        return cfg
+def _cmd_explain(args, out, err) -> None:
+    cfg = dsl.parse(_read_text(args.file))
     report = model.validate(cfg)
     if report.errors:
-        _print_validation(report, out, err)
-        return INVALID
+        raise brauer.InvalidConfigurationError(report)
     symbol_index = cfg.symbol_index
     for c in cfg.curves:
         behavior = c.cover_behavior.value
@@ -207,19 +191,17 @@ def _cmd_explain(args, out, err) -> int:
     print(f"restriction kernel (dim {len(cfg.spaces.s_labels)}): {description}", file=out)
     for d in report.warnings:
         print(f"note: [{d.code}] {d.subject}: {d.message}", file=out)
-    return OK
 
 
-def _cmd_example(args, out, err) -> int:
+def _cmd_example(args, out, err) -> None:
     try:
         source = dsl.builtin_source(args.name)
     except ValueError as exc:
-        print(f"error: {exc}", file=err)
-        return USAGE
+        raise _Refusal(USAGE, f"error: {exc}") from None
     if args.emit:
         print(source, end="", file=out)
-        return OK
-    return _compute_and_print(dsl.parse(source), False, out, err)
+    else:
+        _compute_and_print(dsl.parse(source), False, out)
 
 
 def _format_vec(v) -> str:
@@ -230,7 +212,7 @@ def _format_rays(rays) -> str:
     return " ".join(map(_format_vec, rays))
 
 
-def _cmd_toric_demo(args, out, err) -> int:
+def _cmd_toric_demo(args, out, err) -> None:
     report = toric.resolve_demo()
     print(f"cone: {_format_rays(report.cone.rays)}", file=out)
     print(f"singular faces: {len(report.singular)}", file=out)
@@ -246,35 +228,23 @@ def _cmd_toric_demo(args, out, err) -> int:
         )
     for cert in report.smoothness.certificates:
         print(f"  cone {_format_rays(cert.cone.rays)}: {cert.reason}", file=out)
-    print(f"smooth: {'true' if report.smoothness.smooth else 'false'}", file=out)
-    return OK if report.smoothness.smooth else INVALID
+    # resolve_demo raises unless the final fan is smooth
+    print("smooth: true", file=out)
 
 
-def _cmd_toric_check(args, out, err) -> int:
-    text = _read_text(args.file, err)
-    if isinstance(text, int):
-        return text
-    try:
-        script = toric.parse_fan_script(text)
-    except toric.FanParseError as exc:
-        print(f"{args.file}:{exc.line}:{exc.column}: {exc.message}", file=err)
-        return PARSE_ERROR
-    except toric.FanScriptError as exc:
-        print(f"{args.file}: {exc}", file=err)
-        return INVALID
+def _cmd_toric_check(args, out, err) -> None:
+    script = toric.parse_fan_script(_read_text(args.file))
     fan = script.fan
     for lineno, ray in script.subdivisions:
         try:
             fan = toric.star_subdivide(fan, ray)
         except ValueError as exc:
-            print(f"{args.file}: line {lineno}: {exc}", file=err)
-            return INVALID
+            raise toric.FanScriptError(str(exc), lineno) from None
         print(f"subdivide {_format_vec(ray)} -> {len(fan.maximal_cones)} maximal cones", file=out)
     report = toric.is_smooth(fan)
     for cert in report.certificates:
         print(f"cone {_format_rays(cert.cone.rays)}: {cert.reason}", file=out)
     print(f"smooth: {'true' if report.smooth else 'false'}", file=out)
-    return OK
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -314,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None, out=None, err=None) -> int:
-    """Execute the CLI; returns the exit status instead of raising."""
+    """Execute the CLI; returns the exit status, the one place a refusal gets its code."""
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     parser = _build_parser()
@@ -324,11 +294,38 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
         # argparse exits 0 for --help and 2 for usage problems; our code 2
         # is reserved for input-file parse errors, so usage maps to 3.
         return OK if exc.code == 0 else USAGE
-    return args.func(args, out, err)
+    try:
+        args.func(args, out, err)
+    except _Refusal as exc:
+        print(exc, file=err)
+        return exc.code
+    except dsl.ConfigParseError as exc:
+        # a built-in source always parses, so the input is args.file
+        for diag in exc.diagnostics:
+            print(f"{args.file}:{diag}", file=err)
+        return PARSE_ERROR
+    except toric.FanParseError as exc:
+        print(f"{args.file}:{exc}", file=err)
+        return PARSE_ERROR
+    except toric.FanScriptError as exc:
+        print(f"{args.file}: {exc}", file=err)
+        return INVALID
+    except brauer.InvalidConfigurationError as exc:
+        _print_validation(exc.report, out, err)
+        return INVALID
+    return OK
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout: point it at devnull so the flush at
+        # exit cannot fail again, and end as a SIGPIPE would.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = CLOSED_STDOUT
+    sys.exit(code)
 
 
 if __name__ == "__main__":

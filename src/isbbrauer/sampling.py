@@ -30,6 +30,7 @@ from .model import (
 __all__ = ["random_configuration", "random_corpus"]
 
 _SYMBOL_POOL = ("a", "b", "c", "d")
+_MAX_ATTEMPTS = 500
 
 
 def _random_class(rng: random.Random, symbols, nonzero_bias: float = 0.0) -> ResidueClass:
@@ -121,18 +122,16 @@ def _draw(rng: random.Random) -> Configuration:
     )
 
 
-def random_configuration(
-    rng: random.Random, max_p: int = 12, max_attempts: int = 500
-) -> Configuration:
+def random_configuration(rng: random.Random, max_p: int = 12) -> Configuration:
     """One random configuration that passes validate, with dim P capped."""
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         cfg = _draw(rng)
         if len(vp_basis(cfg)) > max_p:
             continue
         if validate(cfg).errors:
             continue
         return cfg
-    raise RuntimeError(f"no valid configuration found in {max_attempts} attempts")
+    raise RuntimeError(f"no valid configuration found in {_MAX_ATTEMPTS} attempts")
 
 
 def random_corpus(seed: int, count: int, max_p: int = 12) -> list[Configuration]:

@@ -757,7 +757,7 @@ def _support_verdicts(cone: Cone, fans: list[Fan], count: int, seed: int) -> lis
     return verdicts
 
 
-def resolve_demo(samples: int = _SUPPORT_SAMPLES) -> ResolutionReport:
+def resolve_demo() -> ResolutionReport:
     """Resolve the uv = xyz cone by three star subdivisions.
 
     Candidate rays are the primitive halved ray-sums of the three
@@ -775,14 +775,14 @@ def resolve_demo(samples: int = _SUPPORT_SAMPLES) -> ResolutionReport:
     report = is_smooth(fans[-1])
     if not report.smooth:
         raise ResolutionSearchError("the candidate subdivisions do not give a smooth fan")
-    verdicts = _support_verdicts(sigma, fans, samples, _SAMPLE_SEED)
+    verdicts = _support_verdicts(sigma, fans, _SUPPORT_SAMPLES, _SAMPLE_SEED)
     return ResolutionReport(
         cone=sigma,
         singular=singular,
         candidates=candidates,
         steps=tuple(map(SubdivisionStep, candidates, fans, verdicts)),
         smoothness=report,
-        samples=samples,
+        samples=_SUPPORT_SAMPLES,
     )
 
 

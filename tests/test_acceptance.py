@@ -156,7 +156,7 @@ def test_acceptance_6_toric_demo():
     assert len(bad) == 3
     assert all(toric._rank(f.rays) == 3 for f in bad)
 
-    report = toric.resolve_demo(samples=1000)
+    report = toric.resolve_demo()
     assert report.smoothness.smooth
     assert len(report.candidates) == 3
     assert all(step.support_ok for step in report.steps)

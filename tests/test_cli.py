@@ -6,6 +6,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,8 @@ import pytest
 from isbbrauer import cli, dsl
 from isbbrauer.brauer import unramified_brauer
 from isbbrauer.sampling import random_corpus
+
+from test_front_end import ring_source
 
 INVALID_POINT_PAIR = """\
 cover: irreducible
@@ -97,9 +101,7 @@ def test_example_emit_matches_builtin_source():
 
 
 def test_unknown_example_is_usage_error():
-    code, out, err = run("example", "nope")
-    assert code == cli.USAGE
-    assert "unknown builtin" in err
+    assert run("example", "nope") == (cli.USAGE, "", "error: unknown builtin 'nope'; choose from cubic-quartic, hpt\n")
 
 
 def test_validate_clean_file(tmp_path):
@@ -559,5 +561,16 @@ def test_every_refusal_is_pinned(tmp_path, argv, data, code, out, err):
     assert both.getvalue() == got[1] + got[2]
 
 
-def test_an_unknown_example_is_pinned():
-    assert run("example", "nope") == (cli.USAGE, "", "error: unknown builtin 'nope'; choose from cubic-quartic, hpt\n")
+def test_a_closed_stdout_ends_quietly_with_the_sigpipe_code(tmp_path):
+    # The reader takes 5 bytes of a report many pipe buffers long, as
+    # `isbbrauer compute ring.cfg --json | head -c 5` does, and closes.
+    path = tmp_path / "ring.cfg"
+    path.write_text(ring_source(100))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    main = "from isbbrauer.cli import main; main()"
+    argv = [sys.executable, "-c", main, "compute", str(path), "--json"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.read(5) == b'{\n  "'
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+    assert proc.returncode == 141

@@ -294,7 +294,7 @@ def test_certificate_matrices_are_pinned():
         (((0, 1, 0, 1), (0, 1, 1, 0), (1, 1, 0, 1), (1, 1, 1, 1)), 1),
         (((0, 1, 0, 1), (1, 0, 0, 1), (1, 1, 0, 1), (1, 1, 1, 1)), -1),
     ]
-    certs = resolve_demo(samples=16).smoothness.certificates
+    certs = resolve_demo().smoothness.certificates
     assert [(c.matrix, c.determinant) for c in certs] == expected
     # a 2-dim cone: the two rows after the rays are the unimodular completion
     (cert,) = is_smooth(Cone(((1, 2, 0, -1), (0, 1, 3, 1)))).certificates
@@ -448,7 +448,7 @@ def test_fan_script_refusal_matches_the_nested_pair_loop():
 
 
 def test_resolve_demo_certificate_chain():
-    report = resolve_demo(samples=64)
+    report = resolve_demo()
     assert report.smoothness.smooth
     assert len(report.candidates) == 3
     assert set(report.candidates) == {(1, 1, 0, 1), (1, 1, 1, 0), (1, 1, 1, 1)}
@@ -650,8 +650,8 @@ def test_resolve_demo_checks_support_once_per_subdivision(monkeypatch):
 
 
 def test_resolve_demo_is_deterministic():
-    a = resolve_demo(samples=16)
-    b = resolve_demo(samples=16)
+    a = resolve_demo()
+    b = resolve_demo()
     assert a.candidates == b.candidates
     assert a.steps[-1].fan == b.steps[-1].fan
 
