@@ -1,17 +1,19 @@
 """Command-line interface.
 
 A command raises on a refusal; ``run`` alone prints its diagnostic to
-stderr and returns its exit code: 0 success, 1 a configuration that
-fails validation or a fan script that is not a fan, 2 a parse error or
-an input that is not UTF-8, 3 bad arguments, an unreadable file or an
-unknown example.  ``main`` exits 141, as SIGPIPE would, when stdout is
-closed early.  Output for fixed input bytes and arguments is
-byte-identical.
+its ``err`` stream and returns its exit code: 0 success, 1 a
+configuration that fails validation or a fan script that is not a fan,
+2 a parse error or an input that is not UTF-8, 3 bad arguments, an
+unreadable file or an unknown example.  argparse's usage lines go to
+``err`` and ``--help`` to ``out``, never to the process streams.
+``main`` exits 141, as SIGPIPE would, when stdout is closed early.
+Output for fixed input bytes and arguments is byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -289,7 +291,9 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
     err = sys.stderr if err is None else err
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        # argparse prints usage and help on the process streams
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help and 2 for usage problems; our code 2
         # is reserved for input-file parse errors, so usage maps to 3.

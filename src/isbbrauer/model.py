@@ -103,28 +103,20 @@ class ResidueClass:
     def __add__(self, other: "ResidueClass") -> "ResidueClass":
         return ResidueClass(self.symbols ^ other.symbols)
 
-    def render(
-        self, symbol_order: Iterable[str] | Mapping[str, tuple[int, ...]] | None = None
-    ) -> str:
+    def render(self, symbol_index: Mapping[str, tuple[int, ...]]) -> str:
         """Human/DSL form: ``0`` or ``a+b`` in declared symbol order.
 
-        ``symbol_order`` is the declared symbols, or their positions as
-        ``Configuration.symbol_index`` holds them, which renders in time
-        that does not grow with the number of declared symbols.  A name
+        ``symbol_index`` holds the declared symbols' positions, as
+        ``Configuration.symbol_index`` does, so rendering takes time that
+        does not grow with the number of declared symbols.  A name
         declared twice is written once per declaration.
         """
         if self.is_zero:
             return "0"
-        if symbol_order is None:
-            return "+".join(sorted(self.symbols))
-        if isinstance(symbol_order, Mapping):
-            index = symbol_order
-        else:
-            index = _symbol_positions(symbol_order)
-        missing = self.symbols.difference(index)
+        missing = self.symbols.difference(symbol_index)
         if missing:
             raise ValueError(f"symbols not in declared order list: {sorted(missing)}")
-        return "+".join(s for _, s in sorted((i, s) for s in self.symbols for i in index[s]))
+        return "+".join(s for _, s in sorted((i, s) for s in self.symbols for i in symbol_index[s]))
 
 
 def _symbol_positions(symbols: Iterable[str]) -> dict[str, tuple[int, ...]]:

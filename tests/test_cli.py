@@ -212,10 +212,32 @@ def test_bad_subcommand_is_usage_error():
     assert code == cli.USAGE
 
 
-def test_help_exits_clean(capsys):
-    code, _, _ = run("--help")
-    assert code == cli.OK
-    assert "validate" in capsys.readouterr().out
+def test_help_exits_clean():
+    code, out, err = run("--help")
+    assert code == cli.OK and err == ""
+    assert "validate" in out
+
+
+USAGE_LINE = "usage: isbbrauer [-h] {validate,compute,explain,example,toric} ..."
+
+
+def test_argparse_writes_only_to_the_streams_run_was_given(capfd):
+    # Usage errors and --help reach err and out, as an embedding caller
+    # passes them, and nothing reaches the process's own streams.
+    for argv, first in (
+        (["frobnicate"], USAGE_LINE),
+        ([], USAGE_LINE),
+        (["explain"], "usage: isbbrauer explain [-h] file"),
+        (["toric"], "usage: isbbrauer toric [-h] {demo,check} ..."),
+    ):
+        code, out, err = run(*argv)
+        assert (code, out) == (cli.USAGE, ""), argv
+        assert err.splitlines()[0] == first, argv
+        assert len(err.splitlines()) == 2, argv
+    code, out, err = run("--help")
+    assert (code, err) == (cli.OK, "")
+    assert out.splitlines()[0] == USAGE_LINE
+    assert capfd.readouterr() == ("", "")
 
 
 def test_repeated_runs_in_one_process_carry_no_state(tmp_path, capsys):
@@ -231,9 +253,10 @@ def test_repeated_runs_in_one_process_carry_no_state(tmp_path, capsys):
         assert run("compute", str(cfg)) == (cli.OK, text_report, "")
         assert run("compute")[0] == cli.USAGE
         assert run("frobnicate", str(cfg))[0] == cli.USAGE
-        assert run("--help")[0] == cli.OK
-        assert "validate" in capsys.readouterr().out
+        code, out, _ = run("--help")
+        assert code == cli.OK and "validate" in out
         assert run("compute", str(cfg)) == (cli.OK, text_report, "")
+    assert capsys.readouterr() == ("", "")
 
 
 def test_compute_json_roundtrips_dims(tmp_path):

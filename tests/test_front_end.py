@@ -195,9 +195,6 @@ def test_render_through_the_index_matches_the_scan():
         order = [rng.choice("abcdef") for _ in range(rng.randint(0, 8))]
         cls = ResidueClass(frozenset(rng.sample("abcdefg", rng.randint(0, 4))))
         expect = outcome(scan_render, cls, order)
-        assert outcome(cls.render, order) == expect
-        assert outcome(cls.render, tuple(order)) == expect
-        assert outcome(cls.render, iter(order)) == expect
         assert outcome(cls.render, model._symbol_positions(order)) == expect
         if isinstance(expect, tuple):
             seen.add("error")

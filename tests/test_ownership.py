@@ -5,14 +5,15 @@ configuration, as ``Configuration.spaces``, the only way to them;
 validation, the computation, the lift, the brute-force oracle and the
 one-line readers ``vp_basis``, ``matrix_p_to_r`` and ``matrix_q_to_p``
 all read that value.  ``model`` needs nothing from ``brauer``; no module of the
-package imports lazily or names the Gauss-Jordan ``rref`` or a test
-module.  ``_s_generators`` is pinned to the label-then-vector
-construction it replaced.
+package imports lazily or names the Gauss-Jordan ``rref``, a test module
+or a helper of ``tests/toric_reference.py``.  ``_s_generators`` is
+pinned to the label-then-vector construction it replaced.
 """
 
 import ast
 import dataclasses
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -79,6 +80,12 @@ def test_reference_code_stays_out_of_the_product():
     reference = mentioned_names(tests / "f2_reference.py")
     assert "rref" in reference
     assert reference & {"kernel_basis", "_insert", "_set_bits"} == set()
+    # The lattice-geometry references the CLI never runs: not even a
+    # comment or docstring of the package names them.
+    assert "toric_reference" in test_modules
+    moved = re.compile(r"hilbert_basis|dual_generators|intersection_cone|fan_intersections_are_faces|_BOX_CAP")
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert moved.findall(path.read_text()) == [], path.name
 
 
 def test_model_validates_without_brauer():
