@@ -33,7 +33,6 @@ __all__ = [
     "KernelContractError",
     "CapExceededError",
     "matrix_p_to_r",
-    "matrix_q_to_p",
     "unramified_brauer",
     "coset_equivalent",
     "ramification_lift",
@@ -100,11 +99,6 @@ def matrix_p_to_r(cfg: Configuration) -> F2Matrix:
     return cfg.spaces.m_pr
 
 
-def matrix_q_to_p(cfg: Configuration) -> F2Matrix:
-    """``cfg.spaces.m_qp``; kept because perfbench traces it by name."""
-    return cfg.spaces.m_qp
-
-
 def ramification_lift(
     cfg: Configuration, vec: F2Vector
 ) -> list[tuple[str, ResidueClass]]:
@@ -140,6 +134,15 @@ def _check_kernel(spaces: _Spaces, vectors: list[F2Vector]) -> None:
 
 
 def _lift(spaces: _Spaces, vec: F2Vector) -> list[tuple[str, ResidueClass]]:
+    """The per-curve ramification of ``vec``, curves with a zero total left out.
+
+    A curve's total vanishes only when ``vec`` picks none of the curve's
+    P coordinates, or all of them on a split or inert curve whose
+    corestriction residue is 0: the support of that curve's Q relation.
+    So the lift is empty only on image(Q), and generator selection,
+    which seeds its echelon basis with the Q columns, never picks a
+    vector whose lift is empty.
+    """
     acc: dict[str, ResidueClass] = {}
     for j in vec.support():
         ext = spaces.vp[j]
@@ -153,7 +156,7 @@ def _lift(spaces: _Spaces, vec: F2Vector) -> list[tuple[str, ResidueClass]]:
     return [(cid, acc[cid]) for cid in order if not acc[cid].is_zero]
 
 
-def residue_kernel(cfg: Configuration, c: Curve) -> list[ResidueClass]:
+def residue_kernel(c: Curve) -> list[ResidueClass]:
     """Generators of the local kernel at a curve, zero classes included.
 
     Type I contributes nothing; Type IV curves contribute their marked

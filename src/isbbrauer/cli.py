@@ -1,13 +1,13 @@
 """Command-line interface.
 
-A command raises on a refusal; ``run`` alone prints its diagnostic to
-its ``err`` stream and returns its exit code: 0 success, 1 a
-configuration that fails validation or a fan script that is not a fan,
-2 a parse error or an input that is not UTF-8, 3 bad arguments, an
-unreadable file or an unknown example.  argparse's usage lines go to
-``err`` and ``--help`` to ``out``, never to the process streams.
-``main`` exits 141, as SIGPIPE would, when stdout is closed early.
-Output for fixed input bytes and arguments is byte-identical.
+A command writes only to ``out`` and raises on a refusal; ``run`` alone
+prints its diagnostic to its ``err`` stream and returns its exit code:
+0 success, 1 a configuration that fails validation or a fan script that
+is not a fan, 2 a parse error or an input that is not UTF-8, 3 bad
+arguments, an unreadable file or an unknown example.  argparse's usage
+lines go to ``err`` and ``--help`` to ``out``, never to the process
+streams.  ``main`` exits 141, as SIGPIPE would, when stdout is closed
+early.  Output for fixed input bytes and arguments is byte-identical.
 """
 
 from __future__ import annotations
@@ -113,16 +113,13 @@ def _format_report(r: brauer.BrauerReport, symbol_index: dict[str, tuple[int, ..
         lines.append("generators: (none)")
     for i, g in enumerate(r.generators, start=1):
         lines.append(f"generator g{i}: {g.vector}")
-        if not g.ramification:
-            lines.append("  unramified over every curve")
         for cid, cls in g.ramification:
             lines.append(f"  ramified at {cid}: {cls.render(symbol_index)}")
     lines.append("assertions: " + ", ".join(f"{k}={v}" for k, v in r.assertions))
     return "\n".join(lines) + "\n"
 
 
-def _print_validation(report: model.ValidationReport, out, err) -> None:
-    stream = err if report.errors else out
+def _print_validation(report: model.ValidationReport, stream) -> None:
     for title, found in (("errors", report.errors), ("warnings", report.warnings)):
         print(f"{title}:" if found else f"{title}: (none)", file=stream)
         for d in found:
@@ -152,11 +149,11 @@ def _read_text(path: str) -> str:
         raise _Refusal(PARSE_ERROR, f"{path}: input is not valid UTF-8 (byte offset {exc.start})") from None
 
 
-def _cmd_validate(args, out, err) -> None:
+def _cmd_validate(args, out) -> None:
     report = model.validate(dsl.parse(_read_text(args.file)))
     if report.errors:
         raise brauer.InvalidConfigurationError(report)
-    _print_validation(report, out, err)
+    _print_validation(report, out)
     print("result: ok", file=out)
 
 
@@ -168,11 +165,11 @@ def _compute_and_print(cfg: model.Configuration, as_json: bool, out) -> None:
         print(_format_report(result, cfg.symbol_index), end="", file=out)
 
 
-def _cmd_compute(args, out, err) -> None:
+def _cmd_compute(args, out) -> None:
     _compute_and_print(dsl.parse(_read_text(args.file)), args.json, out)
 
 
-def _cmd_explain(args, out, err) -> None:
+def _cmd_explain(args, out) -> None:
     cfg = dsl.parse(_read_text(args.file))
     report = model.validate(cfg)
     if report.errors:
@@ -181,7 +178,7 @@ def _cmd_explain(args, out, err) -> None:
     for c in cfg.curves:
         behavior = c.cover_behavior.value
         print(f"curve {c.id} (type {c.deg_type.value}, {behavior}):", file=out)
-        gens = brauer.residue_kernel(cfg, c)
+        gens = brauer.residue_kernel(c)
         if gens:
             rendered = ", ".join(g.render(symbol_index) for g in gens)
             print(f"  local kernel generators: {rendered}", file=out)
@@ -195,7 +192,7 @@ def _cmd_explain(args, out, err) -> None:
         print(f"note: [{d.code}] {d.subject}: {d.message}", file=out)
 
 
-def _cmd_example(args, out, err) -> None:
+def _cmd_example(args, out) -> None:
     try:
         source = dsl.builtin_source(args.name)
     except ValueError as exc:
@@ -214,7 +211,7 @@ def _format_rays(rays) -> str:
     return " ".join(map(_format_vec, rays))
 
 
-def _cmd_toric_demo(args, out, err) -> None:
+def _cmd_toric_demo(args, out) -> None:
     report = toric.resolve_demo()
     print(f"cone: {_format_rays(report.cone.rays)}", file=out)
     print(f"singular faces: {len(report.singular)}", file=out)
@@ -234,7 +231,7 @@ def _cmd_toric_demo(args, out, err) -> None:
     print("smooth: true", file=out)
 
 
-def _cmd_toric_check(args, out, err) -> None:
+def _cmd_toric_check(args, out) -> None:
     script = toric.parse_fan_script(_read_text(args.file))
     fan = script.fan
     for lineno, ray in script.subdivisions:
@@ -299,7 +296,7 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
         # is reserved for input-file parse errors, so usage maps to 3.
         return OK if exc.code == 0 else USAGE
     try:
-        args.func(args, out, err)
+        args.func(args, out)
     except _Refusal as exc:
         print(exc, file=err)
         return exc.code
@@ -315,7 +312,7 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
         print(f"{args.file}: {exc}", file=err)
         return INVALID
     except brauer.InvalidConfigurationError as exc:
-        _print_validation(exc.report, out, err)
+        _print_validation(exc.report, err)
         return INVALID
     return OK
 

@@ -364,8 +364,8 @@ class _Parser:
         """
         block = self.block
         if not isinstance(block, kind):
-            where = "top level" if block is None else f"a {block.keyword} block"
-            self.error(at, f"{keyword} is not allowed at {where}; it belongs in a {kind.keyword} block")
+            where = "at top level" if block is None else f"in a {block.keyword} block"
+            self.error(at, f"{keyword} is not allowed {where}; it belongs in a {kind.keyword} block")
             return None, None
         m = pattern.match(text)
         if not m:

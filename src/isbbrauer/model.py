@@ -20,7 +20,7 @@ with the incidence map ``m_pr: P -> R``, the relation map ``m_qp: Q -> P``
 and the diagonal inclusion ``S -> P``.  The GC checks, the computation and
 the ramification lift all read that one value, and it is the only way to
 the bases.  ``vp_basis`` and ``cores_residue`` stay as one-line readers
-because ``sampling`` and the benchmark workloads call them by name.
+because the benchmark workloads call them by name.
 
 Declaration order is semantic: curves, extensions, and points index the
 bases of the computation in the order they are listed here.
@@ -256,7 +256,7 @@ def cores_residue(cfg: Configuration, c: Curve) -> ResidueClass:
 
 
 def vp_basis(cfg: Configuration) -> list[Extension]:
-    """``cfg.spaces.vp`` as a list; kept because ``sampling`` and perfbench call it."""
+    """``cfg.spaces.vp`` as a list; kept because perfbench's workloads call it."""
     return list(cfg.spaces.vp)
 
 

@@ -24,7 +24,6 @@ from .model import (
     ResidueClass,
     SingularPoint,
     validate,
-    vp_basis,
 )
 
 __all__ = ["random_configuration", "random_corpus"]
@@ -126,7 +125,7 @@ def random_configuration(rng: random.Random, max_p: int = 12) -> Configuration:
     """One random configuration that passes validate, with dim P capped."""
     for _ in range(_MAX_ATTEMPTS):
         cfg = _draw(rng)
-        if len(vp_basis(cfg)) > max_p:
+        if len(cfg.spaces.vp) > max_p:
             continue
         if validate(cfg).errors:
             continue
@@ -134,7 +133,7 @@ def random_configuration(rng: random.Random, max_p: int = 12) -> Configuration:
     raise RuntimeError(f"no valid configuration found in {_MAX_ATTEMPTS} attempts")
 
 
-def random_corpus(seed: int, count: int, max_p: int = 12) -> list[Configuration]:
-    """A reproducible list of valid configurations."""
+def random_corpus(seed: int, count: int) -> list[Configuration]:
+    """A reproducible list of valid configurations, each of dim P at most 10."""
     rng = random.Random(seed)
-    return [random_configuration(rng, max_p=max_p) for _ in range(count)]
+    return [random_configuration(rng) for _ in range(count)]

@@ -10,9 +10,9 @@ lower-dimensional face, and the invariant factors that say why a cone is
 not smooth.  Where only the verdict is read, as for singular faces, it
 is the gcd of the ray matrix's maximal minors.  Faces and
 star-subdivision cones are built without re-proving what their parent
-cones already proved.  Scope is deliberately capped at ambient rank 4 and 8 rays per cone (fan
-scripts refuse a longer ``cone`` line), which covers the one cone this
-package cares about — ``uv_xyz_cone()`` — and all of its transforms.
+cones already proved.  Scope is ambient rank 4, which covers the one
+cone this package cares about — ``uv_xyz_cone()`` — and all of its
+transforms; a fan script refuses a ``cone`` line of more than 8 rays.
 
 ``resolve_demo`` runs the whole story: find the three singular faces,
 derive candidate blow-up rays from their ray sums, and star-subdivide at
@@ -32,7 +32,6 @@ from math import gcd
 
 __all__ = [
     "DIM",
-    "CapExceededError",
     "FanParseError",
     "FanScriptError",
     "ResolutionSearchError",
@@ -60,10 +59,6 @@ _RAY_CAP = 8
 _CONE_CAP = 16
 
 Vec = tuple[int, ...]
-
-
-class CapExceededError(ValueError):
-    """The operation refused input past the rank-4 / 8-ray scope cap."""
 
 
 class ResolutionSearchError(RuntimeError):
@@ -400,11 +395,6 @@ class Fan:
         object.__setattr__(self, "maximal_cones", tuple(self.maximal_cones))
 
 
-def _check_cap(c: Cone) -> None:
-    if len(c.rays) > _RAY_CAP:
-        raise CapExceededError(f"{len(c.rays)} rays exceeds the cap of {_RAY_CAP}")
-
-
 def _face_masks(rays: tuple[Vec, ...]) -> set[int]:
     """Every face of the pointed cone over ``rays``, as a mask with bit ``i`` for ``rays[i]``.
 
@@ -425,7 +415,6 @@ def _face_masks(rays: tuple[Vec, ...]) -> set[int]:
 
 def faces(c: Cone) -> list[Cone]:
     """All faces of ``c`` (including itself and the zero face)."""
-    _check_cap(c)
     subsets = [tuple(r for i, r in enumerate(c.rays) if mask >> i & 1) for mask in _face_masks(c.rays)]
     # a subset of a pointed cone's primitive, pairwise non-proportional
     # rays spans a pointed cone with the same properties

@@ -15,7 +15,6 @@ from isbbrauer.brauer import (
     brute_force_unramified,
     coset_equivalent,
     matrix_p_to_r,
-    matrix_q_to_p,
     ramification_lift,
     residue_kernel,
     restriction_kernel,
@@ -264,14 +263,14 @@ def test_inert_relation_is_a_unit_column():
             ),
         ),
     )
-    m = matrix_q_to_p(cfg)
+    m = cfg.spaces.m_qp
     assert (m.rows, m.cols) == (3, 2)
     assert [bits(c) for c in columns(m)] == [[1, 0, 0], [0, 1, 1]]
 
 
 def test_empty_vq_gives_zero_width_matrix():
     cfg = inert_carrier()
-    m = matrix_q_to_p(cfg)
+    m = cfg.spaces.m_qp
     assert (m.rows, m.cols) == (1, 0)
 
 
@@ -280,7 +279,7 @@ def test_empty_vq_gives_zero_width_matrix():
 
 def test_lift_of_relation_vectors_is_empty():
     for cfg in (HPT, CUBIC_QUARTIC):
-        m_qp = matrix_q_to_p(cfg)
+        m_qp = cfg.spaces.m_qp
         for column in columns(m_qp):
             assert ramification_lift(cfg, column) == []
 
@@ -308,8 +307,8 @@ def test_lift_of_all_ones_recovers_cores_assignment():
 
 def test_residue_kernel_cases():
     by_id = {c.id: c for c in HPT.curves}
-    assert residue_kernel(HPT, by_id["C'"]) == []
-    assert residue_kernel(HPT, by_id["x-axis"]) == [ResidueClass.of("a"), ResidueClass.of("a")]
+    assert residue_kernel(by_id["C'"]) == []
+    assert residue_kernel(by_id["x-axis"]) == [ResidueClass.of("a"), ResidueClass.of("a")]
 
     quad = Curve(
         "q",
@@ -318,11 +317,10 @@ def test_residue_kernel_cases():
         (Extension("q_m", ResidueClass.of("a")), Extension("q_o")),
         marking="q_m",
     )
-    cfg = Configuration(CoverKind.IRREDUCIBLE, ("a",), (quad,))
-    assert residue_kernel(cfg, quad) == [ResidueClass.of("a")]
+    assert residue_kernel(quad) == [ResidueClass.of("a")]
 
     carrier = inert_carrier()
-    assert residue_kernel(carrier, carrier.curves[0]) == [ResidueClass.of("a")]
+    assert residue_kernel(carrier.curves[0]) == [ResidueClass.of("a")]
 
 
 # --- oracle and structural properties ------------------------------------------
@@ -392,7 +390,7 @@ def test_exactness_bookkeeping(seed):
 @given(st.integers(min_value=0, max_value=10_000))
 def test_lift_well_defined_modulo_relations(seed):
     cfg = random_configuration(random.Random(seed))
-    m_qp = matrix_q_to_p(cfg)
+    m_qp = cfg.spaces.m_qp
     for column in columns(m_qp):
         assert ramification_lift(cfg, column) == []
 

@@ -289,29 +289,29 @@ LINE_PATH_CASES = [
     # Each field keyword at top level, in a curve block and in a point block.
     (top("type: II"), ["3:1: type is not allowed at top level; it belongs in a curve block"]),
     (in_curve("type: II"), ["9:3: type already set for curve 'q'"]),
-    (in_point("type: II"), ["18:3: type is not allowed at a point block; it belongs in a curve block"]),
+    (in_point("type: II"), ["18:3: type is not allowed in a point block; it belongs in a curve block"]),
     (top("cover: split"), ["3:1: cover declared twice"]),
     (in_curve("cover: split"), ["9:3: cover already set for curve 'q'"]),
     (in_point("cover: split"), ["18:3: cover is not allowed in a point block"]),
     (top("ext e: a"), ["3:1: ext is not allowed at top level; it belongs in a curve block"]),
     (in_curve("ext e: a"), []),
-    (in_point("ext e: a"), ["18:3: ext is not allowed at a point block; it belongs in a curve block"]),
+    (in_point("ext e: a"), ["18:3: ext is not allowed in a point block; it belongs in a curve block"]),
     (top("mark: q_1"), ["3:1: mark is not allowed at top level; it belongs in a curve block"]),
     (in_curve("mark: q_1"), ["9:3: mark already set for curve 'q'"]),
-    (in_point("mark: q_1"), ["18:3: mark is not allowed at a point block; it belongs in a curve block"]),
+    (in_point("mark: q_1"), ["18:3: mark is not allowed in a point block; it belongs in a curve block"]),
     (top("cores: a"), ["3:1: cores is not allowed at top level; it belongs in a curve block"]),
     (in_curve("cores: a"), ["9:3: cores already set for curve 'q'"]),
-    (in_point("cores: a"), ["18:3: cores is not allowed at a point block; it belongs in a curve block"]),
+    (in_point("cores: a"), ["18:3: cores is not allowed in a point block; it belongs in a curve block"]),
     (top("curves: c, q"), ["3:1: curves is not allowed at top level; it belongs in a point block"]),
-    (in_curve("curves: c, q"), ["9:3: curves is not allowed at a curve block; it belongs in a point block"]),
+    (in_curve("curves: c, q"), ["9:3: curves is not allowed in a curve block; it belongs in a point block"]),
     (in_point("curves: c, q"), ["18:3: curves already set for point 'p'"]),
     (top("etype: II_II"), ["3:1: etype is not allowed at top level; it belongs in a point block"]),
-    (in_curve("etype: II_II"), ["9:3: etype is not allowed at a curve block; it belongs in a point block"]),
+    (in_curve("etype: II_II"), ["9:3: etype is not allowed in a curve block; it belongs in a point block"]),
     (in_point("etype: II_II"), ["18:3: etype already set for point 'p'"]),
     (top("meets_marked: c_1"), ["3:1: meets_marked is not allowed at top level; it belongs in a point block"]),
     (
         in_curve("meets_marked: c_1"),
-        ["9:3: meets_marked is not allowed at a curve block; it belongs in a point block"],
+        ["9:3: meets_marked is not allowed in a curve block; it belongs in a point block"],
     ),
     (in_point("meets_marked: c_1"), ["18:3: meets_marked already set for point 'p'"]),
     # Each field keyword malformed in its own block.
@@ -388,7 +388,7 @@ LINE_PATH_CASES = [
             "3:1: malformed point line",
             "3:1: point '' is missing a curves line",
             "3:1: point '' is missing an etype line",
-            "4:3: type is not allowed at a point block; it belongs in a curve block",
+            "4:3: type is not allowed in a point block; it belongs in a curve block",
         ],
     ),
     (
@@ -397,7 +397,7 @@ LINE_PATH_CASES = [
             "3:1: malformed point line",
             "3:1: point '' is missing a curves line",
             "3:1: point '' is missing an etype line",
-            "4:3: type is not allowed at a point block; it belongs in a curve block",
+            "4:3: type is not allowed in a point block; it belongs in a curve block",
         ],
     ),
     # Blocks missing every required field.

@@ -22,7 +22,7 @@ from dataclasses import replace
 import pytest
 
 from isbbrauer import brauer, cli, dsl, model
-from isbbrauer.brauer import matrix_p_to_r, matrix_q_to_p, unramified_brauer
+from isbbrauer.brauer import matrix_p_to_r, unramified_brauer
 from isbbrauer.f2 import F2Matrix, F2Vector, kernel_basis, rref
 from isbbrauer.model import (
     Configuration,
@@ -62,7 +62,7 @@ def greedy_generators(cfg: Configuration) -> list:
     """Kernel rows outside image(Q) + image(S) + earlier picks, by ``member``."""
     p = len(vp_basis(cfg))
     covered = sum_subspace(
-        column_space(matrix_q_to_p(cfg)), span(p, cfg.spaces.s_vectors)
+        column_space(cfg.spaces.m_qp), span(p, cfg.spaces.s_vectors)
     )
     picked = []
     for row in kernel_basis(scan_p_to_r(cfg)).basis:
@@ -228,7 +228,7 @@ def check_rule_oracle(cfg: Configuration) -> None:
     p, rows, columns, s = rule_rows_and_columns(cfg)
     m_pr = F2Matrix(len(rows), p, tuple(rows))
     assert matrix_p_to_r(cfg) == m_pr
-    assert matrix_q_to_p(cfg).column_masks() == columns
+    assert cfg.spaces.m_qp.column_masks() == columns
     assert [v.mask for v in cfg.spaces.s_vectors] == s
     pr_rank = rref(m_pr).rank
     qp_rank = rref(F2Matrix(len(columns), p, tuple(columns))).rank  # the rank of m_qp's transpose
@@ -253,6 +253,8 @@ def test_rule_oracle_on_rings(cuts, chords):
     cfg, _ = ring(random.Random(cuts * 101 + chords), 400, cuts, chords)
     assert len(vp_basis(cfg)) == 800
     check_rule_oracle(cfg)
+    generators = unramified_brauer(cfg).generators
+    assert generators and all(g.ramification for g in generators)
 
 
 # --- metamorphic relations on the corpus ----------------------------------------
@@ -344,7 +346,49 @@ def test_pivot_selection_matches_greedy_loop_on_large_union(large_union):
     assert [g.vector for g in report.generators] == greedy_generators(large_union)
     assert report.m_pr == scan_p_to_r(large_union)
     for g in report.generators:
+        assert g.ramification
         assert list(g.ramification) == brauer.ramification_lift(large_union, g.vector)
+
+
+# --- the lift's kernel on P -------------------------------------------------------
+
+
+def test_the_lift_is_empty_exactly_on_the_q_image():
+    # So no generator, which lies outside image(Q), is reported unramified;
+    # the large-union and ring tests check that every generator is ramified.
+    vectors = empty = 0
+    for cfg in random_corpus(0, 300):
+        spaces = cfg.spaces
+        p = len(spaces.vp)
+        q_image = column_space(spaces.m_qp)
+        for mask in range(1 << p):
+            v = F2Vector(p, mask)
+            lifted = brauer._lift(spaces, v)
+            assert (lifted == []) == member(q_image, v), (cfg, v)
+            vectors += 1
+            empty += lifted == []
+    assert vectors > 10_000 and empty > 300
+
+
+# --- the brute-force oracle past the sampler's dim P ------------------------------
+
+
+def test_brute_force_matches_on_unions_past_dim_p_10():
+    # ``random_corpus`` never exceeds dim P 10; a union of 2 or 3 of its
+    # draws reaches 11 to 16, inside the enumeration cap of 20.
+    corpus = random_corpus(5, 60)
+    seen = set()
+    for kind in CoverKind:
+        blocks = [relabel(cfg, k) for k, cfg in enumerate(b for b in corpus if b.cover_kind is kind)]
+        for size in (2, 3):
+            for i in range(len(blocks) - size + 1):
+                cfg = union(kind, blocks[i : i + size])
+                p = len(cfg.spaces.vp)
+                if 11 <= p <= 16 and p not in seen and not validate(cfg).errors:
+                    assert brauer.brute_force_unramified(cfg) == dims(cfg), cfg
+                    seen.add(p)
+                    break
+    assert len(seen) == 4 and max(seen) > 12
 
 
 def test_compute_validates_once_and_builds_spaces_once(monkeypatch, tmp_path):
