@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .f2 import F2Matrix, F2Vector, _check_len, _insert, kernel_basis
+from .f2 import F2Matrix, F2Vector, _check_len, _insert, _set_bits, kernel_basis
 from .model import (
     Configuration,
     CoverBehavior,
@@ -133,6 +133,9 @@ def _check_kernel(spaces: _Spaces, vectors: list[F2Vector]) -> None:
             raise KernelContractError("vector is not in the kernel of P -> R")
 
 
+_NO_SYMBOLS: frozenset[str] = frozenset()
+
+
 def _lift(spaces: _Spaces, vec: F2Vector) -> list[tuple[str, ResidueClass]]:
     """The per-curve ramification of ``vec``, curves with a zero total left out.
 
@@ -143,17 +146,13 @@ def _lift(spaces: _Spaces, vec: F2Vector) -> list[tuple[str, ResidueClass]]:
     which seeds its echelon basis with the Q columns, never picks a
     vector whose lift is empty.
     """
-    acc: dict[str, ResidueClass] = {}
-    for j in vec.support():
-        ext = spaces.vp[j]
-        curve = spaces.owner[ext.id]
-        if curve.cover_behavior is CoverBehavior.INERT:
-            contribution = curve.cores_residue
-        else:
-            contribution = ext.residue
-        acc[curve.id] = acc.get(curve.id, ResidueClass()) + contribution
+    rows = spaces.lift_rows
+    acc: dict[str, frozenset[str]] = {}
+    for j in _set_bits(vec.mask):
+        cid, symbols = rows[j]
+        acc[cid] = acc.get(cid, _NO_SYMBOLS) ^ symbols
     order = sorted(acc, key=spaces.curve_rank.__getitem__)
-    return [(cid, acc[cid]) for cid in order if not acc[cid].is_zero]
+    return [(cid, ResidueClass(acc[cid])) for cid in order if acc[cid]]
 
 
 def residue_kernel(c: Curve) -> list[ResidueClass]:

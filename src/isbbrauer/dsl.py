@@ -512,12 +512,11 @@ class _Parser:
             self.claim(ids, p.id, p.pos)
 
         curve_ids = {c.id for c in self.curves}
+        resolve = self.resolve_residue
         curves: list[Curve] = []
         for c in self.curves:
-            exts = tuple(
-                Extension(e.id, self.resolve_residue(e.residue), e.sheet) for e in c.exts
-            )
-            if c.mark is not None and c.mark[0] not in {e.id for e in c.exts}:
+            exts = tuple([Extension(e.id, resolve(e.residue), e.sheet) for e in c.exts])
+            if c.mark is not None and not any(e.id == c.mark[0] for e in c.exts):
                 self.error(c.mark[1], f"mark {c.mark[0]!r} does not match an extension of {c.id!r}")
             curves.append(
                 Curve(
@@ -526,7 +525,7 @@ class _Parser:
                     cover_behavior=c.behavior or CoverBehavior.RAMIFIED,
                     extensions=exts,
                     marking=c.mark[0] if c.mark else None,
-                    cores_residue_input=self.resolve_residue(c.cores) if c.cores is not None else None,
+                    cores_residue_input=resolve(c.cores) if c.cores is not None else None,
                 )
             )
 

@@ -77,7 +77,11 @@ class F2Vector:
         return F2Vector(self.length, self.mask ^ other.mask)
 
     def __str__(self) -> str:
-        return "(" + ",".join(bit_string(self.mask, self.length)) + ")"
+        # The digits go to the even bytes of a buffer of commas (empty at
+        # length 0, where ``2 * length - 1`` is negative).
+        joined = bytearray(b"," * (2 * self.length - 1))
+        joined[::2] = bit_string(self.mask, self.length).encode()
+        return f"({joined.decode()})"
 
 
 @dataclass(frozen=True)

@@ -90,7 +90,8 @@ class ResidueClass:
     symbols: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "symbols", frozenset(self.symbols))
+        if type(self.symbols) is not frozenset:
+            object.__setattr__(self, "symbols", frozenset(self.symbols))
 
     @classmethod
     def of(cls, *names: str) -> "ResidueClass":
@@ -180,8 +181,10 @@ class SingularPoint:
     meets_marked: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "incident", tuple(self.incident))
-        object.__setattr__(self, "meets_marked", frozenset(self.meets_marked))
+        if type(self.incident) is not tuple:
+            object.__setattr__(self, "incident", tuple(self.incident))
+        if type(self.meets_marked) is not frozenset:
+            object.__setattr__(self, "meets_marked", frozenset(self.meets_marked))
 
 
 @dataclass(frozen=True)
@@ -383,6 +386,21 @@ class _Spaces:
         """The column masks of ``m_pr``: the image in R of each basis vector of P."""
         return self.m_pr.column_masks()
 
+    @cached_property
+    def lift_rows(self) -> list[tuple[str, frozenset[str]]]:
+        """Each P coordinate's curve id and the symbols it adds to that curve's lift.
+
+        The curve is ``owner``'s, so the last declaration of an extension
+        id wins.  A coordinate on an inert curve adds the curve's
+        corestriction residue, any other its extension's residue.
+        """
+        rows = []
+        for ext in self.vp:
+            curve = self.owner[ext.id]
+            inert = curve.cover_behavior is CoverBehavior.INERT
+            rows.append((curve.id, (curve.cores_residue if inert else ext.residue).symbols))
+        return rows
+
     def r_image(self, mask: int) -> int:
         """The image in R of the P vector ``mask``.
 
@@ -527,11 +545,12 @@ def _structural_diagnostics(cfg: Configuration) -> tuple[list[Diagnostic], list[
                 if not ext.residue.is_zero:
                     err("TYPE_I_RESIDUE", f"type I extension {ext.id} must have residue 0", c.id)
 
-        own_ext_ids = {ext.id for ext in c.extensions}
+        marked = None
         if c.deg_type is CurveType.IV:
+            marked = next((ext for ext in c.extensions if ext.id == c.marking), None)
             if c.marking is None:
                 err("MARKING", f"type IV curve {c.id} needs a marking", c.id)
-            elif c.marking not in own_ext_ids:
+            elif marked is None:
                 err("MARKING", f"marking {c.marking!r} is not an extension of {c.id}", c.id)
             else:
                 for ext in c.extensions:
@@ -561,10 +580,8 @@ def _structural_diagnostics(cfg: Configuration) -> tuple[list[Diagnostic], list[
             warn("W_TYPE_II_ZERO", f"type II curve {c.id} has all residues zero", c.id)
         if c.deg_type is CurveType.III and any(ext.residue.is_zero for ext in c.extensions):
             warn("W_RAMIFIED_ZERO", f"type III extension of {c.id} has residue 0", c.id)
-        if c.deg_type is CurveType.IV and c.marking in own_ext_ids:
-            marked = next(ext for ext in c.extensions if ext.id == c.marking)
-            if marked.residue.is_zero:
-                warn("W_RAMIFIED_ZERO", f"marked extension {marked.id} of {c.id} has residue 0", c.id)
+        if marked is not None and marked.residue.is_zero:
+            warn("W_RAMIFIED_ZERO", f"marked extension {marked.id} of {c.id} has residue 0", c.id)
         if c.deg_type is CurveType.IV and c.cover_behavior is CoverBehavior.INERT:
             warn("W_INERT_IV", f"inert type IV curve {c.id}: treated via its cores residue", c.id)
         if (
@@ -615,7 +632,7 @@ def _structural_diagnostics(cfg: Configuration) -> tuple[list[Diagnostic], list[
             )
         if p.meets_marked:
             if p.etype is not PointType.IV_II:
-                err("MEETS_MARKED", f"meets_marked only applies to IV_II points", p.id)
+                err("MEETS_MARKED", "meets_marked only applies to IV_II points", p.id)
             elif allowed is not None and p.etype in allowed:
                 type_ii = ca if ca.deg_type is CurveType.II else cb
                 ext_ids = {ext.id for ext in type_ii.extensions}

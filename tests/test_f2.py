@@ -90,6 +90,10 @@ def test_addition_is_involutive_xor(pair):
 def test_str_is_tuple_like():
     assert str(from_bits([1, 0, 1])) == "(1,0,1)"
     assert str(F2Vector(0)) == "()"
+    assert str(F2Vector(1, 1)) == "(1)"
+    ones = {0, 1, 3, 199}
+    v = F2Vector(200, sum(1 << j for j in ones))
+    assert str(v) == "(" + ",".join("1" if j in ones else "0" for j in range(200)) + ")"
 
 
 def test_mask_outside_length_rejected():

@@ -392,6 +392,24 @@ def test_vq_excludes_curve_with_nonzero_cores():
     assert validate(cfg).ok
 
 
+def test_value_types_normalise_their_collections():
+    # ``__post_init__`` converts only what is not already the field's type,
+    # so both the converted and the given forms must compare and hash alike.
+    a = ResidueClass.of("a")
+    for given in ({"a"}, ["a", "a"], ("a",)):
+        cls = ResidueClass(given)
+        assert type(cls.symbols) is frozenset
+        assert cls == a and hash(cls) == hash(a)
+    kept = frozenset({"a"})
+    assert ResidueClass(kept).symbols is kept
+
+    point = SingularPoint("p", ["x", "y"], PointType.IV_II, meets_marked={"e"})
+    same = SingularPoint("p", ("x", "y"), PointType.IV_II, meets_marked=frozenset({"e"}))
+    assert type(point.incident) is tuple and type(point.meets_marked) is frozenset
+    assert point == same and hash(point) == hash(same)
+    assert SingularPoint("q", ("x", "y"), PointType.II_II).meets_marked == frozenset()
+
+
 def test_configuration_coerces_sequences():
     cfg = Configuration(CoverKind.IRREDUCIBLE, ["a"], [], [])
     assert cfg.symbols == ("a",)

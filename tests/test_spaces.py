@@ -9,8 +9,9 @@ a random corpus and disjoint unions of corpus blocks large enough to be
 past the brute-force cap.  ``m_pr``, ``m_qp`` and the S vectors are also
 rebuilt from the rules as ``model``'s docstrings state them, without
 ``_point_relates`` or ``cfg.spaces``, and their ranks checked against
-``h2nr_dim``.  Metamorphic relations (renaming, reordering, a copied point,
-a disjoint union) are checked on a corpus.
+``h2nr_dim``; so is the ramification lift, without ``lift_rows``.
+Metamorphic relations (renaming, reordering, a copied point, a disjoint
+union) are checked on a corpus.
 """
 
 import hashlib
@@ -368,6 +369,94 @@ def test_the_lift_is_empty_exactly_on_the_q_image():
             vectors += 1
             empty += lifted == []
     assert vectors > 10_000 and empty > 300
+
+
+# --- the lift from its stated rule -----------------------------------------------
+
+
+def reference_lift(cfg: Configuration, vec: F2Vector) -> list[tuple[str, ResidueClass]]:
+    """The ramification of ``vec`` by the rule ``ramification_lift`` states.
+
+    P has one coordinate per extension with nonzero residue, in
+    declaration order.  Each set coordinate adds its extension's residue,
+    or the cores residue of its curve if that curve is inert, to its
+    curve.  An extension id belongs to the last curve that declares it,
+    and a curve id ranks by its last declaration.  Curves whose sum is
+    zero are dropped.
+    """
+    p_basis = [ext for c in cfg.curves for ext in c.extensions if not ext.residue.is_zero]
+    owner = {ext.id: c for c in cfg.curves for ext in c.extensions}
+    rank = {c.id: i for i, c in enumerate(cfg.curves)}
+    totals: dict[str, ResidueClass] = {}
+    for j, ext in enumerate(p_basis):
+        if vec.mask >> j & 1:
+            curve = owner[ext.id]
+            if curve.cover_behavior is CoverBehavior.INERT:
+                added = curve.cores_residue_input
+                if added is None:  # the stated default
+                    added = ResidueClass()
+            else:
+                added = ext.residue
+            totals[curve.id] = totals.get(curve.id, ResidueClass()) + added
+    ordered = sorted(totals, key=rank.__getitem__)
+    return [(cid, totals[cid]) for cid in ordered if not totals[cid].is_zero]
+
+
+def check_lift(cfg: Configuration, vec: F2Vector) -> list[tuple[str, ResidueClass]]:
+    """``_lift`` and, on a kernel vector, ``ramification_lift`` against the reference."""
+    expected = reference_lift(cfg, vec)
+    assert brauer._lift(cfg.spaces, vec) == expected, (cfg, vec)
+    if mul(cfg.spaces.m_pr, vec).is_zero:
+        assert brauer.ramification_lift(cfg, vec) == expected, (cfg, vec)
+    else:
+        with pytest.raises(brauer.KernelContractError):
+            brauer.ramification_lift(cfg, vec)
+    return expected
+
+
+def test_the_lift_matches_its_rule_on_every_corpus_vector():
+    kernel = vectors = 0
+    for cfg in random_corpus(0, 300):
+        p = len(cfg.spaces.vp)
+        for mask in range(1 << p):
+            vec = F2Vector(p, mask)
+            check_lift(cfg, vec)
+            vectors += 1
+            kernel += mul(cfg.spaces.m_pr, vec).is_zero
+    assert vectors > 10_000 and 1000 < kernel < vectors
+
+
+def test_the_lift_matches_its_rule_on_large_union(large_union):
+    report = unramified_brauer(large_union)
+    for g in report.generators:
+        assert list(g.ramification) == check_lift(large_union, g.vector) != []
+    p = len(large_union.spaces.vp)
+    rng = random.Random(23)
+    for _ in range(200):
+        check_lift(large_union, F2Vector(p, rng.getrandbits(p)))
+
+
+def test_the_lift_follows_the_last_declaration_of_an_id():
+    # Unvalidated: extension id e1 is declared on split curve x and again on
+    # inert curve y, and curve id x is declared again after y.
+    a, b, c = (ResidueClass.of(s) for s in "abc")
+    cfg = Configuration(
+        CoverKind.IRREDUCIBLE,
+        ("a", "b", "c"),
+        (
+            Curve("x", CurveType.II, CoverBehavior.SPLIT, (Extension("e1", a), Extension("e2", b))),
+            Curve("y", CurveType.II, CoverBehavior.INERT, (Extension("e1", b),), cores_residue_input=c),
+            Curve("x", CurveType.III, CoverBehavior.RAMIFIED, (Extension("e3", c),)),
+        ),
+    )
+    assert [ext.id for ext in cfg.spaces.vp] == ["e1", "e2", "e1", "e3"]
+    # Coordinate 0 is x's e1, but e1 belongs to inert y, so it adds y's cores
+    # residue c to y; x ranks by its second declaration, after y.
+    assert check_lift(cfg, F2Vector(4, 0b0001)) == [("y", c)]
+    assert check_lift(cfg, F2Vector(4, 0b0011)) == [("y", c), ("x", b)]
+    assert check_lift(cfg, F2Vector(4, 0b1111)) == [("x", b + c)]
+    for mask in range(16):
+        check_lift(cfg, F2Vector(4, mask))
 
 
 # --- the brute-force oracle past the sampler's dim P ------------------------------
