@@ -69,7 +69,6 @@ class Generator:
 
 @dataclass(frozen=True)
 class BrauerReport:
-    cover_kind: CoverKind
     s_labels: tuple[str, ...]
     p_labels: tuple[str, ...]
     q_labels: tuple[str, ...]
@@ -219,7 +218,6 @@ def unramified_brauer(cfg: Configuration) -> BrauerReport:
     generators = [Generator(row, tuple(_lift(spaces, row))) for row in chosen]
 
     return BrauerReport(
-        cover_kind=cfg.cover_kind,
         s_labels=spaces.s_labels,
         p_labels=tuple(ext.id for ext in spaces.vp),
         q_labels=tuple(c.id for c in spaces.vq),

@@ -502,20 +502,18 @@ class _Parser:
             self.error(0, "missing symbols declaration")
 
         ids: dict[str, int] = {}
+        curve_ids: set[str] = set()
         ext_ids: set[str] = set()
-        for c in self.curves:
-            self.claim(ids, c.id, c.pos)
-            for e in c.exts:
-                self.claim(ids, e.id, e.pos)
-                ext_ids.add(e.id)
-        for p in self.points:
-            self.claim(ids, p.id, p.pos)
-
-        curve_ids = {c.id for c in self.curves}
         resolve = self.resolve_residue
         curves: list[Curve] = []
         for c in self.curves:
-            exts = tuple([Extension(e.id, resolve(e.residue), e.sheet) for e in c.exts])
+            self.claim(ids, c.id, c.pos)
+            curve_ids.add(c.id)
+            exts = []
+            for e in c.exts:
+                self.claim(ids, e.id, e.pos)
+                ext_ids.add(e.id)
+                exts.append(Extension(e.id, resolve(e.residue), e.sheet))
             if c.mark is not None and not any(e.id == c.mark[0] for e in c.exts):
                 self.error(c.mark[1], f"mark {c.mark[0]!r} does not match an extension of {c.id!r}")
             curves.append(
@@ -523,7 +521,7 @@ class _Parser:
                     id=c.id,
                     deg_type=c.deg_type or CurveType.I,
                     cover_behavior=c.behavior or CoverBehavior.RAMIFIED,
-                    extensions=exts,
+                    extensions=tuple(exts),
                     marking=c.mark[0] if c.mark else None,
                     cores_residue_input=resolve(c.cores) if c.cores is not None else None,
                 )
@@ -531,6 +529,7 @@ class _Parser:
 
         points: list[SingularPoint] = []
         for p in self.points:
+            self.claim(ids, p.id, p.pos)
             incident = p.incident or (("", p.pos), ("", p.pos))
             for name, at in incident:
                 if name and name not in curve_ids:

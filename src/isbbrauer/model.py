@@ -471,13 +471,12 @@ def _structural_diagnostics(cfg: Configuration) -> tuple[list[Diagnostic], list[
     def warn(code: str, message: str, subject: str) -> None:
         warnings.append(Diagnostic(code, message, subject))
 
-    declared = set()
-    for s in cfg.symbols:
+    index = cfg.symbol_index
+    for i, s in enumerate(cfg.symbols):
         if not s:
             err("SYMBOLS", "empty symbol name", s)
-        elif s in declared:
+        elif index[s][0] != i:
             err("DUP_ID", f"symbol {s!r} declared twice", s)
-        declared.add(s)
 
     seen_ids: set[str] = set()
 
@@ -488,7 +487,6 @@ def _structural_diagnostics(cfg: Configuration) -> tuple[list[Diagnostic], list[
             err("DUP_ID", f"{kind} id {ident!r} is not unique", ident)
         seen_ids.add(ident)
 
-    index = cfg.symbol_index
     split_cover = cfg.cover_kind is CoverKind.SPLIT_EVERYWHERE
 
     for c in cfg.curves:

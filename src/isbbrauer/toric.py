@@ -34,7 +34,6 @@ __all__ = [
     "DIM",
     "FanParseError",
     "FanScriptError",
-    "ResolutionSearchError",
     "Cone",
     "Fan",
     "SmoothnessCertificate",
@@ -59,10 +58,6 @@ _RAY_CAP = 8
 _CONE_CAP = 16
 
 Vec = tuple[int, ...]
-
-
-class ResolutionSearchError(RuntimeError):
-    """The candidate subdivisions did not produce a smooth fan."""
 
 
 class FanParseError(ValueError):
@@ -510,11 +505,12 @@ def star_subdivide(f: Fan, rho) -> Fan:
         raise ValueError("subdivision ray must be nonzero")
     if not _is_primitive(ray):
         raise ValueError(f"subdivision ray {ray} is not primitive")
-    if not support_contains(f, ray):
+    inside = [c.contains(ray) for c in f.maximal_cones]
+    if not any(inside):
         raise ValueError(f"subdivision ray {ray} lies outside the support of the fan")
     new_cones: list[Cone] = []
-    for c in f.maximal_cones:
-        if not c.contains(ray):
+    for c, holds in zip(f.maximal_cones, inside):
+        if not holds:
             new_cones.append(c)
             continue
         for m in _dual_rays(c.rays):
@@ -664,12 +660,10 @@ def resolve_demo() -> ResolutionReport:
     """Resolve the uv = xyz cone by three star subdivisions.
 
     Candidate rays are the primitive halved ray-sums of the three
-    singular faces.  The cone is subdivided at them in sorted order (every
-    order gives a smooth fan), and the result is reported with per-step
-    support verification on sampled points.
-
-    Raises:
-        ResolutionSearchError: if the final fan is not smooth.
+    singular faces.  The cone is subdivided at them in sorted order, and
+    the result is reported with per-step support verification on sampled
+    points.  Every order gives a smooth fan, so a final fan that is not
+    smooth is a bug, not an outcome to report: it raises ``AssertionError``.
     """
     sigma = uv_xyz_cone()
     singular = tuple(singular_faces(sigma))
@@ -677,7 +671,7 @@ def resolve_demo() -> ResolutionReport:
     fans = list(itertools.accumulate(candidates, star_subdivide, initial=Fan((sigma,))))[1:]
     report = is_smooth(fans[-1])
     if not report.smooth:
-        raise ResolutionSearchError("the candidate subdivisions do not give a smooth fan")
+        raise AssertionError("the candidate subdivisions do not give a smooth fan")
     verdicts = _support_verdicts(sigma, fans, _SUPPORT_SAMPLES, _SAMPLE_SEED)
     return ResolutionReport(
         cone=sigma,

@@ -681,6 +681,28 @@ def test_resolve_demo_checks_support_once_per_subdivision(monkeypatch):
     assert set(callers) <= {"star_subdivide"}
 
 
+def test_star_subdivide_tests_each_cone_against_the_ray_once(monkeypatch):
+    sigma = uv_xyz_cone()
+    report = resolve_demo()
+    fans = [Fan((sigma,))] + [step.fan for step in report.steps]
+    tested = []
+    original = Cone.contains
+
+    def counted(self, x):
+        tested.append(self)
+        return original(self, x)
+
+    monkeypatch.setattr(Cone, "contains", counted)
+    for fan, ray in zip(fans, report.candidates):
+        tested.clear()
+        star_subdivide(fan, ray)
+        assert tested == list(fan.maximal_cones)
+    tested.clear()
+    with pytest.raises(ValueError, match="lies outside the support"):
+        star_subdivide(fans[-1], (-1, 0, 0, 0))
+    assert tested == list(fans[-1].maximal_cones)
+
+
 def test_resolve_demo_is_deterministic():
     a = resolve_demo()
     b = resolve_demo()
