@@ -323,19 +323,16 @@ def _point_relates(point: SingularPoint, curve: Curve, ext_id: str) -> bool:
 
 
 def _incidence_matrix(
-    vp: list[Extension], zr: list[SingularPoint], owner: dict[str, Curve]
+    zr: list[SingularPoint], p: int, by_curve: dict[str, list[tuple[int, Extension, Curve]]]
 ) -> F2Matrix:
     """m_pr, by walking each point's incident curves.
 
-    Bit j of a point's row is set when the owner of extension j is one of
+    ``by_curve`` groups the P coordinates ``(j, ext, owner)`` by the id of
+    their owner.  Bit j of a point's row is set when that owner is one of
     the point's curves and ``_point_relates`` fires, exactly as a scan of
     every (point, extension) pair would find, but each point only visits
     the P coordinates of its own curves.
     """
-    by_curve: dict[str, list[tuple[int, Extension, Curve]]] = {}
-    for j, ext in enumerate(vp):
-        curve = owner[ext.id]
-        by_curve.setdefault(curve.id, []).append((j, ext, curve))
     masks = []
     for point in zr:
         mask = 0
@@ -344,18 +341,7 @@ def _incidence_matrix(
                 if _point_relates(point, curve, ext.id):
                     mask |= 1 << j
         masks.append(mask)
-    return F2Matrix(len(zr), len(vp), tuple(masks))
-
-
-def _relation_matrix(
-    vp: list[Extension], vq: list[Curve], owner: dict[str, Curve]
-) -> F2Matrix:
-    index = {c.id: i for i, c in enumerate(vq)}
-    masks = []
-    for ext in vp:
-        col = index.get(owner[ext.id].id)
-        masks.append(0 if col is None else 1 << col)
-    return F2Matrix(len(vp), len(vq), tuple(masks))
+    return F2Matrix(len(zr), p, tuple(masks))
 
 
 @dataclass(frozen=True)
@@ -368,7 +354,9 @@ class _Spaces:
     points of a type in ``_R_POINT_TYPES``, which index R.  All three
     keep declaration order.  ``owner`` maps an extension id to its curve
     and ``curve_rank`` a curve id to its declaration index; in both the
-    last declaration wins.
+    last declaration wins.  ``lift_rows`` holds each P coordinate's
+    owner id and the symbols it adds to that curve's lift: the owner's
+    corestriction residue on an inert curve, else the extension's residue.
     """
 
     vp: tuple[Extension, ...]
@@ -378,6 +366,7 @@ class _Spaces:
     curve_rank: dict[str, int]
     m_pr: F2Matrix
     m_qp: F2Matrix
+    lift_rows: tuple[tuple[str, frozenset[str]], ...]
     s_labels: tuple[str, ...]
     s_vectors: tuple[F2Vector, ...]
 
@@ -385,21 +374,6 @@ class _Spaces:
     def pr_columns(self) -> list[int]:
         """The column masks of ``m_pr``: the image in R of each basis vector of P."""
         return self.m_pr.column_masks()
-
-    @cached_property
-    def lift_rows(self) -> list[tuple[str, frozenset[str]]]:
-        """Each P coordinate's curve id and the symbols it adds to that curve's lift.
-
-        The curve is ``owner``'s, so the last declaration of an extension
-        id wins.  A coordinate on an inert curve adds the curve's
-        corestriction residue, any other its extension's residue.
-        """
-        rows = []
-        for ext in self.vp:
-            curve = self.owner[ext.id]
-            inert = curve.cover_behavior is CoverBehavior.INERT
-            rows.append((curve.id, (curve.cores_residue if inert else ext.residue).symbols))
-        return rows
 
     def r_image(self, mask: int) -> int:
         """The image in R of the P vector ``mask``.
@@ -433,19 +407,31 @@ class _Spaces:
 
 
 def _build_spaces(cfg: Configuration) -> _Spaces:
-    """The spaces of ``cfg``; the curve-indexed pieces come from one walk."""
+    """The spaces of ``cfg``: one walk over the curves, then one over P."""
     vp: list[Extension] = []
     vq: list[Curve] = []
+    q_index: dict[str, int] = {}
     owner: dict[str, Curve] = {}
     curve_rank: dict[str, int] = {}
     for i, c in enumerate(cfg.curves):
         carrying = [ext for ext in c.extensions if not ext.residue.is_zero]
         vp.extend(carrying)
         if carrying and c.cores_residue.is_zero:
+            q_index[c.id] = len(vq)
             vq.append(c)
         for ext in c.extensions:
             owner[ext.id] = c
         curve_rank[c.id] = i
+    by_curve: dict[str, list[tuple[int, Extension, Curve]]] = {}
+    qp_rows = []
+    lift_rows = []
+    for j, ext in enumerate(vp):
+        curve = owner[ext.id]
+        by_curve.setdefault(curve.id, []).append((j, ext, curve))
+        col = q_index.get(curve.id)
+        qp_rows.append(0 if col is None else 1 << col)
+        inert = curve.cover_behavior is CoverBehavior.INERT
+        lift_rows.append((curve.id, (curve.cores_residue if inert else ext.residue).symbols))
     zr = [p for p in cfg.points if p.etype in _R_POINT_TYPES]
     s_labels, s_vectors = _s_generators(cfg, vp)
     return _Spaces(
@@ -454,8 +440,9 @@ def _build_spaces(cfg: Configuration) -> _Spaces:
         zr=tuple(zr),
         owner=owner,
         curve_rank=curve_rank,
-        m_pr=_incidence_matrix(vp, zr, owner),
-        m_qp=_relation_matrix(vp, vq, owner),
+        m_pr=_incidence_matrix(zr, len(vp), by_curve),
+        m_qp=F2Matrix(len(vp), len(vq), tuple(qp_rows)),
+        lift_rows=tuple(lift_rows),
         s_labels=s_labels,
         s_vectors=s_vectors,
     )

@@ -622,7 +622,8 @@ def _support_verdicts(cone: Cone, fans: list[Fan], count: int, seed: int) -> lis
     ``2**(width-1)`` per lane, its top bit is set exactly where ``<m, p> >= 0``.
     That is one mask per distinct facet normal ``m``; a cone's points are the
     AND of its normals' masks, and a fan covers them when the OR of its
-    cones' masks has every lane's bit.
+    cones' masks has every lane's bit.  A lane that overflows its width is
+    a bug in that bound: it raises ``AssertionError``, under ``python -O`` too.
     """
     k = len(cone.rays)
     coeffs = _draws(random.Random(seed), count * k)
@@ -642,7 +643,8 @@ def _support_verdicts(cone: Cone, fans: list[Fan], count: int, seed: int) -> lis
     masks = {}
     for m, w in weights.items():
         biased = sum(a * t for a, t in zip(w, planes)) + half
-        assert 0 <= biased < top, "a lane of <m, p> overflowed its width"
+        if not 0 <= biased < top:
+            raise AssertionError("a lane of <m, p> overflowed its width")
         masks[m] = (biased >> (width - 1)) & ones
     verdicts = []
     for f in fans:

@@ -159,18 +159,23 @@ def test_non_utf8_offset_counts_from_the_start_of_the_file(tmp_path):
     code, _, err = run("compute", str(path))
     assert code == cli.PARSE_ERROR
     assert err == f"{path}: input is not valid UTF-8 (byte offset 20020)\n"
+    path.write_bytes(b"ray 1 0 0 0\n\xff\n")
+    assert run("toric", "check", str(path)) == (cli.PARSE_ERROR, "", f"{path}: input is not valid UTF-8 (byte offset 12)\n")
 
 
 @pytest.mark.parametrize(
     "argv", [("validate",), ("compute",), ("explain",), ("toric", "check")]
 )
 def test_a_byte_order_mark_is_dropped(tmp_path, argv):
+    # and CRLF or lone-CR line ends read as LF
     text = FAN_OK if argv[0] == "toric" else run("example", "hpt", "--emit")[1]
+    lf = text.encode()
     path = tmp_path / "input.txt"
-    path.write_bytes(text.encode())
+    path.write_bytes(lf)
     plain = run(*argv, str(path))
-    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
-    assert run(*argv, str(path)) == plain
+    for data in (b"\xef\xbb\xbf" + lf, lf.replace(b"\n", b"\r\n"), lf.replace(b"\n", b"\r")):
+        path.write_bytes(data)
+        assert run(*argv, str(path)) == plain, data[:12]
     assert plain[0] == cli.OK
 
 
@@ -584,15 +589,35 @@ def test_every_refusal_is_pinned(tmp_path, argv, data, code, out, err):
     assert both.getvalue() == got[1] + got[2]
 
 
+# ``main`` in a process of its own, as the console script runs it
+MAIN = [sys.executable, "-c", "from isbbrauer.cli import main; main()"]
+MAIN_ENV = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+
+
+def test_main_exits_with_the_code_and_bytes_of_run(tmp_path):
+    # One input per exit code: the hpt source, then the pinned structural,
+    # parse and missing-file refusals.
+    inputs = [dsl.builtin_source("hpt").encode()]
+    inputs += [CONFIG_REFUSALS[name][0] for name in ("structural", "parse", "missing")]
+    codes = []
+    for i, data in enumerate(inputs):
+        path = tmp_path / f"input{i}.cfg"
+        if data is not None:
+            path.write_bytes(data)
+        argv = ["compute", str(path)]
+        proc = subprocess.run([*MAIN, *argv], capture_output=True, env=MAIN_ENV)
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == run(*argv)
+        codes.append(proc.returncode)
+    assert codes == [cli.OK, cli.INVALID, cli.PARSE_ERROR, cli.USAGE]
+
+
 def test_a_closed_stdout_ends_quietly_with_the_sigpipe_code(tmp_path):
     # The reader takes 5 bytes of a report many pipe buffers long, as
     # `isbbrauer compute ring.cfg --json | head -c 5` does, and closes.
     path = tmp_path / "ring.cfg"
     path.write_text(ring_source(100))
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    main = "from isbbrauer.cli import main; main()"
-    argv = [sys.executable, "-c", main, "compute", str(path), "--json"]
-    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+    argv = [*MAIN, "compute", str(path), "--json"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=MAIN_ENV) as proc:
         assert proc.stdout.read(5) == b'{\n  "'
         proc.stdout.close()
         assert proc.stderr.read() == b""

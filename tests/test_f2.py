@@ -101,6 +101,8 @@ def test_mask_outside_length_rejected():
         F2Vector(2, 0b100)
     with pytest.raises(ValueError):
         from_bits([0, 2])
+    with pytest.raises(ValueError):
+        F2Vector(-1)
 
 
 def test_length_mismatch():

@@ -6,8 +6,9 @@ validation, the computation, the lift, the brute-force oracle and the
 one-line readers ``vp_basis`` and ``matrix_p_to_r`` all read that
 value.  ``model`` needs nothing from ``brauer``; no module
 of the package imports lazily or names the Gauss-Jordan ``rref``, a test
-module or a helper of ``tests/toric_reference.py``, and no function of
-the package takes a parameter it never reads.  ``_s_generators`` is
+module or a helper of ``tests/toric_reference.py``, no function of
+the package takes a parameter it never reads, and no module of it holds
+an ``assert`` statement.  ``_s_generators`` is
 pinned to the label-then-vector construction it replaced.
 """
 
@@ -81,6 +82,17 @@ def test_every_parameter_is_read():
             name = getattr(node, "name", "<lambda>")
             unread |= {(path.name, name, p) for p in params if p not in read}
     assert unread == UNREAD_ALLOWED
+
+
+def test_no_check_of_the_package_is_an_assert_statement():
+    # ``python -O`` strips ``assert``; a guard of the package raises.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def mentioned_names(path: Path) -> set[str]:

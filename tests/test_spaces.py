@@ -39,7 +39,7 @@ from isbbrauer.model import (
     validate,
     vp_basis,
 )
-from isbbrauer.sampling import random_corpus
+from isbbrauer.sampling import random_configuration, random_corpus
 
 from f2_reference import column_space, member, mul, span, sum_subspace
 from test_ownership import reference_s
@@ -302,6 +302,15 @@ CORPUS_SHA256 = {
 def test_the_corpus_is_pinned(seed, count):
     emitted = "".join(dsl.emit(cfg) for cfg in random_corpus(seed, count))
     assert hashlib.sha256(emitted.encode()).hexdigest() == CORPUS_SHA256[seed, count]
+
+
+def test_the_sampler_redraws_past_max_p():
+    assert max(len(random_configuration(random.Random(seed), max_p=2).spaces.vp) for seed in range(50)) <= 2
+
+
+def test_the_sampler_gives_up_when_no_draw_fits():
+    with pytest.raises(RuntimeError, match="^no valid configuration found in "):
+        random_configuration(random.Random(0), max_p=-1)
 
 
 def dims(cfg: Configuration) -> tuple[int, int]:

@@ -666,6 +666,15 @@ def test_support_verdicts_at_a_lane_byte_boundary(lane):
     assert verdicts == {True, False}
 
 
+def test_support_verdicts_raise_when_a_lane_overflows(monkeypatch):
+    # Draws of 255 break the bound's premise of draws at most 4; the guard
+    # is an explicit raise, so it fires under ``python -O`` as well.
+    fans = [step.fan for step in resolve_demo().steps]
+    monkeypatch.setattr(toric, "_draws", lambda rng, n: bytes([255]) * n)
+    with pytest.raises(AssertionError, match=r"^a lane of <m, p> overflowed its width$"):
+        toric._support_verdicts(uv_xyz_cone(), fans, 10, 0)
+
+
 def test_resolve_demo_checks_support_once_per_subdivision(monkeypatch):
     callers = []
     original = toric.support_contains
