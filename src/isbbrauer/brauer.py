@@ -11,7 +11,7 @@ in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .f2 import F2Matrix, F2Vector, _check_len, _insert, _set_bits, kernel_basis
 from .model import (
@@ -59,16 +59,14 @@ class CapExceededError(ValueError):
     """brute_force_unramified refused to enumerate past its size cap."""
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     """A coset representative in ker(m_pr) with its ramification lift."""
 
     vector: F2Vector
     ramification: tuple[tuple[str, ResidueClass], ...]
 
 
-@dataclass(frozen=True)
-class BrauerReport:
+class BrauerReport(NamedTuple):
     s_labels: tuple[str, ...]
     p_labels: tuple[str, ...]
     q_labels: tuple[str, ...]

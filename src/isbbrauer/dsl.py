@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .model import (
     Configuration,
@@ -60,8 +60,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     line: int
     column: int
 
@@ -69,8 +68,7 @@ class SourceSpan:
         return f"{self.line}:{self.column}"
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
+class ParseDiagnostic(NamedTuple):
     span: SourceSpan
     message: str
 
@@ -152,15 +150,16 @@ _RE_BLOCK = re.compile(
 _RawResidue = tuple[str, int]
 
 
-@dataclass
 class _RawExt:
-    id: str
-    pos: int
-    sheet: int | None
-    residue: _RawResidue
+    __slots__ = ("id", "pos", "sheet", "residue")
+
+    def __init__(self, id: str, pos: int, sheet: int | None, residue: _RawResidue):
+        self.id = id
+        self.pos = pos
+        self.sheet = sheet
+        self.residue = residue
 
 
-@dataclass
 class _RawCurve:
     # The keyword and the pattern of the line that opens the block.
     keyword = "curve"
@@ -172,26 +171,46 @@ class _RawCurve:
         ("exts", "needs at least one ext line"),
     )
 
-    id: str
-    pos: int
-    exts: list[_RawExt] = field(default_factory=list)
-    deg_type: CurveType | None = None
-    behavior: CoverBehavior | None = None
-    mark: tuple[str, int] | None = None
-    cores: _RawResidue | None = None
+    __slots__ = ("id", "pos", "exts", "deg_type", "behavior", "mark", "cores")
+
+    def __init__(
+        self,
+        id: str,
+        pos: int,
+        exts: list[_RawExt] | None = None,
+        deg_type: CurveType | None = None,
+        behavior: CoverBehavior | None = None,
+        mark: tuple[str, int] | None = None,
+        cores: _RawResidue | None = None,
+    ):
+        self.id = id
+        self.pos = pos
+        self.exts = [] if exts is None else exts
+        self.deg_type = deg_type
+        self.behavior = behavior
+        self.mark = mark
+        self.cores = cores
 
 
-@dataclass
 class _RawPoint:
     keyword = "point"
     header = re.compile(rf"point\s+(?P<id>{_ID})\s*:\s*$")
     required = (("incident", "is missing a curves line"), ("etype", "is missing an etype line"))
 
-    id: str
-    pos: int
-    meets: list[tuple[str, int]] = field(default_factory=list)
-    incident: tuple[tuple[str, int], tuple[str, int]] | None = None
-    etype: PointType | None = None
+    __slots__ = ("id", "pos", "meets", "incident", "etype")
+
+    def __init__(
+        self,
+        id: str,
+        pos: int,
+        incident: tuple[tuple[str, int], tuple[str, int]] | None = None,
+        etype: PointType | None = None,
+    ):
+        self.id = id
+        self.pos = pos
+        self.meets: list[tuple[str, int]] = []
+        self.incident = incident
+        self.etype = etype
 
 
 class _Parser:

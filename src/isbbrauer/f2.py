@@ -5,12 +5,14 @@ holds coordinate ``i``), so every operation is exact word arithmetic:
 addition is XOR.  Subspaces are stored as reduced row echelon bases,
 which makes subspace equality a plain structural comparison.
 
-Everything here is immutable; functions return fresh objects.
+Everything here is immutable; functions return fresh objects.  A value
+type is a ``NamedTuple``; one that checks its arguments is a subclass of
+a ``NamedTuple`` of its fields, because ``NamedTuple`` forbids ``__new__``
+in its own body.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 __all__ = [
@@ -51,18 +53,22 @@ def _set_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
-class F2Vector:
-    """A vector over GF(2); ``mask`` packs coordinate ``i`` into bit ``i``."""
-
+class _F2VectorFields(NamedTuple):
     length: int
     mask: int = 0
 
-    def __post_init__(self) -> None:
-        if self.length < 0:
+
+class F2Vector(_F2VectorFields):
+    """A vector over GF(2); ``mask`` packs coordinate ``i`` into bit ``i``."""
+
+    __slots__ = ()
+
+    def __new__(cls, length: int, mask: int = 0) -> F2Vector:
+        if length < 0:
             raise ValueError("vector length must be nonnegative")
-        if self.mask < 0 or self.mask >> self.length:
+        if mask < 0 or mask >> length:
             raise ValueError("mask has bits outside the declared length")
+        return tuple.__new__(cls, (length, mask))
 
     @property
     def is_zero(self) -> bool:
@@ -84,25 +90,29 @@ class F2Vector:
         return f"({joined.decode()})"
 
 
-@dataclass(frozen=True)
-class F2Matrix:
+class _F2MatrixFields(NamedTuple):
+    rows: int
+    cols: int
+    row_masks: tuple[int, ...] = ()
+
+
+class F2Matrix(_F2MatrixFields):
     """A matrix over GF(2) stored as one bit-packed integer per row.
 
     Bit ``j`` of ``row_masks[i]`` is the entry in row ``i``, column ``j``.
     """
 
-    rows: int
-    cols: int
-    row_masks: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __new__(cls, rows: int, cols: int, row_masks: tuple[int, ...] = ()) -> F2Matrix:
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.row_masks) != self.rows:
+        if len(row_masks) != rows:
             raise ValueError("row_masks length disagrees with row count")
-        for m in self.row_masks:
-            if m < 0 or m >> self.cols:
+        for m in row_masks:
+            if m < 0 or m >> cols:
                 raise ValueError("row mask has bits outside the column range")
+        return tuple.__new__(cls, (rows, cols, row_masks))
 
     def column_masks(self) -> list[int]:
         """Every column's bit mask, built in one pass over the set bits of each row."""
@@ -158,39 +168,43 @@ def _leading_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-@dataclass(frozen=True)
-class Subspace:
+class _SubspaceFields(NamedTuple):
+    ambient_dim: int
+    basis: tuple[F2Vector, ...] = ()
+
+
+class Subspace(_SubspaceFields):
     """A subspace of GF(2)^n held as its unique reduced row echelon basis.
 
     Because the representation is canonical, two ``Subspace`` values are
     equal exactly when they describe the same subspace.
     """
 
-    ambient_dim: int
-    basis: tuple[F2Vector, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, ambient_dim: int, basis: tuple[F2Vector, ...] = ()) -> Subspace:
         # One pass: ``once`` and ``twice`` collect the bits set in at least
         # one and at least two basis vectors, so the basis is fully reduced
         # exactly when no pivot bit is in ``twice``.
         ordered = True
         last = -1
         pivots = once = twice = 0
-        for v in self.basis:
-            if v.length != self.ambient_dim:
+        for length, mask in basis:
+            if length != ambient_dim:
                 raise DimensionMismatch("basis vector length disagrees with ambient dimension")
-            if v.is_zero:
+            if not mask:
                 raise ValueError("zero vector in basis")
-            pivot = _leading_bit(v.mask)
+            pivot = _leading_bit(mask)
             ordered = ordered and pivot > last
             last = pivot
             pivots |= 1 << pivot
-            twice |= once & v.mask
-            once |= v.mask
+            twice |= once & mask
+            once |= mask
         if not ordered:
             raise ValueError("basis is not in echelon order")
         if pivots & twice:
             raise ValueError("basis is not fully reduced")
+        return tuple.__new__(cls, (ambient_dim, basis))
 
     @property
     def dim(self) -> int:

@@ -24,11 +24,16 @@ because the benchmark workloads call them by name.
 
 Declaration order is semantic: curves, extensions, and points index the
 bases of the computation in the order they are listed here.
+
+The value types are ``NamedTuple``s, built as in ``f2``.  What a value
+derives from its fields (``Curve.cores_residue``,
+``Configuration.symbol_index`` and ``.spaces``) is a ``cached_property``
+on a subclass that keeps a ``__dict__``: it is no field, so equality,
+hashing and ``repr`` do not see it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
@@ -80,18 +85,22 @@ class PointType(str, Enum):
     IVPP_IV = "IVpp_IV"
 
 
-@dataclass(frozen=True)
-class ResidueClass:
+class _ResidueClassFields(NamedTuple):
+    symbols: frozenset[str] = frozenset()
+
+
+class ResidueClass(_ResidueClassFields):
     """An element of the symbol-indexed GF(2) residue space.
 
     The empty set is the zero class; addition is symmetric difference.
     """
 
-    symbols: frozenset[str] = frozenset()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if type(self.symbols) is not frozenset:
-            object.__setattr__(self, "symbols", frozenset(self.symbols))
+    def __new__(cls, symbols: Iterable[str] = frozenset()) -> ResidueClass:
+        if type(symbols) is not frozenset:
+            symbols = frozenset(symbols)
+        return tuple.__new__(cls, (symbols,))
 
     @classmethod
     def of(cls, *names: str) -> "ResidueClass":
@@ -131,8 +140,7 @@ def _symbol_positions(symbols: Iterable[str]) -> dict[str, tuple[int, ...]]:
 ZERO = ResidueClass()
 
 
-@dataclass(frozen=True)
-class Extension:
+class Extension(NamedTuple):
     """A valuation of the function field of the cover lying over a curve."""
 
     id: str
@@ -140,10 +148,7 @@ class Extension:
     sheet: int | None = None
 
 
-@dataclass(frozen=True)
-class Curve:
-    """A degeneration curve with its cover behavior and extension data."""
-
+class _CurveFields(NamedTuple):
     id: str
     deg_type: CurveType
     cover_behavior: CoverBehavior
@@ -151,55 +156,71 @@ class Curve:
     marking: str | None = None
     cores_residue_input: ResidueClass | None = None
 
-    # Residue of the corestriction along the curve, set once on construction
-    # because validation, the bases and the lift all read it.  Split curves:
-    # the sum of the two extension residues.  Inert and ramified curves: the
-    # user-supplied ``cores_residue_input``, defaulting to the zero class (the
-    # corestriction of a symbolic class is not computable from the symbols).
-    cores_residue: ResidueClass = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+class Curve(_CurveFields):
+    """A degeneration curve with its cover behavior and extension data."""
+
+    @cached_property
+    def cores_residue(self) -> ResidueClass:
+        """Residue of the corestriction along the curve, built once.
+
+        Validation, the bases and the lift all read it.  Split curves: the
+        sum of the two extension residues.  Inert and ramified curves: the
+        user-supplied ``cores_residue_input``, defaulting to the zero class
+        (the corestriction of a symbolic class is not computable from the
+        symbols).  It is not a field, so equality, hashing and ``repr`` do
+        not see it.
+        """
         if self.cover_behavior is CoverBehavior.SPLIT:
             total: frozenset[str] = frozenset()
             for ext in self.extensions:
                 total ^= ext.residue.symbols
-            cores = ResidueClass(total)
-        elif self.cores_residue_input is not None:
-            cores = self.cores_residue_input
-        else:
-            cores = ZERO
-        object.__setattr__(self, "cores_residue", cores)
+            return ResidueClass(total)
+        if self.cores_residue_input is not None:
+            return self.cores_residue_input
+        return ZERO
 
 
-@dataclass(frozen=True)
-class SingularPoint:
-    """A crossing point of two degeneration curves with its local type."""
-
+class _SingularPointFields(NamedTuple):
     id: str
     incident: tuple[str, str]
     etype: PointType
     meets_marked: frozenset[str] = frozenset()
 
-    def __post_init__(self) -> None:
-        if type(self.incident) is not tuple:
-            object.__setattr__(self, "incident", tuple(self.incident))
-        if type(self.meets_marked) is not frozenset:
-            object.__setattr__(self, "meets_marked", frozenset(self.meets_marked))
+
+class SingularPoint(_SingularPointFields):
+    """A crossing point of two degeneration curves with its local type."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, id: str, incident: Iterable[str], etype: PointType, meets_marked: Iterable[str] = frozenset()
+    ) -> SingularPoint:
+        if type(incident) is not tuple:
+            incident = tuple(incident)
+        if type(meets_marked) is not frozenset:
+            meets_marked = frozenset(meets_marked)
+        return tuple.__new__(cls, (id, incident, etype, meets_marked))
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """Full degeneration data; list order fixes the computation's bases."""
-
+class _ConfigurationFields(NamedTuple):
     cover_kind: CoverKind
     symbols: tuple[str, ...] = ()
     curves: tuple[Curve, ...] = ()
     points: tuple[SingularPoint, ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "symbols", tuple(self.symbols))
-        object.__setattr__(self, "curves", tuple(self.curves))
-        object.__setattr__(self, "points", tuple(self.points))
+
+class Configuration(_ConfigurationFields):
+    """Full degeneration data; list order fixes the computation's bases."""
+
+    def __new__(
+        cls,
+        cover_kind: CoverKind,
+        symbols: Iterable[str] = (),
+        curves: Iterable[Curve] = (),
+        points: Iterable[SingularPoint] = (),
+    ) -> Configuration:
+        return tuple.__new__(cls, (cover_kind, tuple(symbols), tuple(curves), tuple(points)))
 
     @cached_property
     def symbol_index(self) -> dict[str, tuple[int, ...]]:
@@ -228,8 +249,7 @@ class Diagnostic(NamedTuple):
     subject: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     errors: tuple[Diagnostic, ...] = ()
     warnings: tuple[Diagnostic, ...] = ()
 
@@ -344,8 +364,20 @@ def _incidence_matrix(
     return F2Matrix(len(zr), p, tuple(masks))
 
 
-@dataclass(frozen=True)
-class _Spaces:
+class _SpacesFields(NamedTuple):
+    vp: tuple[Extension, ...]
+    vq: tuple[Curve, ...]
+    zr: tuple[SingularPoint, ...]
+    owner: dict[str, Curve]
+    curve_rank: dict[str, int]
+    m_pr: F2Matrix
+    m_qp: F2Matrix
+    lift_rows: tuple[tuple[str, frozenset[str]], ...]
+    s_labels: tuple[str, ...]
+    s_vectors: tuple[F2Vector, ...]
+
+
+class _Spaces(_SpacesFields):
     """Every basis and map of one configuration: ``Configuration.spaces``.
 
     ``vp`` holds the extensions with nonzero residue, which index P.
@@ -358,17 +390,6 @@ class _Spaces:
     owner id and the symbols it adds to that curve's lift: the owner's
     corestriction residue on an inert curve, else the extension's residue.
     """
-
-    vp: tuple[Extension, ...]
-    vq: tuple[Curve, ...]
-    zr: tuple[SingularPoint, ...]
-    owner: dict[str, Curve]
-    curve_rank: dict[str, int]
-    m_pr: F2Matrix
-    m_qp: F2Matrix
-    lift_rows: tuple[tuple[str, frozenset[str]], ...]
-    s_labels: tuple[str, ...]
-    s_vectors: tuple[F2Vector, ...]
 
     @cached_property
     def pr_columns(self) -> list[int]:

@@ -26,9 +26,9 @@ from __future__ import annotations
 import itertools
 import random
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 __all__ = [
     "DIM",
@@ -334,8 +334,11 @@ def _dual_rays(vectors: tuple[Vec, ...]) -> tuple[Vec, ...]:
 # cones and fans
 
 
-@dataclass(frozen=True)
-class Cone:
+class _ConeFields(NamedTuple):
+    rays: tuple[Vec, ...] = ()
+
+
+class Cone(_ConeFields):
     """A strongly convex rational cone given by its primitive rays.
 
     Rays are stored canonically sorted, so structural equality is
@@ -343,11 +346,10 @@ class Cone:
     non-proportionality, and pointedness.
     """
 
-    rays: tuple[Vec, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        rays = tuple(sorted(_as_vec(r) for r in self.rays))
-        object.__setattr__(self, "rays", rays)
+    def __new__(cls, rays: tuple[Vec, ...] = ()) -> Cone:
+        rays = tuple(sorted(_as_vec(r) for r in rays))
         for r in rays:
             if not any(r):
                 raise ValueError("zero vector cannot be a ray")
@@ -359,6 +361,7 @@ class Cone:
         # pointedness: the dual is full-dimensional exactly for pointed cones
         if rays and _rank(_dual_rays(rays)) != DIM:
             raise ValueError("cone contains a line (not strongly convex)")
+        return tuple.__new__(cls, (rays,))
 
     @classmethod
     def _from_proven(cls, rays) -> "Cone":
@@ -367,9 +370,7 @@ class Cone:
         Only ``faces`` and ``star_subdivide`` build cones this way; each
         says there why its rays need no second proof.
         """
-        cone = object.__new__(cls)
-        object.__setattr__(cone, "rays", tuple(sorted(rays)))
-        return cone
+        return tuple.__new__(cls, (tuple(sorted(rays)),))
 
     @property
     def dim(self) -> int:
@@ -380,14 +381,17 @@ class Cone:
         return all(_dot(m, point) >= 0 for m in _dual_rays(self.rays))
 
 
-@dataclass(frozen=True)
-class Fan:
-    """A collection of maximal cones; order is presentation only."""
-
+class _FanFields(NamedTuple):
     maximal_cones: tuple[Cone, ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "maximal_cones", tuple(self.maximal_cones))
+
+class Fan(_FanFields):
+    """A collection of maximal cones; order is presentation only."""
+
+    __slots__ = ()
+
+    def __new__(cls, maximal_cones: tuple[Cone, ...] = ()) -> Fan:
+        return tuple.__new__(cls, (tuple(maximal_cones),))
 
 
 def _face_masks(rays: tuple[Vec, ...]) -> set[int]:
@@ -425,8 +429,7 @@ def singular_faces(c: Cone) -> list[Cone]:
     return [f for f in faces(c) if len(f.rays) < len(c.rays) and _minor_gcd(f.rays) != 1]
 
 
-@dataclass(frozen=True)
-class SmoothnessCertificate:
+class SmoothnessCertificate(NamedTuple):
     """Self-verifying witness: for a smooth cone, ``matrix`` stacks the
     rays with integral completion rows and has determinant +/-1."""
 
@@ -437,8 +440,7 @@ class SmoothnessCertificate:
     determinant: int | None = None
 
 
-@dataclass(frozen=True)
-class SmoothnessReport:
+class SmoothnessReport(NamedTuple):
     smooth: bool
     certificates: tuple[SmoothnessCertificate, ...]
 
@@ -568,15 +570,13 @@ def uv_xyz_cone() -> Cone:
     )
 
 
-@dataclass(frozen=True)
-class SubdivisionStep:
+class SubdivisionStep(NamedTuple):
     ray: Vec
     fan: Fan
     support_ok: bool
 
 
-@dataclass(frozen=True)
-class ResolutionReport:
+class ResolutionReport(NamedTuple):
     cone: Cone
     singular: tuple[Cone, ...]
     candidates: tuple[Vec, ...]
@@ -689,8 +689,7 @@ def resolve_demo() -> ResolutionReport:
 # fan script format: `ray a b c d`, `cone i j ...`, `subdivide a b c d`
 
 
-@dataclass(frozen=True)
-class FanScript:
+class FanScript(NamedTuple):
     fan: Fan
     subdivisions: tuple[tuple[int, Vec], ...]  # (source line, ray)
 

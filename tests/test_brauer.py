@@ -1,7 +1,6 @@
 """The main computation against its worked examples and the brute-force oracle."""
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -171,16 +170,14 @@ def test_s_space_cases():
 def test_s_space_split_distinct_sheets():
     cfg = split_cover_equal_sheets()
     curve = cfg.curves[0]
-    twisted = replace(
-        curve,
+    twisted = curve._replace(
         extensions=(curve.extensions[0], Extension("c_2", ResidueClass.of("b"), sheet=2)),
     )
     cfg = Configuration(cfg.cover_kind, ("a", "b"), (twisted,))
     assert cfg.spaces.s_labels == ("beta_1", "beta_2")
     assert restriction_kernel(cfg) == "generated by beta_1, beta_2"
 
-    sheet2_only = replace(
-        curve,
+    sheet2_only = curve._replace(
         extensions=(Extension("c_1", sheet=1), Extension("c_2", ResidueClass.of("a"), sheet=2)),
     )
     cfg = Configuration(CoverKind.SPLIT_EVERYWHERE, ("a",), (sheet2_only,))
@@ -204,7 +201,7 @@ def test_restriction_kernel_descriptions():
     assert restriction_kernel(inert_carrier()) == "generated by cores(beta)"
     assert restriction_kernel(split_cover_equal_sheets()) == "generated by beta_1"
     (curve,) = split_cover_equal_sheets().curves
-    unramified = replace(curve, extensions=tuple(replace(e, residue=ZERO) for e in curve.extensions))
+    unramified = curve._replace(extensions=tuple(e._replace(residue=ZERO) for e in curve.extensions))
     cfg = Configuration(CoverKind.SPLIT_EVERYWHERE, ("a",), (unramified,))
     assert cfg.spaces.s_labels == ()
     assert restriction_kernel(cfg) == "trivial: beta_1 and beta_2 are both unramified"

@@ -55,7 +55,7 @@ point z:
 
 
 def parse_corpus() -> list[bytes]:
-    """Three sources, 60 random emits, and 2500 byte-level mutations of them."""
+    """Four sources, 60 random emits, and 2500 byte-level mutations of them."""
     sources = [*CONFIG_SOURCES, REPEATS_SOURCE]
     sources += [dsl.emit(cfg).encode() for cfg in sampling.random_corpus(11, 60)]
     pick = Seeded(1806)
@@ -67,8 +67,12 @@ def parse_corpus() -> list[bytes]:
 # change to a diagnostic, a span or an emitted byte shows here.  It was
 # re-pinned when a field line in the wrong block came to read "in a point
 # block" where it read "at a point block": 237 of the 2563 outcomes
-# differed, each by that wording alone.
-PARSE_OUTCOME_DIGEST = "970cc99030b9b1f1c6e7ecefc70e7ea47c86e5ddfe9767c89ca057a29ae9af8e"
+# differed, each by that wording alone.  It was re-pinned when the fuzz
+# corpus gained ``MARKED_SOURCE`` and its tokens became the format's own
+# (``mark:``, ``I_II``, ``III_II``, ``IVpp_IV``): the parser before the
+# value types became NamedTuples gives this digest on the new corpus, and
+# today's parser the old digest on the old corpus.
+PARSE_OUTCOME_DIGEST = "9edab2e995ab2837811619471a516a2e73700814c47946b4e09300c1535ab2cd"
 
 
 def test_parser_outcomes_match_pinned_digest():
@@ -117,21 +121,21 @@ def counted_front_end(monkeypatch):
     """Every configuration's symbols counted, and every symbol index build."""
     seen: list[CountingSymbols] = []
     builds = []
-    post_init = model.Configuration.__post_init__
+    new = model.Configuration.__new__
     positions = model._symbol_positions
 
-    def counting_post_init(self):
-        post_init(self)
-        symbols = CountingSymbols(self.symbols)
+    def counting_new(cls, *args, **kwargs):
+        cfg = new(cls, *args, **kwargs)
+        symbols = CountingSymbols(cfg.symbols)
         symbols.passes = 0
-        object.__setattr__(self, "symbols", symbols)
         seen.append(symbols)
+        return cfg._replace(symbols=symbols)
 
     def counting_positions(symbols):
         builds.append(len(symbols))
         return positions(symbols)
 
-    monkeypatch.setattr(model.Configuration, "__post_init__", counting_post_init)
+    monkeypatch.setattr(model.Configuration, "__new__", counting_new)
     monkeypatch.setattr(model, "_symbol_positions", counting_positions)
 
     def measure(action) -> tuple[int, list[int]]:

@@ -1,7 +1,8 @@
 """Mutation fuzz of the command line: every input ends in an exit code.
 
-The built-in configuration sources and two fan scripts are mutated at the
-byte level (deletions, insertions of bytes or of format keywords, swapped
+The built-in configuration sources, one source with ``mark:``, ``cores:``
+and ``meets_marked:`` lines, and two fan scripts are mutated at the byte
+level (deletions, insertions of bytes or of format keywords, swapped
 and duplicated lines) and run through ``cli.run`` as ``validate``,
 ``compute`` and ``toric check``.  Nothing may raise, and the exit code
 must be one of 0 (ok), 1 (invalid), 2 (parse error) and 3 (usage).
@@ -16,7 +17,39 @@ from hypothesis import strategies as st
 
 from isbbrauer import cli, dsl
 
-CONFIG_SOURCES = tuple(dsl.builtin_source(name).encode() for name in dsl.BUILTIN_NAMES)
+# A valid configuration with the lines no built-in source has: a Type IV
+# curve's mark, a ramified curve's cores residue and an IV_II point's
+# meets_marked.
+MARKED_SOURCE = b"""\
+cover: irreducible
+symbols: a b
+
+curve ramline:
+  type: III
+  cover: ramified
+  ext ramline_t: a
+  cores: a
+
+curve conic:
+  type: II
+  cover: split
+  ext conic_1: a
+  ext conic_2: b
+
+curve quad:
+  type: IV
+  cover: split
+  ext quad_m: b
+  ext quad_o: 0
+  mark: quad_m
+
+point z0:
+  curves: conic, quad
+  etype: IV_II
+  meets_marked: conic_1
+"""
+
+CONFIG_SOURCES = tuple(dsl.builtin_source(name).encode() for name in dsl.BUILTIN_NAMES) + (MARKED_SOURCE,)
 
 FAN_SOURCES = (
     b"ray 1 0 0 0\nray 1 2 0 0\ncone 0 1\nsubdivide 1 1 0 0\n",
@@ -27,9 +60,9 @@ FAN_SOURCES = (
 
 TOKENS = (
     b"symbols:", b"cover:", b"curve", b"point", b"type:", b"ext", b"etype:", b"curves:",
-    b"marking:", b"cores:", b"meets_marked:", b"sheet=", b"irreducible", b"split_everywhere",
-    b"split", b"inert", b"ramified", b"I", b"II", b"III", b"IV", b"II_II", b"IV_II",
-    b"IVp_IV", b"0", b"a+b", b",", b":", b"#", b"\n", b"  ", b"ray", b"cone", b"subdivide",
+    b"mark:", b"cores:", b"meets_marked:", b"sheet=", b"irreducible", b"split", b"inert",
+    b"ramified", b"I", b"II", b"III", b"IV", b"I_II", b"II_II", b"III_II", b"IV_II", b"IVp_IV",
+    b"IVpp_IV", b"0", b"a+b", b",", b":", b"#", b"\n", b"  ", b"ray", b"cone", b"subdivide",
     b"-1", b"2", b"7", b"99999999999", b"\xff", b"\xc3",
 )
 
@@ -112,6 +145,13 @@ def run_on(path, data: bytes, argv: list[str]) -> int:
 
 
 FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+def test_the_unmutated_sources_are_accepted(input_path):
+    for data in CONFIG_SOURCES:
+        assert run_on(input_path, data, ["compute"]) == cli.OK
+    for data in FAN_SOURCES:
+        assert run_on(input_path, data, ["toric", "check"]) == cli.OK
 
 
 @FUZZ

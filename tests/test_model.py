@@ -4,8 +4,6 @@ The mutation suite takes one known-good configuration and breaks a single
 field at a time; each break must surface the matching diagnostic code.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from isbbrauer import dsl, model
@@ -63,7 +61,7 @@ def baseline() -> Configuration:
 
 def swap_curve(cfg: Configuration, cid: str, new: Curve) -> Configuration:
     curves = tuple(new if c.id == cid else c for c in cfg.curves)
-    return replace(cfg, curves=curves)
+    return cfg._replace(curves=curves)
 
 
 def test_baseline_is_clean():
@@ -85,57 +83,57 @@ def _mutations():
     z0 = cfg.points[0]
 
     def with_point(p):
-        return replace(cfg, points=(p,))
+        return cfg._replace(points=(p,))
 
     yield "undeclared residue symbol", "RESIDUE_SYMBOLS", swap_curve(
-        cfg, "conic", replace(conic, extensions=(Extension("conic_1", ResidueClass.of("z")), conic.extensions[1]))
+        cfg, "conic", conic._replace(extensions=(Extension("conic_1", ResidueClass.of("z")), conic.extensions[1]))
     )
-    yield "duplicate curve id", "DUP_ID", swap_curve(cfg, "quad", replace(quad, id="conic"))
+    yield "duplicate curve id", "DUP_ID", swap_curve(cfg, "quad", quad._replace(id="conic"))
     yield "duplicate extension id", "DUP_ID", swap_curve(
-        cfg, "conic", replace(conic, extensions=(conic.extensions[0], replace(conic.extensions[1], id="conic_1")))
+        cfg, "conic", conic._replace(extensions=(conic.extensions[0], conic.extensions[1]._replace(id="conic_1")))
     )
     yield "type I with residue", "TYPE_I_RESIDUE", swap_curve(
-        cfg, "ramline", replace(ramline, extensions=(Extension("ramline_t", ResidueClass.of("a")),))
+        cfg, "ramline", ramline._replace(extensions=(Extension("ramline_t", ResidueClass.of("a")),))
     )
     yield "type II ramified", "CURVE_BEHAVIOR", swap_curve(
-        cfg, "conic", replace(conic, cover_behavior=CoverBehavior.RAMIFIED)
+        cfg, "conic", conic._replace(cover_behavior=CoverBehavior.RAMIFIED)
     )
     yield "type I split", "CURVE_BEHAVIOR", swap_curve(
-        cfg, "ramline", replace(ramline, cover_behavior=CoverBehavior.SPLIT)
+        cfg, "ramline", ramline._replace(cover_behavior=CoverBehavior.SPLIT)
     )
     yield "split curve with one extension", "EXT_COUNT", swap_curve(
-        cfg, "conic", replace(conic, extensions=(conic.extensions[0],))
+        cfg, "conic", conic._replace(extensions=(conic.extensions[0],))
     )
     yield "inert curve with two extensions", "EXT_COUNT", swap_curve(
-        cfg, "conic", replace(conic, cover_behavior=CoverBehavior.INERT)
+        cfg, "conic", conic._replace(cover_behavior=CoverBehavior.INERT)
     )
     yield "sheet under irreducible cover", "SHEET", swap_curve(
-        cfg, "conic", replace(conic, extensions=(replace(conic.extensions[0], sheet=1), conic.extensions[1]))
+        cfg, "conic", conic._replace(extensions=(conic.extensions[0]._replace(sheet=1), conic.extensions[1]))
     )
-    yield "type IV without marking", "MARKING", swap_curve(cfg, "quad", replace(quad, marking=None))
-    yield "marking not an own extension", "MARKING", swap_curve(cfg, "quad", replace(quad, marking="conic_1"))
-    yield "marking on non-IV curve", "MARKING", swap_curve(cfg, "conic", replace(conic, marking="conic_1"))
+    yield "type IV without marking", "MARKING", swap_curve(cfg, "quad", quad._replace(marking=None))
+    yield "marking not an own extension", "MARKING", swap_curve(cfg, "quad", quad._replace(marking="conic_1"))
+    yield "marking on non-IV curve", "MARKING", swap_curve(cfg, "conic", conic._replace(marking="conic_1"))
     yield "non-marked IV residue", "UNMARKED_RESIDUE", swap_curve(
-        cfg, "quad", replace(quad, extensions=(quad.extensions[0], Extension("quad_o", ResidueClass.of("a"))))
+        cfg, "quad", quad._replace(extensions=(quad.extensions[0], Extension("quad_o", ResidueClass.of("a"))))
     )
     yield "cores on a split curve", "CORES_INPUT", swap_curve(
-        cfg, "conic", replace(conic, cores_residue_input=ZERO)
+        cfg, "conic", conic._replace(cores_residue_input=ZERO)
     )
     yield "cores with undeclared symbol", "RESIDUE_SYMBOLS", swap_curve(
-        cfg, "ramline", replace(ramline, cores_residue_input=ResidueClass.of("q"))
+        cfg, "ramline", ramline._replace(cores_residue_input=ResidueClass.of("q"))
     )
-    yield "point at unknown curve", "BAD_REF", with_point(replace(z0, incident=("conic", "ghost")))
-    yield "point joining a curve to itself", "POINT_PAIR", with_point(replace(z0, incident=("conic", "conic")))
+    yield "point at unknown curve", "BAD_REF", with_point(z0._replace(incident=("conic", "ghost")))
+    yield "point joining a curve to itself", "POINT_PAIR", with_point(z0._replace(incident=("conic", "conic")))
     yield "forbidden curve-type pair", "POINT_PAIR", with_point(
-        replace(z0, incident=("ramline", "quad"), meets_marked=frozenset())
+        z0._replace(incident=("ramline", "quad"), meets_marked=frozenset())
     )
-    yield "etype disagrees with pair", "POINT_TYPE", with_point(replace(z0, etype=PointType.II_II, meets_marked=frozenset()))
-    yield "meets_marked outside IV_II", "MEETS_MARKED", with_point(replace(z0, etype=PointType.II_II))
-    yield "meets_marked names the IV side", "MEETS_MARKED", with_point(replace(z0, meets_marked=frozenset({"quad_m"})))
-    yield "duplicate symbol", "DUP_ID", replace(cfg, symbols=("a", "b", "a"))
-    yield "empty symbol name", "SYMBOLS", replace(cfg, symbols=("a", ""))
-    yield "split cover over non-split curves", "SPLIT_COVER", replace(cfg, cover_kind=CoverKind.SPLIT_EVERYWHERE)
-    yield "empty curve id", "DUP_ID", swap_curve(cfg, "ramline", replace(ramline, id=""))
+    yield "etype disagrees with pair", "POINT_TYPE", with_point(z0._replace(etype=PointType.II_II, meets_marked=frozenset()))
+    yield "meets_marked outside IV_II", "MEETS_MARKED", with_point(z0._replace(etype=PointType.II_II))
+    yield "meets_marked names the IV side", "MEETS_MARKED", with_point(z0._replace(meets_marked=frozenset({"quad_m"})))
+    yield "duplicate symbol", "DUP_ID", cfg._replace(symbols=("a", "b", "a"))
+    yield "empty symbol name", "SYMBOLS", cfg._replace(symbols=("a", ""))
+    yield "split cover over non-split curves", "SPLIT_COVER", cfg._replace(cover_kind=CoverKind.SPLIT_EVERYWHERE)
+    yield "empty curve id", "DUP_ID", swap_curve(cfg, "ramline", ramline._replace(id=""))
 
 
 @pytest.mark.parametrize("label,code,mutated", list(_mutations()), ids=lambda v: v if isinstance(v, str) and " " in v else None)
@@ -170,7 +168,7 @@ def test_split_cover_requires_sheets():
             Extension("c_2", ResidueClass.of("a"), sheet=1),
         ),
     )
-    codes = {d.code for d in validate(replace(cfg, curves=(both_sheet_one,))).errors}
+    codes = {d.code for d in validate(cfg._replace(curves=(both_sheet_one,))).errors}
     assert "SHEET" in codes
 
 
@@ -371,7 +369,7 @@ def test_zr_excludes_transverse_and_double_iv_points():
         SingularPoint("t0", ("ramline", "conic"), PointType.I_II),
         cfg.points[0],
     )
-    cfg = replace(cfg, points=extra)
+    cfg = cfg._replace(points=extra)
     assert [p.id for p in cfg.spaces.zr] == ["z0"]
     assert validate(cfg).ok
 
@@ -393,7 +391,7 @@ def test_vq_excludes_curve_with_nonzero_cores():
 
 
 def test_value_types_normalise_their_collections():
-    # ``__post_init__`` converts only what is not already the field's type,
+    # ``__new__`` converts only what is not already the field's type,
     # so both the converted and the given forms must compare and hash alike.
     a = ResidueClass.of("a")
     for given in ({"a"}, ["a", "a"], ("a",)):

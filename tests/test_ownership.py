@@ -7,13 +7,13 @@ one-line readers ``vp_basis`` and ``matrix_p_to_r`` all read that
 value.  ``model`` needs nothing from ``brauer``; no module
 of the package imports lazily or names the Gauss-Jordan ``rref``, a test
 module or a helper of ``tests/toric_reference.py``, no function of
-the package takes a parameter it never reads, and no module of it holds
-an ``assert`` statement.  ``_s_generators`` is
+the package takes a parameter it never reads, no module of it holds
+an ``assert`` statement, and importing the CLI loads neither
+``dataclasses`` nor ``inspect``.  ``_s_generators`` is
 pinned to the label-then-vector construction it replaced.
 """
 
 import ast
-import dataclasses
 import random
 import re
 import subprocess
@@ -150,6 +150,23 @@ def test_model_validates_without_brauer():
     assert done.stdout.split("\n")[0] == str(["isbbrauer", "isbbrauer.f2", "isbbrauer.model"])
 
 
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    # ``dataclasses`` costs start-up: it imports ``inspect`` (and with it
+    # ``ast``, ``dis`` and ``tokenize``) and ``exec``s the methods of every
+    # decorated class.  The value types are NamedTuples, so a fresh
+    # ``isbbrauer`` process loads neither.
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import isbbrauer.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, str(PACKAGE.parent)], capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"
+
+
 # --- built once per configuration -------------------------------------------
 
 
@@ -178,11 +195,11 @@ def test_spaces_are_built_once_per_configuration(monkeypatch):
 def test_spaces_are_not_part_of_the_value():
     cfg = dsl.builtin("hpt")
     twin = dsl.builtin("hpt")
-    fields = dataclasses.fields(Configuration)
+    fields = Configuration._fields
     before = (repr(cfg), hash(cfg))
     assert cfg.spaces is cfg.spaces
-    assert dataclasses.fields(Configuration) == fields
-    assert "spaces" not in {f.name for f in fields}
+    assert Configuration._fields == fields
+    assert "spaces" not in fields
     assert (repr(cfg), hash(cfg)) == before
     assert cfg == twin and "spaces" not in vars(twin)
 

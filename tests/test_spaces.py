@@ -19,7 +19,6 @@ import hashlib
 import io
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -335,7 +334,7 @@ def test_renaming_keeps_the_dims_and_the_generators(corpus):
 
 def test_reversing_the_curve_order_keeps_the_dims(corpus):
     for cfg in corpus:
-        assert dims(replace(cfg, curves=cfg.curves[::-1])) == dims(cfg)
+        assert dims(cfg._replace(curves=cfg.curves[::-1])) == dims(cfg)
 
 
 def test_permuting_the_curves_keeps_the_cosets_the_generators_span(corpus):
@@ -351,7 +350,7 @@ def test_permuting_the_curves_keeps_the_cosets_the_generators_span(corpus):
     for cfg in corpus:
         curves = list(cfg.curves)
         rng.shuffle(curves)
-        report, permuted = unramified_brauer(cfg), unramified_brauer(replace(cfg, curves=tuple(curves)))
+        report, permuted = unramified_brauer(cfg), unramified_brauer(cfg._replace(curves=tuple(curves)))
         assert permuted.dims == report.dims
         coordinate = {label: j for j, label in enumerate(report.p_labels)}
         pivots = dict(cfg.spaces.qs_echelon[1])
@@ -374,7 +373,7 @@ def test_a_copied_contributing_point_keeps_the_dims(corpus):
     for cfg in corpus:
         for point in cfg.points:
             if point.etype not in (PointType.I_II, PointType.IVPP_IV):
-                twin = replace(cfg, points=cfg.points + (replace(point, id=point.id + "_copy"),))
+                twin = cfg._replace(points=cfg.points + (point._replace(id=point.id + "_copy"),))
                 assert dims(twin) == dims(cfg)
                 copied += 1
     assert copied > 80

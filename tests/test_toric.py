@@ -1212,13 +1212,13 @@ def test_fan_script_integers_are_ascii_decimal():
 def test_a_cold_fan_check_builds_only_the_script_cones(monkeypatch):
     # the pair check reads one dual per pair and builds no meet
     built = []
-    post_init = Cone.__post_init__
+    new = Cone.__new__
 
-    def counting_post_init(self):
-        built.append(self)
-        post_init(self)
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(Cone, "__post_init__", counting_post_init)
+    monkeypatch.setattr(Cone, "__new__", counting_new)
     toric._dual_rays.cache_clear()
     text = (Path(__file__).parent / "fans" / "orthants.fan").read_text()
     assert len(parse_fan_script(text).fan.maximal_cones) == len(built) == 16

@@ -8,7 +8,6 @@ A ring of 400 split Type II curves (dim P 800, far past the brute-force
 cap) is checked against its number of connected components.
 """
 
-import dataclasses
 import json
 import random
 
@@ -251,8 +250,7 @@ def test_consistency_checks_match_reference_on_random_maps():
             return sum(1 << j for j in range(p) if rng.random() < 0.3)
 
         q_columns = [F2Vector(p, sparse()) for _ in spaces.vq]
-        spaces = dataclasses.replace(
-            spaces,
+        spaces = spaces._replace(
             m_pr=F2Matrix(spaces.m_pr.rows, p, tuple(sparse() for _ in spaces.zr)),
             m_qp=from_columns(q_columns, p),
             s_vectors=tuple(F2Vector(p, sparse()) for _ in spaces.s_labels),
@@ -364,10 +362,10 @@ def test_report_json_matches_json_dumps():
     base = reports[0]
     odd = F2Vector(0, 0), F2Vector(3, 0b101)
     reports += [
-        dataclasses.replace(base, m_pr=F2Matrix(0, 5), m_qp=F2Matrix(4, 0, (0,) * 4), m_sp=F2Matrix(0, 0)),
-        dataclasses.replace(base, generators=()),
-        dataclasses.replace(base, generators=tuple(brauer.Generator(v, ()) for v in odd)),
-        dataclasses.replace(base, p_labels=('quote " here', "back\\slash", "new\nline", "ümlaut ☃"), assertions=()),
+        base._replace(m_pr=F2Matrix(0, 5), m_qp=F2Matrix(4, 0, (0,) * 4), m_sp=F2Matrix(0, 0)),
+        base._replace(generators=()),
+        base._replace(generators=tuple(brauer.Generator(v, ()) for v in odd)),
+        base._replace(p_labels=('quote " here', "back\\slash", "new\nline", "ümlaut ☃"), assertions=()),
     ]
     for r in reports:
         assert cli.report_json(r) == reference_report_json(r)
