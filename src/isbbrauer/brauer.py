@@ -11,7 +11,7 @@ in the tests.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .f2 import F2Matrix, F2Vector, _check_len, _insert, _set_bits, kernel_basis
 from .model import (
@@ -59,25 +59,40 @@ class CapExceededError(ValueError):
     """brute_force_unramified refused to enumerate past its size cap."""
 
 
-class Generator(NamedTuple):
-    """A coset representative in ker(m_pr) with its ramification lift."""
+class Generator(namedtuple("Generator", "vector ramification")):
+    """A coset representative in ker(m_pr) with its ramification lift.
 
-    vector: F2Vector
-    ramification: tuple[tuple[str, ResidueClass], ...]
+    Fields:
+        vector: F2Vector
+        ramification: tuple[tuple[str, ResidueClass], ...]
+    """
+
+    __slots__ = ()
 
 
-class BrauerReport(NamedTuple):
-    s_labels: tuple[str, ...]
-    p_labels: tuple[str, ...]
-    q_labels: tuple[str, ...]
-    r_labels: tuple[str, ...]
-    m_pr: F2Matrix
-    m_qp: F2Matrix
-    m_sp: F2Matrix
-    kernel_dim: int
-    h2nr_dim: int
-    generators: tuple[Generator, ...]
-    assertions: tuple[tuple[str, str], ...]
+class BrauerReport(
+    namedtuple(
+        "BrauerReport",
+        "s_labels p_labels q_labels r_labels m_pr m_qp m_sp kernel_dim h2nr_dim generators assertions",
+    )
+):
+    """What ``unramified_brauer`` returns: the spaces, maps, dimensions and generators.
+
+    Fields:
+        s_labels: tuple[str, ...]
+        p_labels: tuple[str, ...]
+        q_labels: tuple[str, ...]
+        r_labels: tuple[str, ...]
+        m_pr: F2Matrix
+        m_qp: F2Matrix
+        m_sp: F2Matrix
+        kernel_dim: int
+        h2nr_dim: int
+        generators: tuple[Generator, ...]
+        assertions: tuple[tuple[str, str], ...]
+    """
+
+    __slots__ = ()
 
     @property
     def dims(self) -> dict[str, int]:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from typing import NamedTuple
+from collections import namedtuple
 
 from .model import (
     Configuration,
@@ -60,17 +60,29 @@ __all__ = [
 ]
 
 
-class SourceSpan(NamedTuple):
-    line: int
-    column: int
+class SourceSpan(namedtuple("SourceSpan", "line column")):
+    """A 1-based position in the source text.
+
+    Fields:
+        line: int
+        column: int
+    """
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.line}:{self.column}"
 
 
-class ParseDiagnostic(NamedTuple):
-    span: SourceSpan
-    message: str
+class ParseDiagnostic(namedtuple("ParseDiagnostic", "span message")):
+    """One parse error and where it is.
+
+    Fields:
+        span: SourceSpan
+        message: str
+    """
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.span}: {self.message}"

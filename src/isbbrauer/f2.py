@@ -6,14 +6,17 @@ addition is XOR.  Subspaces are stored as reduced row echelon bases,
 which makes subspace equality a plain structural comparison.
 
 Everything here is immutable; functions return fresh objects.  A value
-type is a ``NamedTuple``; one that checks its arguments is a subclass of
-a ``NamedTuple`` of its fields, because ``NamedTuple`` forbids ``__new__``
-in its own body.
+type is a subclass of a ``collections.namedtuple`` of its fields, with
+the field types in its docstring; one that checks its arguments does so
+in its own ``__new__``.  ``typing.NamedTuple`` would build the same
+class, but importing ``typing`` and turning each annotation into a
+``ForwardRef`` costs a fresh process several milliseconds of start-up.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterator
 
 __all__ = [
     "DimensionMismatch",
@@ -53,13 +56,13 @@ def _set_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-class _F2VectorFields(NamedTuple):
-    length: int
-    mask: int = 0
+class F2Vector(namedtuple("F2Vector", "length mask", defaults=(0,))):
+    """A vector over GF(2); ``mask`` packs coordinate ``i`` into bit ``i``.
 
-
-class F2Vector(_F2VectorFields):
-    """A vector over GF(2); ``mask`` packs coordinate ``i`` into bit ``i``."""
+    Fields:
+        length: int
+        mask: int
+    """
 
     __slots__ = ()
 
@@ -90,16 +93,15 @@ class F2Vector(_F2VectorFields):
         return f"({joined.decode()})"
 
 
-class _F2MatrixFields(NamedTuple):
-    rows: int
-    cols: int
-    row_masks: tuple[int, ...] = ()
-
-
-class F2Matrix(_F2MatrixFields):
+class F2Matrix(namedtuple("F2Matrix", "rows cols row_masks", defaults=((),))):
     """A matrix over GF(2) stored as one bit-packed integer per row.
 
     Bit ``j`` of ``row_masks[i]`` is the entry in row ``i``, column ``j``.
+
+    Fields:
+        rows: int
+        cols: int
+        row_masks: tuple[int, ...]
     """
 
     __slots__ = ()
@@ -127,10 +129,16 @@ class F2Matrix(_F2MatrixFields):
         return F2Matrix(self.cols, self.rows, tuple(self.column_masks()))
 
 
-class Rref(NamedTuple):
-    reduced: F2Matrix
-    rank: int
-    pivots: tuple[int, ...]
+class Rref(namedtuple("Rref", "reduced rank pivots")):
+    """What ``rref`` returns.
+
+    Fields:
+        reduced: F2Matrix
+        rank: int
+        pivots: tuple[int, ...]
+    """
+
+    __slots__ = ()
 
 
 def rref(m: F2Matrix) -> Rref:
@@ -168,16 +176,15 @@ def _leading_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-class _SubspaceFields(NamedTuple):
-    ambient_dim: int
-    basis: tuple[F2Vector, ...] = ()
-
-
-class Subspace(_SubspaceFields):
+class Subspace(namedtuple("Subspace", "ambient_dim basis", defaults=((),))):
     """A subspace of GF(2)^n held as its unique reduced row echelon basis.
 
     Because the representation is canonical, two ``Subspace`` values are
     equal exactly when they describe the same subspace.
+
+    Fields:
+        ambient_dim: int
+        basis: tuple[F2Vector, ...]
     """
 
     __slots__ = ()

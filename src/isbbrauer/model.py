@@ -25,18 +25,19 @@ because the benchmark workloads call them by name.
 Declaration order is semantic: curves, extensions, and points index the
 bases of the computation in the order they are listed here.
 
-The value types are ``NamedTuple``s, built as in ``f2``.  What a value
-derives from its fields (``Curve.cores_residue``,
+The value types are ``collections.namedtuple``s, built as in ``f2``.
+What a value derives from its fields (``Curve.cores_residue``,
 ``Configuration.symbol_index`` and ``.spaces``) is a ``cached_property``
-on a subclass that keeps a ``__dict__``: it is no field, so equality,
-hashing and ``repr`` do not see it.
+on a subclass that keeps a ``__dict__`` (it sets no ``__slots__``): it is
+no field, so equality, hashing and ``repr`` do not see it.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple
 
 from .f2 import F2Matrix, F2Vector, _insert, _set_bits
 
@@ -85,14 +86,13 @@ class PointType(str, Enum):
     IVPP_IV = "IVpp_IV"
 
 
-class _ResidueClassFields(NamedTuple):
-    symbols: frozenset[str] = frozenset()
-
-
-class ResidueClass(_ResidueClassFields):
+class ResidueClass(namedtuple("ResidueClass", "symbols", defaults=(frozenset(),))):
     """An element of the symbol-indexed GF(2) residue space.
 
     The empty set is the zero class; addition is symmetric difference.
+
+    Fields:
+        symbols: frozenset[str]
     """
 
     __slots__ = ()
@@ -140,25 +140,35 @@ def _symbol_positions(symbols: Iterable[str]) -> dict[str, tuple[int, ...]]:
 ZERO = ResidueClass()
 
 
-class Extension(NamedTuple):
-    """A valuation of the function field of the cover lying over a curve."""
+class Extension(namedtuple("Extension", "id residue sheet", defaults=(ZERO, None))):
+    """A valuation of the function field of the cover lying over a curve.
 
-    id: str
-    residue: ResidueClass = ZERO
-    sheet: int | None = None
+    Fields:
+        id: str
+        residue: ResidueClass
+        sheet: int | None
+    """
 
-
-class _CurveFields(NamedTuple):
-    id: str
-    deg_type: CurveType
-    cover_behavior: CoverBehavior
-    extensions: tuple[Extension, ...]
-    marking: str | None = None
-    cores_residue_input: ResidueClass | None = None
+    __slots__ = ()
 
 
-class Curve(_CurveFields):
-    """A degeneration curve with its cover behavior and extension data."""
+class Curve(
+    namedtuple(
+        "Curve",
+        "id deg_type cover_behavior extensions marking cores_residue_input",
+        defaults=(None, None),
+    )
+):
+    """A degeneration curve with its cover behavior and extension data.
+
+    Fields:
+        id: str
+        deg_type: CurveType
+        cover_behavior: CoverBehavior
+        extensions: tuple[Extension, ...]
+        marking: str | None
+        cores_residue_input: ResidueClass | None
+    """
 
     @cached_property
     def cores_residue(self) -> ResidueClass:
@@ -181,15 +191,15 @@ class Curve(_CurveFields):
         return ZERO
 
 
-class _SingularPointFields(NamedTuple):
-    id: str
-    incident: tuple[str, str]
-    etype: PointType
-    meets_marked: frozenset[str] = frozenset()
+class SingularPoint(namedtuple("SingularPoint", "id incident etype meets_marked", defaults=(frozenset(),))):
+    """A crossing point of two degeneration curves with its local type.
 
-
-class SingularPoint(_SingularPointFields):
-    """A crossing point of two degeneration curves with its local type."""
+    Fields:
+        id: str
+        incident: tuple[str, str]
+        etype: PointType
+        meets_marked: frozenset[str]
+    """
 
     __slots__ = ()
 
@@ -203,15 +213,15 @@ class SingularPoint(_SingularPointFields):
         return tuple.__new__(cls, (id, incident, etype, meets_marked))
 
 
-class _ConfigurationFields(NamedTuple):
-    cover_kind: CoverKind
-    symbols: tuple[str, ...] = ()
-    curves: tuple[Curve, ...] = ()
-    points: tuple[SingularPoint, ...] = ()
+class Configuration(namedtuple("Configuration", "cover_kind symbols curves points", defaults=((), (), ()))):
+    """Full degeneration data; list order fixes the computation's bases.
 
-
-class Configuration(_ConfigurationFields):
-    """Full degeneration data; list order fixes the computation's bases."""
+    Fields:
+        cover_kind: CoverKind
+        symbols: tuple[str, ...]
+        curves: tuple[Curve, ...]
+        points: tuple[SingularPoint, ...]
+    """
 
     def __new__(
         cls,
@@ -243,15 +253,27 @@ class Configuration(_ConfigurationFields):
         return _build_spaces(self)
 
 
-class Diagnostic(NamedTuple):
-    code: str
-    message: str
-    subject: str
+class Diagnostic(namedtuple("Diagnostic", "code message subject")):
+    """One finding of ``validate``: its code, message and the id it concerns.
+
+    Fields:
+        code: str
+        message: str
+        subject: str
+    """
+
+    __slots__ = ()
 
 
-class ValidationReport(NamedTuple):
-    errors: tuple[Diagnostic, ...] = ()
-    warnings: tuple[Diagnostic, ...] = ()
+class ValidationReport(namedtuple("ValidationReport", "errors warnings", defaults=((), ()))):
+    """What ``validate`` returns; the configuration passes when ``errors`` is empty.
+
+    Fields:
+        errors: tuple[Diagnostic, ...]
+        warnings: tuple[Diagnostic, ...]
+    """
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -364,20 +386,7 @@ def _incidence_matrix(
     return F2Matrix(len(zr), p, tuple(masks))
 
 
-class _SpacesFields(NamedTuple):
-    vp: tuple[Extension, ...]
-    vq: tuple[Curve, ...]
-    zr: tuple[SingularPoint, ...]
-    owner: dict[str, Curve]
-    curve_rank: dict[str, int]
-    m_pr: F2Matrix
-    m_qp: F2Matrix
-    lift_rows: tuple[tuple[str, frozenset[str]], ...]
-    s_labels: tuple[str, ...]
-    s_vectors: tuple[F2Vector, ...]
-
-
-class _Spaces(_SpacesFields):
+class _Spaces(namedtuple("_Spaces", "vp vq zr owner curve_rank m_pr m_qp lift_rows s_labels s_vectors")):
     """Every basis and map of one configuration: ``Configuration.spaces``.
 
     ``vp`` holds the extensions with nonzero residue, which index P.
@@ -389,6 +398,18 @@ class _Spaces(_SpacesFields):
     last declaration wins.  ``lift_rows`` holds each P coordinate's
     owner id and the symbols it adds to that curve's lift: the owner's
     corestriction residue on an inert curve, else the extension's residue.
+
+    Fields:
+        vp: tuple[Extension, ...]
+        vq: tuple[Curve, ...]
+        zr: tuple[SingularPoint, ...]
+        owner: dict[str, Curve]
+        curve_rank: dict[str, int]
+        m_pr: F2Matrix
+        m_qp: F2Matrix
+        lift_rows: tuple[tuple[str, frozenset[str]], ...]
+        s_labels: tuple[str, ...]
+        s_vectors: tuple[F2Vector, ...]
     """
 
     @cached_property

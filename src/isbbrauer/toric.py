@@ -26,9 +26,9 @@ from __future__ import annotations
 import itertools
 import random
 import re
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd
-from typing import NamedTuple
 
 __all__ = [
     "DIM",
@@ -334,16 +334,15 @@ def _dual_rays(vectors: tuple[Vec, ...]) -> tuple[Vec, ...]:
 # cones and fans
 
 
-class _ConeFields(NamedTuple):
-    rays: tuple[Vec, ...] = ()
-
-
-class Cone(_ConeFields):
+class Cone(namedtuple("Cone", "rays", defaults=((),))):
     """A strongly convex rational cone given by its primitive rays.
 
     Rays are stored canonically sorted, so structural equality is
     equality of ray sets.  Construction validates primitivity, pairwise
     non-proportionality, and pointedness.
+
+    Fields:
+        rays: tuple[Vec, ...]
     """
 
     __slots__ = ()
@@ -381,12 +380,12 @@ class Cone(_ConeFields):
         return all(_dot(m, point) >= 0 for m in _dual_rays(self.rays))
 
 
-class _FanFields(NamedTuple):
-    maximal_cones: tuple[Cone, ...] = ()
+class Fan(namedtuple("Fan", "maximal_cones", defaults=((),))):
+    """A collection of maximal cones; order is presentation only.
 
-
-class Fan(_FanFields):
-    """A collection of maximal cones; order is presentation only."""
+    Fields:
+        maximal_cones: tuple[Cone, ...]
+    """
 
     __slots__ = ()
 
@@ -429,20 +428,32 @@ def singular_faces(c: Cone) -> list[Cone]:
     return [f for f in faces(c) if len(f.rays) < len(c.rays) and _minor_gcd(f.rays) != 1]
 
 
-class SmoothnessCertificate(NamedTuple):
+class SmoothnessCertificate(
+    namedtuple("SmoothnessCertificate", "cone smooth reason matrix determinant", defaults=(None, None))
+):
     """Self-verifying witness: for a smooth cone, ``matrix`` stacks the
-    rays with integral completion rows and has determinant +/-1."""
+    rays with integral completion rows and has determinant +/-1.
 
-    cone: Cone
-    smooth: bool
-    reason: str
-    matrix: tuple[Vec, ...] | None = None
-    determinant: int | None = None
+    Fields:
+        cone: Cone
+        smooth: bool
+        reason: str
+        matrix: tuple[Vec, ...] | None
+        determinant: int | None
+    """
+
+    __slots__ = ()
 
 
-class SmoothnessReport(NamedTuple):
-    smooth: bool
-    certificates: tuple[SmoothnessCertificate, ...]
+class SmoothnessReport(namedtuple("SmoothnessReport", "smooth certificates")):
+    """What ``is_smooth`` returns; true exactly when every cone is smooth.
+
+    Fields:
+        smooth: bool
+        certificates: tuple[SmoothnessCertificate, ...]
+    """
+
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.smooth
@@ -570,19 +581,31 @@ def uv_xyz_cone() -> Cone:
     )
 
 
-class SubdivisionStep(NamedTuple):
-    ray: Vec
-    fan: Fan
-    support_ok: bool
+class SubdivisionStep(namedtuple("SubdivisionStep", "ray fan support_ok")):
+    """One star subdivision: the ray added, the fan it gives, and its support verdict.
+
+    Fields:
+        ray: Vec
+        fan: Fan
+        support_ok: bool
+    """
+
+    __slots__ = ()
 
 
-class ResolutionReport(NamedTuple):
-    cone: Cone
-    singular: tuple[Cone, ...]
-    candidates: tuple[Vec, ...]
-    steps: tuple[SubdivisionStep, ...]
-    smoothness: SmoothnessReport
-    samples: int
+class ResolutionReport(namedtuple("ResolutionReport", "cone singular candidates steps smoothness samples")):
+    """What ``resolve_demo`` returns.
+
+    Fields:
+        cone: Cone
+        singular: tuple[Cone, ...]
+        candidates: tuple[Vec, ...]
+        steps: tuple[SubdivisionStep, ...]
+        smoothness: SmoothnessReport
+        samples: int
+    """
+
+    __slots__ = ()
 
 
 _SUPPORT_SAMPLES = 1000
@@ -689,9 +712,15 @@ def resolve_demo() -> ResolutionReport:
 # fan script format: `ray a b c d`, `cone i j ...`, `subdivide a b c d`
 
 
-class FanScript(NamedTuple):
-    fan: Fan
-    subdivisions: tuple[tuple[int, Vec], ...]  # (source line, ray)
+class FanScript(namedtuple("FanScript", "fan subdivisions")):
+    """A parsed fan script: its fan and its ``subdivide`` lines.
+
+    Fields:
+        fan: Fan
+        subdivisions: tuple[tuple[int, Vec], ...], each (source line, ray)
+    """
+
+    __slots__ = ()
 
 
 _TOKEN = re.compile(r"\S+")

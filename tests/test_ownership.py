@@ -8,8 +8,8 @@ value.  ``model`` needs nothing from ``brauer``; no module
 of the package imports lazily or names the Gauss-Jordan ``rref``, a test
 module or a helper of ``tests/toric_reference.py``, no function of
 the package takes a parameter it never reads, no module of it holds
-an ``assert`` statement, and importing the CLI loads neither
-``dataclasses`` nor ``inspect``.  ``_s_generators`` is
+an ``assert`` statement, and importing the CLI loads none of
+``dataclasses``, ``inspect`` and ``typing``.  ``_s_generators`` is
 pinned to the label-then-vector construction it replaced.
 """
 
@@ -150,16 +150,18 @@ def test_model_validates_without_brauer():
     assert done.stdout.split("\n")[0] == str(["isbbrauer", "isbbrauer.f2", "isbbrauer.model"])
 
 
-def test_the_cli_imports_neither_dataclasses_nor_inspect():
+def test_the_cli_imports_no_dataclasses_inspect_or_typing():
     # ``dataclasses`` costs start-up: it imports ``inspect`` (and with it
     # ``ast``, ``dis`` and ``tokenize``) and ``exec``s the methods of every
-    # decorated class.  The value types are NamedTuples, so a fresh
-    # ``isbbrauer`` process loads neither.
+    # decorated class.  ``typing`` costs it too: importing it, and turning
+    # each field annotation of a ``typing.NamedTuple`` into a
+    # ``ForwardRef``.  The value types are ``collections.namedtuple``s, so
+    # a fresh ``isbbrauer`` process loads none of the three.
     code = (
         "import sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
         "import isbbrauer.cli\n"
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))\n"
     )
     done = subprocess.run(
         [sys.executable, "-I", "-S", "-c", code, str(PACKAGE.parent)], capture_output=True, text=True, check=True

@@ -1,11 +1,14 @@
 """The package's value types: immutable tuples compared by their fields.
 
-Each public record is a ``typing.NamedTuple``, some through a subclass
-whose ``__new__`` checks or converts its arguments.  Two values built
-from equal fields are equal and hash alike, no field can be assigned,
-and what a value derives from its fields (``Curve.cores_residue``,
-``Configuration.symbol_index`` and ``Configuration.spaces``) stays out of
-its fields, equality, hash and ``repr``.
+Each public record is a subclass of a ``collections.namedtuple`` of its
+fields, some with a ``__new__`` that checks or converts its arguments.
+Two values built from equal fields are equal and hash alike, no field
+can be assigned, and what a value derives from its fields
+(``Curve.cores_residue``, ``Configuration.symbol_index`` and
+``Configuration.spaces``) stays out of its fields, equality, hash and
+``repr``.  Each record's fields, their order and their defaults are
+pinned, and the constructor a caller reaches takes them by the same
+names and defaults.
 """
 
 from enum import Enum
@@ -79,3 +82,62 @@ def test_a_value_is_a_frozen_tuple_of_its_fields(name):
         with pytest.raises(AttributeError):
             setattr(value, field, getattr(twin, field))
     assert value == twin
+
+
+# Each public record's fields and defaults, as they were when the records
+# were built with ``typing.NamedTuple``: the constructor contract that
+# positional and keyword callers (``perfbench/workloads.py`` among them)
+# rely on.
+FIELDS = {
+    "F2Vector": (("length", "mask"), {"mask": 0}),
+    "F2Matrix": (("rows", "cols", "row_masks"), {"row_masks": ()}),
+    "Subspace": (("ambient_dim", "basis"), {"basis": ()}),
+    "Rref": (("reduced", "rank", "pivots"), {}),
+    "ResidueClass": (("symbols",), {"symbols": frozenset()}),
+    "Extension": (("id", "residue", "sheet"), {"residue": model.ResidueClass(), "sheet": None}),
+    "Curve": (
+        ("id", "deg_type", "cover_behavior", "extensions", "marking", "cores_residue_input"),
+        {"marking": None, "cores_residue_input": None},
+    ),
+    "SingularPoint": (("id", "incident", "etype", "meets_marked"), {"meets_marked": frozenset()}),
+    "Configuration": (
+        ("cover_kind", "symbols", "curves", "points"),
+        {"symbols": (), "curves": (), "points": ()},
+    ),
+    "Diagnostic": (("code", "message", "subject"), {}),
+    "ValidationReport": (("errors", "warnings"), {"errors": (), "warnings": ()}),
+    "SourceSpan": (("line", "column"), {}),
+    "ParseDiagnostic": (("span", "message"), {}),
+    "Generator": (("vector", "ramification"), {}),
+    "BrauerReport": (
+        (
+            "s_labels", "p_labels", "q_labels", "r_labels", "m_pr", "m_qp", "m_sp",
+            "kernel_dim", "h2nr_dim", "generators", "assertions",
+        ),
+        {},
+    ),
+    "Cone": (("rays",), {"rays": ()}),
+    "Fan": (("maximal_cones",), {"maximal_cones": ()}),
+    "SmoothnessCertificate": (
+        ("cone", "smooth", "reason", "matrix", "determinant"),
+        {"matrix": None, "determinant": None},
+    ),
+    "SmoothnessReport": (("smooth", "certificates"), {}),
+    "SubdivisionStep": (("ray", "fan", "support_ok"), {}),
+    "ResolutionReport": (("cone", "singular", "candidates", "steps", "smoothness", "samples"), {}),
+    "FanScript": (("fan", "subdivisions"), {}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_the_constructor_keeps_its_fields_and_defaults(name):
+    record = type(VALUES[name][0]())
+    fields, defaults = FIELDS[name]
+    assert record._fields == fields
+    assert record._field_defaults == defaults
+    # The constructor a caller reaches takes the fields, in order, as its
+    # parameters, with the same defaults, whether the namedtuple's own
+    # ``__new__`` or a subclass's that checks its arguments.
+    code = record.__new__.__code__
+    assert code.co_varnames[1 : code.co_argcount] == fields
+    assert (record.__new__.__defaults__ or ()) == tuple(defaults.values())
