@@ -8,6 +8,11 @@ arguments, an unreadable file or an unknown example.  argparse's usage
 lines go to ``err`` and ``--help`` to ``out``, never to the process
 streams.  ``main`` exits 141, as SIGPIPE would, when stdout is closed
 early.  Output for fixed input bytes and arguments is byte-identical.
+
+A report is written to ``out`` as it is made, about one write per matrix
+row, so a large report is never held whole.  It is written only after
+the computation has passed every check, so a refused ``compute`` writes
+nothing to ``out``.
 """
 
 from __future__ import annotations
@@ -42,62 +47,115 @@ def _json_block(brackets: str, items, level: int) -> str:
     return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * level + brackets[1]
 
 
+class _Cells:
+    """Rows of ``cols`` 0/1 cells laid out as ``head + sep.join(cells) + tail``.
+
+    The layout is built once, as a template of zeros in which cell ``k``
+    is the byte at ``first + k * step``.  A row with few set bits costs a
+    copy of the template and one byte per set bit; a denser one copies
+    its bit string into the strided slice.  ``head``, ``sep`` and
+    ``tail`` are ASCII, so byte offsets are character offsets.
+    """
+
+    __slots__ = ("zeros", "cols", "first", "step", "stop", "sparse")
+
+    def __init__(self, head: str, sep: str, tail: str, cols: int):
+        self.zeros = (head + sep.join("0" * cols) + tail).encode()
+        self.cols = cols
+        self.first = len(head)
+        self.step = len(sep) + 1
+        self.stop = self.first + self.step * cols
+        # Past about this many set bits, walking them costs more than
+        # writing every cell from the bit string.
+        self.sparse = min(cols >> 4, 8)
+
+    def row(self, mask: int) -> str:
+        cells = bytearray(self.zeros)
+        if mask.bit_count() <= self.sparse:
+            at = self.first - self.step
+            while mask:
+                skip = (mask & -mask).bit_length()
+                at += self.step * skip
+                cells[at] = 49  # "1"
+                mask >>= skip
+        else:
+            cells[self.first:self.stop:self.step] = f2.bit_string(mask, self.cols).encode()
+        return cells.decode()
+
+
+def _json_cells(cols: int, level: int) -> _Cells:
+    """JSON arrays of ``cols`` cells nested ``level`` deep, laid out as ``indent=2`` does."""
+    if not cols:
+        return _Cells("[]", "", "", 0)
+    inner = "\n" + "  " * (level + 1)
+    return _Cells("[" + inner, "," + inner, "\n" + "  " * level + "]", cols)
+
+
+def _write_json(r: brauer.BrauerReport, write) -> None:
+    """Write ``report_json(r)`` through ``write``, about one call per matrix row."""
+    write('{\n  "dims": ' + _json_at(r.dims, 1))
+    for key, labels in (("p_labels", r.p_labels), ("q_labels", r.q_labels), ("r_labels", r.r_labels)):
+        write(f',\n  "{key}": ' + _json_at(list(labels), 1))
+    for key, m in (("m_pr", r.m_pr), ("m_qp", r.m_qp), ("m_sp", r.m_sp)):
+        write(f',\n  "{key}": ')
+        cells = _json_cells(m.cols, 2)
+        lead = "[\n    "
+        for mask in m.row_masks:
+            write(lead)
+            write(cells.row(mask))
+            lead = ",\n    "
+        write("\n  ]" if m.rows else "[]")
+    write(',\n  "generators": ')
+    rendered: dict[model.ResidueClass, str] = {}  # each distinct class rendered once
+    cells = None
+    lead = "[\n    "
+    for g in r.generators:
+        v = g.vector
+        if cells is None or cells.cols != v.length:
+            cells = _json_cells(v.length, 3)
+        write(lead + '{\n      "vector": ')
+        write(cells.row(v.mask))
+        entries = []
+        for cid, cls in dict(g.ramification).items():
+            text = rendered.get(cls)
+            if text is None:
+                text = rendered[cls] = _json_at(sorted(cls.symbols), 4)
+            entries.append(f"{json.dumps(cid)}: {text}")
+        write(',\n      "ramification": ' + _json_block("{}", entries, 3) + "\n    }")
+        lead = ",\n    "
+    write("\n  ]" if r.generators else "[]")
+    write(',\n  "assertions": ' + _json_at(dict(r.assertions), 1) + "\n}")
+
+
 def report_json(r: brauer.BrauerReport) -> str:
     """Deterministic JSON for a report: fixed key order, integers only.
 
     The bytes of ``json.dumps(doc, indent=2)``, whose ``indent`` takes the
     pure-Python encoder through every matrix cell.  So each matrix row and
-    generator vector is written from its mask, its bit string joined by
-    one separator, and ``json.dumps`` lays out only the rest.
+    generator vector is written from its mask by ``_Cells``, and
+    ``json.dumps`` lays out only the rest.  ``compute --json`` streams the
+    same pieces to its output instead of joining them.
     """
-
-    def bits(mask: int, length: int, level: int) -> str:
-        return _json_block("[]", f2.bit_string(mask, length), level)
-
-    def matrix(m: f2.F2Matrix) -> str:
-        return _json_block("[]", [bits(row, m.cols, 2) for row in m.row_masks], 1)
-
-    def generator(g: brauer.Generator) -> str:
-        ramification = {cid: sorted(cls.symbols) for cid, cls in g.ramification}
-        fields = [
-            '"vector": ' + bits(g.vector.mask, g.vector.length, 3),
-            '"ramification": ' + _json_at(ramification, 3),
-        ]
-        return _json_block("{}", fields, 2)
-
-    fields = {
-        "dims": _json_at(r.dims, 1),
-        "p_labels": _json_at(list(r.p_labels), 1),
-        "q_labels": _json_at(list(r.q_labels), 1),
-        "r_labels": _json_at(list(r.r_labels), 1),
-        "m_pr": matrix(r.m_pr),
-        "m_qp": matrix(r.m_qp),
-        "m_sp": matrix(r.m_sp),
-        "generators": _json_block("[]", [generator(g) for g in r.generators], 1),
-        "assertions": _json_at(dict(r.assertions), 1),
-    }
-    return _json_block("{}", [f'"{key}": {text}' for key, text in fields.items()], 0)
+    parts: list[str] = []
+    _write_json(r, parts.append)
+    return "".join(parts)
 
 
-def _matrix_lines(m, row_labels, col_note: str) -> list[str]:
+def _write_matrix(m: f2.F2Matrix, row_labels, col_note: str, write) -> None:
     if m.rows == 0 or m.cols == 0:
-        return [f"  ({m.rows}x{m.cols}, {col_note})"]
+        write(f"  ({m.rows}x{m.cols}, {col_note})\n")
+        return
     width = max(len(lbl) for lbl in row_labels)
-    # Each row is its bit string with a space between entries: the digits
-    # go to the even bytes of one reused buffer of spaces.
-    spaced = bytearray(b" " * (2 * m.cols - 1))
-    lines = []
+    cells = _Cells("[", " ", "]\n", m.cols)
     for lbl, mask in zip(row_labels, m.row_masks):
-        spaced[::2] = f2.bit_string(mask, m.cols).encode()
-        lines.append(f"  {lbl.ljust(width)}  [{spaced.decode()}]")
-    return lines
+        write(f"  {lbl.ljust(width)}  " + cells.row(mask))
 
 
-def _format_report(r: brauer.BrauerReport, symbol_index: dict[str, tuple[int, ...]]) -> str:
-    lines = []
-    lines.append("dims:")
-    for key in ("s", "p", "q", "r"):
-        lines.append(f"  {key}: {r.dims[key]}")
+def _write_report(r: brauer.BrauerReport, symbol_index: dict[str, tuple[int, ...]], write) -> None:
+    """Write the text report through ``write``, about one call per matrix row."""
+    dims = r.dims
+    lines = ["dims:"]
+    lines += [f"  {key}: {dims[key]}" for key in ("s", "p", "q", "r")]
     lines.append(f"kernel_dim: {r.kernel_dim}")
     lines.append(f"h2nr_dim: {r.h2nr_dim}")
     lines.append(f"p_basis: {', '.join(r.p_labels) or '(empty)'}")
@@ -105,18 +163,27 @@ def _format_report(r: brauer.BrauerReport, symbol_index: dict[str, tuple[int, ..
     lines.append(f"r_basis: {', '.join(r.r_labels) or '(empty)'}")
     if r.s_labels:
         lines.append(f"s_generators: {', '.join(r.s_labels)}")
-    lines.append("m_pr (rows R, cols P):")
-    lines.extend(_matrix_lines(r.m_pr, r.r_labels, "no constraints"))
-    lines.append("m_qp (rows P, cols Q):")
-    lines.extend(_matrix_lines(r.m_qp, r.p_labels, "no relations"))
+    lines.append("m_pr (rows R, cols P):\n")
+    write("\n".join(lines))
+    _write_matrix(r.m_pr, r.r_labels, "no constraints", write)
+    write("m_qp (rows P, cols Q):\n")
+    _write_matrix(r.m_qp, r.p_labels, "no relations", write)
     if not r.generators:
-        lines.append("generators: (none)")
+        write("generators: (none)\n")
+    rendered: dict[model.ResidueClass, str] = {}  # each distinct class rendered once
+    cells = None
     for i, g in enumerate(r.generators, start=1):
-        lines.append(f"generator g{i}: {g.vector}")
+        v = g.vector
+        if cells is None or cells.cols != v.length:
+            cells = _Cells("(", ",", ")\n", v.length)
+        lines = [f"generator g{i}: " + cells.row(v.mask)]
         for cid, cls in g.ramification:
-            lines.append(f"  ramified at {cid}: {cls.render(symbol_index)}")
-    lines.append("assertions: " + ", ".join(f"{k}={v}" for k, v in r.assertions))
-    return "\n".join(lines) + "\n"
+            text = rendered.get(cls)
+            if text is None:
+                text = rendered[cls] = cls.render(symbol_index)
+            lines.append(f"  ramified at {cid}: {text}\n")
+        write("".join(lines))
+    write("assertions: " + ", ".join(f"{k}={v}" for k, v in r.assertions) + "\n")
 
 
 def _print_validation(report: model.ValidationReport, stream) -> None:
@@ -160,9 +227,10 @@ def _cmd_validate(args, out) -> None:
 def _compute_and_print(cfg: model.Configuration, as_json: bool, out) -> None:
     result = brauer.unramified_brauer(cfg)
     if as_json:
-        print(report_json(result), file=out)
+        _write_json(result, out.write)
+        out.write("\n")
     else:
-        print(_format_report(result, cfg.symbol_index), end="", file=out)
+        _write_report(result, cfg.symbol_index, out.write)
 
 
 def _cmd_compute(args, out) -> None:

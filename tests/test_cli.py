@@ -17,6 +17,7 @@ from isbbrauer.brauer import unramified_brauer
 from isbbrauer.sampling import random_corpus
 
 from test_front_end import ring_source
+from test_word_level import reference_report_text
 
 INVALID_POINT_PAIR = """\
 cover: irreducible
@@ -622,3 +623,70 @@ def test_a_closed_stdout_ends_quietly_with_the_sigpipe_code(tmp_path):
         proc.stdout.close()
         assert proc.stderr.read() == b""
     assert proc.returncode == 141
+
+
+# --- a report is written as it is made ---------------------------------------------
+
+
+class Recorder:
+    """An output stream that keeps each write apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_a_report_is_streamed_a_row_at_a_time(tmp_path, json_flag):
+    path = tmp_path / "ring.cfg"
+    path.write_text(ring_source(800))
+    recorder, err = Recorder(), io.StringIO()
+    assert cli.run(["compute", str(path), *json_flag], recorder, err) == cli.OK
+    assert err.getvalue() == ""
+    cfg = dsl.parse(ring_source(800))
+    report = unramified_brauer(cfg)
+    if json_flag:
+        whole = cli.report_json(report) + "\n"
+    else:
+        whole = reference_report_text(report, cfg.symbol_index)
+    total = sum(map(len, recorder.writes))
+    assert "".join(recorder.writes) == whole
+    assert max(map(len, recorder.writes)) * 20 < total
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_a_refused_report_writes_nothing(tmp_path, json_flag):
+    path = tmp_path / "gc1.cfg"
+    path.write_text(GC1_WITH_WARNING)
+    recorder, err = Recorder(), io.StringIO()
+    assert cli.run(["compute", str(path), *json_flag], recorder, err) == cli.INVALID
+    assert recorder.writes == []
+    assert err.getvalue() == GC1_ERR
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc/self/status")
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_a_large_report_is_written_in_bounded_memory(tmp_path, json_flag):
+    # The JSON report of a ring of 1600 curves is about 95 MB.  A fresh
+    # process writes it to /dev/null and reads its own high-water mark:
+    # VmHWM, because a child's ru_maxrss starts from its parent's at exec.
+    path = tmp_path / "ring.cfg"
+    path.write_text(ring_source(1600))
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from isbbrauer import cli\n"
+        "with open(sys.argv[2], 'w') as out:\n"
+        "    code = cli.run(sys.argv[3:], out)\n"
+        "with open('/proc/self/status') as status:\n"
+        "    hwm = next(line.split()[1] for line in status if line.startswith('VmHWM:'))\n"
+        "print(code, hwm)\n"
+    )
+    argv = [sys.executable, "-I", "-S", "-c", script, MAIN_ENV["PYTHONPATH"], os.devnull, "compute", str(path), *json_flag]
+    done = subprocess.run(argv, capture_output=True, text=True, check=True)
+    code, hwm_kb = map(int, done.stdout.split())
+    assert code == cli.OK
+    assert hwm_kb < 64 * 1024

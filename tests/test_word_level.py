@@ -142,7 +142,11 @@ def test_matrix_rendering_matches_per_bit(shape):
     m = F2Matrix(rows, cols, tuple(rng.getrandbits(cols) if cols else 0 for _ in range(rows)))
     expect = [list(per_bit(mask, cols)) for mask in m.row_masks]
     labels = [f"r{i}" * (i + 1) for i in range(rows)]
-    lines = cli._matrix_lines(m, labels, "note")
+    written = []
+    cli._write_matrix(m, labels, "note", written.append)
+    text = "".join(written)
+    assert text.endswith("\n")
+    lines = text[:-1].split("\n")
     if rows == 0 or cols == 0:
         assert lines == [f"  ({rows}x{cols}, note)"]
     else:
@@ -151,6 +155,41 @@ def test_matrix_rendering_matches_per_bit(shape):
             f"  {lbl.ljust(width)}  [{' '.join(str(b) for b in row)}]"
             for lbl, row in zip(labels, expect)
         ]
+
+
+def text_row(cells: tuple[int, ...]) -> str:
+    return "[" + " ".join(str(b) for b in cells) + "]\n"
+
+
+def text_vector(cells: tuple[int, ...]) -> str:
+    return "(" + ",".join(str(b) for b in cells) + ")\n"
+
+
+def json_cells(level: int):
+    """The cells as ``json.dumps(indent=2)`` writes a list nested ``level`` deep."""
+    return lambda cells: json.dumps(list(cells), indent=2).replace("\n", "\n" + "  " * level)
+
+
+CELL_LAYOUTS = {
+    "text row": (lambda cols: cli._Cells("[", " ", "]\n", cols), text_row),
+    "text vector": (lambda cols: cli._Cells("(", ",", ")\n", cols), text_vector),
+    "json row": (lambda cols: cli._json_cells(cols, 2), json_cells(2)),
+    "json vector": (lambda cols: cli._json_cells(cols, 3), json_cells(3)),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(CELL_LAYOUTS))
+@pytest.mark.parametrize("cols", [0, 1, 15, 16, 17, 63, 64, 800])
+def test_cell_rows_match_per_bit(layout, cols):
+    build, reference = CELL_LAYOUTS[layout]
+    cells = build(cols)
+    rng = random.Random(cols)
+    counts = sorted({k for k in (0, 1, cells.sparse, cells.sparse + 1, cols // 2, cols) if k <= cols})
+    masks = [sum(1 << j for j in rng.sample(range(cols), k)) for k in counts for _ in range(3)]
+    for mask in masks:
+        assert cells.row(mask) == reference(per_bit(mask, cols))
+    # rows on both sides of the switch from walking set bits to the bit string
+    assert {mask.bit_count() <= cells.sparse for mask in masks} == ({True, False} if cols else {True})
 
 
 # --- Subspace invariant --------------------------------------------------------
@@ -355,6 +394,38 @@ def reference_report_json(r: brauer.BrauerReport) -> str:
     return json.dumps(doc, indent=2)
 
 
+def reference_report_text(r: brauer.BrauerReport, symbol_index) -> str:
+    """The text report joined into one string, each row from its bit string."""
+    lines = ["dims:"]
+    lines += [f"  {key}: {r.dims[key]}" for key in ("s", "p", "q", "r")]
+    lines.append(f"kernel_dim: {r.kernel_dim}")
+    lines.append(f"h2nr_dim: {r.h2nr_dim}")
+    lines.append(f"p_basis: {', '.join(r.p_labels) or '(empty)'}")
+    lines.append(f"q_basis: {', '.join(r.q_labels) or '(empty)'}")
+    lines.append(f"r_basis: {', '.join(r.r_labels) or '(empty)'}")
+    if r.s_labels:
+        lines.append(f"s_generators: {', '.join(r.s_labels)}")
+    for title, m, labels, note in (
+        ("m_pr (rows R, cols P):", r.m_pr, r.r_labels, "no constraints"),
+        ("m_qp (rows P, cols Q):", r.m_qp, r.p_labels, "no relations"),
+    ):
+        lines.append(title)
+        if m.rows == 0 or m.cols == 0:
+            lines.append(f"  ({m.rows}x{m.cols}, {note})")
+            continue
+        width = max(len(lbl) for lbl in labels)
+        for lbl, mask in zip(labels, m.row_masks):
+            lines.append(f"  {lbl.ljust(width)}  [{' '.join(bit_string(mask, m.cols))}]")
+    if not r.generators:
+        lines.append("generators: (none)")
+    for i, g in enumerate(r.generators, start=1):
+        lines.append(f"generator g{i}: {g.vector}")
+        for cid, cls in g.ramification:
+            lines.append(f"  ramified at {cid}: {cls.render(symbol_index)}")
+    lines.append("assertions: " + ", ".join(f"{k}={v}" for k, v in r.assertions))
+    return "\n".join(lines) + "\n"
+
+
 def test_report_json_matches_json_dumps():
     reports = [unramified_brauer(dsl.builtin(name)) for name in dsl.BUILTIN_NAMES]
     reports += [unramified_brauer(cfg) for cfg in sampling.random_corpus(3, 200)]
@@ -370,3 +441,22 @@ def test_report_json_matches_json_dumps():
     for r in reports:
         assert cli.report_json(r) == reference_report_json(r)
     assert {len(r.generators) > 1 for r in reports} == {True, False}
+
+
+def test_report_text_matches_the_joined_rendering():
+    cfgs = [dsl.builtin(name) for name in dsl.BUILTIN_NAMES]
+    cfgs += sampling.random_corpus(3, 200)
+    cfgs.append(ring(random.Random(7), 400, 12, 20)[0])
+    reports = [(unramified_brauer(cfg), cfg.symbol_index) for cfg in cfgs]
+    base, index = reports[0]
+    reports += [
+        (base._replace(m_pr=F2Matrix(0, 5), m_qp=F2Matrix(4, 0, (0,) * 4)), index),
+        (base._replace(generators=()), index),
+        (base._replace(generators=(brauer.Generator(F2Vector(0, 0), ()),) + base.generators), index),
+        (base._replace(s_labels=("s1",), r_labels=("ümlaut ☃", "a", "bb"), assertions=()), index),
+    ]
+    for r, symbol_index in reports:
+        written = []
+        cli._write_report(r, symbol_index, written.append)
+        assert "".join(written) == reference_report_text(r, symbol_index)
+    assert {len(r.generators) > 1 for r, _ in reports} == {True, False}
