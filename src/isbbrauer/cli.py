@@ -12,7 +12,9 @@ early.  Output for fixed input bytes and arguments is byte-identical.
 A report is written to ``out`` as it is made, about one write per matrix
 row, so a large report is never held whole.  It is written only after
 the computation has passed every check, so a refused ``compute`` writes
-nothing to ``out``.
+nothing to ``out``.  An exception raised while the report is written
+(an interrupt, a failed write, running out of memory) can leave part of
+it on ``out``, so a caller trusts the output only when the exit code is 0.
 """
 
 from __future__ import annotations
@@ -72,12 +74,8 @@ class _Cells:
     def row(self, mask: int) -> str:
         cells = bytearray(self.zeros)
         if mask.bit_count() <= self.sparse:
-            at = self.first - self.step
-            while mask:
-                skip = (mask & -mask).bit_length()
-                at += self.step * skip
-                cells[at] = 49  # "1"
-                mask >>= skip
+            for j in f2._set_bits(mask):
+                cells[self.first + self.step * j] = 49  # "1"
         else:
             cells[self.first:self.stop:self.step] = f2.bit_string(mask, self.cols).encode()
         return cells.decode()
@@ -171,12 +169,8 @@ def _write_report(r: brauer.BrauerReport, symbol_index: dict[str, tuple[int, ...
     if not r.generators:
         write("generators: (none)\n")
     rendered: dict[model.ResidueClass, str] = {}  # each distinct class rendered once
-    cells = None
     for i, g in enumerate(r.generators, start=1):
-        v = g.vector
-        if cells is None or cells.cols != v.length:
-            cells = _Cells("(", ",", ")\n", v.length)
-        lines = [f"generator g{i}: " + cells.row(v.mask)]
+        lines = [f"generator g{i}: {g.vector}\n"]
         for cid, cls in g.ramification:
             text = rendered.get(cls)
             if text is None:

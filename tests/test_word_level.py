@@ -161,10 +161,6 @@ def text_row(cells: tuple[int, ...]) -> str:
     return "[" + " ".join(str(b) for b in cells) + "]\n"
 
 
-def text_vector(cells: tuple[int, ...]) -> str:
-    return "(" + ",".join(str(b) for b in cells) + ")\n"
-
-
 def json_cells(level: int):
     """The cells as ``json.dumps(indent=2)`` writes a list nested ``level`` deep."""
     return lambda cells: json.dumps(list(cells), indent=2).replace("\n", "\n" + "  " * level)
@@ -172,7 +168,6 @@ def json_cells(level: int):
 
 CELL_LAYOUTS = {
     "text row": (lambda cols: cli._Cells("[", " ", "]\n", cols), text_row),
-    "text vector": (lambda cols: cli._Cells("(", ",", ")\n", cols), text_vector),
     "json row": (lambda cols: cli._json_cells(cols, 2), json_cells(2)),
     "json vector": (lambda cols: cli._json_cells(cols, 3), json_cells(3)),
 }
