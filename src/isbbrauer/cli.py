@@ -20,7 +20,7 @@ it on ``out``, so a caller trusts the output only when the exit code is 0.
 from __future__ import annotations
 
 import argparse
-import contextlib
+import functools
 import json
 import os
 import sys
@@ -308,12 +308,44 @@ def _cmd_toric_check(args, out) -> None:
     print(f"smooth: {'true' if report.smooth else 'false'}", file=out)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _ArgumentsDone(Exception):
+    """argparse is done with a call: ``--help`` was printed, or the arguments were refused."""
+
+    def __init__(self, status: int):
+        super().__init__(status)
+        self.status = status
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` bound to the ``out`` and ``err`` streams of one ``run`` call.
+
+    What argparse prints to the process's stdout (``--help``) goes to
+    ``out`` and the rest (usage and errors) to ``err``.  Where argparse
+    would exit the process it raises ``_ArgumentsDone`` with the status.
+    Subparsers are built with the same streams, through ``parser_class``.
+    """
+
+    def __init__(self, *args, out, err, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.out = out
+        self.err = err
+
+    def _print_message(self, message, file=None):
+        super()._print_message(message, self.out if file is sys.stdout else self.err)
+
+    def exit(self, status=0, message=None):
+        if message:
+            self._print_message(message, sys.stderr)
+        raise _ArgumentsDone(status)
+
+
+def _build_parser(out, err) -> argparse.ArgumentParser:
+    make = functools.partial(_ArgumentParser, out=out, err=err)
+    parser = make(
         prog="isbbrauer",
         description="Unramified Brauer groups of simple involution surface bundles.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=make)
 
     p = sub.add_parser("validate", help="check a configuration file")
     p.add_argument("file")
@@ -334,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_example)
 
     p = sub.add_parser("toric", help="toric resolution tools")
-    tsub = p.add_subparsers(dest="toric_command", required=True)
+    tsub = p.add_subparsers(dest="toric_command", required=True, parser_class=make)
     t = tsub.add_parser("demo", help="resolve the uv=xyz cone and certify smoothness")
     t.set_defaults(func=_cmd_toric_demo)
     t = tsub.add_parser("check", help="parse a fan file, apply subdivisions, report smoothness")
@@ -348,15 +380,12 @@ def run(argv: list[str] | None = None, out=None, err=None) -> int:
     """Execute the CLI; returns the exit status, the one place a refusal gets its code."""
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    parser = _build_parser()
     try:
-        # argparse prints usage and help on the process streams
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 0 for --help and 2 for usage problems; our code 2
-        # is reserved for input-file parse errors, so usage maps to 3.
-        return OK if exc.code == 0 else USAGE
+        args = _build_parser(out, err).parse_args(argv)
+    except _ArgumentsDone as done:
+        # argparse ends with 0 for --help and 2 for usage problems; our
+        # code 2 is reserved for input-file parse errors, so usage maps to 3.
+        return OK if done.status == 0 else USAGE
     try:
         args.func(args, out)
     except _Refusal as exc:

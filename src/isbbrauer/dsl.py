@@ -24,10 +24,12 @@ Declaration order is semantic: it fixes the basis order of the
 computation, and the canonical emitter preserves it.  Parse errors carry
 1-based line/column spans; ``emit`` always produces LF line endings and
 ``parse(emit(cfg))`` returns a structurally equal configuration.  The
-parser reads each block in the canonical layout with one match and every
-other line through a per-keyword handler; both give the same result and
-the same diagnostics.  Every field line goes through one check of where
-it belongs and whether it is malformed, and one "already set" check.
+parser reads a block in the canonical layout, followed by a block header
+or the end of the text, with one match straight into its ``Curve`` or
+``SingularPoint``, and every other line through a per-keyword handler;
+both give the same result and the same diagnostics.  Every field line
+goes through one check of where it belongs and whether it is malformed,
+and one "already set" check.
 """
 
 from __future__ import annotations
@@ -137,9 +139,11 @@ def _ext_line(n: int) -> str:
 
 
 # A curve or point block exactly as ``emit`` writes it, after any blank
-# lines.  It admits only values the line handlers take without a
-# diagnostic, so a match stands for the handler calls of its lines; any
-# other layout fails to match and goes through the handlers line by line.
+# lines, when what follows it is blank lines and then a block header or the
+# end of the text.  It admits only values the line handlers take without a
+# diagnostic, and no later line can add a field to it, so a match stands for
+# the handler calls of its lines and the close of its block.  Any other
+# layout fails to match and goes through the handlers line by line.
 _RE_BLOCK = re.compile(
     r"\n*(?:"
     rf"curve (?P<curve>{_ID}):\n"
@@ -153,26 +157,23 @@ _RE_BLOCK = re.compile(
     rf"  curves: (?P<a>{_ID}), (?P<b>{_ID})\n"
     rf"  etype: (?P<etype>{_alternatives(_POINT_TYPES)})\n"
     rf"(?:  meets_marked: (?P<meets>{_ID}(?:, {_ID})*)\n)?"
-    ")"
+    r")(?=\n*(?:curve |point |\Z))"
 )
 
-# The raw records hold each source position as one offset into the text;
-# ``_Parser.span`` turns an offset into a line and a column, for a
-# diagnostic only.  A raw residue is its text and the offset where it starts.
-_RawResidue = tuple[str, int]
+_SHEETS = {None: None, "1": 1, "2": 2}
+_NO_MEETS: frozenset[str] = frozenset()
 
-
-class _RawExt:
-    __slots__ = ("id", "pos", "sheet", "residue")
-
-    def __init__(self, id: str, pos: int, sheet: int | None, residue: _RawResidue):
-        self.id = id
-        self.pos = pos
-        self.sheet = sheet
-        self.residue = residue
+# A source position is one offset into the text; ``_Parser.span`` turns it
+# into a line and a column, for a diagnostic only.  A name or a residue
+# read from the text travels as ``(text, offset)``, and an extension line
+# as ``(id, offset, sheet, residue text, offset)``.
+_Located = tuple[str, int]
+_RawExt = tuple[str, int, int | None, str, int]
 
 
 class _RawCurve:
+    """A curve block read line by line, until it closes."""
+
     # The keyword and the pattern of the line that opens the block.
     keyword = "curve"
     header = re.compile(rf"curve\s+(?P<id>{_ID})\s*:\s*$")
@@ -185,44 +186,31 @@ class _RawCurve:
 
     __slots__ = ("id", "pos", "exts", "deg_type", "behavior", "mark", "cores")
 
-    def __init__(
-        self,
-        id: str,
-        pos: int,
-        exts: list[_RawExt] | None = None,
-        deg_type: CurveType | None = None,
-        behavior: CoverBehavior | None = None,
-        mark: tuple[str, int] | None = None,
-        cores: _RawResidue | None = None,
-    ):
+    def __init__(self, id: str, pos: int):
         self.id = id
         self.pos = pos
-        self.exts = [] if exts is None else exts
-        self.deg_type = deg_type
-        self.behavior = behavior
-        self.mark = mark
-        self.cores = cores
+        self.exts: list[_RawExt] = []
+        self.deg_type: CurveType | None = None
+        self.behavior: CoverBehavior | None = None
+        self.mark: _Located | None = None
+        self.cores: _Located | None = None
 
 
 class _RawPoint:
+    """A point block read line by line, until it closes."""
+
     keyword = "point"
     header = re.compile(rf"point\s+(?P<id>{_ID})\s*:\s*$")
     required = (("incident", "is missing a curves line"), ("etype", "is missing an etype line"))
 
     __slots__ = ("id", "pos", "meets", "incident", "etype")
 
-    def __init__(
-        self,
-        id: str,
-        pos: int,
-        incident: tuple[tuple[str, int], tuple[str, int]] | None = None,
-        etype: PointType | None = None,
-    ):
+    def __init__(self, id: str, pos: int):
         self.id = id
         self.pos = pos
-        self.meets: list[tuple[str, int]] = []
-        self.incident = incident
-        self.etype = etype
+        self.meets: list[_Located] = []
+        self.incident: tuple[_Located, _Located] | None = None
+        self.etype: PointType | None = None
 
 
 class _Parser:
@@ -235,14 +223,23 @@ class _Parser:
         self.cover: CoverKind | None = None
         self.symbols: list[str] | None = None
         self.declared: set[str] = set()
-        self.curves: list[_RawCurve] = []
-        self.points: list[_RawPoint] = []
+        # The records of the closed blocks.  A curve claims its ids as it
+        # closes; a point claims its id in ``finish``, after every curve, with
+        # the positions kept in ``point_refs`` beside it.
+        self.curves: list[Curve] = []
+        self.points: list[SingularPoint] = []
+        self.point_refs: list[tuple[str, int, tuple[_Located, _Located], list[_Located]]] = []
+        self.ids: dict[str, int] = {}
+        self.curve_ids: set[str] = set()
+        self.ext_ids: set[str] = set()
         self.block: _RawCurve | _RawPoint | None = None
         # Top-level declarations seen only on a rejected line: that line's
         # diagnostic stands in for "missing ... declaration".
         self.rejected_declarations: set[str] = set()
-        # Each distinct residue text, read once in ``finish``: its class and
-        # its problems, at offsets from the start of the residue text.
+        # Each distinct residue text, read once: its class and its problems,
+        # at offsets from the start of the residue text.  A residue is read
+        # when its block closes, after every symbol is declared: a symbols
+        # line is refused once the first block has opened.
         self.residues: dict[str, tuple[ResidueClass, list[tuple[int, str]]]] = {}
 
     def error(self, at: int, message: str) -> None:
@@ -290,34 +287,33 @@ class _Parser:
         return self.finish()
 
     def on_block(self, m: re.Match) -> None:
-        """Open the block ``m`` matched, with every field its lines set."""
+        """Close the open block, then keep the closed block ``m`` matched."""
         self.close_block()
         start = m.start
-        if m["point"] is not None:
-            point, a, b, etype, meets = m.group("point", "a", "b", "etype", "meets")
-            p = self.block = _RawPoint(
+        (
+            curve, deg_type, behavior, ext1, sheet1, residue1, ext2, sheet2, residue2, mark, cores,
+            point, a, b, etype, meets,
+        ) = m.groups()
+        if point is not None:
+            self.add_point(
                 point,
                 start("point"),
-                incident=((a, start("a")), (b, start("b"))),
-                etype=_POINT_TYPES[etype],
+                ((a, start("a")), (b, start("b"))),
+                _POINT_TYPES[etype],
+                [] if meets is None else self.read_meets(meets, start("meets")),
             )
-            if meets is not None:
-                self.read_meets(p, meets, start("meets"))
             return
-        curve, deg_type, behavior, mark, cores, ext1, sheet1, residue1, ext2, sheet2, residue2 = m.group(
-            "curve", "type", "behavior", "mark", "cores", "ext1", "sheet1", "residue1", "ext2", "sheet2", "residue2"
-        )
-        exts = [_RawExt(ext1, start("ext1"), int(sheet1) if sheet1 else None, (residue1, start("residue1")))]
+        exts = [(ext1, start("ext1"), _SHEETS[sheet1], residue1, start("residue1"))]
         if ext2 is not None:
-            exts.append(_RawExt(ext2, start("ext2"), int(sheet2) if sheet2 else None, (residue2, start("residue2"))))
-        self.block = _RawCurve(
+            exts.append((ext2, start("ext2"), _SHEETS[sheet2], residue2, start("residue2")))
+        self.add_curve(
             curve,
             start("curve"),
+            _CURVE_TYPES[deg_type],
+            _BEHAVIORS[behavior],
             exts,
-            deg_type=_CURVE_TYPES[deg_type],
-            behavior=_BEHAVIORS[behavior],
-            mark=None if mark is None else (mark, start("mark")),
-            cores=None if cores is None else (cores, start("cores")),
+            None if mark is None else (mark, start("mark")),
+            None if cores is None else (cores, start("cores")),
         )
 
     def on_header(self, text: str, at: int) -> None:
@@ -434,8 +430,7 @@ class _Parser:
         if len(c.exts) >= 2:
             self.error(at, f"curve {c.id!r} already has two extensions")
             return
-        residue = (m.group("residue"), at + m.start("residue"))
-        c.exts.append(_RawExt(m.group("id"), at + m.start("id"), sheet, residue))
+        c.exts.append((m.group("id"), at + m.start("id"), sheet, m.group("residue"), at + m.start("residue")))
 
     def on_mark(self, text: str, at: int) -> None:
         c, m = self.field_match(_RawCurve, "mark", _RE_MARK, text, at)
@@ -465,38 +460,90 @@ class _Parser:
     def on_meets_marked(self, text: str, at: int) -> None:
         p, m = self.field_match(_RawPoint, "meets_marked", _RE_MEETS, text, at)
         if m is not None and self.unset(p, "meets_marked", p.meets, at):
-            self.read_meets(p, m.group("rest"), at + m.start("rest"))
+            p.meets = self.read_meets(m.group("rest"), at + m.start("rest"))
 
-    def read_meets(self, p: _RawPoint, rest: str, at: int) -> None:
+    def read_meets(self, rest: str, at: int) -> list[_Located]:
         """The comma-separated extension ids ``rest``, which starts at offset ``at``."""
+        meets = []
         for part in rest.split(","):
             token = part.strip()
             start = at + part.index(token) if token else at
             if _RE_IDENT.fullmatch(token):
-                p.meets.append((token, start))
+                meets.append((token, start))
             else:
                 self.error(start, f"bad extension reference {token!r}")
             at += len(part) + 1
+        return meets
+
+    # -- closed blocks ------------------------------------------------------
 
     def close_block(self) -> None:
+        """Keep the block read line by line, if one is open, as its record."""
         block, self.block = self.block, None
         if block is None:
             return
         for name, problem in block.required:
             if not getattr(block, name):
                 self.error(block.pos, f"{block.keyword} {block.id!r} {problem}")
-        (self.curves if isinstance(block, _RawCurve) else self.points).append(block)
+        if isinstance(block, _RawCurve):
+            self.add_curve(
+                block.id,
+                block.pos,
+                block.deg_type or CurveType.I,
+                block.behavior or CoverBehavior.RAMIFIED,
+                block.exts,
+                block.mark,
+                block.cores,
+            )
+        else:
+            missing = ("", block.pos)
+            incident = block.incident or (missing, missing)
+            self.add_point(block.id, block.pos, incident, block.etype or PointType.I_II, block.meets)
+
+    def add_curve(
+        self,
+        id: str,
+        pos: int,
+        deg_type: CurveType,
+        behavior: CoverBehavior,
+        exts: list[_RawExt],
+        mark: _Located | None,
+        cores: _Located | None,
+    ) -> None:
+        """Claim a closed curve's ids, read its residues and keep its ``Curve``."""
+        self.claim(id, pos)
+        self.curve_ids.add(id)
+        extensions = []
+        for ext_id, at, sheet, residue, residue_at in exts:
+            self.claim(ext_id, at)
+            self.ext_ids.add(ext_id)
+            extensions.append(Extension(ext_id, self.resolve_residue(residue, residue_at), sheet))
+        marking = None
+        if mark is not None:
+            marking, at = mark
+            if not any(ext[0] == marking for ext in exts):
+                self.error(at, f"mark {marking!r} does not match an extension of {id!r}")
+        cores_residue = None if cores is None else self.resolve_residue(*cores)
+        self.curves.append(Curve(id, deg_type, behavior, tuple(extensions), marking, cores_residue))
+
+    def add_point(
+        self, id: str, pos: int, incident: tuple[_Located, _Located], etype: PointType, meets: list[_Located]
+    ) -> None:
+        """Keep a closed point's ``SingularPoint``; ``finish`` claims its id and checks its references."""
+        (a, _), (b, _) = incident
+        self.points.append(SingularPoint(id, (a, b), etype, [name for name, _ in meets] if meets else _NO_MEETS))
+        self.point_refs.append((id, pos, incident, meets))
 
     # -- resolution ---------------------------------------------------------
 
-    def claim(self, ids: dict[str, int], name: str, at: int) -> None:
+    def claim(self, name: str, at: int) -> None:
+        ids = self.ids
         if name in ids:
             self.error(at, f"duplicate id {name!r} (first declared at {self.span(ids[name])})")
         else:
             ids[name] = at
 
-    def resolve_residue(self, raw: _RawResidue) -> ResidueClass:
-        text, at = raw
+    def resolve_residue(self, text: str, at: int) -> ResidueClass:
         known = self.residues.get(text)
         if known is None:
             known = self.residues[text] = self.read_residue(text)
@@ -532,50 +579,15 @@ class _Parser:
         if self.symbols is None and "symbols" not in self.rejected_declarations:
             self.error(0, "missing symbols declaration")
 
-        ids: dict[str, int] = {}
-        curve_ids: set[str] = set()
-        ext_ids: set[str] = set()
-        resolve = self.resolve_residue
-        curves: list[Curve] = []
-        for c in self.curves:
-            self.claim(ids, c.id, c.pos)
-            curve_ids.add(c.id)
-            exts = []
-            for e in c.exts:
-                self.claim(ids, e.id, e.pos)
-                ext_ids.add(e.id)
-                exts.append(Extension(e.id, resolve(e.residue), e.sheet))
-            if c.mark is not None and not any(e.id == c.mark[0] for e in c.exts):
-                self.error(c.mark[1], f"mark {c.mark[0]!r} does not match an extension of {c.id!r}")
-            curves.append(
-                Curve(
-                    id=c.id,
-                    deg_type=c.deg_type or CurveType.I,
-                    cover_behavior=c.behavior or CoverBehavior.RAMIFIED,
-                    extensions=tuple(exts),
-                    marking=c.mark[0] if c.mark else None,
-                    cores_residue_input=resolve(c.cores) if c.cores is not None else None,
-                )
-            )
-
-        points: list[SingularPoint] = []
-        for p in self.points:
-            self.claim(ids, p.id, p.pos)
-            incident = p.incident or (("", p.pos), ("", p.pos))
+        curve_ids, ext_ids = self.curve_ids, self.ext_ids
+        for id, pos, incident, meets in self.point_refs:
+            self.claim(id, pos)
             for name, at in incident:
                 if name and name not in curve_ids:
                     self.error(at, f"point references unknown curve {name!r}")
-            for name, at in p.meets:
+            for name, at in meets:
                 if name not in ext_ids:
                     self.error(at, f"meets_marked references unknown extension {name!r}")
-            points.append(
-                SingularPoint(
-                    id=p.id,
-                    incident=(incident[0][0], incident[1][0]),
-                    etype=p.etype or PointType.I_II,
-                    meets_marked=frozenset(name for name, _ in p.meets),
-                )
-            )
 
         if self.diags:
             ordered = sorted(self.diags, key=lambda d: d[0])
@@ -583,8 +595,8 @@ class _Parser:
         return Configuration(
             cover_kind=self.cover,
             symbols=tuple(self.symbols),
-            curves=tuple(curves),
-            points=tuple(points),
+            curves=tuple(self.curves),
+            points=tuple(self.points),
         )
 
 

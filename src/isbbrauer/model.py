@@ -291,6 +291,17 @@ _ALLOWED_PAIRS: dict[tuple[str, str], tuple[PointType, ...]] = {
 }
 
 
+# Each ordered pair of curve types: the pair's type names in sorted order,
+# for the messages, and the point types admissible where curves of those
+# types cross, or None where they cannot cross.
+_CROSSINGS: dict[tuple[CurveType, CurveType], tuple[tuple[str, str], tuple[PointType, ...] | None]] = {
+    (a, b): (pair, _ALLOWED_PAIRS.get(pair))
+    for a in CurveType
+    for b in CurveType
+    for pair in [tuple(sorted((a.value, b.value)))]
+}
+
+
 # Point types whose constraint rows make up R: all but I_II and IVpp_IV.
 _R_POINT_TYPES = frozenset({PointType.II_II, PointType.III_II, PointType.IV_II, PointType.IVP_IV})
 
@@ -364,26 +375,53 @@ def _point_relates(point: SingularPoint, curve: Curve, ext_id: str) -> bool:
     return False
 
 
+# The point types whose row ORs one mask of each incident curve, and which
+# of the curve's three masks (every coordinate, split owner, marked
+# extension) that is.
+_ROW_MASK = {PointType.III_II: 0, PointType.II_II: 1, PointType.IVP_IV: 2}
+_NO_MASKS = (0, 0, 0)
+
+
 def _incidence_matrix(
     zr: list[SingularPoint], p: int, by_curve: dict[str, list[tuple[int, Extension, Curve]]]
 ) -> F2Matrix:
-    """m_pr, by walking each point's incident curves.
+    """m_pr, from masks over P of each point's incident curves.
 
     ``by_curve`` groups the P coordinates ``(j, ext, owner)`` by the id of
-    their owner.  Bit j of a point's row is set when that owner is one of
-    the point's curves and ``_point_relates`` fires, exactly as a scan of
-    every (point, extension) pair would find, but each point only visits
-    the P coordinates of its own curves.
+    their owner.  Each curve id gets three masks in one pass over its
+    coordinates: every coordinate, for III_II; those whose owner is
+    split, for II_II; and those that are their owner's marked extension,
+    for IVp_IV.  A row of one of those types ORs one mask of each incident
+    curve; an IV_II row, whose bits depend on the point's ``meets_marked``,
+    applies ``_point_relates`` to each coordinate of its curves.  Either
+    way bit j is set exactly when a scan of every (point, extension) pair
+    would set it.
     """
-    masks = []
+    masks: dict[str, tuple[int, int, int]] = {}
+    for curve_id, coords in by_curve.items():
+        every = split = marked = 0
+        for j, ext, curve in coords:
+            bit = 1 << j
+            every |= bit
+            if curve.cover_behavior is CoverBehavior.SPLIT:
+                split |= bit
+            if ext.id == curve.marking:
+                marked |= bit
+        masks[curve_id] = (every, split, marked)
+    rows = []
     for point in zr:
         mask = 0
-        for curve_id in point.incident:
-            for j, ext, curve in by_curve.get(curve_id, ()):
-                if _point_relates(point, curve, ext.id):
-                    mask |= 1 << j
-        masks.append(mask)
-    return F2Matrix(len(zr), p, tuple(masks))
+        k = _ROW_MASK.get(point.etype)
+        if k is None:
+            for curve_id in point.incident:
+                for j, ext, curve in by_curve.get(curve_id, ()):
+                    if _point_relates(point, curve, ext.id):
+                        mask |= 1 << j
+        else:
+            for curve_id in point.incident:
+                mask |= masks.get(curve_id, _NO_MASKS)[k]
+        rows.append(mask)
+    return F2Matrix(len(zr), p, tuple(rows))
 
 
 class _Spaces(namedtuple("_Spaces", "vp vq zr owner curve_rank m_pr m_qp lift_rows s_labels s_vectors")):
@@ -520,15 +558,19 @@ def _structural_diagnostics(cfg: Configuration) -> tuple[list[Diagnostic], list[
 
     for c in cfg.curves:
         claim("curve", c.id)
+        carrying = []  # the extensions with nonzero residue
         for ext in c.extensions:
             claim("extension", ext.id)
-            bad = ext.residue.symbols.difference(index)
-            if bad:
-                err(
-                    "RESIDUE_SYMBOLS",
-                    f"residue of {ext.id} uses undeclared symbols {sorted(bad)}",
-                    ext.id,
-                )
+            symbols = ext.residue.symbols
+            if symbols:
+                carrying.append(ext)
+                bad = symbols.difference(index)
+                if bad:
+                    err(
+                        "RESIDUE_SYMBOLS",
+                        f"residue of {ext.id} uses undeclared symbols {sorted(bad)}",
+                        ext.id,
+                    )
             if split_cover:
                 if ext.sheet not in (1, 2):
                     err("SHEET", f"extension {ext.id} needs sheet=1 or sheet=2", ext.id)
@@ -568,9 +610,8 @@ def _structural_diagnostics(cfg: Configuration) -> tuple[list[Diagnostic], list[
                 err("SHEET", f"split curve {c.id} must have one extension per sheet", c.id)
 
         if c.deg_type is CurveType.I:
-            for ext in c.extensions:
-                if not ext.residue.is_zero:
-                    err("TYPE_I_RESIDUE", f"type I extension {ext.id} must have residue 0", c.id)
+            for ext in carrying:
+                err("TYPE_I_RESIDUE", f"type I extension {ext.id} must have residue 0", c.id)
 
         marked = None
         if c.deg_type is CurveType.IV:
@@ -580,8 +621,8 @@ def _structural_diagnostics(cfg: Configuration) -> tuple[list[Diagnostic], list[
             elif marked is None:
                 err("MARKING", f"marking {c.marking!r} is not an extension of {c.id}", c.id)
             else:
-                for ext in c.extensions:
-                    if ext.id != c.marking and not ext.residue.is_zero:
+                for ext in carrying:
+                    if ext.id != c.marking:
                         err(
                             "UNMARKED_RESIDUE",
                             f"non-marked extension {ext.id} of type IV curve must have residue 0",
@@ -603,9 +644,9 @@ def _structural_diagnostics(cfg: Configuration) -> tuple[list[Diagnostic], list[
                     )
 
         # Warnings: places where the geometry says a residue should ramify.
-        if c.deg_type is CurveType.II and all(ext.residue.is_zero for ext in c.extensions):
+        if c.deg_type is CurveType.II and not carrying:
             warn("W_TYPE_II_ZERO", f"type II curve {c.id} has all residues zero", c.id)
-        if c.deg_type is CurveType.III and any(ext.residue.is_zero for ext in c.extensions):
+        if c.deg_type is CurveType.III and len(carrying) < len(c.extensions):
             warn("W_RAMIFIED_ZERO", f"type III extension of {c.id} has residue 0", c.id)
         if marked is not None and marked.residue.is_zero:
             warn("W_RAMIFIED_ZERO", f"marked extension {marked.id} of {c.id} has residue 0", c.id)
@@ -621,7 +662,7 @@ def _structural_diagnostics(cfg: Configuration) -> tuple[list[Diagnostic], list[
             c.cover_behavior in (CoverBehavior.RAMIFIED, CoverBehavior.INERT)
             and c.deg_type in (CurveType.III, CurveType.IV)
             and c.cores_residue_input is None
-            and any(not ext.residue.is_zero for ext in c.extensions)
+            and carrying
         ):
             warn(
                 "W_CORES_DEFAULTED",
@@ -643,8 +684,7 @@ def _structural_diagnostics(cfg: Configuration) -> tuple[list[Diagnostic], list[
                 err("BAD_REF", f"point {p.id} references unknown curve {cid!r}", p.id)
             continue
         ca, cb = curve_by_id[a], curve_by_id[b]
-        key = tuple(sorted((ca.deg_type.value, cb.deg_type.value)))
-        allowed = _ALLOWED_PAIRS.get(key)
+        key, allowed = _CROSSINGS[ca.deg_type, cb.deg_type]
         if allowed is None:
             err(
                 "POINT_PAIR",

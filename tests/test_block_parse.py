@@ -1,15 +1,21 @@
 """The parser's block path: a canonical block read by one match.
 
 ``dsl._RE_BLOCK`` reads a ``curve`` or ``point`` block written as ``emit``
-writes it in one match; everything else goes through the per-line
-handlers.  With the pattern replaced by one that never matches, every line
-goes through the handlers, which is the reference: both paths must give
-the same configuration, or the same diagnostics at the same line:column.
+writes it, and followed by blank lines and a block header or the end of
+the text, in one match, straight into its ``Curve`` or ``SingularPoint``;
+everything else goes through the per-line handlers.  With the pattern
+replaced by one that never matches, every line goes through the handlers,
+which is the reference: both paths must give the same configuration, or
+the same diagnostics at the same line:column, also when a line inserted
+after a canonical block adds to it, is a comment or blank, or is a
+top-level declaration out of place.
 """
 
 import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from isbbrauer import dsl
 from isbbrauer.model import CoverBehavior, CoverKind, CurveType, vp_basis
@@ -232,3 +238,135 @@ def test_round_trip_on_large_unions():
         text = dsl.emit(cfg)
         assert dsl.parse(text) == cfg
         assert dsl.emit(dsl.parse(text)) == text
+
+
+# --- lines inserted where a canonical block ends -----------------------------------
+
+# A field line of either kind of block, which joins the block it follows.
+FIELD_LINES = (
+    "  type: II",
+    "  cover: split",
+    "  ext extra_t: 0",
+    "  ext extra_s sheet=2: 0",
+    "  mark: extra_t",
+    "  cores: 0",
+    "  curves: extra_a, extra_b",
+    "  etype: I_II",
+    "  meets_marked: extra_t",
+)
+# Lines that add nothing to any block.
+QUIET_LINES = ("# a comment", "  # an indented comment", "  ", "\t", " \t ")
+# Top-level declarations, refused after the first block.
+TOP_LEVEL_LINES = ("symbols: late", "cover: split", "cover: irreducible")
+
+SOURCES = canonical_sources()
+
+
+def block_ends(lines: list[str]) -> list[int]:
+    """Each index right after the last line of a curve or point block."""
+    return [i for i in range(1, len(lines)) if lines[i] == "" and lines[i - 1].startswith("  ")]
+
+
+@st.composite
+def inserted_after_blocks(draw) -> tuple[str, list[int]]:
+    """A canonical source with lines inserted where its blocks end.
+
+    Each line goes right after a block or after the blank line that
+    follows it.  Returns the text and the 1-based line numbers of the
+    inserted top-level declarations.
+    """
+    lines = draw(st.sampled_from(SOURCES)).split("\n")
+    ends = block_ends(lines)
+    chosen = draw(st.lists(st.sampled_from(ends), min_size=1, max_size=4, unique=True))
+    edits = []
+    for end in chosen:
+        line = draw(st.sampled_from(FIELD_LINES + QUIET_LINES + TOP_LEVEL_LINES))
+        edits.append((end + draw(st.integers(0, 1)), line))
+    edits.sort()
+    top_level = [at + k + 1 for k, (at, line) in enumerate(edits) if line in TOP_LEVEL_LINES]
+    for at, line in reversed(edits):
+        lines.insert(at, line)
+    return "\n".join(lines), top_level
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=inserted_after_blocks())
+def test_block_path_matches_line_path_after_lines_inserted_at_block_ends(monkeypatch, case):
+    text, top_level = case
+    outcome = parse_outcome(text)
+    assert outcome == line_path_outcome(monkeypatch, text)
+    # A declaration after a block is refused on its own line; a block that
+    # had closed before it would let it through.
+    for line in top_level:
+        assert outcome.startswith("error\n")
+        assert f"\n{line}:" in outcome
+
+
+def test_a_field_line_after_a_canonical_block_joins_that_block(monkeypatch):
+    text = dsl.builtin_source("cubic-quartic") + "  ext cubic_3: 0\n"
+    message = "14:3: curve 'cubic' already has two extensions"
+    assert parse_outcome(text).split("\n")[1:] == [message, message]
+    assert parse_outcome(text) == line_path_outcome(monkeypatch, text)
+
+
+POINT_THEN_CURVE = """\
+cover: irreducible
+symbols: a
+
+point x:
+  curves: y, y
+  etype: II_II
+
+curve x:
+  type: II
+  cover: split
+  ext x_1: a
+  ext x_2: a
+
+curve y:
+  type: II
+  cover: split
+  ext y_1: a
+  ext y_2: a
+"""
+
+
+def test_a_point_declared_before_a_curve_of_its_id_is_the_duplicate(monkeypatch):
+    # Curves claim their ids before points do, wherever they are declared,
+    # so "first declared at" names the curve, which comes later.
+    expected = "\n".join(
+        [
+            "error",
+            "4:7: duplicate id 'x' (first declared at 8:7)",
+            "4:7: duplicate id 'x' (first declared at 8:7)",
+        ]
+    )
+    assert parse_outcome(POINT_THEN_CURVE) == expected
+    assert line_path_outcome(monkeypatch, POINT_THEN_CURVE) == expected
+
+
+# --- no raw record for a canonical block --------------------------------------
+
+
+@pytest.fixture
+def raw_records(monkeypatch):
+    """The class name of every ``_RawCurve`` and ``_RawPoint`` built."""
+    built: list[str] = []
+    for kind in (dsl._RawCurve, dsl._RawPoint):
+
+        def counting(self, *args, _init=kind.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(kind, "__init__", counting)
+    return built
+
+
+def test_canonical_blocks_build_no_raw_record(raw_records):
+    ring = ring_source(400)
+    assert len(dsl.parse(ring).curves) == 400
+    assert len(dsl.parse(dsl.emit(mixed_union())).points) > 100
+    assert raw_records == []
+    # Off the canonical layout each block is read line by line into one.
+    dsl.parse(edit_blocks(ring_source(3), comment_inside))
+    assert raw_records == ["_RawCurve"] * 3 + ["_RawPoint"] * 3

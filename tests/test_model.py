@@ -323,6 +323,43 @@ def test_warning_cores_defaulted():
     assert warning.code == "W_CORES_DEFAULTED" and "carries residue" in warning.message
 
 
+def test_each_rule_reads_which_extensions_carry_residue():
+    # One zero and one nonzero extension on every curve but ``flat``: each
+    # rule that looks at residues must tell the two apart, in order.
+    a, b = ResidueClass.of("a"), ResidueClass.of("b")
+    cfg = Configuration(
+        CoverKind.IRREDUCIBLE,
+        ("a", "b"),
+        (
+            Curve("cusp", CurveType.III, CoverBehavior.RAMIFIED, (Extension("cusp_1", a), Extension("cusp_2"))),
+            Curve("line", CurveType.I, CoverBehavior.RAMIFIED, (Extension("line_1"), Extension("line_2", b))),
+            Curve(
+                "quad",
+                CurveType.IV,
+                CoverBehavior.SPLIT,
+                (Extension("quad_m"), Extension("quad_o", b)),
+                marking="quad_m",
+            ),
+            Curve("conic", CurveType.II, CoverBehavior.SPLIT, (Extension("conic_1"), Extension("conic_2", a))),
+            Curve("flat", CurveType.II, CoverBehavior.SPLIT, (Extension("flat_1"), Extension("flat_2"))),
+        ),
+    )
+    report = validate(cfg)
+    assert [(d.code, d.subject) for d in report.errors] == [
+        ("EXT_COUNT", "cusp"),
+        ("EXT_COUNT", "line"),
+        ("TYPE_I_RESIDUE", "line"),
+        ("UNMARKED_RESIDUE", "quad"),
+    ]
+    assert "line_2" in report.errors[2].message and "quad_o" in report.errors[3].message
+    assert [(d.code, d.subject) for d in report.warnings] == [
+        ("W_RAMIFIED_ZERO", "cusp"),
+        ("W_CORES_DEFAULTED", "cusp"),
+        ("W_RAMIFIED_ZERO", "quad"),
+        ("W_TYPE_II_ZERO", "flat"),
+    ]
+
+
 # --- bases and residues -------------------------------------------------------
 
 

@@ -9,7 +9,7 @@ of the package imports lazily or names the Gauss-Jordan ``rref``, a test
 module or a helper of ``tests/toric_reference.py``, no function of
 the package takes a parameter it never reads, no module of it holds
 an ``assert`` statement, and importing the CLI loads none of
-``dataclasses``, ``inspect`` and ``typing``.  ``_s_generators`` is
+``dataclasses``, ``inspect``, ``typing`` and ``contextlib``.  ``_s_generators`` is
 pinned to the label-then-vector construction it replaced.
 """
 
@@ -150,18 +150,21 @@ def test_model_validates_without_brauer():
     assert done.stdout.split("\n")[0] == str(["isbbrauer", "isbbrauer.f2", "isbbrauer.model"])
 
 
-def test_the_cli_imports_no_dataclasses_inspect_or_typing():
+def test_the_cli_imports_no_dataclasses_inspect_typing_or_contextlib():
     # ``dataclasses`` costs start-up: it imports ``inspect`` (and with it
     # ``ast``, ``dis`` and ``tokenize``) and ``exec``s the methods of every
     # decorated class.  ``typing`` costs it too: importing it, and turning
     # each field annotation of a ``typing.NamedTuple`` into a
     # ``ForwardRef``.  The value types are ``collections.namedtuple``s, so
-    # a fresh ``isbbrauer`` process loads none of the three.
+    # a fresh ``isbbrauer`` process loads none of the three.  Nothing else
+    # the CLI imports loads ``contextlib``; argparse writes to the streams
+    # of a ``run`` call through its own parser class, not by redirecting
+    # the process's streams.
     code = (
         "import sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
         "import isbbrauer.cli\n"
-        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))\n"
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'contextlib'} & set(sys.modules)))\n"
     )
     done = subprocess.run(
         [sys.executable, "-I", "-S", "-c", code, str(PACKAGE.parent)], capture_output=True, text=True, check=True
