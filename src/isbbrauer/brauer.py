@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .f2 import F2Matrix, F2Vector, _check_len, _insert, _set_bits, kernel_basis
+from .f2 import F2Matrix, F2Vector, _check_len, _insert, kernel_basis
 from .model import (
     Configuration,
     CoverBehavior,
@@ -160,9 +160,12 @@ def _lift(spaces: _Spaces, vec: F2Vector) -> list[tuple[str, ResidueClass]]:
     """
     rows = spaces.lift_rows
     acc: dict[str, frozenset[str]] = {}
-    for j in _set_bits(vec.mask):
-        cid, symbols = rows[j]
+    mask = vec.mask
+    while mask:
+        low = mask & -mask
+        cid, symbols = rows[low.bit_length() - 1]
         acc[cid] = acc.get(cid, _NO_SYMBOLS) ^ symbols
+        mask ^= low
     order = sorted(acc, key=spaces.curve_rank.__getitem__)
     return [(cid, ResidueClass(acc[cid])) for cid in order if acc[cid]]
 

@@ -39,7 +39,7 @@ from collections.abc import Iterable, Mapping
 from enum import Enum
 from functools import cached_property
 
-from .f2 import F2Matrix, F2Vector, _insert, _set_bits
+from .f2 import F2Matrix, F2Vector, _insert
 
 __all__ = [
     "CoverKind",
@@ -302,6 +302,55 @@ _CROSSINGS: dict[tuple[CurveType, CurveType], tuple[tuple[str, str], tuple[Point
 }
 
 
+def _curve_kind(t: CurveType, b: CoverBehavior, cover: CoverKind) -> tuple:
+    """What structural validation knows of a curve of type ``t`` and behavior ``b`` under ``cover``.
+
+    In order:
+
+    * the CURVE_BEHAVIOR message where the type forbids the behavior, else None;
+    * whether SPLIT_COVER applies: the cover splits everywhere, the curve does not;
+    * how many extensions the curve needs;
+    * whether a split curve of a split cover needs one extension per sheet;
+    * whether each extension carrying residue is a TYPE_I_RESIDUE error;
+    * whether the marking checks of a Type IV curve apply;
+    * whether a cores input is a CORES_INPUT error, rather than a residue to check;
+    * whether W_TYPE_II_ZERO applies when no extension carries residue, the
+      Type III W_RAMIFIED_ZERO when some extension does not, and W_INERT_IV
+      always; whether W_CORES_DEFAULTED applies when no cores input is
+      given, and when no cores input is given but residue is carried.
+    """
+    ramified_type = t in (CurveType.I, CurveType.III)
+    if ramified_type and b is not CoverBehavior.RAMIFIED:
+        behavior = f"type {t.value} curve must be ramified, not {b.value}"
+    elif not ramified_type and b is CoverBehavior.RAMIFIED:
+        behavior = f"type {t.value} curve must be inert or split"
+    else:
+        behavior = None
+    split = b is CoverBehavior.SPLIT
+    split_cover = cover is CoverKind.SPLIT_EVERYWHERE
+    inert = b is CoverBehavior.INERT
+    return (
+        behavior,
+        split_cover and not split,
+        2 if split else 1,
+        split_cover and split,
+        t is CurveType.I,
+        t is CurveType.IV,
+        split,
+        t is CurveType.II,
+        t is CurveType.III,
+        t is CurveType.IV and inert,
+        t is CurveType.II and inert,
+        not split and t in (CurveType.III, CurveType.IV),
+    )
+
+
+# Every kind of curve, keyed by (type, cover behavior, cover kind).
+_CURVE_KINDS: dict[tuple[CurveType, CoverBehavior, CoverKind], tuple] = {
+    (t, b, cover): _curve_kind(t, b, cover) for t in CurveType for b in CoverBehavior for cover in CoverKind
+}
+
+
 # Point types whose constraint rows make up R: all but I_II and IVpp_IV.
 _R_POINT_TYPES = frozenset({PointType.II_II, PointType.III_II, PointType.IV_II, PointType.IVP_IV})
 
@@ -462,8 +511,10 @@ class _Spaces(namedtuple("_Spaces", "vp vq zr owner curve_rank m_pr m_qp lift_ro
         """
         columns = self.pr_columns
         image = 0
-        for j in _set_bits(mask):
-            image ^= columns[j]
+        while mask:
+            low = mask & -mask
+            image ^= columns[low.bit_length() - 1]
+            mask ^= low
         return image
 
     @cached_property
@@ -528,188 +579,163 @@ def _build_spaces(cfg: Configuration) -> _Spaces:
     )
 
 
+def _id_clash(kind: str, ident: str) -> Diagnostic:
+    """The DUP_ID error of an empty id, or of one already claimed."""
+    if not ident:
+        return Diagnostic("DUP_ID", f"empty {kind} id", ident)
+    return Diagnostic("DUP_ID", f"{kind} id {ident!r} is not unique", ident)
+
+
 def _structural_diagnostics(cfg: Configuration) -> tuple[list[Diagnostic], list[Diagnostic]]:
+    """Every structural error and warning, in the order of the declarations.
+
+    What a curve's kind decides comes from ``_CURVE_KINDS`` in one lookup;
+    the walk itself reads only instance data: ids, residue symbols,
+    sheets, the marking, the cores input and which extensions carry
+    residue.
+    """
     errors: list[Diagnostic] = []
     warnings: list[Diagnostic] = []
-
-    def err(code: str, message: str, subject: str) -> None:
-        errors.append(Diagnostic(code, message, subject))
-
-    def warn(code: str, message: str, subject: str) -> None:
-        warnings.append(Diagnostic(code, message, subject))
-
     index = cfg.symbol_index
     for i, s in enumerate(cfg.symbols):
         if not s:
-            err("SYMBOLS", "empty symbol name", s)
+            errors.append(Diagnostic("SYMBOLS", "empty symbol name", s))
         elif index[s][0] != i:
-            err("DUP_ID", f"symbol {s!r} declared twice", s)
+            errors.append(Diagnostic("DUP_ID", f"symbol {s!r} declared twice", s))
 
     seen_ids: set[str] = set()
-
-    def claim(kind: str, ident: str) -> None:
-        if not ident:
-            err("DUP_ID", f"empty {kind} id", ident)
-        elif ident in seen_ids:
-            err("DUP_ID", f"{kind} id {ident!r} is not unique", ident)
-        seen_ids.add(ident)
-
-    split_cover = cfg.cover_kind is CoverKind.SPLIT_EVERYWHERE
+    cover = cfg.cover_kind
+    if cover is CoverKind.SPLIT_EVERYWHERE:
+        sheets, sheet_rule = (1, 2), "needs sheet=1 or sheet=2"
+    else:
+        sheets, sheet_rule = (None,), "carries a sheet but the cover is irreducible"
 
     for c in cfg.curves:
-        claim("curve", c.id)
+        cid = c.id
+        if not cid or cid in seen_ids:
+            errors.append(_id_clash("curve", cid))
+        seen_ids.add(cid)
+        extensions = c.extensions
         carrying = []  # the extensions with nonzero residue
-        for ext in c.extensions:
-            claim("extension", ext.id)
+        for ext in extensions:
+            eid = ext.id
+            if not eid or eid in seen_ids:
+                errors.append(_id_clash("extension", eid))
+            seen_ids.add(eid)
             symbols = ext.residue.symbols
             if symbols:
                 carrying.append(ext)
                 bad = symbols.difference(index)
                 if bad:
-                    err(
-                        "RESIDUE_SYMBOLS",
-                        f"residue of {ext.id} uses undeclared symbols {sorted(bad)}",
-                        ext.id,
-                    )
-            if split_cover:
-                if ext.sheet not in (1, 2):
-                    err("SHEET", f"extension {ext.id} needs sheet=1 or sheet=2", ext.id)
-            elif ext.sheet is not None:
-                err("SHEET", f"extension {ext.id} carries a sheet but the cover is irreducible", ext.id)
+                    message = f"residue of {eid} uses undeclared symbols {sorted(bad)}"
+                    errors.append(Diagnostic("RESIDUE_SYMBOLS", message, eid))
+            if ext.sheet not in sheets:
+                errors.append(Diagnostic("SHEET", f"extension {eid} {sheet_rule}", eid))
 
-        ramified_type = c.deg_type in (CurveType.I, CurveType.III)
-        if ramified_type and c.cover_behavior is not CoverBehavior.RAMIFIED:
-            err(
-                "CURVE_BEHAVIOR",
-                f"type {c.deg_type.value} curve must be ramified, not {c.cover_behavior.value}",
-                c.id,
-            )
-        if not ramified_type and c.cover_behavior is CoverBehavior.RAMIFIED:
-            err(
-                "CURVE_BEHAVIOR",
-                f"type {c.deg_type.value} curve must be inert or split",
-                c.id,
-            )
-        if split_cover and c.cover_behavior is not CoverBehavior.SPLIT:
-            err(
-                "SPLIT_COVER",
-                f"cover splits everywhere but curve {c.id} is {c.cover_behavior.value}",
-                c.id,
-            )
+        (behavior_error, split_cover_error, expected, per_sheet, type_i, type_iv, split,
+         warn_no_residue, warn_type_iii_zero, warn_inert_iv, warn_inert_default,
+         warn_carrying_default) = _CURVE_KINDS[c.deg_type, c.cover_behavior, cover]
+        if behavior_error is not None:
+            errors.append(Diagnostic("CURVE_BEHAVIOR", behavior_error, cid))
+        if split_cover_error:
+            message = f"cover splits everywhere but curve {cid} is {c.cover_behavior.value}"
+            errors.append(Diagnostic("SPLIT_COVER", message, cid))
+        if len(extensions) != expected:
+            message = f"{c.cover_behavior.value} curve needs {expected} extension(s), has {len(extensions)}"
+            errors.append(Diagnostic("EXT_COUNT", message, cid))
+        elif per_sheet and sorted(ext.sheet for ext in extensions if ext.sheet in (1, 2)) != [1, 2]:
+            errors.append(Diagnostic("SHEET", f"split curve {cid} must have one extension per sheet", cid))
 
-        expected = 2 if c.cover_behavior is CoverBehavior.SPLIT else 1
-        if len(c.extensions) != expected:
-            err(
-                "EXT_COUNT",
-                f"{c.cover_behavior.value} curve needs {expected} extension(s), has {len(c.extensions)}",
-                c.id,
-            )
-        elif split_cover and c.cover_behavior is CoverBehavior.SPLIT:
-            sheets = sorted(ext.sheet for ext in c.extensions if ext.sheet in (1, 2))
-            if sheets != [1, 2]:
-                err("SHEET", f"split curve {c.id} must have one extension per sheet", c.id)
-
-        if c.deg_type is CurveType.I:
+        if type_i:
             for ext in carrying:
-                err("TYPE_I_RESIDUE", f"type I extension {ext.id} must have residue 0", c.id)
+                message = f"type I extension {ext.id} must have residue 0"
+                errors.append(Diagnostic("TYPE_I_RESIDUE", message, cid))
 
+        marking = c.marking
         marked = None
-        if c.deg_type is CurveType.IV:
-            marked = next((ext for ext in c.extensions if ext.id == c.marking), None)
-            if c.marking is None:
-                err("MARKING", f"type IV curve {c.id} needs a marking", c.id)
+        if type_iv:
+            marked = next((ext for ext in extensions if ext.id == marking), None)
+            if marking is None:
+                errors.append(Diagnostic("MARKING", f"type IV curve {cid} needs a marking", cid))
             elif marked is None:
-                err("MARKING", f"marking {c.marking!r} is not an extension of {c.id}", c.id)
+                message = f"marking {marking!r} is not an extension of {cid}"
+                errors.append(Diagnostic("MARKING", message, cid))
             else:
                 for ext in carrying:
-                    if ext.id != c.marking:
-                        err(
-                            "UNMARKED_RESIDUE",
-                            f"non-marked extension {ext.id} of type IV curve must have residue 0",
-                            c.id,
-                        )
-        elif c.marking is not None:
-            err("MARKING", f"marking on non-type-IV curve {c.id}", c.id)
+                    if ext.id != marking:
+                        message = f"non-marked extension {ext.id} of type IV curve must have residue 0"
+                        errors.append(Diagnostic("UNMARKED_RESIDUE", message, cid))
+        elif marking is not None:
+            errors.append(Diagnostic("MARKING", f"marking on non-type-IV curve {cid}", cid))
 
-        if c.cores_residue_input is not None:
-            if c.cover_behavior is CoverBehavior.SPLIT:
-                err("CORES_INPUT", f"cores residue on split curve {c.id} (it is determined)", c.id)
+        cores = c.cores_residue_input
+        if cores is not None:
+            if split:
+                message = f"cores residue on split curve {cid} (it is determined)"
+                errors.append(Diagnostic("CORES_INPUT", message, cid))
             else:
-                bad = c.cores_residue_input.symbols.difference(index)
+                bad = cores.symbols.difference(index)
                 if bad:
-                    err(
-                        "RESIDUE_SYMBOLS",
-                        f"cores residue of {c.id} uses undeclared symbols {sorted(bad)}",
-                        c.id,
-                    )
+                    message = f"cores residue of {cid} uses undeclared symbols {sorted(bad)}"
+                    errors.append(Diagnostic("RESIDUE_SYMBOLS", message, cid))
 
         # Warnings: places where the geometry says a residue should ramify.
-        if c.deg_type is CurveType.II and not carrying:
-            warn("W_TYPE_II_ZERO", f"type II curve {c.id} has all residues zero", c.id)
-        if c.deg_type is CurveType.III and len(carrying) < len(c.extensions):
-            warn("W_RAMIFIED_ZERO", f"type III extension of {c.id} has residue 0", c.id)
+        if warn_no_residue and not carrying:
+            warnings.append(Diagnostic("W_TYPE_II_ZERO", f"type II curve {cid} has all residues zero", cid))
+        if warn_type_iii_zero and len(carrying) < len(extensions):
+            message = f"type III extension of {cid} has residue 0"
+            warnings.append(Diagnostic("W_RAMIFIED_ZERO", message, cid))
         if marked is not None and marked.residue.is_zero:
-            warn("W_RAMIFIED_ZERO", f"marked extension {marked.id} of {c.id} has residue 0", c.id)
-        if c.deg_type is CurveType.IV and c.cover_behavior is CoverBehavior.INERT:
-            warn("W_INERT_IV", f"inert type IV curve {c.id}: treated via its cores residue", c.id)
-        if (
-            c.deg_type is CurveType.II
-            and c.cover_behavior is CoverBehavior.INERT
-            and c.cores_residue_input is None
-        ):
-            warn("W_CORES_DEFAULTED", f"cores residue of inert curve {c.id} defaulted to 0", c.id)
-        if (
-            c.cover_behavior in (CoverBehavior.RAMIFIED, CoverBehavior.INERT)
-            and c.deg_type in (CurveType.III, CurveType.IV)
-            and c.cores_residue_input is None
-            and carrying
-        ):
-            warn(
-                "W_CORES_DEFAULTED",
-                f"curve {c.id} carries residue but its cores residue defaulted to 0; "
-                "supply cores: if the corestriction ramifies here",
-                c.id,
-            )
+            message = f"marked extension {marked.id} of {cid} has residue 0"
+            warnings.append(Diagnostic("W_RAMIFIED_ZERO", message, cid))
+        if warn_inert_iv:
+            message = f"inert type IV curve {cid}: treated via its cores residue"
+            warnings.append(Diagnostic("W_INERT_IV", message, cid))
+        if cores is None:
+            if warn_inert_default:
+                message = f"cores residue of inert curve {cid} defaulted to 0"
+                warnings.append(Diagnostic("W_CORES_DEFAULTED", message, cid))
+            if warn_carrying_default and carrying:
+                message = (
+                    f"curve {cid} carries residue but its cores residue defaulted to 0; "
+                    "supply cores: if the corestriction ramifies here"
+                )
+                warnings.append(Diagnostic("W_CORES_DEFAULTED", message, cid))
 
     curve_by_id = {c.id: c for c in cfg.curves}
     for p in cfg.points:
-        claim("point", p.id)
+        pid = p.id
+        if not pid or pid in seen_ids:
+            errors.append(_id_clash("point", pid))
+        seen_ids.add(pid)
         a, b = p.incident if len(p.incident) == 2 else (p.incident + ("", ""))[:2]
         if len(p.incident) != 2 or a == b:
-            err("POINT_PAIR", f"point {p.id} must join two distinct curves", p.id)
+            errors.append(Diagnostic("POINT_PAIR", f"point {pid} must join two distinct curves", pid))
             continue
-        missing = [cid for cid in (a, b) if cid not in curve_by_id]
-        if missing:
-            for cid in missing:
-                err("BAD_REF", f"point {p.id} references unknown curve {cid!r}", p.id)
+        if a not in curve_by_id or b not in curve_by_id:
+            for cid in (a, b):
+                if cid not in curve_by_id:
+                    message = f"point {pid} references unknown curve {cid!r}"
+                    errors.append(Diagnostic("BAD_REF", message, pid))
             continue
         ca, cb = curve_by_id[a], curve_by_id[b]
         key, allowed = _CROSSINGS[ca.deg_type, cb.deg_type]
         if allowed is None:
-            err(
-                "POINT_PAIR",
-                f"curves of types {key[0]} and {key[1]} cannot cross at a point",
-                p.id,
-            )
+            message = f"curves of types {key[0]} and {key[1]} cannot cross at a point"
+            errors.append(Diagnostic("POINT_PAIR", message, pid))
         elif p.etype not in allowed:
-            err(
-                "POINT_TYPE",
-                f"point type {p.etype.value} does not match curve types ({key[0]}, {key[1]})",
-                p.id,
-            )
+            message = f"point type {p.etype.value} does not match curve types ({key[0]}, {key[1]})"
+            errors.append(Diagnostic("POINT_TYPE", message, pid))
         if p.meets_marked:
             if p.etype is not PointType.IV_II:
-                err("MEETS_MARKED", "meets_marked only applies to IV_II points", p.id)
+                errors.append(Diagnostic("MEETS_MARKED", "meets_marked only applies to IV_II points", pid))
             elif allowed is not None and p.etype in allowed:
                 type_ii = ca if ca.deg_type is CurveType.II else cb
                 ext_ids = {ext.id for ext in type_ii.extensions}
                 for eid in sorted(p.meets_marked):
                     if eid not in ext_ids:
-                        err(
-                            "MEETS_MARKED",
-                            f"meets_marked entry {eid!r} is not an extension of {type_ii.id}",
-                            p.id,
-                        )
+                        message = f"meets_marked entry {eid!r} is not an extension of {type_ii.id}"
+                        errors.append(Diagnostic("MEETS_MARKED", message, pid))
 
     return errors, warnings
 

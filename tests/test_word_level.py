@@ -4,7 +4,9 @@
 one-pass ``Subspace`` invariant, the GC1-GC4 checks (column XOR and pivot
 ranks) and the bit rendering of vectors and matrices are each compared
 with an in-test copy of the straightforward code that came before them.
-A ring of 400 split Type II curves (dim P 800, far past the brute-force
+The loops that walk set bits inline (``column_masks``, ``kernel_basis``,
+``_Spaces.r_image`` and ``brauer._lift``) also meet masks 1 to 2500 bits
+wide.  A ring of 400 split Type II curves (dim P 800, far past the brute-force
 cap) is checked against its number of connected components.
 """
 
@@ -244,6 +246,75 @@ def test_kernel_matches_gauss_jordan_reference():
         )
         m = F2Matrix(rows, cols, masks)
         assert kernel_basis(m) == reference_kernel(m), m
+
+
+# --- wide masks ----------------------------------------------------------------
+#
+# ``column_masks``, ``kernel_basis``, ``_Spaces.r_image`` and ``brauer._lift``
+# walk set bits in their own loops; here each meets masks of one and of many
+# machine words, all-ones and single-top-bit ones included.
+
+WIDE = [1, 63, 64, 65, 1000, 2500]
+
+
+def wide_masks(n: int, rng: random.Random) -> list[int]:
+    sparse = sum(1 << j for j in rng.sample(range(n), min(n, 7)))
+    return [0, (1 << n) - 1, 1 << (n - 1), 1, rng.getrandbits(n), sparse]
+
+
+def spaces_with(**fields) -> model._Spaces:
+    empty = dict.fromkeys(model._Spaces._fields, ())
+    return model._Spaces(**{**empty, **fields})
+
+
+@pytest.mark.parametrize("n", WIDE)
+def test_column_masks_match_per_bit_on_wide_rows(n):
+    m = F2Matrix(6, n, tuple(wide_masks(n, random.Random(n))))
+    assert m.column_masks() == [col.mask for col in columns(m)]
+
+
+@pytest.mark.parametrize("n", WIDE)
+def test_kernel_matches_reference_on_wide_rows(n):
+    m = F2Matrix(6, n, tuple(wide_masks(n, random.Random(n + 1))))
+    assert kernel_basis(m) == reference_kernel(m)
+
+
+@pytest.mark.parametrize("n", WIDE)
+def test_r_image_matches_the_product_on_wide_vectors(n):
+    rng = random.Random(n + 2)
+    # m_pr has n columns, one per coordinate of P; its rows are the masks.
+    m_pr = F2Matrix(6, n, tuple(wide_masks(n, rng)))
+    spaces = spaces_with(m_pr=m_pr)
+    for mask in wide_masks(n, rng):
+        assert spaces.r_image(mask) == mul(m_pr, F2Vector(n, mask)).mask
+
+
+def reference_lift(spaces: model._Spaces, vec: F2Vector) -> list:
+    """Each curve's residue total, one coordinate at a time, zeros left out."""
+    totals = {}
+    for j in range(vec.length):
+        if (vec.mask >> j) & 1:
+            cid, symbols = spaces.lift_rows[j]
+            totals[cid] = totals.get(cid, frozenset()) ^ symbols
+    order = sorted(totals, key=spaces.curve_rank.__getitem__)
+    return [(cid, ResidueClass(totals[cid])) for cid in order if totals[cid]]
+
+
+@pytest.mark.parametrize("n", WIDE)
+def test_lift_matches_per_bit_on_wide_vectors(n):
+    rng = random.Random(n + 3)
+    curve_ids = [f"c{i}" for i in range(max(1, n // 20))]
+    rng.shuffle(curve_ids)
+    lift_rows = tuple(
+        (rng.choice(curve_ids), frozenset(rng.sample("abcde", rng.randint(0, 2)))) for _ in range(n)
+    )
+    spaces = spaces_with(lift_rows=lift_rows, curve_rank={cid: i for i, cid in enumerate(sorted(curve_ids))})
+    lifts = []
+    for mask in wide_masks(n, rng):
+        lift = brauer._lift(spaces, F2Vector(n, mask))
+        assert lift == reference_lift(spaces, F2Vector(n, mask))
+        lifts.append(lift)
+    assert lifts[0] == [] and (n == 1 or len(lifts[1]) > 1)
 
 
 # --- GC checks ---------------------------------------------------------------
