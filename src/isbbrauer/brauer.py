@@ -1,8 +1,10 @@
 """The unramified Brauer group computation, all over GF(2).
 
-A validated configuration carries its spaces P, Q, R, S and the maps
-``m_pr: P -> R``, ``m_qp: Q -> P`` and ``S -> P`` (``Configuration.spaces``,
-built in ``model``).  The group of interest is ``ker(P/Q -> R) / S``; its
+A configuration has the spaces P, Q, R, S and the maps ``m_pr: P -> R``,
+``m_qp: Q -> P`` and ``S -> P``, which ``model._build_spaces`` builds.
+``unramified_brauer`` computes from the spaces that its validation built
+(``model._checked``); each other public function builds the spaces it
+reads on each call.  The group of interest is ``ker(P/Q -> R) / S``; its
 dimension and explicit coset generators (with their ramification on the
 base curves) make up the report.  ``brute_force_unramified`` recomputes
 the dimensions by plain enumeration and serves as an independent oracle
@@ -13,7 +15,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .f2 import F2Matrix, F2Vector, _check_len, _insert, kernel_basis
+from . import model
+from .f2 import F2Matrix, F2Vector, _insert, kernel_basis
 from .model import (
     Configuration,
     CoverBehavior,
@@ -23,7 +26,6 @@ from .model import (
     ResidueClass,
     ValidationReport,
     _Spaces,
-    validate,
 )
 
 __all__ = [
@@ -34,7 +36,6 @@ __all__ = [
     "CapExceededError",
     "matrix_p_to_r",
     "unramified_brauer",
-    "coset_equivalent",
     "ramification_lift",
     "residue_kernel",
     "restriction_kernel",
@@ -107,8 +108,8 @@ class BrauerReport(
 
 
 def matrix_p_to_r(cfg: Configuration) -> F2Matrix:
-    """``cfg.spaces.m_pr``; kept because perfbench calls it and traces it by name."""
-    return cfg.spaces.m_pr
+    """``m_pr: P -> R`` of ``cfg``; kept because perfbench calls it and traces it by name."""
+    return model._build_spaces(cfg).m_pr
 
 
 def ramification_lift(
@@ -125,7 +126,7 @@ def ramification_lift(
         KernelContractError: if ``vec`` is not in ker(m_pr) — such a
             vector does not define a class on which the lift makes sense.
     """
-    spaces = cfg.spaces
+    spaces = model._build_spaces(cfg)
     _check_kernel(spaces, [vec])
     return _lift(spaces, vec)
 
@@ -189,23 +190,28 @@ def residue_kernel(c: Curve) -> list[ResidueClass]:
 
 def restriction_kernel(cfg: Configuration) -> str:
     """A one-line description of S, the kernel of restriction to the generic fiber."""
-    labels = cfg.spaces.s_labels
+    return _describe_s(cfg.cover_kind, model._build_spaces(cfg).s_labels)
+
+
+def _describe_s(cover_kind: CoverKind, labels: tuple[str, ...]) -> str:
+    """``restriction_kernel``'s line for a cover of ``cover_kind`` whose S has generators ``labels``."""
     if labels:
         return "generated by " + ", ".join(labels)
-    if cfg.cover_kind is CoverKind.IRREDUCIBLE:
+    if cover_kind is CoverKind.IRREDUCIBLE:
         return "trivial: cores(beta) has no ramification"
     return "trivial: beta_1 and beta_2 are both unramified"
 
 
-# Not derived: a report is built only after ``validate`` ran GC1-GC4 and all four passed.
+# Not derived: a report is built only after validation ran GC1-GC4 and all four passed.
 _REPORT_ASSERTIONS = (("gc1", "ok"), ("gc2", "ok"), ("gc3", "ok"), ("gc4", "ok"))
 
 
 def unramified_brauer(cfg: Configuration) -> BrauerReport:
     """Compute the full report for a valid configuration.
 
-    Validation is ``validate``'s, and its GC checks read the same
-    ``cfg.spaces`` as the computation: each basis and map is built once.
+    Validation is ``validate``'s, through ``model._checked``, and the
+    computation goes on from the spaces its GC checks read: each basis and
+    map is built once.
     kernel_dim is dim ker(m_pr) minus dim image(m_qp); subtracting dim S
     gives h2nr_dim.  Generators complete image(Q) +
     image(S) to the kernel greedily over the canonical kernel basis: an
@@ -218,10 +224,9 @@ def unramified_brauer(cfg: Configuration) -> BrauerReport:
         InvalidConfigurationError: when validation reports errors; its
             report carries the errors and the warnings.
     """
-    report = validate(cfg)
+    report, spaces = model._checked(cfg)
     if report.errors:
         raise InvalidConfigurationError(report)
-    spaces = cfg.spaces
 
     kernel = kernel_basis(spaces.m_pr)
     q_rank, qs_pivots = spaces.qs_echelon
@@ -250,16 +255,6 @@ def unramified_brauer(cfg: Configuration) -> BrauerReport:
     )
 
 
-def coset_equivalent(report: BrauerReport, a: F2Vector, b: F2Vector) -> bool:
-    """Whether two vectors in P represent the same class modulo image(Q)."""
-    diff = a + b  # raises DimensionMismatch when a and b differ in length
-    _check_len(report.m_qp.rows, diff.length)
-    pivots: dict[int, int] = {}
-    for column in report.m_qp.column_masks():
-        _insert(pivots, column)
-    return not _insert(pivots, diff.mask)
-
-
 _BRUTE_FORCE_CAP = 20
 
 
@@ -274,7 +269,7 @@ def brute_force_unramified(cfg: Configuration) -> tuple[int, int]:
     Raises:
         CapExceededError: when dim P exceeds 20.
     """
-    spaces = cfg.spaces
+    spaces = model._build_spaces(cfg)
     p = len(spaces.vp)
     if p > _BRUTE_FORCE_CAP:
         raise CapExceededError(f"dim P = {p} exceeds enumeration cap {_BRUTE_FORCE_CAP}")

@@ -233,7 +233,7 @@ def _cmd_compute(args, out) -> None:
 
 def _cmd_explain(args, out) -> None:
     cfg = dsl.parse(_read_text(args.file))
-    report = model.validate(cfg)
+    report, spaces = model._checked(cfg)
     if report.errors:
         raise brauer.InvalidConfigurationError(report)
     symbol_index = cfg.symbol_index
@@ -248,8 +248,8 @@ def _cmd_explain(args, out) -> None:
             print("  local kernel generators: (none)", file=out)
         # 2-torsion setting: the odd-part injectivity means only these
         # residues can obstruct, which is why the local list is complete.
-    description = brauer.restriction_kernel(cfg)
-    print(f"restriction kernel (dim {len(cfg.spaces.s_labels)}): {description}", file=out)
+    description = brauer._describe_s(cfg.cover_kind, spaces.s_labels)
+    print(f"restriction kernel (dim {len(spaces.s_labels)}): {description}", file=out)
     for d in report.warnings:
         print(f"note: [{d.code}] {d.subject}: {d.message}", file=out)
 

@@ -54,7 +54,8 @@ def _set_bits(mask: int) -> Iterator[int]:
     The hottest walks spell the same three steps out in their own loop,
     so that no generator is resumed per bit: ``F2Matrix.column_masks``,
     both walks over reduced rows in ``kernel_basis``, the model's
-    ``_Spaces.r_image`` and the ramification lift ``brauer._lift``.
+    ``_Spaces.r_image`` over the ``m_pr`` columns that ``_build_spaces``
+    builds with the spaces, and the ramification lift ``brauer._lift``.
     """
     while mask:
         low = mask & -mask

@@ -8,8 +8,8 @@ structural rules of that geometry plus four geometric-consistency
 checks computed by linear algebra; configurations that pass feed the
 Brauer-group computation.
 
-The GF(2) spaces of the computation are built here too, once per
-configuration (``Configuration.spaces``):
+The GF(2) spaces of the computation are built here too, by
+``_build_spaces``:
 
 * ``P``  — one coordinate per extension with nonzero residue,
 * ``Q``  — one relation per curve whose corestriction residue vanishes,
@@ -17,19 +17,20 @@ configuration (``Configuration.spaces``):
 * ``S``  — the kernel of restriction to the generic fiber,
 
 with the incidence map ``m_pr: P -> R``, the relation map ``m_qp: Q -> P``
-and the diagonal inclusion ``S -> P``.  The GC checks, the computation and
-the ramification lift all read that one value, and it is the only way to
-the bases.  ``vp_basis`` and ``cores_residue`` stay as one-line readers
+and the diagonal inclusion ``S -> P``.  ``_checked``, which ``validate``,
+the computation and ``explain`` call, builds them once per call and
+returns them with its report, so the GC checks and the computation read
+one value.  ``vp_basis`` and ``cores_residue`` stay as one-line readers
 because the benchmark workloads call them by name.
 
 Declaration order is semantic: curves, extensions, and points index the
 bases of the computation in the order they are listed here.
 
-The value types are ``collections.namedtuple``s, built as in ``f2``.
-What a value derives from its fields (``Curve.cores_residue``,
-``Configuration.symbol_index`` and ``.spaces``) is a ``cached_property``
-on a subclass that keeps a ``__dict__`` (it sets no ``__slots__``): it is
-no field, so equality, hashing and ``repr`` do not see it.
+The value types are ``collections.namedtuple``s, built as in ``f2``, with
+no ``__dict__``.  What a value derives from its fields
+(``Curve.cores_residue``, ``Configuration.symbol_index``) is a plain
+property, computed on each read, so equality, hashing and ``repr`` see
+only the fields.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
 from enum import Enum
-from functools import cached_property
 
 from .f2 import F2Matrix, F2Vector, _insert
 
@@ -170,16 +170,17 @@ class Curve(
         cores_residue_input: ResidueClass | None
     """
 
-    @cached_property
-    def cores_residue(self) -> ResidueClass:
-        """Residue of the corestriction along the curve, built once.
+    __slots__ = ()
 
-        Validation, the bases and the lift all read it.  Split curves: the
-        sum of the two extension residues.  Inert and ramified curves: the
+    @property
+    def cores_residue(self) -> ResidueClass:
+        """Residue of the corestriction along the curve.
+
+        ``_build_spaces`` reads it once per curve.  Split curves: the sum
+        of the two extension residues.  Inert and ramified curves: the
         user-supplied ``cores_residue_input``, defaulting to the zero class
         (the corestriction of a symbolic class is not computable from the
-        symbols).  It is not a field, so equality, hashing and ``repr`` do
-        not see it.
+        symbols).
         """
         if self.cover_behavior is CoverBehavior.SPLIT:
             total: frozenset[str] = frozenset()
@@ -223,6 +224,8 @@ class Configuration(namedtuple("Configuration", "cover_kind symbols curves point
         points: tuple[SingularPoint, ...]
     """
 
+    __slots__ = ()
+
     def __new__(
         cls,
         cover_kind: CoverKind,
@@ -232,25 +235,15 @@ class Configuration(namedtuple("Configuration", "cover_kind symbols curves point
     ) -> Configuration:
         return tuple.__new__(cls, (cover_kind, tuple(symbols), tuple(curves), tuple(points)))
 
-    @cached_property
+    @property
     def symbol_index(self) -> dict[str, tuple[int, ...]]:
-        """Each declared symbol's positions in ``symbols``, built once.
+        """Each declared symbol's positions in ``symbols``, built on each read.
 
-        Validation, the emitter and the reports read it.  A name has more
-        than one position only when it is declared twice, which
-        validation rejects.
+        Structural validation, the emitter and the reports read it.  A
+        name has more than one position only when it is declared twice,
+        which validation rejects.
         """
         return _symbol_positions(self.symbols)
-
-    @cached_property
-    def spaces(self) -> _Spaces:
-        """The bases and maps of P, Q, R and S, built once.
-
-        Validation, the computation, the lift and the public readers of
-        the bases and maps all read it.  Like ``symbol_index`` it is not a
-        field, so equality, hashing and ``repr`` do not see it.
-        """
-        return _build_spaces(self)
 
 
 class Diagnostic(namedtuple("Diagnostic", "code message subject")):
@@ -361,26 +354,26 @@ def cores_residue(cfg: Configuration, c: Curve) -> ResidueClass:
 
 
 def vp_basis(cfg: Configuration) -> list[Extension]:
-    """``cfg.spaces.vp`` as a list; kept because perfbench's workloads call it."""
-    return list(cfg.spaces.vp)
+    """The basis of P as a list; kept because perfbench's workloads call it."""
+    return list(_build_spaces(cfg).vp)
 
 
 def _s_generators(
-    cfg: Configuration, vp: list[Extension]
+    cfg: Configuration, vp: list[Extension], cores_ramify: bool
 ) -> tuple[tuple[str, ...], tuple[F2Vector, ...]]:
     """The labels of the generators of S, and their images in P.
 
     Irreducible cover: one generator, cores(beta), iff some curve has a
-    nonzero corestriction residue; it is the sum of every P coordinate.
-    Split cover: beta_i is nonzero iff some sheet-i extension carries
-    residue, and beta_1 = beta_2 iff the sheet-wise residues agree curve
-    by curve (a curve listing one sheet twice keeps the last); generators
-    are the distinct nonzero classes among beta_1, beta_2, and beta_i is
-    the sum of the sheet-i coordinates of P.
+    nonzero corestriction residue (``cores_ramify``); it is the sum of
+    every P coordinate.  Split cover: beta_i is nonzero iff some sheet-i
+    extension carries residue, and beta_1 = beta_2 iff the sheet-wise
+    residues agree curve by curve (a curve listing one sheet twice keeps
+    the last); generators are the distinct nonzero classes among beta_1,
+    beta_2, and beta_i is the sum of the sheet-i coordinates of P.
     """
     p = len(vp)
     if cfg.cover_kind is CoverKind.IRREDUCIBLE:
-        if any(not c.cores_residue.is_zero for c in cfg.curves):
+        if cores_ramify:
             return ("cores(beta)",), (F2Vector(p, (1 << p) - 1),)
         return (), ()
     nonzero = {1: False, 2: False}
@@ -402,31 +395,9 @@ def _s_generators(
     return labels, vectors
 
 
-def _point_relates(point: SingularPoint, curve: Curve, ext_id: str) -> bool:
-    """Whether the extension contributes to the point's constraint row.
-
-    Encodes the incidence rules: II_II fires for split curves; III_II
-    always fires; IV_II fires for the marked extension on the Type IV
-    side and for listed extensions on the Type II side; IVp_IV fires for
-    the marked extensions.
-    """
-    et = point.etype
-    if et is PointType.II_II:
-        return curve.cover_behavior is CoverBehavior.SPLIT
-    if et is PointType.III_II:
-        return True
-    if et is PointType.IV_II:
-        if curve.deg_type is CurveType.IV:
-            return ext_id == curve.marking
-        return ext_id in point.meets_marked
-    if et is PointType.IVP_IV:
-        return ext_id == curve.marking
-    return False
-
-
 # The point types whose row ORs one mask of each incident curve, and which
 # of the curve's three masks (every coordinate, split owner, marked
-# extension) that is.
+# extension) that is.  The one other type of R, IV_II, has its own rule.
 _ROW_MASK = {PointType.III_II: 0, PointType.II_II: 1, PointType.IVP_IV: 2}
 _NO_MASKS = (0, 0, 0)
 
@@ -441,10 +412,11 @@ def _incidence_matrix(
     coordinates: every coordinate, for III_II; those whose owner is
     split, for II_II; and those that are their owner's marked extension,
     for IVp_IV.  A row of one of those types ORs one mask of each incident
-    curve; an IV_II row, whose bits depend on the point's ``meets_marked``,
-    applies ``_point_relates`` to each coordinate of its curves.  Either
-    way bit j is set exactly when a scan of every (point, extension) pair
-    would set it.
+    curve.  An IV_II row depends on the point's ``meets_marked``: it sets
+    a coordinate of its curves when the coordinate is the marked extension
+    of a Type IV owner, or is listed in ``meets_marked`` on the Type II
+    side.  Either way bit j is set exactly when a scan of every (point,
+    extension) pair would set it.
     """
     masks: dict[str, tuple[int, int, int]] = {}
     for curve_id, coords in by_curve.items():
@@ -464,7 +436,11 @@ def _incidence_matrix(
         if k is None:
             for curve_id in point.incident:
                 for j, ext, curve in by_curve.get(curve_id, ()):
-                    if _point_relates(point, curve, ext.id):
+                    if curve.deg_type is CurveType.IV:
+                        fires = ext.id == curve.marking
+                    else:
+                        fires = ext.id in point.meets_marked
+                    if fires:
                         mask |= 1 << j
         else:
             for curve_id in point.incident:
@@ -473,8 +449,13 @@ def _incidence_matrix(
     return F2Matrix(len(zr), p, tuple(rows))
 
 
-class _Spaces(namedtuple("_Spaces", "vp vq zr owner curve_rank m_pr m_qp lift_rows s_labels s_vectors")):
-    """Every basis and map of one configuration: ``Configuration.spaces``.
+class _Spaces(
+    namedtuple(
+        "_Spaces",
+        "vp vq zr owner curve_rank m_pr m_qp lift_rows s_labels s_vectors pr_columns q_columns qs_echelon",
+    )
+):
+    """Every basis and map of one configuration, as ``_build_spaces`` builds them.
 
     ``vp`` holds the extensions with nonzero residue, which index P.
     ``vq`` holds the curves whose corestriction residue vanishes while
@@ -485,6 +466,12 @@ class _Spaces(namedtuple("_Spaces", "vp vq zr owner curve_rank m_pr m_qp lift_ro
     last declaration wins.  ``lift_rows`` holds each P coordinate's
     owner id and the symbols it adds to that curve's lift: the owner's
     corestriction residue on an inert curve, else the extension's residue.
+
+    ``_spaces`` derives the last three fields from ``m_pr``, ``m_qp`` and
+    ``s_vectors``: the columns of both maps, and the rank of Q with an
+    echelon basis of image(Q) + image(S), built by pivot insertion of the
+    Q columns and then the S vectors.  The GC2/GC4 checks count ranks with
+    it and generator selection extends a copy of it.
 
     Fields:
         vp: tuple[Extension, ...]
@@ -497,12 +484,12 @@ class _Spaces(namedtuple("_Spaces", "vp vq zr owner curve_rank m_pr m_qp lift_ro
         lift_rows: tuple[tuple[str, frozenset[str]], ...]
         s_labels: tuple[str, ...]
         s_vectors: tuple[F2Vector, ...]
+        pr_columns: list[int]
+        q_columns: list[int]
+        qs_echelon: tuple[int, dict[int, int]]
     """
 
-    @cached_property
-    def pr_columns(self) -> list[int]:
-        """The column masks of ``m_pr``: the image in R of each basis vector of P."""
-        return self.m_pr.column_masks()
+    __slots__ = ()
 
     def r_image(self, mask: int) -> int:
         """The image in R of the P vector ``mask``.
@@ -517,24 +504,18 @@ class _Spaces(namedtuple("_Spaces", "vp vq zr owner curve_rank m_pr m_qp lift_ro
             mask ^= low
         return image
 
-    @cached_property
-    def q_columns(self) -> list[int]:
-        """The column masks of ``m_qp``: each Q relation as a vector of P."""
-        return self.m_qp.column_masks()
 
-    @cached_property
-    def qs_echelon(self) -> tuple[int, dict[int, int]]:
-        """Rank of Q, and an echelon basis of image(Q) + image(S).
-
-        Built by pivot insertion, the Q columns first and then the S
-        vectors.  The GC2/GC4 checks count ranks with it and generator
-        selection extends a copy of it.
-        """
-        pivots: dict[int, int] = {}
-        q_rank = sum(_insert(pivots, col) for col in self.q_columns)
-        for vec in self.s_vectors:
-            _insert(pivots, vec.mask)
-        return q_rank, pivots
+def _spaces(vp, vq, zr, owner, curve_rank, m_pr, m_qp, lift_rows, s_labels, s_vectors) -> _Spaces:
+    """The ``_Spaces`` of these fields, with the three that follow from the maps derived."""
+    q_columns = m_qp.column_masks()
+    pivots: dict[int, int] = {}
+    q_rank = sum(_insert(pivots, col) for col in q_columns)
+    for vec in s_vectors:
+        _insert(pivots, vec.mask)
+    return _Spaces(
+        vp, vq, zr, owner, curve_rank, m_pr, m_qp, lift_rows, s_labels, s_vectors,
+        m_pr.column_masks(), q_columns, (q_rank, pivots),
+    )
 
 
 def _build_spaces(cfg: Configuration) -> _Spaces:
@@ -543,15 +524,20 @@ def _build_spaces(cfg: Configuration) -> _Spaces:
     vq: list[Curve] = []
     q_index: dict[str, int] = {}
     owner: dict[str, Curve] = {}
+    owner_cores: dict[str, ResidueClass] = {}  # extension id -> its owner's cores residue
     curve_rank: dict[str, int] = {}
+    cores_ramify = False
     for i, c in enumerate(cfg.curves):
+        cores = c.cores_residue
+        cores_ramify = cores_ramify or not cores.is_zero
         carrying = [ext for ext in c.extensions if not ext.residue.is_zero]
         vp.extend(carrying)
-        if carrying and c.cores_residue.is_zero:
+        if carrying and cores.is_zero:
             q_index[c.id] = len(vq)
             vq.append(c)
         for ext in c.extensions:
             owner[ext.id] = c
+            owner_cores[ext.id] = cores
         curve_rank[c.id] = i
     by_curve: dict[str, list[tuple[int, Extension, Curve]]] = {}
     qp_rows = []
@@ -562,10 +548,10 @@ def _build_spaces(cfg: Configuration) -> _Spaces:
         col = q_index.get(curve.id)
         qp_rows.append(0 if col is None else 1 << col)
         inert = curve.cover_behavior is CoverBehavior.INERT
-        lift_rows.append((curve.id, (curve.cores_residue if inert else ext.residue).symbols))
+        lift_rows.append((curve.id, (owner_cores[ext.id] if inert else ext.residue).symbols))
     zr = [p for p in cfg.points if p.etype in _R_POINT_TYPES]
-    s_labels, s_vectors = _s_generators(cfg, vp)
-    return _Spaces(
+    s_labels, s_vectors = _s_generators(cfg, vp, cores_ramify)
+    return _spaces(
         vp=tuple(vp),
         vq=tuple(vq),
         zr=tuple(zr),
@@ -782,14 +768,25 @@ def _consistency_diagnostics(spaces: _Spaces) -> list[Diagnostic]:
     return errors
 
 
+def _checked(cfg: Configuration) -> tuple[ValidationReport, _Spaces | None]:
+    """``validate``'s report, and the spaces its GC checks read.
+
+    The spaces are None when a structural error kept the GC checks from
+    running.  ``unramified_brauer`` and ``explain`` go on from the spaces
+    returned here, so one command builds them once.
+    """
+    errors, warnings = _structural_diagnostics(cfg)
+    spaces = None
+    if not errors:
+        spaces = _build_spaces(cfg)
+        errors.extend(_consistency_diagnostics(spaces))
+    return ValidationReport(tuple(errors), tuple(warnings)), spaces
+
+
 def validate(cfg: Configuration) -> ValidationReport:
     """Check every structural invariant, then the geometric-consistency ones.
 
-    The GC checks need well-formed data, so they run, on ``cfg.spaces``,
-    only when no structural errors were found.  Warnings never reject a
-    configuration.
+    The GC checks need well-formed data, so they run only when no
+    structural errors were found.  Warnings never reject a configuration.
     """
-    errors, warnings = _structural_diagnostics(cfg)
-    if not errors:
-        errors.extend(_consistency_diagnostics(cfg.spaces))
-    return ValidationReport(tuple(errors), tuple(warnings))
+    return _checked(cfg)[0]

@@ -125,7 +125,8 @@ def random_configuration(rng: random.Random, max_p: int = 12) -> Configuration:
     """One random configuration that passes validate, with dim P capped."""
     for _ in range(_MAX_ATTEMPTS):
         cfg = _draw(rng)
-        if len(cfg.spaces.vp) > max_p:
+        dim_p = sum(not ext.residue.is_zero for c in cfg.curves for ext in c.extensions)
+        if dim_p > max_p:
             continue
         if validate(cfg).errors:
             continue

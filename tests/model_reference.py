@@ -1,10 +1,13 @@
-"""The rule-by-rule structural validation that ``model`` replaced.
+"""The rule-by-rule structural validation and incidence rule that ``model`` replaced.
 
 ``model._structural_diagnostics`` looks up what a curve's kind decides
 in its ``_CURVE_KINDS`` table and walks only the instance data.  This is
 the walk that came before it, one rule after another, with every check
 re-derived per curve; the tests compare the two diagnostic for
-diagnostic.  The package never runs it.
+diagnostic.  ``point_relates`` is the incidence rule of every point
+type, which ``model._incidence_matrix`` spells out only for IV_II and
+replaces by per-curve masks for the others.  The package never runs
+either.
 """
 
 from isbbrauer.model import (
@@ -12,9 +15,11 @@ from isbbrauer.model import (
     Configuration,
     CoverBehavior,
     CoverKind,
+    Curve,
     CurveType,
     Diagnostic,
     PointType,
+    SingularPoint,
 )
 
 
@@ -202,3 +207,25 @@ def structural_diagnostics(cfg: Configuration) -> tuple[list[Diagnostic], list[D
                         )
 
     return errors, warnings
+
+
+def point_relates(point: SingularPoint, curve: Curve, ext_id: str) -> bool:
+    """Whether the extension contributes to the point's constraint row.
+
+    Encodes the incidence rules: II_II fires for split curves; III_II
+    always fires; IV_II fires for the marked extension on the Type IV
+    side and for listed extensions on the Type II side; IVp_IV fires for
+    the marked extensions.
+    """
+    et = point.etype
+    if et is PointType.II_II:
+        return curve.cover_behavior is CoverBehavior.SPLIT
+    if et is PointType.III_II:
+        return True
+    if et is PointType.IV_II:
+        if curve.deg_type is CurveType.IV:
+            return ext_id == curve.marking
+        return ext_id in point.meets_marked
+    if et is PointType.IVP_IV:
+        return ext_id == curve.marking
+    return False

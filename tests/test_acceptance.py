@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from isbbrauer import cli, dsl, toric
+from isbbrauer import cli, dsl, model, toric
 from isbbrauer.brauer import (
     brute_force_unramified,
     matrix_p_to_r,
@@ -121,13 +121,14 @@ def test_acceptance_5_structural_assertions(corpus):
     for cfg in corpus:
         m_pr = matrix_p_to_r(cfg)
         kernel = kernel_basis(m_pr)
-        q_image = column_space(cfg.spaces.m_qp)
-        svecs = cfg.spaces.s_vectors
+        spaces = model._build_spaces(cfg)
+        q_image = column_space(spaces.m_qp)
+        svecs = spaces.s_vectors
         s_image = span(m_pr.cols, svecs)
         ok = (
             all(member(kernel, v) for v in q_image.basis)
             and all(member(kernel, v) for v in svecs)
-            and q_image.dim == len(cfg.spaces.vq)
+            and q_image.dim == len(spaces.vq)
             and s_image.dim == len(svecs)
             and intersection_basis(q_image, s_image).dim == 0
             and sum_subspace(q_image, s_image).dim == q_image.dim + s_image.dim

@@ -6,20 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isbbrauer import dsl
+from isbbrauer import dsl, model
 from isbbrauer.brauer import (
     CapExceededError,
     InvalidConfigurationError,
     KernelContractError,
     brute_force_unramified,
-    coset_equivalent,
     matrix_p_to_r,
     ramification_lift,
     residue_kernel,
     restriction_kernel,
     unramified_brauer,
 )
-from isbbrauer.f2 import DimensionMismatch, F2Vector, kernel_basis
+from isbbrauer.f2 import F2Vector, kernel_basis
 from isbbrauer.model import (
     Configuration,
     CoverBehavior,
@@ -34,7 +33,7 @@ from isbbrauer.model import (
     cores_residue,
     vp_basis,
 )
-from isbbrauer.sampling import random_configuration, random_corpus
+from isbbrauer.sampling import random_configuration
 
 from f2_reference import bits, column_space, columns, from_bits, member, span, to_lists
 
@@ -106,31 +105,9 @@ def test_hpt_generator_matches_reference_coset():
     assert len(report.generators) == 1
     gen = report.generators[0]
     reference = from_bits([1, 0, 1, 0, 1, 0])
-    assert coset_equivalent(report, gen.vector, reference)
-    assert not coset_equivalent(report, gen.vector, F2Vector(6))
-
-
-def test_coset_equivalent_matches_membership_in_the_q_image():
-    # the reference is membership of a + b in the column space of m_qp,
-    # from f2_reference
-    rng = random.Random(3)
-    verdicts = set()
-    for cfg in random_corpus(seed=21, count=60):
-        report = unramified_brauer(cfg)
-        relations = column_space(report.m_qp)
-        p = report.m_qp.rows
-        pairs = [(g.vector, F2Vector(p, rng.getrandbits(p))) for g in report.generators]
-        pairs += [(F2Vector(p, rng.getrandbits(p)), F2Vector(p, rng.getrandbits(p))) for _ in range(4)]
-        # a relation added to a vector stays in its coset
-        pairs += [(v, v + c) for v, _ in pairs[:2] for c in columns(report.m_qp)[:2]]
-        for a, b in pairs:
-            verdicts.add(coset_equivalent(report, a, b))
-            assert coset_equivalent(report, a, b) == member(relations, a + b), (cfg, a, b)
-    assert verdicts == {True, False}
-    report = unramified_brauer(HPT)
-    for a, b in ((F2Vector(6), F2Vector(5)), (F2Vector(5), F2Vector(5))):
-        with pytest.raises(DimensionMismatch):
-            coset_equivalent(report, a, b)
+    relations = column_space(report.m_qp)
+    assert member(relations, gen.vector + reference)
+    assert not member(relations, gen.vector + F2Vector(6))
 
 
 def test_hpt_generator_ramifies_on_all_three_axes():
@@ -162,9 +139,9 @@ def test_empty_configuration():
 
 
 def test_s_space_cases():
-    assert HPT.spaces.s_labels == ()
-    assert inert_carrier().spaces.s_labels == ("cores(beta)",)
-    assert split_cover_equal_sheets().spaces.s_labels == ("beta_1",)
+    assert model._build_spaces(HPT).s_labels == ()
+    assert model._build_spaces(inert_carrier()).s_labels == ("cores(beta)",)
+    assert model._build_spaces(split_cover_equal_sheets()).s_labels == ("beta_1",)
 
 
 def test_s_space_split_distinct_sheets():
@@ -174,24 +151,24 @@ def test_s_space_split_distinct_sheets():
         extensions=(curve.extensions[0], Extension("c_2", ResidueClass.of("b"), sheet=2)),
     )
     cfg = Configuration(cfg.cover_kind, ("a", "b"), (twisted,))
-    assert cfg.spaces.s_labels == ("beta_1", "beta_2")
+    assert model._build_spaces(cfg).s_labels == ("beta_1", "beta_2")
     assert restriction_kernel(cfg) == "generated by beta_1, beta_2"
 
     sheet2_only = curve._replace(
         extensions=(Extension("c_1", sheet=1), Extension("c_2", ResidueClass.of("a"), sheet=2)),
     )
     cfg = Configuration(CoverKind.SPLIT_EVERYWHERE, ("a",), (sheet2_only,))
-    assert cfg.spaces.s_labels == ("beta_2",)
+    assert model._build_spaces(cfg).s_labels == ("beta_2",)
 
 
 def test_s_to_p_vectors():
-    assert HPT.spaces.s_vectors == ()
-    assert inert_carrier().spaces.s_vectors == (from_bits([1]),)
+    assert model._build_spaces(HPT).s_vectors == ()
+    assert model._build_spaces(inert_carrier()).s_vectors == (from_bits([1]),)
     cfg = split_cover_equal_sheets()
     # only sheet 1 would carry ramification here if sheet 2's residue is 0;
     # with one generator the indicator covers the whole of P
     vp = vp_basis(cfg)
-    (vec,) = cfg.spaces.s_vectors
+    (vec,) = model._build_spaces(cfg).s_vectors
     assert vec.length == len(vp)
     assert vec.support() == tuple(j for j, e in enumerate(vp) if e.sheet == 1)
 
@@ -203,7 +180,7 @@ def test_restriction_kernel_descriptions():
     (curve,) = split_cover_equal_sheets().curves
     unramified = curve._replace(extensions=tuple(e._replace(residue=ZERO) for e in curve.extensions))
     cfg = Configuration(CoverKind.SPLIT_EVERYWHERE, ("a",), (unramified,))
-    assert cfg.spaces.s_labels == ()
+    assert model._build_spaces(cfg).s_labels == ()
     assert restriction_kernel(cfg) == "trivial: beta_1 and beta_2 are both unramified"
 
 
@@ -260,14 +237,14 @@ def test_inert_relation_is_a_unit_column():
             ),
         ),
     )
-    m = cfg.spaces.m_qp
+    m = model._build_spaces(cfg).m_qp
     assert (m.rows, m.cols) == (3, 2)
     assert [bits(c) for c in columns(m)] == [[1, 0, 0], [0, 1, 1]]
 
 
 def test_empty_vq_gives_zero_width_matrix():
     cfg = inert_carrier()
-    m = cfg.spaces.m_qp
+    m = model._build_spaces(cfg).m_qp
     assert (m.rows, m.cols) == (1, 0)
 
 
@@ -276,7 +253,7 @@ def test_empty_vq_gives_zero_width_matrix():
 
 def test_lift_of_relation_vectors_is_empty():
     for cfg in (HPT, CUBIC_QUARTIC):
-        m_qp = cfg.spaces.m_qp
+        m_qp = model._build_spaces(cfg).m_qp
         for column in columns(m_qp):
             assert ramification_lift(cfg, column) == []
 
@@ -376,7 +353,7 @@ def test_exactness_bookkeeping(seed):
     kernel = kernel_basis(report.m_pr)
     for column in columns(report.m_qp):
         assert member(kernel, column)
-    for vec in cfg.spaces.s_vectors:
+    for vec in model._build_spaces(cfg).s_vectors:
         assert member(kernel, vec)
     for gen in report.generators:
         assert member(kernel, gen.vector)
@@ -387,7 +364,7 @@ def test_exactness_bookkeeping(seed):
 @given(st.integers(min_value=0, max_value=10_000))
 def test_lift_well_defined_modulo_relations(seed):
     cfg = random_configuration(random.Random(seed))
-    m_qp = cfg.spaces.m_qp
+    m_qp = model._build_spaces(cfg).m_qp
     for column in columns(m_qp):
         assert ramification_lift(cfg, column) == []
 
@@ -407,9 +384,10 @@ def test_dimensions_invariant_under_reordering(seed, rng):
 @given(st.integers(min_value=0, max_value=10_000))
 def test_irreducible_all_ones_lift_is_cores_assignment(seed):
     cfg = random_configuration(random.Random(seed))
-    if cfg.cover_kind is not CoverKind.IRREDUCIBLE or len(cfg.spaces.s_labels) != 1:
+    spaces = model._build_spaces(cfg)
+    if cfg.cover_kind is not CoverKind.IRREDUCIBLE or len(spaces.s_labels) != 1:
         return
-    (vec,) = cfg.spaces.s_vectors
+    (vec,) = spaces.s_vectors
     lift = dict(ramification_lift(cfg, vec))
     carriers = {c.id for c in cfg.curves if any(not e.residue.is_zero for e in c.extensions)}
     expected = {}

@@ -389,15 +389,17 @@ def test_cores_residue_rules():
 def test_hpt_bases_follow_declaration_order():
     cfg = dsl.builtin("hpt")
     assert [e.id for e in vp_basis(cfg)] == ["e_xyz", "e_xzy", "e_yxz", "e_yzx", "e_zxy", "e_zyx"]
-    assert [c.id for c in cfg.spaces.vq] == ["x-axis", "y-axis", "z-axis"]
-    assert [p.id for p in cfg.spaces.zr] == ["p100", "p010", "p001"]
+    spaces = model._build_spaces(cfg)
+    assert [c.id for c in spaces.vq] == ["x-axis", "y-axis", "z-axis"]
+    assert [p.id for p in spaces.zr] == ["p100", "p010", "p001"]
 
 
 def test_cubic_quartic_bases():
     cfg = dsl.builtin("cubic-quartic")
     assert [e.id for e in vp_basis(cfg)] == ["cubic_1", "cubic_2"]
-    assert [c.id for c in cfg.spaces.vq] == ["cubic"]
-    assert cfg.spaces.zr == ()
+    spaces = model._build_spaces(cfg)
+    assert [c.id for c in spaces.vq] == ["cubic"]
+    assert spaces.zr == ()
 
 
 def test_zr_excludes_transverse_and_double_iv_points():
@@ -407,7 +409,7 @@ def test_zr_excludes_transverse_and_double_iv_points():
         cfg.points[0],
     )
     cfg = cfg._replace(points=extra)
-    assert [p.id for p in cfg.spaces.zr] == ["z0"]
+    assert [p.id for p in model._build_spaces(cfg).zr] == ["z0"]
     assert validate(cfg).ok
 
 
@@ -423,7 +425,7 @@ def test_vq_excludes_curve_with_nonzero_cores():
             ),
         ),
     )
-    assert cfg.spaces.vq == ()
+    assert model._build_spaces(cfg).vq == ()
     assert validate(cfg).ok
 
 

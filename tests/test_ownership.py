@@ -1,10 +1,10 @@
 """One owner for the spaces of a configuration.
 
-``model`` builds the bases and maps of P, Q, R and S, once per
-configuration, as ``Configuration.spaces``, the only way to them;
-validation, the computation, the lift, the brute-force oracle and the
-one-line readers ``vp_basis`` and ``matrix_p_to_r`` all read that
-value.  ``model`` needs nothing from ``brauer``; no module
+``model._build_spaces`` builds the bases and maps of P, Q, R and S, the
+only way to them; validation, the computation, the lift, the brute-force
+oracle and the one-line readers ``vp_basis`` and ``matrix_p_to_r`` all
+read what it builds, and they agree with the report.  ``model`` needs
+nothing from ``brauer``; no module
 of the package imports lazily or names the Gauss-Jordan ``rref``, a test
 module or a helper of ``tests/toric_reference.py``, no function of
 the package takes a parameter it never reads, no module of it holds
@@ -175,38 +175,20 @@ def test_the_cli_imports_no_dataclasses_inspect_typing_or_contextlib():
 # --- built once per configuration -------------------------------------------
 
 
-def test_spaces_are_built_once_per_configuration(monkeypatch):
-    built = []
-    original = model._build_spaces
-
-    def counted(cfg):
-        built.append(cfg)
-        return original(cfg)
-
-    monkeypatch.setattr(model, "_build_spaces", counted)
+def test_spaces_are_built_once_per_configuration():
+    # Each call builds the spaces it reads; ``cli.run`` builds them once
+    # per command, which ``tests/test_spaces.py`` counts.
     cfg = dsl.builtin("hpt")
     assert model.validate(cfg).ok
     report = brauer.unramified_brauer(cfg)
+    spaces = model._build_spaces(cfg)
     assert brauer.matrix_p_to_r(cfg) == report.m_pr
-    assert cfg.spaces.m_qp == report.m_qp
-    assert list(cfg.spaces.s_vectors) == columns(report.m_sp)
+    assert spaces.m_qp == report.m_qp
+    assert list(spaces.s_vectors) == columns(report.m_sp)
     for g in report.generators:
         assert brauer.ramification_lift(cfg, g.vector) == list(g.ramification)
     assert brauer.brute_force_unramified(cfg) == (report.kernel_dim, report.h2nr_dim)
-    assert cfg.spaces.s_labels == report.s_labels
-    assert built == [cfg]
-
-
-def test_spaces_are_not_part_of_the_value():
-    cfg = dsl.builtin("hpt")
-    twin = dsl.builtin("hpt")
-    fields = Configuration._fields
-    before = (repr(cfg), hash(cfg))
-    assert cfg.spaces is cfg.spaces
-    assert Configuration._fields == fields
-    assert "spaces" not in fields
-    assert (repr(cfg), hash(cfg)) == before
-    assert cfg == twin and "spaces" not in vars(twin)
+    assert spaces.s_labels == report.s_labels
 
 
 # --- S pinned to the construction it replaced --------------------------------
@@ -258,8 +240,10 @@ def reference_s(cfg: Configuration) -> tuple[tuple[str, ...], tuple[F2Vector, ..
 
 def assert_s_pinned(cfg: Configuration) -> None:
     vp = vp_basis(cfg)
-    assert model._s_generators(cfg, vp) == reference_s(cfg), cfg
-    assert (cfg.spaces.s_labels, cfg.spaces.s_vectors) == reference_s(cfg)
+    cores_ramify = any(not c.cores_residue.is_zero for c in cfg.curves)
+    assert model._s_generators(cfg, vp, cores_ramify) == reference_s(cfg), cfg
+    spaces = model._build_spaces(cfg)
+    assert (spaces.s_labels, spaces.s_vectors) == reference_s(cfg)
 
 
 def test_s_generators_match_reference_on_raw_draws():
@@ -269,7 +253,7 @@ def test_s_generators_match_reference_on_raw_draws():
     for _ in range(500):
         cfg = sampling._draw(rng)
         assert_s_pinned(cfg)
-        seen.add(cfg.spaces.s_labels)
+        seen.add(model._build_spaces(cfg).s_labels)
         invalid += bool(model.validate(cfg).errors)
     assert seen == {(), ("cores(beta)",), ("beta_1",), ("beta_2",), ("beta_1", "beta_2")}
     assert invalid > 100
@@ -299,7 +283,7 @@ def test_s_generators_match_reference_on_irregular_sheets():
     for _ in range(500):
         cfg = irregular_sheets(rng)
         assert_s_pinned(cfg)
-        seen.add(cfg.spaces.s_labels)
+        seen.add(model._build_spaces(cfg).s_labels)
         for c in cfg.curves:
             for sheet in (1, 2):
                 residues = [ext.residue for ext in c.extensions if ext.sheet == sheet]

@@ -8,7 +8,7 @@ extension) pair, and the greedy loop that tests each kernel row with
 a random corpus and disjoint unions of corpus blocks large enough to be
 past the brute-force cap.  ``m_pr``, ``m_qp`` and the S vectors are also
 rebuilt from the rules as ``model``'s docstrings state them, without
-``_point_relates`` or ``cfg.spaces``, and their ranks checked against
+``point_relates`` or ``model._build_spaces``, and their ranks checked against
 ``h2nr_dim``; so is the ramification lift, without ``lift_rows``.
 Metamorphic relations (renaming, reordering, a copied point, a disjoint
 union) are checked on a corpus, and the ranks of ``m_pr`` and ``m_qp`` by an
@@ -41,19 +41,21 @@ from isbbrauer.model import (
 from isbbrauer.sampling import random_configuration, random_corpus
 
 from f2_reference import column_space, member, mul, span, sum_subspace
+from model_reference import point_relates
 from test_ownership import reference_s
 from test_word_level import ring
 
 
 def scan_p_to_r(cfg: Configuration) -> F2Matrix:
     """m_pr by testing every (point, extension) pair of the bases."""
-    vp, zr, owner = cfg.spaces.vp, cfg.spaces.zr, cfg.spaces.owner
+    spaces = model._build_spaces(cfg)
+    vp, zr, owner = spaces.vp, spaces.zr, spaces.owner
     masks = []
     for point in zr:
         mask = 0
         for j, ext in enumerate(vp):
             curve = owner[ext.id]
-            if curve.id in point.incident and model._point_relates(point, curve, ext.id):
+            if curve.id in point.incident and point_relates(point, curve, ext.id):
                 mask |= 1 << j
         masks.append(mask)
     return F2Matrix(len(zr), len(vp), tuple(masks))
@@ -61,10 +63,9 @@ def scan_p_to_r(cfg: Configuration) -> F2Matrix:
 
 def greedy_generators(cfg: Configuration) -> list:
     """Kernel rows outside image(Q) + image(S) + earlier picks, by ``member``."""
-    p = len(vp_basis(cfg))
-    covered = sum_subspace(
-        column_space(cfg.spaces.m_qp), span(p, cfg.spaces.s_vectors)
-    )
+    spaces = model._build_spaces(cfg)
+    p = len(spaces.vp)
+    covered = sum_subspace(column_space(spaces.m_qp), span(p, spaces.s_vectors))
     picked = []
     for row in kernel_basis(scan_p_to_r(cfg)).basis:
         if member(covered, row):
@@ -165,7 +166,7 @@ def test_incidence_walk_matches_scan_on_unfiltered_union(kind):
     blocks = [cfg for cfg in random_corpus(13, 200) if cfg.cover_kind is kind]
     cfg = union(kind, [relabel(b, k) for k, b in enumerate(blocks)])
     assert len(blocks) >= 15 and len(vp_basis(cfg)) > brauer._BRUTE_FORCE_CAP
-    assert len(cfg.spaces.zr) > 20
+    assert len(model._build_spaces(cfg).zr) > 20
     assert matrix_p_to_r(cfg) == scan_p_to_r(cfg)
 
 
@@ -249,8 +250,9 @@ def check_rule_oracle(cfg: Configuration) -> None:
     p, rows, columns, s = rule_rows_and_columns(cfg)
     m_pr = F2Matrix(len(rows), p, tuple(rows))
     assert matrix_p_to_r(cfg) == m_pr
-    assert cfg.spaces.m_qp.column_masks() == columns
-    assert [v.mask for v in cfg.spaces.s_vectors] == s
+    spaces = model._build_spaces(cfg)
+    assert spaces.m_qp.column_masks() == columns
+    assert [v.mask for v in spaces.s_vectors] == s
     pr_rank = rref(m_pr).rank
     qp_rank = rref(F2Matrix(len(columns), p, tuple(columns))).rank  # the rank of m_qp's transpose
     s_rank = rref(F2Matrix(len(s), p, tuple(s))).rank
@@ -304,7 +306,7 @@ def test_the_corpus_is_pinned(seed, count):
 
 
 def test_the_sampler_redraws_past_max_p():
-    assert max(len(random_configuration(random.Random(seed), max_p=2).spaces.vp) for seed in range(50)) <= 2
+    assert max(len(vp_basis(random_configuration(random.Random(seed), max_p=2))) for seed in range(50)) <= 2
 
 
 def test_the_sampler_gives_up_when_no_draw_fits():
@@ -341,7 +343,7 @@ def test_permuting_the_curves_keeps_the_cosets_the_generators_span(corpus):
     # Greedy selection follows the kernel basis, which follows the
     # declaration order, so a permutation need not map each generator to
     # its own coset: on 105 of the 184 draws with h2nr >= 1, some mapped
-    # generator is not ``coset_equivalent`` to the one in its place.
+    # generator is not in the coset, modulo image(Q), of the one in its place.
     # What holds is that the mapped generators lie in the kernel, are
     # independent modulo image(Q) + image(S), so span the same quotient,
     # and keep their ramification.
@@ -353,7 +355,8 @@ def test_permuting_the_curves_keeps_the_cosets_the_generators_span(corpus):
         report, permuted = unramified_brauer(cfg), unramified_brauer(cfg._replace(curves=tuple(curves)))
         assert permuted.dims == report.dims
         coordinate = {label: j for j, label in enumerate(report.p_labels)}
-        pivots = dict(cfg.spaces.qs_echelon[1])
+        pivots = dict(model._build_spaces(cfg).qs_echelon[1])
+        relations = column_space(report.m_qp)
         same_cosets = True
         for g, original in zip(permuted.generators, report.generators):
             mapped = F2Vector(
@@ -361,7 +364,7 @@ def test_permuting_the_curves_keeps_the_cosets_the_generators_span(corpus):
             )
             assert _insert(pivots, mapped.mask), cfg
             assert dict(brauer.ramification_lift(cfg, mapped)) == dict(g.ramification), cfg
-            same_cosets &= brauer.coset_equivalent(report, mapped, original.vector)
+            same_cosets &= member(relations, mapped + original.vector)
         draws += report.h2nr_dim >= 1
         moved += not same_cosets
     assert (draws, moved) == (184, 105)
@@ -420,7 +423,7 @@ def test_the_lift_is_empty_exactly_on_the_q_image():
     # the large-union and ring tests check that every generator is ramified.
     vectors = empty = 0
     for cfg in random_corpus(0, 300):
-        spaces = cfg.spaces
+        spaces = model._build_spaces(cfg)
         p = len(spaces.vp)
         q_image = column_space(spaces.m_qp)
         for mask in range(1 << p):
@@ -463,11 +466,16 @@ def reference_lift(cfg: Configuration, vec: F2Vector) -> list[tuple[str, Residue
     return [(cid, totals[cid]) for cid in ordered if not totals[cid].is_zero]
 
 
-def check_lift(cfg: Configuration, vec: F2Vector) -> list[tuple[str, ResidueClass]]:
-    """``_lift`` and, on a kernel vector, ``ramification_lift`` against the reference."""
+def check_lift(cfg: Configuration, vec: F2Vector, spaces=None) -> list[tuple[str, ResidueClass]]:
+    """``_lift`` and, on a kernel vector, ``ramification_lift`` against the reference.
+
+    ``spaces`` are ``cfg``'s, when the caller has built them.
+    """
     expected = reference_lift(cfg, vec)
-    assert brauer._lift(cfg.spaces, vec) == expected, (cfg, vec)
-    if mul(cfg.spaces.m_pr, vec).is_zero:
+    if spaces is None:
+        spaces = model._build_spaces(cfg)
+    assert brauer._lift(spaces, vec) == expected, (cfg, vec)
+    if mul(spaces.m_pr, vec).is_zero:
         assert brauer.ramification_lift(cfg, vec) == expected, (cfg, vec)
     else:
         with pytest.raises(brauer.KernelContractError):
@@ -478,12 +486,13 @@ def check_lift(cfg: Configuration, vec: F2Vector) -> list[tuple[str, ResidueClas
 def test_the_lift_matches_its_rule_on_every_corpus_vector():
     kernel = vectors = 0
     for cfg in random_corpus(0, 300):
-        p = len(cfg.spaces.vp)
+        spaces = model._build_spaces(cfg)
+        p = len(spaces.vp)
         for mask in range(1 << p):
             vec = F2Vector(p, mask)
-            check_lift(cfg, vec)
+            check_lift(cfg, vec, spaces)
             vectors += 1
-            kernel += mul(cfg.spaces.m_pr, vec).is_zero
+            kernel += mul(spaces.m_pr, vec).is_zero
     assert vectors > 10_000 and 1000 < kernel < vectors
 
 
@@ -491,7 +500,7 @@ def test_the_lift_matches_its_rule_on_large_union(large_union):
     report = unramified_brauer(large_union)
     for g in report.generators:
         assert list(g.ramification) == check_lift(large_union, g.vector) != []
-    p = len(large_union.spaces.vp)
+    p = len(vp_basis(large_union))
     rng = random.Random(23)
     for _ in range(200):
         check_lift(large_union, F2Vector(p, rng.getrandbits(p)))
@@ -510,7 +519,7 @@ def test_the_lift_follows_the_last_declaration_of_an_id():
             Curve("x", CurveType.III, CoverBehavior.RAMIFIED, (Extension("e3", c),)),
         ),
     )
-    assert [ext.id for ext in cfg.spaces.vp] == ["e1", "e2", "e1", "e3"]
+    assert [ext.id for ext in model._build_spaces(cfg).vp] == ["e1", "e2", "e1", "e3"]
     # Coordinate 0 is x's e1, but e1 belongs to inert y, so it adds y's cores
     # residue c to y; x ranks by its second declaration, after y.
     assert check_lift(cfg, F2Vector(4, 0b0001)) == [("y", c)]
@@ -533,7 +542,7 @@ def test_brute_force_matches_on_unions_past_dim_p_10():
         for size in (2, 3):
             for i in range(len(blocks) - size + 1):
                 cfg = union(kind, blocks[i : i + size])
-                p = len(cfg.spaces.vp)
+                p = len(vp_basis(cfg))
                 if 11 <= p <= 16 and p not in seen and not validate(cfg).errors:
                     assert brauer.brute_force_unramified(cfg) == dims(cfg), cfg
                     seen.add(p)
@@ -562,6 +571,32 @@ def test_compute_validates_once_and_builds_spaces_once(monkeypatch, tmp_path):
     out = io.StringIO()
     assert cli.run(["compute", str(path)], out, io.StringIO()) == cli.OK
     assert "generator g1:" in out.getvalue()
+    assert calls == Counter({"_structural_diagnostics": 1, "_build_spaces": 1})
+
+
+@pytest.mark.parametrize(
+    "argv,expect",
+    [
+        (["validate", "{path}"], "result: ok\n"),
+        (["explain", "{path}"], "restriction kernel (dim 0): "),
+        (["example", "hpt"], "generator g1:"),
+    ],
+    ids=["validate", "explain", "example"],
+)
+def test_every_command_validates_once_and_builds_spaces_once(monkeypatch, tmp_path, argv, expect):
+    calls: Counter = Counter()
+    for name in ("_structural_diagnostics", "_build_spaces"):
+
+        def counted(*args, _original=getattr(model, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(model, name, counted)
+    path = tmp_path / "hpt.cfg"
+    path.write_text(dsl.builtin_source("hpt"))
+    out = io.StringIO()
+    assert cli.run([arg.format(path=path) for arg in argv], out, io.StringIO()) == cli.OK
+    assert expect in out.getvalue()
     assert calls == Counter({"_structural_diagnostics": 1, "_build_spaces": 1})
 
 

@@ -4,11 +4,12 @@ Each public record is a subclass of a ``collections.namedtuple`` of its
 fields, some with a ``__new__`` that checks or converts its arguments.
 Two values built from equal fields are equal and hash alike, no field
 can be assigned, and what a value derives from its fields
-(``Curve.cores_residue``, ``Configuration.symbol_index`` and
-``Configuration.spaces``) stays out of its fields, equality, hash and
-``repr``.  Each record's fields, their order and their defaults are
-pinned, and the constructor a caller reaches takes them by the same
-names and defaults.
+(``Curve.cores_residue``, ``Configuration.symbol_index``) is equal on
+equal values and stays out of its fields, equality, hash and ``repr``.
+No record, ``model._Spaces`` included, has a ``__dict__``, so no other
+attribute can be set either.  Each record's fields, their order and
+their defaults are pinned, and the constructor a caller reaches takes
+them by the same names and defaults.
 """
 
 from enum import Enum
@@ -29,7 +30,7 @@ def plane_cone() -> toric.Cone:
 
 
 # Each public value type: a builder of a fresh value from fresh parts, and
-# the attributes the value derives and caches outside its fields.
+# the attributes the value derives from its fields.
 VALUES = {
     "F2Vector": (lambda: f2.F2Vector(3, 0b101), ()),
     "F2Matrix": (lambda: f2.F2Matrix(2, 3, (0b001, 0b110)), ()),
@@ -39,7 +40,7 @@ VALUES = {
     "Extension": (lambda: model.Extension("e", model.ResidueClass.of("a"), 1), ()),
     "Curve": (split_curve, ("cores_residue",)),
     "SingularPoint": (lambda: model.SingularPoint("p", ["x", "y"], PointType.IV_II, {"e"}), ()),
-    "Configuration": (lambda: dsl.builtin("hpt"), ("symbol_index", "spaces")),
+    "Configuration": (lambda: dsl.builtin("hpt"), ("symbol_index",)),
     "Diagnostic": (lambda: model.Diagnostic("GC1", "message", "c"), ()),
     "ValidationReport": (lambda: model.validate(model.Configuration(model.CoverKind.IRREDUCIBLE, ("",))), ()),
     "SourceSpan": (lambda: dsl.SourceSpan(1, 2), ()),
@@ -66,6 +67,17 @@ def test_every_public_record_is_covered():
     assert records == set(VALUES)
 
 
+def test_no_record_has_a_dict():
+    records = {
+        name: obj
+        for module in (f2, model, dsl, brauer, toric)
+        for name, obj in vars(module).items()
+        if isinstance(obj, type) and issubclass(obj, tuple) and obj.__module__ == module.__name__
+    }
+    assert set(records) == set(VALUES) | {"_Spaces"}
+    assert [name for name, record in records.items() if record.__dictoffset__] == []
+
+
 @pytest.mark.parametrize("name", sorted(VALUES))
 def test_a_value_is_a_frozen_tuple_of_its_fields(name):
     make, derived = VALUES[name]
@@ -73,10 +85,11 @@ def test_a_value_is_a_frozen_tuple_of_its_fields(name):
     assert type(value).__name__ == name and isinstance(value, tuple) and value is not twin
     before = (repr(value), hash(value))
     for attr in derived:
-        assert getattr(value, attr) is getattr(value, attr)
+        assert getattr(value, attr) == getattr(twin, attr)
     assert set(derived).isdisjoint(value._fields)
-    assert set(derived).isdisjoint(getattr(twin, "__dict__", ()))
     assert (repr(value), hash(value)) == before
+    with pytest.raises(AttributeError):
+        value.extra = None
     assert value == twin and hash(value) == hash(twin)
     for field in value._fields:
         with pytest.raises(AttributeError):

@@ -263,8 +263,10 @@ def wide_masks(n: int, rng: random.Random) -> list[int]:
 
 
 def spaces_with(**fields) -> model._Spaces:
-    empty = dict.fromkeys(model._Spaces._fields, ())
-    return model._Spaces(**{**empty, **fields})
+    """Spaces of the given fields, the others empty, through ``_spaces``."""
+    empty = dict.fromkeys(("vp", "vq", "zr", "owner", "curve_rank", "lift_rows", "s_labels", "s_vectors"), ())
+    no_map = F2Matrix(0, 0)
+    return model._spaces(**{**empty, "m_pr": no_map, "m_qp": no_map, **fields})
 
 
 @pytest.mark.parametrize("n", WIDE)
@@ -355,9 +357,14 @@ def test_consistency_checks_match_reference_on_random_maps():
             return sum(1 << j for j in range(p) if rng.random() < 0.3)
 
         q_columns = [F2Vector(p, sparse()) for _ in spaces.vq]
-        spaces = spaces._replace(
+        # The maps are swapped through ``_spaces``, which derives the
+        # columns and the Q+S echelon from them afresh.
+        spaces = model._spaces(
+            spaces.vp, spaces.vq, spaces.zr, spaces.owner, spaces.curve_rank,
             m_pr=F2Matrix(spaces.m_pr.rows, p, tuple(sparse() for _ in spaces.zr)),
             m_qp=from_columns(q_columns, p),
+            lift_rows=spaces.lift_rows,
+            s_labels=spaces.s_labels,
             s_vectors=tuple(F2Vector(p, sparse()) for _ in spaces.s_labels),
         )
         expect = reference_consistency(spaces)
