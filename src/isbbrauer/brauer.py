@@ -2,9 +2,10 @@
 
 A configuration has the spaces P, Q, R, S and the maps ``m_pr: P -> R``,
 ``m_qp: Q -> P`` and ``S -> P``, which ``model._build_spaces`` builds.
-``unramified_brauer`` computes from the spaces that its validation built
-(``model._checked``); each other public function builds the spaces it
-reads on each call.  The group of interest is ``ker(P/Q -> R) / S``; its
+Every public function that reads them validates the configuration
+first (``model._checked``, through ``_valid_spaces``), raises
+``InvalidConfigurationError`` on any error, and reads the spaces that
+validation built.  The group of interest is ``ker(P/Q -> R) / S``; its
 dimension and explicit coset generators (with their ramification on the
 base curves) make up the report.  ``brute_force_unramified`` recomputes
 the dimensions by plain enumeration and serves as an independent oracle
@@ -107,9 +108,17 @@ class BrauerReport(
         }
 
 
+def _valid_spaces(cfg: Configuration) -> _Spaces:
+    """The spaces that validating ``cfg`` built; ``InvalidConfigurationError`` if it found errors."""
+    report, spaces = model._checked(cfg)
+    if report.errors:
+        raise InvalidConfigurationError(report)
+    return spaces
+
+
 def matrix_p_to_r(cfg: Configuration) -> F2Matrix:
-    """``m_pr: P -> R`` of ``cfg``; kept because perfbench calls it and traces it by name."""
-    return model._build_spaces(cfg).m_pr
+    """``m_pr: P -> R`` of a valid ``cfg``; kept because perfbench calls it and traces it by name."""
+    return _valid_spaces(cfg).m_pr
 
 
 def ramification_lift(
@@ -123,10 +132,11 @@ def ramification_lift(
     ``unramified_brauer`` lifts each generator through the same rule.
 
     Raises:
+        InvalidConfigurationError: when validation reports errors.
         KernelContractError: if ``vec`` is not in ker(m_pr) — such a
             vector does not define a class on which the lift makes sense.
     """
-    spaces = model._build_spaces(cfg)
+    spaces = _valid_spaces(cfg)
     _check_kernel(spaces, [vec])
     return _lift(spaces, vec)
 
@@ -152,6 +162,8 @@ _NO_SYMBOLS: frozenset[str] = frozenset()
 def _lift(spaces: _Spaces, vec: F2Vector) -> list[tuple[str, ResidueClass]]:
     """The per-curve ramification of ``vec``, curves with a zero total left out.
 
+    P's coordinates come curve by curve in declaration order, so the walk
+    over the set bits, lowest first, meets the curves in that order.
     A curve's total vanishes only when ``vec`` picks none of the curve's
     P coordinates, or all of them on a split or inert curve whose
     corestriction residue is 0: the support of that curve's Q relation.
@@ -167,8 +179,7 @@ def _lift(spaces: _Spaces, vec: F2Vector) -> list[tuple[str, ResidueClass]]:
         cid, symbols = rows[low.bit_length() - 1]
         acc[cid] = acc.get(cid, _NO_SYMBOLS) ^ symbols
         mask ^= low
-    order = sorted(acc, key=spaces.curve_rank.__getitem__)
-    return [(cid, ResidueClass(acc[cid])) for cid in order if acc[cid]]
+    return [(cid, ResidueClass(symbols)) for cid, symbols in acc.items() if symbols]
 
 
 def residue_kernel(c: Curve) -> list[ResidueClass]:
@@ -190,7 +201,7 @@ def residue_kernel(c: Curve) -> list[ResidueClass]:
 
 def restriction_kernel(cfg: Configuration) -> str:
     """A one-line description of S, the kernel of restriction to the generic fiber."""
-    return _describe_s(cfg.cover_kind, model._build_spaces(cfg).s_labels)
+    return _describe_s(cfg.cover_kind, _valid_spaces(cfg).s_labels)
 
 
 def _describe_s(cover_kind: CoverKind, labels: tuple[str, ...]) -> str:
@@ -209,7 +220,7 @@ _REPORT_ASSERTIONS = (("gc1", "ok"), ("gc2", "ok"), ("gc3", "ok"), ("gc4", "ok")
 def unramified_brauer(cfg: Configuration) -> BrauerReport:
     """Compute the full report for a valid configuration.
 
-    Validation is ``validate``'s, through ``model._checked``, and the
+    Validation is ``validate``'s, through ``_valid_spaces``, and the
     computation goes on from the spaces its GC checks read: each basis and
     map is built once.
     kernel_dim is dim ker(m_pr) minus dim image(m_qp); subtracting dim S
@@ -224,10 +235,7 @@ def unramified_brauer(cfg: Configuration) -> BrauerReport:
         InvalidConfigurationError: when validation reports errors; its
             report carries the errors and the warnings.
     """
-    report, spaces = model._checked(cfg)
-    if report.errors:
-        raise InvalidConfigurationError(report)
-
+    spaces = _valid_spaces(cfg)
     kernel = kernel_basis(spaces.m_pr)
     q_rank, qs_pivots = spaces.qs_echelon
     kernel_dim = kernel.dim - q_rank
@@ -267,9 +275,10 @@ def brute_force_unramified(cfg: Configuration) -> tuple[int, int]:
     path.
 
     Raises:
+        InvalidConfigurationError: when validation reports errors.
         CapExceededError: when dim P exceeds 20.
     """
-    spaces = model._build_spaces(cfg)
+    spaces = _valid_spaces(cfg)
     p = len(spaces.vp)
     if p > _BRUTE_FORCE_CAP:
         raise CapExceededError(f"dim P = {p} exceeds enumeration cap {_BRUTE_FORCE_CAP}")

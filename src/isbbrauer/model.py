@@ -11,14 +11,16 @@ Brauer-group computation.
 The GF(2) spaces of the computation are built here too, by
 ``_build_spaces``:
 
-* ``P``  — one coordinate per extension with nonzero residue,
+* ``P``  — one coordinate per extension with nonzero residue, curve by curve,
 * ``Q``  — one relation per curve whose corestriction residue vanishes,
 * ``R``  — one constraint per contributing crossing point,
 * ``S``  — the kernel of restriction to the generic fiber,
 
 with the incidence map ``m_pr: P -> R``, the relation map ``m_qp: Q -> P``
-and the diagonal inclusion ``S -> P``.  ``_checked``, which ``validate``,
-the computation and ``explain`` call, builds them once per call and
+and the diagonal inclusion ``S -> P``, in one walk over the curves and
+one over the points.  ``_checked``, which ``validate`` and every reader
+of the spaces in ``brauer`` and ``cli`` call, builds them once per call,
+only for a configuration that passed structural validation, and
 returns them with its report, so the GC checks and the computation read
 one value.  ``vp_basis`` and ``cores_residue`` stay as one-line readers
 because the benchmark workloads call them by name.
@@ -239,9 +241,10 @@ class Configuration(namedtuple("Configuration", "cover_kind symbols curves point
     def symbol_index(self) -> dict[str, tuple[int, ...]]:
         """Each declared symbol's positions in ``symbols``, built on each read.
 
-        Structural validation, the emitter and the reports read it.  A
-        name has more than one position only when it is declared twice,
-        which validation rejects.
+        The emitter and the reports read it; structural validation finds
+        duplicate and undeclared symbols with a set.  A name has more than
+        one position only when it is declared twice, which validation
+        rejects.
         """
         return _symbol_positions(self.symbols)
 
@@ -396,51 +399,37 @@ def _s_generators(
 
 
 # The point types whose row ORs one mask of each incident curve, and which
-# of the curve's three masks (every coordinate, split owner, marked
+# of the curve's three masks (every coordinate, split curve, marked
 # extension) that is.  The one other type of R, IV_II, has its own rule.
 _ROW_MASK = {PointType.III_II: 0, PointType.II_II: 1, PointType.IVP_IV: 2}
-_NO_MASKS = (0, 0, 0)
+_NO_MASKS = (0, 0, 0, ())
 
 
-def _incidence_matrix(
-    zr: list[SingularPoint], p: int, by_curve: dict[str, list[tuple[int, Extension, Curve]]]
-) -> F2Matrix:
-    """m_pr, from masks over P of each point's incident curves.
+def _incidence_matrix(zr: list[SingularPoint], p: int, masks: dict[str, tuple]) -> F2Matrix:
+    """m_pr, from the masks over P that ``_build_spaces`` gave each curve id.
 
-    ``by_curve`` groups the P coordinates ``(j, ext, owner)`` by the id of
-    their owner.  Each curve id gets three masks in one pass over its
-    coordinates: every coordinate, for III_II; those whose owner is
-    split, for II_II; and those that are their owner's marked extension,
-    for IVp_IV.  A row of one of those types ORs one mask of each incident
-    curve.  An IV_II row depends on the point's ``meets_marked``: it sets
-    a coordinate of its curves when the coordinate is the marked extension
-    of a Type IV owner, or is listed in ``meets_marked`` on the Type II
-    side.  Either way bit j is set exactly when a scan of every (point,
-    extension) pair would set it.
+    A curve's entry holds three masks of its P coordinates: every one, for
+    III_II; every one if the curve is split, for II_II; its marked
+    extension, for IVp_IV.  A row of one of those types ORs one mask of
+    each incident curve.  An IV_II row ORs each incident curve's marked
+    mask and the coordinates ``j`` of the entry's ``(j, ext.id)`` pairs
+    whose id is in the point's ``meets_marked``.  On a configuration that
+    passed structural validation only a Type IV curve has a marking, and
+    ``meets_marked`` names only extensions of the Type II curve, so bit j
+    is set exactly when a scan of every (point, extension) pair would set
+    it.
     """
-    masks: dict[str, tuple[int, int, int]] = {}
-    for curve_id, coords in by_curve.items():
-        every = split = marked = 0
-        for j, ext, curve in coords:
-            bit = 1 << j
-            every |= bit
-            if curve.cover_behavior is CoverBehavior.SPLIT:
-                split |= bit
-            if ext.id == curve.marking:
-                marked |= bit
-        masks[curve_id] = (every, split, marked)
     rows = []
     for point in zr:
         mask = 0
         k = _ROW_MASK.get(point.etype)
         if k is None:
+            meets = point.meets_marked
             for curve_id in point.incident:
-                for j, ext, curve in by_curve.get(curve_id, ()):
-                    if curve.deg_type is CurveType.IV:
-                        fires = ext.id == curve.marking
-                    else:
-                        fires = ext.id in point.meets_marked
-                    if fires:
+                _, _, marked, pairs = masks.get(curve_id, _NO_MASKS)
+                mask |= marked
+                for j, eid in pairs:
+                    if eid in meets:
                         mask |= 1 << j
         else:
             for curve_id in point.incident:
@@ -452,19 +441,17 @@ def _incidence_matrix(
 class _Spaces(
     namedtuple(
         "_Spaces",
-        "vp vq zr owner curve_rank m_pr m_qp lift_rows s_labels s_vectors pr_columns q_columns qs_echelon",
+        "vp vq zr m_pr m_qp lift_rows s_labels s_vectors pr_columns q_columns qs_echelon",
     )
 ):
     """Every basis and map of one configuration, as ``_build_spaces`` builds them.
 
-    ``vp`` holds the extensions with nonzero residue, which index P.
-    ``vq`` holds the curves whose corestriction residue vanishes while
-    some extension carries residue; they index Q.  ``zr`` holds the
-    points of a type in ``_R_POINT_TYPES``, which index R.  All three
-    keep declaration order.  ``owner`` maps an extension id to its curve
-    and ``curve_rank`` a curve id to its declaration index; in both the
-    last declaration wins.  ``lift_rows`` holds each P coordinate's
-    owner id and the symbols it adds to that curve's lift: the owner's
+    ``vp`` holds the extensions with nonzero residue, which index P, curve
+    by curve.  ``vq`` holds the curves whose corestriction residue
+    vanishes while some extension carries residue; they index Q.  ``zr``
+    holds the points of a type in ``_R_POINT_TYPES``, which index R.  All
+    three keep declaration order.  ``lift_rows`` holds each P coordinate's
+    curve id and the symbols it adds to that curve's lift: the curve's
     corestriction residue on an inert curve, else the extension's residue.
 
     ``_spaces`` derives the last three fields from ``m_pr``, ``m_qp`` and
@@ -477,8 +464,6 @@ class _Spaces(
         vp: tuple[Extension, ...]
         vq: tuple[Curve, ...]
         zr: tuple[SingularPoint, ...]
-        owner: dict[str, Curve]
-        curve_rank: dict[str, int]
         m_pr: F2Matrix
         m_qp: F2Matrix
         lift_rows: tuple[tuple[str, frozenset[str]], ...]
@@ -505,7 +490,7 @@ class _Spaces(
         return image
 
 
-def _spaces(vp, vq, zr, owner, curve_rank, m_pr, m_qp, lift_rows, s_labels, s_vectors) -> _Spaces:
+def _spaces(vp, vq, zr, m_pr, m_qp, lift_rows, s_labels, s_vectors) -> _Spaces:
     """The ``_Spaces`` of these fields, with the three that follow from the maps derived."""
     q_columns = m_qp.column_masks()
     pivots: dict[int, int] = {}
@@ -513,51 +498,53 @@ def _spaces(vp, vq, zr, owner, curve_rank, m_pr, m_qp, lift_rows, s_labels, s_ve
     for vec in s_vectors:
         _insert(pivots, vec.mask)
     return _Spaces(
-        vp, vq, zr, owner, curve_rank, m_pr, m_qp, lift_rows, s_labels, s_vectors,
+        vp, vq, zr, m_pr, m_qp, lift_rows, s_labels, s_vectors,
         m_pr.column_masks(), q_columns, (q_rank, pivots),
     )
 
 
 def _build_spaces(cfg: Configuration) -> _Spaces:
-    """The spaces of ``cfg``: one walk over the curves, then one over P."""
+    """The spaces of ``cfg``: one walk over the curves, then one over the points.
+
+    Each curve appends its extensions that carry residue to P and gives
+    each, in the same step, its ``m_qp`` row, its lift row and its bit in
+    the curve's masks, which ``_incidence_matrix`` reads by curve id.
+    """
     vp: list[Extension] = []
     vq: list[Curve] = []
-    q_index: dict[str, int] = {}
-    owner: dict[str, Curve] = {}
-    owner_cores: dict[str, ResidueClass] = {}  # extension id -> its owner's cores residue
-    curve_rank: dict[str, int] = {}
+    qp_rows: list[int] = []
+    lift_rows: list[tuple[str, frozenset[str]]] = []
+    masks: dict[str, tuple] = {}
     cores_ramify = False
-    for i, c in enumerate(cfg.curves):
+    for c in cfg.curves:
         cores = c.cores_residue
         cores_ramify = cores_ramify or not cores.is_zero
-        carrying = [ext for ext in c.extensions if not ext.residue.is_zero]
+        carrying = [ext for ext in c.extensions if ext.residue.symbols]
+        if not carrying:
+            continue
+        first = len(vp)
         vp.extend(carrying)
-        if carrying and cores.is_zero:
-            q_index[c.id] = len(vq)
+        qp_rows += [1 << len(vq) if cores.is_zero else 0] * len(carrying)
+        if cores.is_zero:
             vq.append(c)
-        for ext in c.extensions:
-            owner[ext.id] = c
-            owner_cores[ext.id] = cores
-        curve_rank[c.id] = i
-    by_curve: dict[str, list[tuple[int, Extension, Curve]]] = {}
-    qp_rows = []
-    lift_rows = []
-    for j, ext in enumerate(vp):
-        curve = owner[ext.id]
-        by_curve.setdefault(curve.id, []).append((j, ext, curve))
-        col = q_index.get(curve.id)
-        qp_rows.append(0 if col is None else 1 << col)
-        inert = curve.cover_behavior is CoverBehavior.INERT
-        lift_rows.append((curve.id, (owner_cores[ext.id] if inert else ext.residue).symbols))
+        inert = c.cover_behavior is CoverBehavior.INERT
+        marked = 0
+        pairs = []
+        for j, ext in enumerate(carrying, first):
+            lift_rows.append((c.id, (cores if inert else ext.residue).symbols))
+            pairs.append((j, ext.id))
+            if ext.id == c.marking:
+                marked |= 1 << j
+        every = ((1 << len(carrying)) - 1) << first
+        split = every if c.cover_behavior is CoverBehavior.SPLIT else 0
+        masks[c.id] = (every, split, marked, pairs)
     zr = [p for p in cfg.points if p.etype in _R_POINT_TYPES]
     s_labels, s_vectors = _s_generators(cfg, vp, cores_ramify)
     return _spaces(
         vp=tuple(vp),
         vq=tuple(vq),
         zr=tuple(zr),
-        owner=owner,
-        curve_rank=curve_rank,
-        m_pr=_incidence_matrix(zr, len(vp), by_curve),
+        m_pr=_incidence_matrix(zr, len(vp), masks),
         m_qp=F2Matrix(len(vp), len(vq), tuple(qp_rows)),
         lift_rows=tuple(lift_rows),
         s_labels=s_labels,
@@ -582,12 +569,13 @@ def _structural_diagnostics(cfg: Configuration) -> tuple[list[Diagnostic], list[
     """
     errors: list[Diagnostic] = []
     warnings: list[Diagnostic] = []
-    index = cfg.symbol_index
-    for i, s in enumerate(cfg.symbols):
+    declared: set[str] = set()
+    for s in cfg.symbols:
         if not s:
             errors.append(Diagnostic("SYMBOLS", "empty symbol name", s))
-        elif index[s][0] != i:
+        elif s in declared:
             errors.append(Diagnostic("DUP_ID", f"symbol {s!r} declared twice", s))
+        declared.add(s)
 
     seen_ids: set[str] = set()
     cover = cfg.cover_kind
@@ -611,7 +599,7 @@ def _structural_diagnostics(cfg: Configuration) -> tuple[list[Diagnostic], list[
             symbols = ext.residue.symbols
             if symbols:
                 carrying.append(ext)
-                bad = symbols.difference(index)
+                bad = symbols.difference(declared)
                 if bad:
                     message = f"residue of {eid} uses undeclared symbols {sorted(bad)}"
                     errors.append(Diagnostic("RESIDUE_SYMBOLS", message, eid))
@@ -660,7 +648,7 @@ def _structural_diagnostics(cfg: Configuration) -> tuple[list[Diagnostic], list[
                 message = f"cores residue on split curve {cid} (it is determined)"
                 errors.append(Diagnostic("CORES_INPUT", message, cid))
             else:
-                bad = cores.symbols.difference(index)
+                bad = cores.symbols.difference(declared)
                 if bad:
                     message = f"cores residue of {cid} uses undeclared symbols {sorted(bad)}"
                     errors.append(Diagnostic("RESIDUE_SYMBOLS", message, cid))
@@ -772,8 +760,9 @@ def _checked(cfg: Configuration) -> tuple[ValidationReport, _Spaces | None]:
     """``validate``'s report, and the spaces its GC checks read.
 
     The spaces are None when a structural error kept the GC checks from
-    running.  ``unramified_brauer`` and ``explain`` go on from the spaces
-    returned here, so one command builds them once.
+    running.  ``explain`` and every public reader of the spaces in
+    ``brauer`` go on from the spaces returned here, so one call builds
+    them once, and only for a configuration that passed validation.
     """
     errors, warnings = _structural_diagnostics(cfg)
     spaces = None

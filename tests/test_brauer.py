@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isbbrauer import dsl, model
+from isbbrauer import dsl, model, sampling
 from isbbrauer.brauer import (
     CapExceededError,
     InvalidConfigurationError,
@@ -309,6 +309,41 @@ def test_rejects_invalid_configuration():
     with pytest.raises(InvalidConfigurationError) as exc:
         unramified_brauer(bad)
     assert exc.value.report.errors
+
+
+# Every public reader of the spaces, called on ``cfg``.
+READERS = {
+    "unramified_brauer": unramified_brauer,
+    "ramification_lift": lambda cfg: ramification_lift(cfg, F2Vector(len(vp_basis(cfg)), 0)),
+    "restriction_kernel": restriction_kernel,
+    "brute_force_unramified": brute_force_unramified,
+    "matrix_p_to_r": matrix_p_to_r,
+}
+
+
+@pytest.fixture(scope="module")
+def rejected() -> dict[str, Configuration]:
+    """For each GC check, the first raw draw of ``random.Random(5)`` whose
+    only error is that check's; for DUP_ID, hpt with its first curve
+    declared twice."""
+    rng = random.Random(5)
+    found = {"DUP_ID": HPT._replace(curves=HPT.curves + (HPT.curves[0],))}
+    while len(found) < 5:
+        cfg = sampling._draw(rng)
+        codes = {d.code for d in model.validate(cfg).errors}
+        if len(codes) == 1 and codes <= {"GC1", "GC2", "GC3", "GC4"}:
+            found.setdefault(codes.pop(), cfg)
+    return found
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_every_reader_refuses_what_validation_rejects(rejected, reader):
+    for code, cfg in rejected.items():
+        report = model.validate(cfg)
+        assert {d.code for d in report.errors} == {code}
+        with pytest.raises(InvalidConfigurationError) as refused:
+            READERS[reader](cfg)
+        assert refused.value.report == report, code
 
 
 def test_brute_force_cap():

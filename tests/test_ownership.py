@@ -7,7 +7,8 @@ read what it builds, and they agree with the report.  ``model`` needs
 nothing from ``brauer``; no module
 of the package imports lazily or names the Gauss-Jordan ``rref``, a test
 module or a helper of ``tests/toric_reference.py``, no function of
-the package takes a parameter it never reads, no module of it holds
+the package takes a parameter it never reads, every field of
+``model._Spaces`` is read somewhere in it, no module of it holds
 an ``assert`` statement, and importing the CLI loads none of
 ``dataclasses``, ``inspect``, ``typing`` and ``contextlib``.  ``_s_generators`` is
 pinned to the label-then-vector construction it replaced.
@@ -82,6 +83,26 @@ def test_every_parameter_is_read():
             name = getattr(node, "name", "<lambda>")
             unread |= {(path.name, name, p) for p in params if p not in read}
     assert unread == UNREAD_ALLOWED
+
+
+def test_every_field_of_the_spaces_is_read():
+    # A field that no code of the package reads is dead weight on every
+    # build.  ``_spaces``, which fills the fields, does not count as a reader.
+    read = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        skipped = {
+            id(n)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "_spaces"
+            for n in ast.walk(node)
+        }
+        read |= {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and id(node) not in skipped
+        }
+    assert set(model._Spaces._fields) - read == set()
 
 
 def test_no_check_of_the_package_is_an_assert_statement():

@@ -49,7 +49,8 @@ from test_word_level import ring
 def scan_p_to_r(cfg: Configuration) -> F2Matrix:
     """m_pr by testing every (point, extension) pair of the bases."""
     spaces = model._build_spaces(cfg)
-    vp, zr, owner = spaces.vp, spaces.zr, spaces.owner
+    vp, zr = spaces.vp, spaces.zr
+    owner = {ext.id: c for c in cfg.curves for ext in c.extensions}
     masks = []
     for point in zr:
         mask = 0
@@ -161,17 +162,20 @@ def test_incidence_walk_matches_scan_on_large_union(large_union):
 
 @pytest.mark.parametrize("kind", list(CoverKind))
 def test_incidence_walk_matches_scan_on_unfiltered_union(kind):
-    # Every block of the corpus joins, valid union or not, so R keeps all
-    # of their points.
+    # Every block of the corpus joins, so R keeps all of their points.  The
+    # union is structurally valid, as its blocks are, but may fail a GC
+    # check, which ``matrix_p_to_r`` would refuse: read the built m_pr.
     blocks = [cfg for cfg in random_corpus(13, 200) if cfg.cover_kind is kind]
     cfg = union(kind, [relabel(b, k) for k, b in enumerate(blocks)])
     assert len(blocks) >= 15 and len(vp_basis(cfg)) > brauer._BRUTE_FORCE_CAP
-    assert len(model._build_spaces(cfg).zr) > 20
-    assert matrix_p_to_r(cfg) == scan_p_to_r(cfg)
+    assert model._structural_diagnostics(cfg)[0] == []
+    spaces = model._build_spaces(cfg)
+    assert len(spaces.zr) > 20
+    assert spaces.m_pr == scan_p_to_r(cfg)
 
 
-def test_incidence_walk_matches_scan_on_clashing_ids():
-    # Outside validation ids may repeat; both builds let the last owner win.
+def test_incidence_walk_refuses_clashing_ids():
+    # Outside validation ids may repeat; no reader builds m_pr for such data.
     cfg = dsl.builtin("hpt")
     clash = model.Configuration(
         cfg.cover_kind,
@@ -179,7 +183,14 @@ def test_incidence_walk_matches_scan_on_clashing_ids():
         cfg.curves + (cfg.curves[0],),
         cfg.points + (SingularPoint("p_self", ("x-axis", "x-axis"), cfg.points[0].etype),),
     )
-    assert matrix_p_to_r(clash) == scan_p_to_r(clash)
+    first = cfg.curves[0]
+    report = validate(clash)
+    assert [(d.code, d.subject) for d in report.errors] == (
+        [("DUP_ID", first.id)] + [("DUP_ID", e.id) for e in first.extensions] + [("POINT_PAIR", "p_self")]
+    )
+    with pytest.raises(brauer.InvalidConfigurationError) as refused:
+        matrix_p_to_r(clash)
+    assert refused.value.report == report
 
 
 # --- m_pr and m_qp from the stated rules --------------------------------------
@@ -506,7 +517,7 @@ def test_the_lift_matches_its_rule_on_large_union(large_union):
         check_lift(large_union, F2Vector(p, rng.getrandbits(p)))
 
 
-def test_the_lift_follows_the_last_declaration_of_an_id():
+def test_the_lift_refuses_an_id_declared_twice():
     # Unvalidated: extension id e1 is declared on split curve x and again on
     # inert curve y, and curve id x is declared again after y.
     a, b, c = (ResidueClass.of(s) for s in "abc")
@@ -519,14 +530,13 @@ def test_the_lift_follows_the_last_declaration_of_an_id():
             Curve("x", CurveType.III, CoverBehavior.RAMIFIED, (Extension("e3", c),)),
         ),
     )
-    assert [ext.id for ext in model._build_spaces(cfg).vp] == ["e1", "e2", "e1", "e3"]
-    # Coordinate 0 is x's e1, but e1 belongs to inert y, so it adds y's cores
-    # residue c to y; x ranks by its second declaration, after y.
-    assert check_lift(cfg, F2Vector(4, 0b0001)) == [("y", c)]
-    assert check_lift(cfg, F2Vector(4, 0b0011)) == [("y", c), ("x", b)]
-    assert check_lift(cfg, F2Vector(4, 0b1111)) == [("x", b + c)]
+    report = validate(cfg)
+    assert [(d.code, d.subject) for d in report.errors] == [("DUP_ID", "e1"), ("DUP_ID", "x")]
+    assert [ext.id for ext in vp_basis(cfg)] == ["e1", "e2", "e1", "e3"]
     for mask in range(16):
-        check_lift(cfg, F2Vector(4, mask))
+        with pytest.raises(brauer.InvalidConfigurationError) as refused:
+            brauer.ramification_lift(cfg, F2Vector(4, mask))
+        assert refused.value.report == report
 
 
 # --- the brute-force oracle past the sampler's dim P ------------------------------

@@ -264,7 +264,7 @@ def wide_masks(n: int, rng: random.Random) -> list[int]:
 
 def spaces_with(**fields) -> model._Spaces:
     """Spaces of the given fields, the others empty, through ``_spaces``."""
-    empty = dict.fromkeys(("vp", "vq", "zr", "owner", "curve_rank", "lift_rows", "s_labels", "s_vectors"), ())
+    empty = dict.fromkeys(("vp", "vq", "zr", "lift_rows", "s_labels", "s_vectors"), ())
     no_map = F2Matrix(0, 0)
     return model._spaces(**{**empty, "m_pr": no_map, "m_qp": no_map, **fields})
 
@@ -291,30 +291,32 @@ def test_r_image_matches_the_product_on_wide_vectors(n):
         assert spaces.r_image(mask) == mul(m_pr, F2Vector(n, mask)).mask
 
 
-def reference_lift(spaces: model._Spaces, vec: F2Vector) -> list:
-    """Each curve's residue total, one coordinate at a time, zeros left out."""
+def reference_lift(lift_rows, curve_ids: list[str], vec: F2Vector) -> list:
+    """Each curve's residue total, one coordinate at a time, zeros left out,
+    in the order of ``curve_ids``, the declaration order."""
     totals = {}
     for j in range(vec.length):
         if (vec.mask >> j) & 1:
-            cid, symbols = spaces.lift_rows[j]
+            cid, symbols = lift_rows[j]
             totals[cid] = totals.get(cid, frozenset()) ^ symbols
-    order = sorted(totals, key=spaces.curve_rank.__getitem__)
+    order = sorted(totals, key=curve_ids.index)
     return [(cid, ResidueClass(totals[cid])) for cid in order if totals[cid]]
 
 
 @pytest.mark.parametrize("n", WIDE)
 def test_lift_matches_per_bit_on_wide_vectors(n):
     rng = random.Random(n + 3)
+    # Declared in shuffled order; P's coordinates come curve by curve, as
+    # ``_build_spaces`` lays them out.
     curve_ids = [f"c{i}" for i in range(max(1, n // 20))]
     rng.shuffle(curve_ids)
-    lift_rows = tuple(
-        (rng.choice(curve_ids), frozenset(rng.sample("abcde", rng.randint(0, 2)))) for _ in range(n)
-    )
-    spaces = spaces_with(lift_rows=lift_rows, curve_rank={cid: i for i, cid in enumerate(sorted(curve_ids))})
+    owners = sorted(rng.randrange(len(curve_ids)) for _ in range(n))
+    lift_rows = tuple((curve_ids[k], frozenset(rng.sample("abcde", rng.randint(0, 2)))) for k in owners)
+    spaces = spaces_with(lift_rows=lift_rows)
     lifts = []
     for mask in wide_masks(n, rng):
         lift = brauer._lift(spaces, F2Vector(n, mask))
-        assert lift == reference_lift(spaces, F2Vector(n, mask))
+        assert lift == reference_lift(lift_rows, curve_ids, F2Vector(n, mask))
         lifts.append(lift)
     assert lifts[0] == [] and (n == 1 or len(lifts[1]) > 1)
 
@@ -360,7 +362,7 @@ def test_consistency_checks_match_reference_on_random_maps():
         # The maps are swapped through ``_spaces``, which derives the
         # columns and the Q+S echelon from them afresh.
         spaces = model._spaces(
-            spaces.vp, spaces.vq, spaces.zr, spaces.owner, spaces.curve_rank,
+            spaces.vp, spaces.vq, spaces.zr,
             m_pr=F2Matrix(spaces.m_pr.rows, p, tuple(sparse() for _ in spaces.zr)),
             m_qp=from_columns(q_columns, p),
             lift_rows=spaces.lift_rows,
