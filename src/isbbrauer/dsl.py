@@ -631,8 +631,12 @@ def emit(cfg: Configuration) -> str:
     """Canonical text for a configuration (LF endings, fixed layout).
 
     ``parse(emit(cfg))`` is structurally equal to ``cfg``; emitting what
-    ``parse`` produced reproduces canonical sources byte for byte.
+    ``parse`` produced reproduces canonical sources byte for byte.  An
+    empty symbol name or a point without exactly two curves, which the
+    text cannot hold, raises ``ValueError``.
     """
+    if "" in cfg.symbols:
+        raise ValueError("empty symbol name cannot be written")
     kind = "irreducible" if cfg.cover_kind is CoverKind.IRREDUCIBLE else "split"
     lines = [f"cover: {kind}"]
     lines.append("symbols:" + ("" if not cfg.symbols else " " + " ".join(cfg.symbols)))
@@ -653,6 +657,8 @@ def emit(cfg: Configuration) -> str:
         e.id: (i, j) for i, c in enumerate(cfg.curves) for j, e in enumerate(c.extensions)
     }
     for p in cfg.points:
+        if len(p.incident) != 2:
+            raise ValueError(f"point {p.id!r} must list two curves, not {len(p.incident)}")
         lines.append("")
         lines.append(f"point {p.id}:")
         lines.append(f"  curves: {p.incident[0]}, {p.incident[1]}")

@@ -19,11 +19,11 @@ The GF(2) spaces of the computation are built here too, by
 with the incidence map ``m_pr: P -> R``, the relation map ``m_qp: Q -> P``
 and the diagonal inclusion ``S -> P``, in one walk over the curves and
 one over the points.  ``_checked``, which ``validate`` and every reader
-of the spaces in ``brauer`` and ``cli`` call, builds them once per call,
-only for a configuration that passed structural validation, and
-returns them with its report, so the GC checks and the computation read
-one value.  ``vp_basis`` and ``cores_residue`` stay as one-line readers
-because the benchmark workloads call them by name.
+of the spaces in ``brauer`` and ``cli`` call, is the one caller: it
+builds them once, only for a configuration that passed structural
+validation, and returns them with its report, so the GC checks and the
+computation read one value.  ``vp_basis`` (P off the curves, no spaces)
+and ``cores_residue`` stay because the benchmark workloads call them.
 
 Declaration order is semantic: curves, extensions, and points index the
 bases of the computation in the order they are listed here.
@@ -357,45 +357,8 @@ def cores_residue(cfg: Configuration, c: Curve) -> ResidueClass:
 
 
 def vp_basis(cfg: Configuration) -> list[Extension]:
-    """The basis of P as a list; kept because perfbench's workloads call it."""
-    return list(_build_spaces(cfg).vp)
-
-
-def _s_generators(
-    cfg: Configuration, vp: list[Extension], cores_ramify: bool
-) -> tuple[tuple[str, ...], tuple[F2Vector, ...]]:
-    """The labels of the generators of S, and their images in P.
-
-    Irreducible cover: one generator, cores(beta), iff some curve has a
-    nonzero corestriction residue (``cores_ramify``); it is the sum of
-    every P coordinate.  Split cover: beta_i is nonzero iff some sheet-i
-    extension carries residue, and beta_1 = beta_2 iff the sheet-wise
-    residues agree curve by curve (a curve listing one sheet twice keeps
-    the last); generators are the distinct nonzero classes among beta_1,
-    beta_2, and beta_i is the sum of the sheet-i coordinates of P.
-    """
-    p = len(vp)
-    if cfg.cover_kind is CoverKind.IRREDUCIBLE:
-        if cores_ramify:
-            return ("cores(beta)",), (F2Vector(p, (1 << p) - 1),)
-        return (), ()
-    nonzero = {1: False, 2: False}
-    equal = True
-    for c in cfg.curves:
-        res = {ext.sheet: ext.residue for ext in c.extensions if ext.sheet in (1, 2)}
-        for i in (1, 2):
-            if not res.get(i, ZERO).is_zero:
-                nonzero[i] = True
-        if res.get(1, ZERO) != res.get(2, ZERO):
-            equal = False
-    sheets = [1] if nonzero[1] else []
-    if nonzero[2] and not (equal and nonzero[1]):
-        sheets.append(2)
-    labels = tuple(f"beta_{i}" for i in sheets)
-    vectors = tuple(
-        F2Vector(p, sum(1 << j for j, ext in enumerate(vp) if ext.sheet == i)) for i in sheets
-    )
-    return labels, vectors
+    """The basis of P, read off the curves; kept because perfbench's workloads call it."""
+    return [ext for c in cfg.curves for ext in c.extensions if ext.residue.symbols]
 
 
 # The point types whose row ORs one mask of each incident curve, and which
@@ -454,11 +417,12 @@ class _Spaces(
     curve id and the symbols it adds to that curve's lift: the curve's
     corestriction residue on an inert curve, else the extension's residue.
 
-    ``_spaces`` derives the last three fields from ``m_pr``, ``m_qp`` and
-    ``s_vectors``: the columns of both maps, and the rank of Q with an
-    echelon basis of image(Q) + image(S), built by pivot insertion of the
-    Q columns and then the S vectors.  The GC2/GC4 checks count ranks with
-    it and generator selection extends a copy of it.
+    ``q_columns`` holds each Q relation, its curve's coordinates, as a
+    mask over P.  ``_spaces`` derives ``m_qp`` (their transpose), the
+    ``m_pr`` columns, and the rank of Q with an echelon basis of
+    image(Q) + image(S), built by pivot insertion of the Q columns and
+    then the S vectors: GC2/GC4 count ranks with it, generator selection
+    extends a copy of it.
 
     Fields:
         vp: tuple[Extension, ...]
@@ -490,13 +454,13 @@ class _Spaces(
         return image
 
 
-def _spaces(vp, vq, zr, m_pr, m_qp, lift_rows, s_labels, s_vectors) -> _Spaces:
-    """The ``_Spaces`` of these fields, with the three that follow from the maps derived."""
-    q_columns = m_qp.column_masks()
+def _spaces(vp, vq, zr, m_pr, q_columns, lift_rows, s_labels, s_vectors) -> _Spaces:
+    """The ``_Spaces`` of these fields, with ``m_qp``, the ``m_pr`` columns and the Q+S echelon derived."""
     pivots: dict[int, int] = {}
     q_rank = sum(_insert(pivots, col) for col in q_columns)
     for vec in s_vectors:
         _insert(pivots, vec.mask)
+    m_qp = F2Matrix(len(q_columns), len(vp), tuple(q_columns)).transpose()
     return _Spaces(
         vp, vq, zr, m_pr, m_qp, lift_rows, s_labels, s_vectors,
         m_pr.column_masks(), q_columns, (q_rank, pivots),
@@ -506,15 +470,23 @@ def _spaces(vp, vq, zr, m_pr, m_qp, lift_rows, s_labels, s_vectors) -> _Spaces:
 def _build_spaces(cfg: Configuration) -> _Spaces:
     """The spaces of ``cfg``: one walk over the curves, then one over the points.
 
-    Each curve appends its extensions that carry residue to P and gives
-    each, in the same step, its ``m_qp`` row, its lift row and its bit in
-    the curve's masks, which ``_incidence_matrix`` reads by curve id.
+    ``cfg`` has passed structural validation.  Each curve appends its
+    extensions that carry residue to P and gives each its lift row and
+    its bit in the curve's masks, which ``_incidence_matrix`` reads by
+    curve id; a Q curve's mask of them is its Q column.  S is
+    cores(beta), all of P, when some corestriction residue is nonzero
+    under the irreducible cover.  Under the split cover it is the
+    nonzero sheet masks beta_i, without beta_2 when every curve that
+    carries residue carries two equal residues (beta_1 = beta_2).
     """
     vp: list[Extension] = []
     vq: list[Curve] = []
-    qp_rows: list[int] = []
+    q_columns: list[int] = []
     lift_rows: list[tuple[str, frozenset[str]]] = []
     masks: dict[str, tuple] = {}
+    split_cover = cfg.cover_kind is CoverKind.SPLIT_EVERYWHERE
+    sheet_masks = {1: 0, 2: 0}
+    sheets_agree = True
     cores_ramify = False
     for c in cfg.curves:
         cores = c.cores_residue
@@ -524,9 +496,6 @@ def _build_spaces(cfg: Configuration) -> _Spaces:
             continue
         first = len(vp)
         vp.extend(carrying)
-        qp_rows += [1 << len(vq) if cores.is_zero else 0] * len(carrying)
-        if cores.is_zero:
-            vq.append(c)
         inert = c.cover_behavior is CoverBehavior.INERT
         marked = 0
         pairs = []
@@ -536,19 +505,33 @@ def _build_spaces(cfg: Configuration) -> _Spaces:
             if ext.id == c.marking:
                 marked |= 1 << j
         every = ((1 << len(carrying)) - 1) << first
+        if cores.is_zero:
+            vq.append(c)
+            q_columns.append(every)
+        if split_cover:
+            for j, ext in enumerate(carrying, first):
+                sheet_masks[ext.sheet] |= 1 << j
+            if len(carrying) != 2 or carrying[0].residue != carrying[1].residue:
+                sheets_agree = False
         split = every if c.cover_behavior is CoverBehavior.SPLIT else 0
         masks[c.id] = (every, split, marked, pairs)
     zr = [p for p in cfg.points if p.etype in _R_POINT_TYPES]
-    s_labels, s_vectors = _s_generators(cfg, vp, cores_ramify)
+    p = len(vp)
+    if split_cover:
+        generators = [(f"beta_{i}", mask) for i, mask in sheet_masks.items() if mask]
+        if sheets_agree:
+            del generators[1:]
+    else:
+        generators = [("cores(beta)", (1 << p) - 1)] if cores_ramify else []
     return _spaces(
         vp=tuple(vp),
         vq=tuple(vq),
         zr=tuple(zr),
-        m_pr=_incidence_matrix(zr, len(vp), masks),
-        m_qp=F2Matrix(len(vp), len(vq), tuple(qp_rows)),
+        m_pr=_incidence_matrix(zr, p, masks),
+        q_columns=q_columns,
         lift_rows=tuple(lift_rows),
-        s_labels=s_labels,
-        s_vectors=s_vectors,
+        s_labels=tuple(label for label, _ in generators),
+        s_vectors=tuple(F2Vector(p, mask) for _, mask in generators),
     )
 
 
@@ -760,9 +743,10 @@ def _checked(cfg: Configuration) -> tuple[ValidationReport, _Spaces | None]:
     """``validate``'s report, and the spaces its GC checks read.
 
     The spaces are None when a structural error kept the GC checks from
-    running.  ``explain`` and every public reader of the spaces in
-    ``brauer`` go on from the spaces returned here, so one call builds
-    them once, and only for a configuration that passed validation.
+    running; this is the one place that builds them.  ``explain`` and
+    every public reader of the spaces in ``brauer`` go on from the spaces
+    returned here, so one call builds them once, and only for a
+    configuration that passed validation.
     """
     errors, warnings = _structural_diagnostics(cfg)
     spaces = None

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from isbbrauer import dsl
 from isbbrauer.dsl import BUILTIN_NAMES, ConfigParseError, builtin, builtin_source, emit, parse
-from isbbrauer.model import CoverKind, CurveType, PointType, ResidueClass
+from isbbrauer.model import Configuration, CoverKind, CurveType, PointType, ResidueClass, SingularPoint, validate
 from isbbrauer.sampling import random_configuration
 
 
@@ -43,6 +43,27 @@ def test_hpt_structure():
     assert [c.deg_type for c in cfg.curves[:4]] == [CurveType.I] * 4
     assert {p.etype for p in cfg.points} == {PointType.II_II}
     assert cfg.points[0].incident == ("y-axis", "z-axis")
+
+
+@pytest.mark.parametrize(
+    "symbols, incident, code, message",
+    [
+        (("a", "b", "c"), ("y-axis", "z-axis", "x-axis"), "POINT_PAIR", "point 'p100' must list two curves, not 3"),
+        (("a", "b", "c"), ("y-axis",), "POINT_PAIR", "point 'p100' must list two curves, not 1"),
+        (("a", "b", "c", ""), ("y-axis", "z-axis"), "SYMBOLS", "empty symbol name"),
+    ],
+    ids=["three-curves", "one-curve", "empty-symbol"],
+)
+def test_emit_refuses_what_the_text_cannot_hold(symbols, incident, code, message):
+    # Written out, the point would keep two curves (or raise IndexError)
+    # and the empty symbol would vanish, so the text would validate.
+    hpt = builtin("hpt")
+    first = hpt.points[0]
+    points = (SingularPoint(first.id, incident, first.etype),) + hpt.points[1:]
+    cfg = Configuration(hpt.cover_kind, symbols, hpt.curves, points)
+    assert [d.code for d in validate(cfg).errors] == [code]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        emit(cfg)
 
 
 @settings(max_examples=100)

@@ -1,18 +1,21 @@
 """One owner for the spaces of a configuration.
 
 ``model._build_spaces`` builds the bases and maps of P, Q, R and S, the
-only way to them; validation, the computation, the lift, the brute-force
-oracle and the one-line readers ``vp_basis`` and ``matrix_p_to_r`` all
-read what it builds, and they agree with the report.  ``model`` needs
+only way to them, and ``model._checked`` is its one caller, after
+structural validation found no error; validation, the computation, the
+lift, the brute-force oracle and the one-line reader ``matrix_p_to_r``
+all read what it builds, and they agree with the report.  ``vp_basis``
+reads P off the curves and agrees with the spaces.  ``model`` needs
 nothing from ``brauer``; no module
 of the package imports lazily or names the Gauss-Jordan ``rref``, a test
 module or a helper of ``tests/toric_reference.py``, no function of
 the package takes a parameter it never reads, every field of
 ``model._Spaces`` is read somewhere in it, no module of it holds
 an ``assert`` statement, and importing the CLI loads none of
-``dataclasses``, ``inspect``, ``typing`` and ``contextlib``.  ``_s_generators`` is
-pinned to the label-then-vector construction it replaced.
-"""
+``dataclasses``, ``inspect``, ``typing`` and ``contextlib``.  S is
+pinned, on structurally valid input, to the label-then-vector
+construction it replaced; a curve that repeats or lacks a sheet is
+refused before the spaces are built."""
 
 import ast
 import random
@@ -103,6 +106,36 @@ def test_every_field_of_the_spaces_is_read():
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and id(node) not in skipped
         }
     assert set(model._Spaces._fields) - read == set()
+
+
+def calls_by_function(path: Path, name: str) -> list[str]:
+    """The innermost enclosing function of each call of ``name`` in a module."""
+    found = []
+
+    def visit(node: ast.AST, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            callee = node.func
+            if getattr(callee, "id", None) == name or getattr(callee, "attr", None) == name:
+                found.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "<module>")
+    return found
+
+
+def test_the_spaces_are_built_only_after_structural_validation():
+    # ``_build_spaces`` trusts its input to be structurally valid: its one
+    # call is in ``model._checked``, after ``_structural_diagnostics``
+    # found no error.
+    calls = [
+        (path.name, function)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function in calls_by_function(path, "_build_spaces")
+    ]
+    assert calls == [("model.py", "_checked")]
 
 
 def test_no_check_of_the_package_is_an_assert_statement():
@@ -259,12 +292,15 @@ def reference_s(cfg: Configuration) -> tuple[tuple[str, ...], tuple[F2Vector, ..
     return labels, tuple(vectors)
 
 
-def assert_s_pinned(cfg: Configuration) -> None:
-    vp = vp_basis(cfg)
-    cores_ramify = any(not c.cores_residue.is_zero for c in cfg.curves)
-    assert model._s_generators(cfg, vp, cores_ramify) == reference_s(cfg), cfg
+def assert_s_pinned(cfg: Configuration) -> bool:
+    """Pin S, and P against ``vp_basis``, where structural validation
+    passes, the only input ``_build_spaces`` is given; say whether it did."""
+    if model._structural_diagnostics(cfg)[0]:
+        return False
     spaces = model._build_spaces(cfg)
-    assert (spaces.s_labels, spaces.s_vectors) == reference_s(cfg)
+    assert (spaces.s_labels, spaces.s_vectors) == reference_s(cfg), cfg
+    assert vp_basis(cfg) == list(spaces.vp)
+    return True
 
 
 def test_s_generators_match_reference_on_raw_draws():
@@ -273,7 +309,8 @@ def test_s_generators_match_reference_on_raw_draws():
     invalid = 0
     for _ in range(500):
         cfg = sampling._draw(rng)
-        assert_s_pinned(cfg)
+        # Every raw draw is structurally valid; many fail a GC check.
+        assert assert_s_pinned(cfg)
         seen.add(model._build_spaces(cfg).s_labels)
         invalid += bool(model.validate(cfg).errors)
     assert seen == {(), ("cores(beta)",), ("beta_1",), ("beta_2",), ("beta_1", "beta_2")}
@@ -298,16 +335,21 @@ def irregular_sheets(rng: random.Random) -> Configuration:
 
 
 def test_s_generators_match_reference_on_irregular_sheets():
+    # A curve that repeats or lacks a sheet is refused by structural
+    # validation, so it never reaches ``_build_spaces``; S is pinned on
+    # the draws whose every curve has one extension per sheet.
     rng = random.Random(42)
-    last_wins = 0
+    refused = 0
     seen = set()
-    for _ in range(500):
+    for _ in range(2000):
         cfg = irregular_sheets(rng)
-        assert_s_pinned(cfg)
-        seen.add(model._build_spaces(cfg).s_labels)
-        for c in cfg.curves:
-            for sheet in (1, 2):
-                residues = [ext.residue for ext in c.extensions if ext.sheet == sheet]
-                last_wins += len(set(residues)) > 1
+        errors = model._structural_diagnostics(cfg)[0]
+        irregular = [c.id for c in cfg.curves if sorted(ext.sheet or 0 for ext in c.extensions) != [1, 2]]
+        for cid in irregular:
+            assert any(d.code in ("SHEET", "EXT_COUNT") and d.subject == cid for d in errors), (cid, errors)
+        refused += bool(irregular)
+        if not irregular:
+            assert assert_s_pinned(cfg), cfg
+            seen.add(model._build_spaces(cfg).s_labels)
+    assert 1900 < refused < 2000
     assert seen == {(), ("beta_1",), ("beta_2",), ("beta_1", "beta_2")}
-    assert last_wins > 50

@@ -40,7 +40,7 @@ from isbbrauer.model import (
     vp_basis,
 )
 
-from f2_reference import bits, columns, from_columns, intersection_basis, mul, span, to_lists
+from f2_reference import bits, columns, intersection_basis, mul, span, to_lists
 
 # --- references --------------------------------------------------------------
 
@@ -264,9 +264,8 @@ def wide_masks(n: int, rng: random.Random) -> list[int]:
 
 def spaces_with(**fields) -> model._Spaces:
     """Spaces of the given fields, the others empty, through ``_spaces``."""
-    empty = dict.fromkeys(("vp", "vq", "zr", "lift_rows", "s_labels", "s_vectors"), ())
-    no_map = F2Matrix(0, 0)
-    return model._spaces(**{**empty, "m_pr": no_map, "m_qp": no_map, **fields})
+    empty = dict.fromkeys(("vp", "vq", "zr", "q_columns", "lift_rows", "s_labels", "s_vectors"), ())
+    return model._spaces(**{**empty, "m_pr": F2Matrix(0, 0), **fields})
 
 
 @pytest.mark.parametrize("n", WIDE)
@@ -358,17 +357,17 @@ def test_consistency_checks_match_reference_on_random_maps():
         def sparse() -> int:
             return sum(1 << j for j in range(p) if rng.random() < 0.3)
 
-        q_columns = [F2Vector(p, sparse()) for _ in spaces.vq]
-        # The maps are swapped through ``_spaces``, which derives the
-        # columns and the Q+S echelon from them afresh.
+        # The maps are swapped through ``_spaces``, which derives ``m_qp``,
+        # the columns of ``m_pr`` and the Q+S echelon from them afresh.
         spaces = model._spaces(
             spaces.vp, spaces.vq, spaces.zr,
             m_pr=F2Matrix(spaces.m_pr.rows, p, tuple(sparse() for _ in spaces.zr)),
-            m_qp=from_columns(q_columns, p),
+            q_columns=[sparse() for _ in spaces.vq],
             lift_rows=spaces.lift_rows,
             s_labels=spaces.s_labels,
             s_vectors=tuple(F2Vector(p, sparse()) for _ in spaces.s_labels),
         )
+        assert [col.mask for col in columns(spaces.m_qp)] == spaces.q_columns
         expect = reference_consistency(spaces)
         assert model._consistency_diagnostics(spaces) == expect
         codes |= {(d.code, d.subject) for d in expect if d.code in ("GC2", "GC4")}
