@@ -74,8 +74,11 @@ class _Cells:
     def row(self, mask: int) -> str:
         cells = bytearray(self.zeros)
         if mask.bit_count() <= self.sparse:
-            for j in f2._set_bits(mask):
-                cells[self.first + self.step * j] = 49  # "1"
+            first, step = self.first, self.step
+            while mask:
+                low = mask & -mask
+                cells[first + step * (low.bit_length() - 1)] = 49  # "1"
+                mask ^= low
         else:
             cells[self.first:self.stop:self.step] = f2.bit_string(mask, self.cols).encode()
         return cells.decode()
@@ -143,7 +146,7 @@ def _write_matrix(m: f2.F2Matrix, row_labels, col_note: str, write) -> None:
     if m.rows == 0 or m.cols == 0:
         write(f"  ({m.rows}x{m.cols}, {col_note})\n")
         return
-    width = max(len(lbl) for lbl in row_labels)
+    width = max(map(len, row_labels))
     cells = _Cells("[", " ", "]\n", m.cols)
     for lbl, mask in zip(row_labels, m.row_masks):
         write(f"  {lbl.ljust(width)}  " + cells.row(mask))

@@ -25,11 +25,14 @@ computation, and the canonical emitter preserves it.  Parse errors carry
 1-based line/column spans; ``emit`` always produces LF line endings and
 ``parse(emit(cfg))`` returns a structurally equal configuration.  The
 parser reads a block in the canonical layout, followed by a block header
-or the end of the text, with one match straight into its ``Curve`` or
-``SingularPoint``, and every other line through a per-keyword handler;
-both give the same result and the same diagnostics.  Every field line
-goes through one check of where it belongs and whether it is malformed,
-and one "already set" check.
+or the end of the text, with one match, and every other line through a
+per-keyword handler into a block record.  Either way one step per kind
+of block, ``keep_curve`` or ``keep_point``, keeps the closed block as its
+``Curve`` or ``SingularPoint``; it holds the only copy of the rules for
+claiming ids, reading residues and checking a mark, so both paths give
+the same result and the same diagnostics.  Every field line goes through
+one check of where it belongs and whether it is malformed, and one
+"already set" check.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from collections import namedtuple
+from collections.abc import Callable
 
 from .model import (
     Configuration,
@@ -162,13 +166,17 @@ _RE_BLOCK = re.compile(
 
 _SHEETS = {None: None, "1": 1, "2": 2}
 _NO_MEETS: frozenset[str] = frozenset()
+_NO_EXT = (None, None, None)
 
 # A source position is one offset into the text; ``_Parser.span`` turns it
-# into a line and a column, for a diagnostic only.  A name or a residue
-# read from the text travels as ``(text, offset)``, and an extension line
-# as ``(id, offset, sheet, residue text, offset)``.
+# into a line and a column, for a diagnostic only.  An ``_At`` gives a block
+# field's offset by its group name in ``_RE_BLOCK``: ``Match.start`` for a
+# block read by one match, and the ``__getitem__`` of the block record's
+# offsets for a block read line by line.  ``keep_curve`` and ``keep_point``
+# call it to claim an id, and otherwise only for a diagnostic.  A
+# ``meets_marked`` name travels as ``(name, offset)``.
 _Located = tuple[str, int]
-_RawExt = tuple[str, int, int | None, str, int]
+_At = Callable[[str], int]
 
 
 class _RawCurve:
@@ -184,16 +192,17 @@ class _RawCurve:
         ("exts", "needs at least one ext line"),
     )
 
-    __slots__ = ("id", "pos", "exts", "deg_type", "behavior", "mark", "cores")
+    __slots__ = ("id", "at", "exts", "deg_type", "behavior", "mark", "cores")
 
     def __init__(self, id: str, pos: int):
         self.id = id
-        self.pos = pos
-        self.exts: list[_RawExt] = []
+        # Each field's offset, keyed by its group name in ``_RE_BLOCK``.
+        self.at = {"curve": pos}
+        self.exts: list[tuple[str, int | None, str]] = []  # (id, sheet, residue text)
         self.deg_type: CurveType | None = None
         self.behavior: CoverBehavior | None = None
-        self.mark: _Located | None = None
-        self.cores: _Located | None = None
+        self.mark: str | None = None
+        self.cores: str | None = None
 
 
 class _RawPoint:
@@ -203,13 +212,13 @@ class _RawPoint:
     header = re.compile(rf"point\s+(?P<id>{_ID})\s*:\s*$")
     required = (("incident", "is missing a curves line"), ("etype", "is missing an etype line"))
 
-    __slots__ = ("id", "pos", "meets", "incident", "etype")
+    __slots__ = ("id", "at", "meets", "incident", "etype")
 
     def __init__(self, id: str, pos: int):
         self.id = id
-        self.pos = pos
+        self.at = {"point": pos}
         self.meets: list[_Located] = []
-        self.incident: tuple[_Located, _Located] | None = None
+        self.incident: tuple[str, str] | None = None
         self.etype: PointType | None = None
 
 
@@ -225,10 +234,10 @@ class _Parser:
         self.declared: set[str] = set()
         # The records of the closed blocks.  A curve claims its ids as it
         # closes; a point claims its id in ``finish``, after every curve, with
-        # the positions kept in ``point_refs`` beside it.
+        # its references and their offsets kept in ``point_refs`` beside it.
         self.curves: list[Curve] = []
         self.points: list[SingularPoint] = []
-        self.point_refs: list[tuple[str, int, tuple[_Located, _Located], list[_Located]]] = []
+        self.point_refs: list[tuple[str, str, str, list[_Located], _At]] = []
         self.ids: dict[str, int] = {}
         self.curve_ids: set[str] = set()
         self.ext_ids: set[str] = set()
@@ -236,11 +245,11 @@ class _Parser:
         # Top-level declarations seen only on a rejected line: that line's
         # diagnostic stands in for "missing ... declaration".
         self.rejected_declarations: set[str] = set()
-        # Each distinct residue text, read once: its class and its problems,
-        # at offsets from the start of the residue text.  A residue is read
-        # when its block closes, after every symbol is declared: a symbols
-        # line is refused once the first block has opened.
-        self.residues: dict[str, tuple[ResidueClass, list[tuple[int, str]]]] = {}
+        # The class of each distinct residue text read without a problem.
+        # A residue is read when its block closes, after every symbol is
+        # declared: a symbols line is refused once the first block has
+        # opened.
+        self.residues: dict[str, ResidueClass] = {}
 
     def error(self, at: int, message: str) -> None:
         self.diags.append((at, message))
@@ -262,11 +271,27 @@ class _Parser:
         text = self.text
         block = _RE_BLOCK.match
         handlers = _HANDLERS
+        keep_curve, keep_point = self.keep_curve, self.keep_point
         pos, size = 0, len(text)
         while pos < size:
             m = block(text, pos)
             if m:
-                self.on_block(m)
+                self.close_block()
+                (
+                    curve, deg_type, behavior, ext1, sheet1, residue1, ext2, sheet2, residue2, mark, cores,
+                    point, a, b, etype, meets,
+                ) = m.groups()
+                if point is None:
+                    keep_curve(
+                        curve, _CURVE_TYPES[deg_type], _BEHAVIORS[behavior],
+                        ext1, _SHEETS[sheet1], residue1, ext2, _SHEETS[sheet2], residue2,
+                        mark, cores, m.start,
+                    )
+                else:
+                    keep_point(
+                        point, a, b, _POINT_TYPES[etype],
+                        [] if meets is None else self.read_meets(meets, m.start("meets")), m.start,
+                    )
                 pos = m.end()
                 continue
             end = text.find("\n", pos)
@@ -285,36 +310,6 @@ class _Parser:
             pos = end + 1
         self.close_block()
         return self.finish()
-
-    def on_block(self, m: re.Match) -> None:
-        """Close the open block, then keep the closed block ``m`` matched."""
-        self.close_block()
-        start = m.start
-        (
-            curve, deg_type, behavior, ext1, sheet1, residue1, ext2, sheet2, residue2, mark, cores,
-            point, a, b, etype, meets,
-        ) = m.groups()
-        if point is not None:
-            self.add_point(
-                point,
-                start("point"),
-                ((a, start("a")), (b, start("b"))),
-                _POINT_TYPES[etype],
-                [] if meets is None else self.read_meets(meets, start("meets")),
-            )
-            return
-        exts = [(ext1, start("ext1"), _SHEETS[sheet1], residue1, start("residue1"))]
-        if ext2 is not None:
-            exts.append((ext2, start("ext2"), _SHEETS[sheet2], residue2, start("residue2")))
-        self.add_curve(
-            curve,
-            start("curve"),
-            _CURVE_TYPES[deg_type],
-            _BEHAVIORS[behavior],
-            exts,
-            None if mark is None else (mark, start("mark")),
-            None if cores is None else (cores, start("cores")),
-        )
 
     def on_header(self, text: str, at: int) -> None:
         kind = _RawCurve if text.startswith(_RawCurve.keyword) else _RawPoint
@@ -427,25 +422,33 @@ class _Parser:
                 self.error(at + m.start("sheet"), f"sheet must be 1 or 2, got {raw_sheet!r}")
             else:
                 sheet = int(raw_sheet)
-        if len(c.exts) >= 2:
+        n = len(c.exts) + 1
+        if n > 2:
             self.error(at, f"curve {c.id!r} already has two extensions")
             return
-        c.exts.append((m.group("id"), at + m.start("id"), sheet, m.group("residue"), at + m.start("residue")))
+        c.at[f"ext{n}"] = at + m.start("id")
+        c.at[f"residue{n}"] = at + m.start("residue")
+        c.exts.append((m.group("id"), sheet, m.group("residue")))
 
     def on_mark(self, text: str, at: int) -> None:
         c, m = self.field_match(_RawCurve, "mark", _RE_MARK, text, at)
         if m is not None and self.unset(c, "mark", c.mark, at):
-            c.mark = (m.group("id"), at + m.start("id"))
+            c.mark = m.group("id")
+            c.at["mark"] = at + m.start("id")
 
     def on_cores(self, text: str, at: int) -> None:
         c, m = self.field_match(_RawCurve, "cores", _RE_CORES, text, at)
-        if m is not None and self.unset(c, "cores", c.cores, at):
-            c.cores = (m.group("residue"), at + m.start("residue"))
+        # An empty cores residue is a value too: it was set.
+        if m is not None and self.unset(c, "cores", c.cores is not None, at):
+            c.cores = m.group("residue")
+            c.at["cores"] = at + m.start("residue")
 
     def on_curves(self, text: str, at: int) -> None:
         p, m = self.field_match(_RawPoint, "curves", _RE_CURVES, text, at, " (expected: curves: <id>, <id>)")
         if m is not None and self.unset(p, "curves", p.incident, at):
-            p.incident = ((m.group("a"), at + m.start("a")), (m.group("b"), at + m.start("b")))
+            p.incident = (m.group("a"), m.group("b"))
+            p.at["a"] = at + m.start("a")
+            p.at["b"] = at + m.start("b")
 
     def on_etype(self, text: str, at: int) -> None:
         p, m = self.field_match(_RawPoint, "etype", _RE_ETYPE, text, at)
@@ -482,74 +485,106 @@ class _Parser:
         block, self.block = self.block, None
         if block is None:
             return
+        at = block.at
         for name, problem in block.required:
             if not getattr(block, name):
-                self.error(block.pos, f"{block.keyword} {block.id!r} {problem}")
+                self.error(at[block.keyword], f"{block.keyword} {block.id!r} {problem}")
         if isinstance(block, _RawCurve):
-            self.add_curve(
+            (ext1, sheet1, residue1), (ext2, sheet2, residue2) = (*block.exts, _NO_EXT, _NO_EXT)[:2]
+            self.keep_curve(
                 block.id,
-                block.pos,
                 block.deg_type or CurveType.I,
                 block.behavior or CoverBehavior.RAMIFIED,
-                block.exts,
+                ext1, sheet1, residue1, ext2, sheet2, residue2,
                 block.mark,
                 block.cores,
+                at.__getitem__,
             )
         else:
-            missing = ("", block.pos)
-            incident = block.incident or (missing, missing)
-            self.add_point(block.id, block.pos, incident, block.etype or PointType.I_II, block.meets)
+            a, b = block.incident or ("", "")
+            self.keep_point(block.id, a, b, block.etype or PointType.I_II, block.meets, at.__getitem__)
 
-    def add_curve(
+    def keep_curve(
         self,
         id: str,
-        pos: int,
         deg_type: CurveType,
         behavior: CoverBehavior,
-        exts: list[_RawExt],
-        mark: _Located | None,
-        cores: _Located | None,
+        ext1: str | None,
+        sheet1: int | None,
+        residue1: str | None,
+        ext2: str | None,
+        sheet2: int | None,
+        residue2: str | None,
+        mark: str | None,
+        cores: str | None,
+        at: _At,
     ) -> None:
-        """Claim a closed curve's ids, read its residues and keep its ``Curve``."""
-        self.claim(id, pos)
-        self.curve_ids.add(id)
-        extensions = []
-        for ext_id, at, sheet, residue, residue_at in exts:
-            self.claim(ext_id, at)
-            self.ext_ids.add(ext_id)
-            extensions.append(Extension(ext_id, self.resolve_residue(residue, residue_at), sheet))
-        marking = None
-        if mark is not None:
-            marking, at = mark
-            if not any(ext[0] == marking for ext in exts):
-                self.error(at, f"mark {marking!r} does not match an extension of {id!r}")
-        cores_residue = None if cores is None else self.resolve_residue(*cores)
-        self.curves.append(Curve(id, deg_type, behavior, tuple(extensions), marking, cores_residue))
+        """Claim a closed curve's ids, read its residues and keep its ``Curve``.
 
-    def add_point(
-        self, id: str, pos: int, incident: tuple[_Located, _Located], etype: PointType, meets: list[_Located]
-    ) -> None:
+        ``ext1`` is ``None`` only for a curve read line by line without an
+        ext line.  A residue text read before without a problem is looked
+        up here; any other goes through ``resolve_residue``.
+        """
+        ids, residues = self.ids, self.residues
+        if id in ids:
+            self.duplicate(id, at("curve"))
+        else:
+            ids[id] = at("curve")
+        self.curve_ids.add(id)
+        exts: tuple[Extension, ...] = ()
+        if ext1 is not None:
+            if ext1 in ids:
+                self.duplicate(ext1, at("ext1"))
+            else:
+                ids[ext1] = at("ext1")
+            self.ext_ids.add(ext1)
+            residue = residues.get(residue1)
+            if residue is None:
+                residue = self.resolve_residue(residue1, at, "residue1")
+            exts = (tuple.__new__(Extension, (ext1, residue, sheet1)),)
+            if ext2 is not None:
+                if ext2 in ids:
+                    self.duplicate(ext2, at("ext2"))
+                else:
+                    ids[ext2] = at("ext2")
+                self.ext_ids.add(ext2)
+                residue = residues.get(residue2)
+                if residue is None:
+                    residue = self.resolve_residue(residue2, at, "residue2")
+                exts += (tuple.__new__(Extension, (ext2, residue, sheet2)),)
+        if mark is not None and mark != ext1 and mark != ext2:
+            self.error(at("mark"), f"mark {mark!r} does not match an extension of {id!r}")
+        cores_residue = None
+        if cores is not None:
+            cores_residue = residues.get(cores)
+            if cores_residue is None:
+                cores_residue = self.resolve_residue(cores, at, "cores")
+        self.curves.append(tuple.__new__(Curve, (id, deg_type, behavior, exts, mark, cores_residue)))
+
+    def keep_point(self, id: str, a: str, b: str, etype: PointType, meets: list[_Located], at: _At) -> None:
         """Keep a closed point's ``SingularPoint``; ``finish`` claims its id and checks its references."""
-        (a, _), (b, _) = incident
-        self.points.append(SingularPoint(id, (a, b), etype, [name for name, _ in meets] if meets else _NO_MEETS))
-        self.point_refs.append((id, pos, incident, meets))
+        names = frozenset([name for name, _ in meets]) if meets else _NO_MEETS
+        self.points.append(tuple.__new__(SingularPoint, (id, (a, b), etype, names)))
+        self.point_refs.append((id, a, b, meets, at))
 
     # -- resolution ---------------------------------------------------------
 
-    def claim(self, name: str, at: int) -> None:
-        ids = self.ids
-        if name in ids:
-            self.error(at, f"duplicate id {name!r} (first declared at {self.span(ids[name])})")
-        else:
-            ids[name] = at
+    def duplicate(self, name: str, at: int) -> None:
+        """The diagnostic for the id ``name`` claimed again at ``at``."""
+        self.error(at, f"duplicate id {name!r} (first declared at {self.span(self.ids[name])})")
 
-    def resolve_residue(self, text: str, at: int) -> ResidueClass:
-        known = self.residues.get(text)
-        if known is None:
-            known = self.residues[text] = self.read_residue(text)
-        cls, problems = known
-        for offset, message in problems:
-            self.error(at + offset, message)
+    def resolve_residue(self, text: str, at: _At, group: str) -> ResidueClass:
+        """The class ``text`` names, its problems reported at field ``group``.
+
+        A text without a problem is kept in ``residues`` for the next block.
+        """
+        cls, problems = self.read_residue(text)
+        if problems:
+            start = at(group)
+            for offset, message in problems:
+                self.error(start + offset, message)
+        else:
+            self.residues[text] = cls
         return cls
 
     def read_residue(self, text: str) -> tuple[ResidueClass, list[tuple[int, str]]]:
@@ -579,15 +614,18 @@ class _Parser:
         if self.symbols is None and "symbols" not in self.rejected_declarations:
             self.error(0, "missing symbols declaration")
 
-        curve_ids, ext_ids = self.curve_ids, self.ext_ids
-        for id, pos, incident, meets in self.point_refs:
-            self.claim(id, pos)
-            for name, at in incident:
+        ids, curve_ids, ext_ids = self.ids, self.curve_ids, self.ext_ids
+        for id, a, b, meets, at in self.point_refs:
+            if id in ids:
+                self.duplicate(id, at("point"))
+            else:
+                ids[id] = at("point")
+            for group, name in (("a", a), ("b", b)):
                 if name and name not in curve_ids:
-                    self.error(at, f"point references unknown curve {name!r}")
-            for name, at in meets:
+                    self.error(at(group), f"point references unknown curve {name!r}")
+            for name, offset in meets:
                 if name not in ext_ids:
-                    self.error(at, f"meets_marked references unknown extension {name!r}")
+                    self.error(offset, f"meets_marked references unknown extension {name!r}")
 
         if self.diags:
             ordered = sorted(self.diags, key=lambda d: d[0])
@@ -627,32 +665,52 @@ def parse(text: str) -> Configuration:
     return _Parser(text).run()
 
 
+def _id(name: str) -> str:
+    """``name``, which the format reads back as the same id, or ``ValueError``."""
+    if not _RE_IDENT.fullmatch(name):
+        raise ValueError(f"id {name!r} cannot be written")
+    return name
+
+
+_ZERO_NAME = frozenset({"0"})
+
+
 def emit(cfg: Configuration) -> str:
     """Canonical text for a configuration (LF endings, fixed layout).
 
     ``parse(emit(cfg))`` is structurally equal to ``cfg``; emitting what
-    ``parse`` produced reproduces canonical sources byte for byte.  An
-    empty symbol name or a point without exactly two curves, which the
-    text cannot hold, raises ``ValueError``.
+    ``parse`` produced reproduces canonical sources byte for byte.  What
+    the text cannot carry back raises ``ValueError`` naming it: a symbol
+    name that is empty or holds anything but ASCII letters, digits and
+    ``_``, an id that holds anything else but ``'`` and ``-``, a residue of
+    the symbol ``0`` alone (it reads back as the zero class) and a point
+    without exactly two curves.
     """
-    if "" in cfg.symbols:
-        raise ValueError("empty symbol name cannot be written")
+    for name in cfg.symbols:
+        if not _RE_NAME.fullmatch(name):
+            raise ValueError(f"symbol name {name!r} cannot be written" if name else "empty symbol name cannot be written")
+    order = cfg.symbol_index
+
+    def residue(cls: ResidueClass, owner: str) -> str:
+        if cls.symbols == _ZERO_NAME:
+            raise ValueError(f"residue '0' of {owner!r} cannot be written: it reads back as the zero class")
+        return cls.render(order)
+
     kind = "irreducible" if cfg.cover_kind is CoverKind.IRREDUCIBLE else "split"
     lines = [f"cover: {kind}"]
     lines.append("symbols:" + ("" if not cfg.symbols else " " + " ".join(cfg.symbols)))
-    order = cfg.symbol_index
     for c in cfg.curves:
         lines.append("")
-        lines.append(f"curve {c.id}:")
+        lines.append(f"curve {_id(c.id)}:")
         lines.append(f"  type: {c.deg_type.value}")
         lines.append(f"  cover: {c.cover_behavior.value}")
         for e in c.extensions:
             sheet = f" sheet={e.sheet}" if e.sheet is not None else ""
-            lines.append(f"  ext {e.id}{sheet}: {e.residue.render(order)}")
+            lines.append(f"  ext {_id(e.id)}{sheet}: {residue(e.residue, e.id)}")
         if c.marking is not None:
-            lines.append(f"  mark: {c.marking}")
+            lines.append(f"  mark: {_id(c.marking)}")
         if c.cores_residue_input is not None:
-            lines.append(f"  cores: {c.cores_residue_input.render(order)}")
+            lines.append(f"  cores: {residue(c.cores_residue_input, c.id)}")
     ext_position = {
         e.id: (i, j) for i, c in enumerate(cfg.curves) for j, e in enumerate(c.extensions)
     }
@@ -660,12 +718,12 @@ def emit(cfg: Configuration) -> str:
         if len(p.incident) != 2:
             raise ValueError(f"point {p.id!r} must list two curves, not {len(p.incident)}")
         lines.append("")
-        lines.append(f"point {p.id}:")
-        lines.append(f"  curves: {p.incident[0]}, {p.incident[1]}")
+        lines.append(f"point {_id(p.id)}:")
+        lines.append(f"  curves: {_id(p.incident[0])}, {_id(p.incident[1])}")
         lines.append(f"  etype: {p.etype.value}")
         if p.meets_marked:
             ordered = sorted(p.meets_marked, key=lambda eid: ext_position.get(eid, (len(cfg.curves), eid)))
-            lines.append(f"  meets_marked: {', '.join(ordered)}")
+            lines.append(f"  meets_marked: {', '.join(map(_id, ordered))}")
     return "\n".join(lines) + "\n"
 
 

@@ -51,11 +51,13 @@ def bit_string(mask: int, length: int) -> str:
 def _set_bits(mask: int) -> Iterator[int]:
     """Indices of the set bits of ``mask``, ascending, one step per set bit.
 
-    The hottest walks spell the same three steps out in their own loop,
-    so that no generator is resumed per bit: ``F2Matrix.column_masks``,
-    both walks over reduced rows in ``kernel_basis``, the model's
-    ``_Spaces.r_image`` over the ``m_pr`` columns that ``_build_spaces``
-    builds with the spaces, and the ramification lift ``brauer._lift``.
+    Only ``F2Vector.support`` walks bits through this generator.  Every
+    walk on the path of ``compute`` spells the same three steps out in its
+    own loop, so that no generator is resumed per bit:
+    ``F2Matrix.column_masks``, the three walks in ``kernel_basis``, the
+    model's ``_Spaces.r_image`` over the ``m_pr`` columns that
+    ``_build_spaces`` builds with the spaces, the ramification lift
+    ``brauer._lift`` and the report writer's ``cli._Cells.row``.
     """
     while mask:
         low = mask & -mask
@@ -256,9 +258,17 @@ def kernel_basis(m: F2Matrix) -> Subspace:
     ``p`` that contains ``f``: every such ``p`` exceeds ``f``, so ``f`` is
     its lowest bit, and no other kernel vector contains ``f``.  These
     vectors are therefore already the canonical basis.
+
+    The rows are reduced in descending order of their highest set bit.
+    Taken as given, a row of a ring with long chords walks the chain of
+    pivots that earlier rows left, one XOR per link, as union-find does
+    without path compression, and the forward pass grows as the square of
+    the number of rows; in this order it grows linearly.  The fully
+    reduced echelon form is unique, so the order does not change the
+    kernel.
     """
     rows: dict[int, int] = {}  # pivot column -> row with that highest bit
-    for row in m.row_masks:
+    for row in sorted(m.row_masks, key=int.bit_length, reverse=True):
         while row:
             top = row.bit_length() - 1
             other = rows.get(top)
@@ -279,7 +289,12 @@ def kernel_basis(m: F2Matrix) -> Subspace:
             hits ^= low
         rows[p] = row
         lower |= 1 << p
-    vectors = {f: 1 << f for f in _set_bits(((1 << m.cols) - 1) ^ lower)}
+    vectors: dict[int, int] = {}  # free column -> its kernel vector
+    free = ((1 << m.cols) - 1) ^ lower
+    while free:
+        low = free & -free
+        vectors[low.bit_length() - 1] = low
+        free ^= low
     for p, row in rows.items():
         bit = 1 << p
         free = row ^ bit
@@ -287,4 +302,7 @@ def kernel_basis(m: F2Matrix) -> Subspace:
             low = free & -free
             vectors[low.bit_length() - 1] |= bit
             free ^= low
-    return Subspace(m.cols, tuple(F2Vector(m.cols, v) for v in vectors.values()))
+    # Every bit of a vector is a column of ``m``, which is what
+    # ``F2Vector.__new__`` checks, so each is built as that ``__new__`` does.
+    cols = m.cols
+    return Subspace(cols, tuple([tuple.__new__(F2Vector, (cols, v)) for v in vectors.values()]))

@@ -92,3 +92,18 @@ def intersection_basis(a: Subspace, b: Subspace) -> Subspace:
     low = (1 << n) - 1
     hits = [F2Vector(n, mask >> n) for mask in reduced.row_masks if mask and not (mask & low)]
     return span(n, hits)
+
+
+def reference_kernel(m: F2Matrix) -> Subspace:
+    """Free columns of the Gauss-Jordan RREF, re-reduced by ``span``."""
+    reduced, _, pivots = rref(m)
+    vectors = []
+    for free in range(m.cols):
+        if free in pivots:
+            continue
+        mask = 1 << free
+        for k, p in enumerate(pivots):
+            if (reduced.row_masks[k] >> free) & 1:
+                mask |= 1 << p
+        vectors.append(F2Vector(m.cols, mask))
+    return span(m.cols, vectors)

@@ -137,8 +137,17 @@ def test_layouts_that_only_look_different_parse_alike():
 
 
 def plant(text: str) -> str:
-    """The 4002-line ring of 400 curves with five faults planted in it."""
+    """The 4002-line ring of 400 curves with nine faults planted in it.
+
+    Every fault sits in a block of the canonical layout, read by one match.
+    """
     lines = text.split("\n")
+    assert lines[469] == "  ext c77b: s77"
+    lines[469] = "  ext c77b: s77+yy"
+    assert lines[1506] == "  ext c250a: s250"
+    lines[1506] = "  ext c40b: s250"
+    assert lines[1807] == "  ext c300b: s300"
+    lines[1807] = "  mark: c300c"
     assert lines[744] == "  ext c123a: s123"
     lines[744] = "  ext c123a: s123+zz"
     assert lines[1207] == "  ext c200b: s200"
@@ -149,15 +158,19 @@ def plant(text: str) -> str:
     lines.insert(4002, "  meets_marked: c0a, ghost")
     assert lines[2401] == "  ext c399b: s399"
     lines.insert(2402, "  cores: s399+qq")
-    return "\n".join(lines)
+    return "\n".join(lines) + "\ncurve c5:\n  type: II\n  cover: split\n  ext c5c: s5\n"
 
 
 PLANTED = [
+    "470:17: residue symbol 'yy' is not declared",
     "745:19: residue symbol 'zz' is not declared",
     "1208:7: duplicate id 'c17a' (first declared at 109:7)",
+    "1507:7: duplicate id 'c40b' (first declared at 248:7)",
+    "1808:9: mark 'c300c' does not match an extension of 'c300'",
     "2403:15: residue symbol 'qq' is not declared",
     "3406:17: point references unknown curve 'nope'",
     "4004:22: meets_marked references unknown extension 'ghost'",
+    "4006:7: duplicate id 'c5' (first declared at 34:7)",
 ]
 
 

@@ -66,6 +66,67 @@ def test_emit_refuses_what_the_text_cannot_hold(symbols, incident, code, message
         emit(cfg)
 
 
+def with_symbol(cfg: Configuration, name: str) -> Configuration:
+    """``cfg`` with its first symbol renamed to ``name``, in the residues too."""
+    old = cfg.symbols[0]
+
+    def rename(cls: ResidueClass) -> ResidueClass:
+        return ResidueClass(name if s == old else s for s in cls.symbols)
+
+    curves = tuple(
+        c._replace(extensions=tuple(e._replace(residue=rename(e.residue)) for e in c.extensions))
+        for c in cfg.curves
+    )
+    return cfg._replace(symbols=(name, *cfg.symbols[1:]), curves=curves)
+
+
+def with_point_id(cfg: Configuration, name: str) -> Configuration:
+    return cfg._replace(points=(cfg.points[0]._replace(id=name), *cfg.points[1:]))
+
+
+def with_curve_id(cfg: Configuration, name: str) -> Configuration:
+    return cfg._replace(curves=(cfg.curves[0]._replace(id=name), *cfg.curves[1:]))
+
+
+def with_zero_symbol_residue(cfg: Configuration) -> Configuration:
+    """``cfg`` with the symbol ``0`` declared and the only residue of its
+    first split curve's first extension."""
+    k, curve = next((k, c) for k, c in enumerate(cfg.curves) if len(c.extensions) == 2)
+    first, *rest = curve.extensions
+    curve = curve._replace(extensions=(first._replace(residue=ResidueClass.of("0")), *rest))
+    return cfg._replace(symbols=(*cfg.symbols, "0"), curves=(*cfg.curves[:k], curve, *cfg.curves[k + 1:]))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda cfg: with_symbol(cfg, "a b"), "symbol name 'a b' cannot be written"),
+        (lambda cfg: with_symbol(cfg, "a+b"), "symbol name 'a+b' cannot be written"),
+        (lambda cfg: with_symbol(cfg, "#x"), "symbol name '#x' cannot be written"),
+        (lambda cfg: with_point_id(cfg, "p 1"), "id 'p 1' cannot be written"),
+        (lambda cfg: with_curve_id(cfg, "C:1"), "id 'C:1' cannot be written"),
+        (with_zero_symbol_residue, "residue '0' of 'e_xyz' cannot be written"),
+    ],
+    ids=["space-in-symbol", "plus-in-symbol", "comment-symbol", "space-in-point-id", "colon-in-curve-id", "zero-symbol"],
+)
+def test_emit_refuses_names_the_text_cannot_carry_back(edit, message):
+    # Written out, each would fail to parse or read back as another
+    # configuration: a split symbol list, a comment, the zero class.
+    cfg = edit(builtin("hpt"))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        emit(cfg)
+
+
+def test_a_declared_symbol_0_beside_others_is_written():
+    cfg = with_zero_symbol_residue(builtin("hpt"))
+    x_axis = cfg.curves[4]
+    first, second = x_axis.extensions
+    x_axis = x_axis._replace(extensions=(first._replace(residue=ResidueClass.of("0", "a")), second))
+    cfg = cfg._replace(curves=(*cfg.curves[:4], x_axis, *cfg.curves[5:]))
+    assert "  ext e_xyz: a+0\n" in emit(cfg)
+    assert parse(emit(cfg)) == cfg
+
+
 @settings(max_examples=100)
 @given(st.integers(min_value=0, max_value=100_000))
 def test_parse_emit_identity(seed):

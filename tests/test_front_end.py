@@ -104,6 +104,33 @@ def ring_source(n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def long_ring_source(n: int, seed: int) -> str:
+    """``n`` split Type II curves around a ring of II_II points, plus ``n``
+    seeded chords, each joining two curves 2 to ``n // 2 - 1`` steps apart.
+
+    Each curve carries one of four symbols on both extensions, so the
+    configuration validates and dim P = 2n.  Unlike the short chords of
+    the benchmark's rings, long ones make the kernel's elimination fill in.
+    """
+    rng = random.Random(seed)
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    taken = {frozenset(edge) for edge in edges}
+    while len(edges) < 2 * n:
+        i = rng.randrange(n)
+        edge = (i, (i + rng.randint(2, n // 2 - 1)) % n)
+        if frozenset(edge) not in taken:
+            taken.add(frozenset(edge))
+            edges.append(edge)
+    symbols = ("a", "b", "c", "d")
+    lines = ["cover: irreducible", "symbols: " + " ".join(symbols)]
+    for i in range(n):
+        s = rng.choice(symbols)
+        lines += ["", f"curve c{i}:", "  type: II", "  cover: split", f"  ext c{i}a: {s}", f"  ext c{i}b: {s}"]
+    for k, (i, j) in enumerate(edges):
+        lines += ["", f"point p{k}:", f"  curves: c{i}, c{j}", "  etype: II_II"]
+    return "\n".join(lines) + "\n"
+
+
 class CountingSymbols(tuple):
     """A symbol tuple that counts each pass over it: an iteration or a scan by ``in``."""
 

@@ -2,34 +2,38 @@
 
 ``linecount`` counts the lines of each function of the package that a
 whole command runs through ``cli.run`` (``compute``, ``compute --json``,
-``validate`` and ``explain``), on two families:
+``validate`` and ``explain``), on three families:
 
 * rings of 200, 400 and 800 curves (``ring_source``);
+* the same sizes of rings with as many seeded long chords
+  (``long_ring_source``), the first family whose kernel elimination
+  fills in: taken in the order given, the rows of ``kernel_basis`` walk
+  chains of pivots, and its count grows as the square;
 * for each cover kind, 8, 16 and 32 relabelled copies of one valid union
   of corpus blocks, chosen to hold IV_II points with ``meets_marked`` and
   IVp_IV points, which the rings lack.  Copies stay valid, because each
   of GC1-GC4 splits over them.  At 2, 4 and 8 copies the report
   writer's sparse-row threshold, ``min(cols >> 4, 8)``, still moves with
-  the matrix width, so ``f2._set_bits`` reads 2.31 per doubling under
-  ``compute`` although no row costs more than its set bits.
+  the matrix width, so the sparse walk of ``cli._Cells.row`` grows faster
+  than the input although no row costs more than its set bits.
 
 Every stage on that path is linear in the input's size, so each
 function's count may grow by at most 2.2 per doubling.  A count does not
-depend on the host, so the bound holds on any machine.  Rings with long
-chords are left out: there the forward pass of ``kernel_basis`` grows as
-the square (ROADMAP item 13).
+depend on the host, so the bound holds on any machine.
 """
 
 import io
 
 import pytest
 
-from isbbrauer import cli, dsl
-from isbbrauer.model import Configuration, CoverKind, PointType, validate
+from isbbrauer import brauer, cli, dsl
+from isbbrauer.f2 import kernel_basis
+from isbbrauer.model import Configuration, CoverKind, PointType, validate, vp_basis
 from isbbrauer.sampling import random_corpus
 
+from f2_reference import reference_kernel
 from linecount import count_lines
-from test_front_end import ring_source
+from test_front_end import long_ring_source, ring_source
 from test_spaces import relabel, union
 
 BOUND = 2.2
@@ -72,6 +76,19 @@ def assert_linear(sources: list[str], tmp_path) -> None:
 
 def test_parse_and_compute_grow_linearly_on_rings(tmp_path):
     assert_linear([ring_source(n) for n in (200, 400, 800)], tmp_path)
+
+
+def test_parse_and_compute_grow_linearly_on_long_chord_rings(tmp_path):
+    assert_linear([long_ring_source(n, 0) for n in (200, 400, 800)], tmp_path)
+
+
+@pytest.mark.parametrize("n, seed", [(6, 0), (7, 1), (25, 2), (50, 3), (200, 4)])
+def test_kernel_matches_gauss_jordan_on_long_chord_rings(n, seed):
+    cfg = dsl.parse(long_ring_source(n, seed))
+    assert validate(cfg).ok
+    assert len(vp_basis(cfg)) == 2 * n
+    m = brauer.matrix_p_to_r(cfg)
+    assert kernel_basis(m) == reference_kernel(m)
 
 
 def marked_crossings(kind: CoverKind) -> Configuration:

@@ -24,7 +24,6 @@ from isbbrauer.f2 import (
     Subspace,
     bit_string,
     kernel_basis,
-    rref,
 )
 from isbbrauer.model import (
     Configuration,
@@ -40,28 +39,13 @@ from isbbrauer.model import (
     vp_basis,
 )
 
-from f2_reference import bits, columns, intersection_basis, mul, span, to_lists
+from f2_reference import bits, columns, intersection_basis, mul, reference_kernel, span, to_lists
 
 # --- references --------------------------------------------------------------
 
 
 def per_bit(mask: int, length: int) -> tuple[int, ...]:
     return tuple((mask >> i) & 1 for i in range(length))
-
-
-def reference_kernel(m: F2Matrix) -> Subspace:
-    """Free columns of the Gauss-Jordan RREF, re-reduced by ``span``."""
-    reduced, _, pivots = rref(m)
-    vectors = []
-    for free in range(m.cols):
-        if free in pivots:
-            continue
-        mask = 1 << free
-        for k, p in enumerate(pivots):
-            if (reduced.row_masks[k] >> free) & 1:
-                mask |= 1 << p
-        vectors.append(F2Vector(m.cols, mask))
-    return span(m.cols, vectors)
 
 
 def reference_subspace_check(ambient_dim: int, basis) -> None:
