@@ -27,7 +27,7 @@ import sys
 
 from . import brauer, dsl, f2, model, toric
 
-__all__ = ["run", "main", "report_json"]
+__all__ = ["run", "main"]
 
 OK = 0
 INVALID = 1
@@ -93,7 +93,14 @@ def _json_cells(cols: int, level: int) -> _Cells:
 
 
 def _write_json(r: brauer.BrauerReport, write) -> None:
-    """Write ``report_json(r)`` through ``write``, about one call per matrix row."""
+    """Write a report's JSON through ``write``, about one call per matrix row.
+
+    The bytes are those of ``json.dumps(doc, indent=2)``, with a fixed key
+    order and integers only.  That ``indent`` would take the pure-Python
+    encoder through every matrix cell, so each matrix row and generator
+    vector is written from its mask by ``_Cells``, and ``json.dumps`` lays
+    out only the rest.
+    """
     write('{\n  "dims": ' + _json_at(r.dims, 1))
     for key, labels in (("p_labels", r.p_labels), ("q_labels", r.q_labels), ("r_labels", r.r_labels)):
         write(f',\n  "{key}": ' + _json_at(list(labels), 1))
@@ -128,20 +135,6 @@ def _write_json(r: brauer.BrauerReport, write) -> None:
     write(',\n  "assertions": ' + _json_at(dict(r.assertions), 1) + "\n}")
 
 
-def report_json(r: brauer.BrauerReport) -> str:
-    """Deterministic JSON for a report: fixed key order, integers only.
-
-    The bytes of ``json.dumps(doc, indent=2)``, whose ``indent`` takes the
-    pure-Python encoder through every matrix cell.  So each matrix row and
-    generator vector is written from its mask by ``_Cells``, and
-    ``json.dumps`` lays out only the rest.  ``compute --json`` streams the
-    same pieces to its output instead of joining them.
-    """
-    parts: list[str] = []
-    _write_json(r, parts.append)
-    return "".join(parts)
-
-
 def _write_matrix(m: f2.F2Matrix, row_labels, col_note: str, write) -> None:
     if m.rows == 0 or m.cols == 0:
         write(f"  ({m.rows}x{m.cols}, {col_note})\n")
@@ -152,7 +145,7 @@ def _write_matrix(m: f2.F2Matrix, row_labels, col_note: str, write) -> None:
         write(f"  {lbl.ljust(width)}  " + cells.row(mask))
 
 
-def _write_report(r: brauer.BrauerReport, symbol_index: dict[str, tuple[int, ...]], write) -> None:
+def _write_report(r: brauer.BrauerReport, symbol_index: dict[str, int], write) -> None:
     """Write the text report through ``write``, about one call per matrix row."""
     dims = r.dims
     lines = ["dims:"]

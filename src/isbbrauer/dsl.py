@@ -682,14 +682,17 @@ def emit(cfg: Configuration) -> str:
     ``parse`` produced reproduces canonical sources byte for byte.  What
     the text cannot carry back raises ``ValueError`` naming it: a symbol
     name that is empty or holds anything but ASCII letters, digits and
-    ``_``, an id that holds anything else but ``'`` and ``-``, a residue of
-    the symbol ``0`` alone (it reads back as the zero class) and a point
-    without exactly two curves.
+    ``_``, a symbol declared twice, an id that holds anything else but
+    ``'`` and ``-``, a residue of the symbol ``0`` alone (it reads back as
+    the zero class) and a point without exactly two curves.
     """
-    for name in cfg.symbols:
+    order = cfg.symbol_index
+    for i, name in enumerate(cfg.symbols):
         if not _RE_NAME.fullmatch(name):
             raise ValueError(f"symbol name {name!r} cannot be written" if name else "empty symbol name cannot be written")
-    order = cfg.symbol_index
+        # The index keeps a repeated name's last position.
+        if order[name] != i:
+            raise ValueError(f"symbol {name!r} is declared twice and cannot be written")
 
     def residue(cls: ResidueClass, owner: str) -> str:
         if cls.symbols == _ZERO_NAME:

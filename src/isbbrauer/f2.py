@@ -16,7 +16,6 @@ class, but importing ``typing`` and turning each annotation into a
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator
 
 __all__ = [
     "DimensionMismatch",
@@ -48,23 +47,6 @@ def bit_string(mask: int, length: int) -> str:
     return format(mask, f"0{length}b")[::-1] if length else ""
 
 
-def _set_bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of ``mask``, ascending, one step per set bit.
-
-    Only ``F2Vector.support`` walks bits through this generator.  Every
-    walk on the path of ``compute`` spells the same three steps out in its
-    own loop, so that no generator is resumed per bit:
-    ``F2Matrix.column_masks``, the three walks in ``kernel_basis``, the
-    model's ``_Spaces.r_image`` over the ``m_pr`` columns that
-    ``_build_spaces`` builds with the spaces, the ramification lift
-    ``brauer._lift`` and the report writer's ``cli._Cells.row``.
-    """
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 class F2Vector(namedtuple("F2Vector", "length mask", defaults=(0,))):
     """A vector over GF(2); ``mask`` packs coordinate ``i`` into bit ``i``.
 
@@ -88,7 +70,7 @@ class F2Vector(namedtuple("F2Vector", "length mask", defaults=(0,))):
 
     def support(self) -> tuple[int, ...]:
         """Indices of the nonzero coordinates, ascending."""
-        return tuple(_set_bits(self.mask))
+        return tuple(i for i in range(self.length) if self.mask >> i & 1)
 
     def __add__(self, other: "F2Vector") -> "F2Vector":
         _check_len(self.length, other.length)

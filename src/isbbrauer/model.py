@@ -22,8 +22,9 @@ one over the points.  ``_checked``, which ``validate`` and every reader
 of the spaces in ``brauer`` and ``cli`` call, is the one caller: it
 builds them once, only for a configuration that passed structural
 validation, and returns them with its report, so the GC checks and the
-computation read one value.  ``vp_basis`` (P off the curves, no spaces)
-and ``cores_residue`` stay because the benchmark workloads call them.
+computation read one value.  ``vp_basis`` reads P off the curves, with
+no spaces, for ``sampling`` and the benchmark workloads; ``cores_residue``
+stays because the benchmark workloads call it.
 
 Declaration order is semantic: curves, extensions, and points index the
 bases of the computation in the order they are listed here.
@@ -115,28 +116,19 @@ class ResidueClass(namedtuple("ResidueClass", "symbols", defaults=(frozenset(),)
     def __add__(self, other: "ResidueClass") -> "ResidueClass":
         return ResidueClass(self.symbols ^ other.symbols)
 
-    def render(self, symbol_index: Mapping[str, tuple[int, ...]]) -> str:
+    def render(self, symbol_index: Mapping[str, int]) -> str:
         """Human/DSL form: ``0`` or ``a+b`` in declared symbol order.
 
-        ``symbol_index`` holds the declared symbols' positions, as
+        ``symbol_index`` holds each declared symbol's position, as
         ``Configuration.symbol_index`` does, so rendering takes time that
-        does not grow with the number of declared symbols.  A name
-        declared twice is written once per declaration.
+        does not grow with the number of declared symbols.
         """
         if self.is_zero:
             return "0"
         missing = self.symbols.difference(symbol_index)
         if missing:
             raise ValueError(f"symbols not in declared order list: {sorted(missing)}")
-        return "+".join(s for _, s in sorted((i, s) for s in self.symbols for i in symbol_index[s]))
-
-
-def _symbol_positions(symbols: Iterable[str]) -> dict[str, tuple[int, ...]]:
-    """Each name's positions in ``symbols``, in one pass."""
-    index: dict[str, tuple[int, ...]] = {}
-    for i, s in enumerate(symbols):
-        index[s] = index.get(s, ()) + (i,)
-    return index
+        return "+".join(sorted(self.symbols, key=symbol_index.__getitem__))
 
 
 ZERO = ResidueClass()
@@ -238,15 +230,15 @@ class Configuration(namedtuple("Configuration", "cover_kind symbols curves point
         return tuple.__new__(cls, (cover_kind, tuple(symbols), tuple(curves), tuple(points)))
 
     @property
-    def symbol_index(self) -> dict[str, tuple[int, ...]]:
-        """Each declared symbol's positions in ``symbols``, built on each read.
+    def symbol_index(self) -> dict[str, int]:
+        """Each declared symbol's position in ``symbols``, built on each read.
 
         The emitter and the reports read it; structural validation finds
-        duplicate and undeclared symbols with a set.  A name has more than
-        one position only when it is declared twice, which validation
-        rejects.
+        duplicate and undeclared symbols with a set.  A name declared twice,
+        which ``parse``, ``validate`` and ``emit`` refuse, keeps its last
+        position.
         """
-        return _symbol_positions(self.symbols)
+        return {s: i for i, s in enumerate(self.symbols)}
 
 
 class Diagnostic(namedtuple("Diagnostic", "code message subject")):
@@ -357,7 +349,10 @@ def cores_residue(cfg: Configuration, c: Curve) -> ResidueClass:
 
 
 def vp_basis(cfg: Configuration) -> list[Extension]:
-    """The basis of P, read off the curves; kept because perfbench's workloads call it."""
+    """The basis of P, read off the curves, without building the spaces.
+
+    ``sampling`` counts dim P with it, and perfbench's workloads call it.
+    """
     return [ext for c in cfg.curves for ext in c.extensions if ext.residue.symbols]
 
 

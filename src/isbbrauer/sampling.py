@@ -24,6 +24,7 @@ from .model import (
     ResidueClass,
     SingularPoint,
     validate,
+    vp_basis,
 )
 
 __all__ = ["random_configuration", "random_corpus"]
@@ -125,8 +126,7 @@ def random_configuration(rng: random.Random, max_p: int = 12) -> Configuration:
     """One random configuration that passes validate, with dim P capped."""
     for _ in range(_MAX_ATTEMPTS):
         cfg = _draw(rng)
-        dim_p = sum(not ext.residue.is_zero for c in cfg.curves for ext in c.extensions)
-        if dim_p > max_p:
+        if len(vp_basis(cfg)) > max_p:
             continue
         if validate(cfg).errors:
             continue

@@ -45,7 +45,6 @@ __all__ = [
     "singular_faces",
     "is_smooth",
     "star_subdivide",
-    "support_contains",
     "uv_xyz_cone",
     "resolve_demo",
     "parse_fan_script",
@@ -499,11 +498,6 @@ def is_smooth(obj: "Cone | Fan") -> SmoothnessReport:
     cones = obj.maximal_cones if isinstance(obj, Fan) else (obj,)
     certs = tuple(_cone_certificate(c) for c in cones)
     return SmoothnessReport(all(ct.smooth for ct in certs), certs)
-
-
-def support_contains(f: Fan, x) -> bool:
-    point = _as_vec(x)
-    return any(c.contains(point) for c in f.maximal_cones)
 
 
 def star_subdivide(f: Fan, rho) -> Fan:

@@ -33,11 +33,12 @@ def structural_diagnostics(cfg: Configuration) -> tuple[list[Diagnostic], list[D
     def warn(code: str, message: str, subject: str) -> None:
         warnings.append(Diagnostic(code, message, subject))
 
-    index = cfg.symbol_index
+    index: dict[str, int] = {}  # each symbol's first position
     for i, s in enumerate(cfg.symbols):
+        first = index.setdefault(s, i)
         if not s:
             err("SYMBOLS", "empty symbol name", s)
-        elif index[s][0] != i:
+        elif first != i:
             err("DUP_ID", f"symbol {s!r} declared twice", s)
 
     seen_ids: set[str] = set()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isbbrauer import dsl, model, sampling
+from isbbrauer import brauer, dsl, model, sampling
 from isbbrauer.brauer import (
     CapExceededError,
     InvalidConfigurationError,
@@ -18,7 +18,7 @@ from isbbrauer.brauer import (
     restriction_kernel,
     unramified_brauer,
 )
-from isbbrauer.f2 import F2Vector, kernel_basis
+from isbbrauer.f2 import F2Matrix, F2Vector, kernel_basis
 from isbbrauer.model import (
     Configuration,
     CoverBehavior,
@@ -367,6 +367,17 @@ def test_brute_force_cap():
 def test_hpt_brute_force():
     assert brute_force_unramified(HPT) == (1, 1)
     assert brute_force_unramified(CUBIC_QUARTIC) == (1, 1)
+
+
+def test_brute_force_raises_on_a_coset_count_that_is_not_a_power_of_two(monkeypatch):
+    # The kernel of ``m_pr`` is a subspace, so its cosets number a power of
+    # two.  Three kernel vectors, which no subspace holds, are a bug.
+    spaces = brauer._valid_spaces(HPT)
+    bare = spaces._replace(m_pr=F2Matrix(0, len(spaces.vp)), q_columns=())
+    monkeypatch.setattr(brauer, "_valid_spaces", lambda cfg: bare)
+    monkeypatch.setattr(brauer, "range", lambda stop: (0, 1, 2), raising=False)
+    with pytest.raises(AssertionError, match=r"^coset count is not a power of two; image not in kernel\?$"):
+        brute_force_unramified(HPT)
 
 
 @settings(max_examples=60)

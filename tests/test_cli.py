@@ -17,7 +17,7 @@ from isbbrauer.brauer import unramified_brauer
 from isbbrauer.sampling import random_corpus
 
 from test_front_end import ring_source
-from test_word_level import reference_report_text
+from test_word_level import reference_report_text, report_json
 
 INVALID_POINT_PAIR = """\
 cover: irreducible
@@ -292,7 +292,7 @@ def test_compute_json_roundtrips_dims(tmp_path):
 
 def test_json_contains_no_floats():
     report = unramified_brauer(dsl.builtin("hpt"))
-    out = cli.report_json(report)
+    out = report_json(report)
     assert not re.search(r"\d\.\d", out)
 
     def walk(node):
@@ -649,7 +649,7 @@ def test_a_report_is_streamed_a_row_at_a_time(tmp_path, json_flag):
     cfg = dsl.parse(ring_source(800))
     report = unramified_brauer(cfg)
     if json_flag:
-        whole = cli.report_json(report) + "\n"
+        whole = report_json(report) + "\n"
     else:
         whole = reference_report_text(report, cfg.symbol_index)
     total = sum(map(len, recorder.writes))

@@ -51,12 +51,14 @@ def test_hpt_structure():
         (("a", "b", "c"), ("y-axis", "z-axis", "x-axis"), "POINT_PAIR", "point 'p100' must list two curves, not 3"),
         (("a", "b", "c"), ("y-axis",), "POINT_PAIR", "point 'p100' must list two curves, not 1"),
         (("a", "b", "c", ""), ("y-axis", "z-axis"), "SYMBOLS", "empty symbol name"),
+        (("a", "b", "c", "a"), ("y-axis", "z-axis"), "DUP_ID", "symbol 'a' is declared twice"),
     ],
-    ids=["three-curves", "one-curve", "empty-symbol"],
+    ids=["three-curves", "one-curve", "empty-symbol", "repeated-symbol"],
 )
 def test_emit_refuses_what_the_text_cannot_hold(symbols, incident, code, message):
-    # Written out, the point would keep two curves (or raise IndexError)
-    # and the empty symbol would vanish, so the text would validate.
+    # Written out, the point would keep two curves (or raise IndexError),
+    # the empty symbol would vanish, so the text would validate, and the
+    # repeated symbol would make ``parse`` refuse the text.
     hpt = builtin("hpt")
     first = hpt.points[0]
     points = (SingularPoint(first.id, incident, first.etype),) + hpt.points[1:]

@@ -145,11 +145,11 @@ class CountingSymbols(tuple):
 
 @pytest.fixture
 def counted_front_end(monkeypatch):
-    """Every configuration's symbols counted, and every symbol index build."""
+    """Every configuration's symbols counted, and every read of its symbol index."""
     seen: list[CountingSymbols] = []
     builds = []
     new = model.Configuration.__new__
-    positions = model._symbol_positions
+    index = model.Configuration.symbol_index
 
     def counting_new(cls, *args, **kwargs):
         cfg = new(cls, *args, **kwargs)
@@ -158,12 +158,12 @@ def counted_front_end(monkeypatch):
         seen.append(symbols)
         return cfg._replace(symbols=symbols)
 
-    def counting_positions(symbols):
-        builds.append(len(symbols))
-        return positions(symbols)
+    def counting_index(cfg):
+        builds.append(len(cfg.symbols))
+        return index.fget(cfg)
 
     monkeypatch.setattr(model.Configuration, "__new__", counting_new)
-    monkeypatch.setattr(model, "_symbol_positions", counting_positions)
+    monkeypatch.setattr(model.Configuration, "symbol_index", property(counting_index))
 
     def measure(action) -> tuple[int, list[int]]:
         for symbols in seen:
@@ -228,30 +228,10 @@ def test_render_through_the_index_matches_the_scan():
     rng = random.Random(3)
     seen = set()
     for _ in range(3000):
-        order = [rng.choice("abcdef") for _ in range(rng.randint(0, 8))]
+        order = rng.sample("abcdef", rng.randint(0, 6))
         cls = ResidueClass(frozenset(rng.sample("abcdefg", rng.randint(0, 4))))
         expect = outcome(scan_render, cls, order)
-        assert outcome(cls.render, model._symbol_positions(order)) == expect
-        if isinstance(expect, tuple):
-            seen.add("error")
-        else:
-            seen.add("repeat" if len(expect.split("+")) > len(cls.symbols) else "ok")
-    assert seen == {"ok", "repeat", "error"}
-
-
-def test_a_repeated_symbol_renders_once_per_declaration():
-    cfg = model.Configuration(
-        model.CoverKind.IRREDUCIBLE,
-        ("a", "b", "a"),
-        (
-            model.Curve(
-                "c",
-                model.CurveType.II,
-                model.CoverBehavior.INERT,
-                (model.Extension("c_t", ResidueClass.of("a", "b")),),
-            ),
-        ),
-    )
-    assert cfg.symbol_index == {"a": (0, 2), "b": (1,)}
-    assert ResidueClass.of("a", "b").render(cfg.symbol_index) == "a+b+a"
-    assert "  ext c_t: a+b+a\n" in dsl.emit(cfg)
+        index = model.Configuration(model.CoverKind.IRREDUCIBLE, order).symbol_index
+        assert outcome(cls.render, index) == expect
+        seen.add("error" if isinstance(expect, tuple) else "ok")
+    assert seen == {"ok", "error"}

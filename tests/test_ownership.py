@@ -6,16 +6,16 @@ structural validation found no error; validation, the computation, the
 lift, the brute-force oracle and the one-line reader ``matrix_p_to_r``
 all read what it builds, and they agree with the report.  ``vp_basis``
 reads P off the curves and agrees with the spaces.  ``model`` needs
-nothing from ``brauer``; no module
-of the package imports lazily or names the Gauss-Jordan ``rref``, a test
-module or a helper of ``tests/toric_reference.py``, no function of
-the package takes a parameter it never reads, every field of
-``model._Spaces`` is read somewhere in it, no module of it holds
-an ``assert`` statement, and importing the CLI loads none of
-``dataclasses``, ``inspect``, ``typing`` and ``contextlib``.  S is
-pinned, on structurally valid input, to the label-then-vector
-construction it replaced; a curve that repeats or lacks a sheet is
-refused before the spaces are built."""
+nothing from ``brauer``; no module of the package imports lazily or
+names the Gauss-Jordan ``rref``, a test module or a helper of
+``tests/toric_reference.py``, no function of the package takes a
+parameter it never reads, every function and class of it but a listed
+few is named by its own code, every field of ``model._Spaces`` is read
+somewhere in it, no module of it holds an ``assert`` statement, and
+importing the CLI loads none of ``dataclasses``, ``inspect``,
+``typing`` and ``contextlib``.  S is pinned, on structurally valid
+input, to the label-then-vector construction it replaced; a curve that
+repeats or lacks a sheet is refused before the spaces are built."""
 
 import ast
 import random
@@ -86,6 +86,66 @@ def test_every_parameter_is_read():
             name = getattr(node, "name", "<lambda>")
             unread |= {(path.name, name, p) for p in params if p not in read}
     assert unread == UNREAD_ALLOWED
+
+
+# Functions and classes that no code of the package names, each kept for
+# the reason given.
+UNNAMED_ALLOWED = {
+    # perfbench's workloads and tracer name them.
+    ("f2.py", "rref"),
+    ("brauer.py", "matrix_p_to_r"),
+    ("model.py", "cores_residue"),
+    ("sampling.py", "random_corpus"),
+    # Public API of the value types.
+    ("f2.py", "F2Vector.support"),
+    ("model.py", "ResidueClass.of"),
+    ("model.py", "ValidationReport.ok"),
+}
+
+
+def definitions(tree: ast.Module) -> list[tuple[str, str, bool]]:
+    """Each function and class of a module: its dotted name, its name and
+    whether it is defined in a class body."""
+    found = []
+
+    def visit(node: ast.AST, owner: str, in_class: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                dotted = f"{owner}.{child.name}" if owner else child.name
+                found.append((dotted, child.name, in_class))
+                visit(child, dotted, isinstance(child, ast.ClassDef))
+            else:
+                visit(child, owner, in_class)
+
+    visit(tree, "", False)
+    return found
+
+
+def test_every_function_and_class_is_named_in_the_package():
+    # What only the tests call has no place in the product.  A name counts
+    # where its own module uses it, where another imports it or reads it
+    # off its module, and, for a method, wherever an attribute of that
+    # name is used.  Dunder methods are called by Python itself.
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+    named = set()  # (module, name); ("", name) for any attribute
+    for stem, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add((stem, node.id))
+            elif isinstance(node, ast.Attribute):
+                named.add(("", node.attr))
+                if isinstance(node.value, ast.Name):
+                    named.add((node.value.id, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                named |= {(node.module.rpartition(".")[2], alias.name) for alias in node.names}
+    unnamed = {
+        (f"{stem}.py", dotted)
+        for stem, tree in trees.items()
+        for dotted, name, method in definitions(tree)
+        if not (name.startswith("__") and name.endswith("__"))
+        and ("" if method else stem, name) not in named
+    }
+    assert unnamed == UNNAMED_ALLOWED
 
 
 def test_every_field_of_the_spaces_is_read():
@@ -176,11 +236,15 @@ def test_reference_code_stays_out_of_the_product():
             assert mentioned_names(path) & ({"rref", "Rref"} | test_modules) == set(), path.name
     reference = mentioned_names(tests / "f2_reference.py")
     assert "rref" in reference
-    assert reference & {"kernel_basis", "_insert", "_set_bits"} == set()
-    # The lattice-geometry references the CLI never runs: not even a
-    # comment or docstring of the package names them.
+    assert reference & {"kernel_basis", "_insert"} == set()
+    # The lattice-geometry references the CLI never runs, and what left
+    # the package because only the tests ran it: not even a comment or
+    # docstring of the package names them.
     assert "toric_reference" in test_modules
-    moved = re.compile(r"hilbert_basis|dual_generators|intersection_cone|fan_intersections_are_faces|_BOX_CAP")
+    moved = re.compile(
+        r"hilbert_basis|dual_generators|intersection_cone|fan_intersections_are_faces|_BOX_CAP"
+        r"|support_contains|report_json|_set_bits|_symbol_positions"
+    )
     for path in sorted(PACKAGE.glob("*.py")):
         assert moved.findall(path.read_text()) == [], path.name
 

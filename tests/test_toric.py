@@ -24,11 +24,16 @@ from isbbrauer.toric import (
     resolve_demo,
     singular_faces,
     star_subdivide,
-    support_contains,
     uv_xyz_cone,
 )
 
-from toric_reference import dual_generators, fan_intersections_are_faces, hilbert_basis, intersection_cone
+from toric_reference import (
+    dual_generators,
+    fan_intersections_are_faces,
+    hilbert_basis,
+    intersection_cone,
+    support_contains,
+)
 
 E1, E2, E3, E4 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
 ORTHANT = Cone((E1, E2, E3, E4))
@@ -675,19 +680,25 @@ def test_support_verdicts_raise_when_a_lane_overflows(monkeypatch):
         toric._support_verdicts(uv_xyz_cone(), fans, 10, 0)
 
 
-def test_resolve_demo_checks_support_once_per_subdivision(monkeypatch):
-    callers = []
-    original = toric.support_contains
+def test_the_zero_vector_has_no_primitive_representative():
+    with pytest.raises(ValueError, match=r"^the zero vector has no primitive representative$"):
+        toric._primitive((0, 0, 0, 0))
 
-    def counted(f, x):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return original(f, x)
 
-    monkeypatch.setattr(toric, "support_contains", counted)
-    report = resolve_demo()
-    assert all(step.support_ok for step in report.steps)
-    assert len(callers) <= 3
-    assert set(callers) <= {"star_subdivide"}
+def test_a_failed_certificate_completion_raises(monkeypatch):
+    # A smooth cone of fewer than four rays is completed by cofactor
+    # normals; zero normals give a singular completion, which is a bug.
+    plane = Cone((E1, E2))
+    monkeypatch.setattr(toric, "_cofactor_normal", lambda rows: (0, 0, 0, 0))
+    with pytest.raises(AssertionError, match=r"^smooth certificate completion failed$"):
+        is_smooth(plane)
+
+
+def test_resolve_demo_raises_when_its_final_fan_is_not_smooth(monkeypatch):
+    # Subdivisions that change nothing leave the singular cone itself.
+    monkeypatch.setattr(toric, "star_subdivide", lambda f, rho: f)
+    with pytest.raises(AssertionError, match=r"^the candidate subdivisions do not give a smooth fan$"):
+        resolve_demo()
 
 
 def test_star_subdivide_tests_each_cone_against_the_ray_once(monkeypatch):

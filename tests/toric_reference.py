@@ -1,15 +1,16 @@
 """Lattice-geometry reference helpers that the tests use as oracles.
 
 ``toric`` keeps only what ``toric demo`` and ``toric check`` run.  The
-dual generators of a cone, its Hilbert basis, the meet of two cones and
-the pairwise fan check are read only by the tests, so they live here.
+dual generators of a cone, its Hilbert basis, the meet of two cones, the
+pairwise fan check and the point-by-point support test are read only by
+the tests, so they live here.
 Each builds its cones through the public ``Cone(...)``, which re-proves
 every ray, never through ``Cone._from_proven``.
 """
 
 import itertools
 
-from isbbrauer.toric import DIM, Cone, Fan, Vec, _dot, _dual_rays, _first_overlap
+from isbbrauer.toric import DIM, Cone, Fan, Vec, _as_vec, _dot, _dual_rays, _first_overlap
 
 
 def dual_generators(c: Cone) -> list[Vec]:
@@ -79,3 +80,9 @@ def intersection_cone(a: Cone, b: Cone) -> Cone:
 def fan_intersections_are_faces(f: Fan) -> bool:
     """The defining fan condition, checked pairwise by brute force."""
     return _first_overlap(list(f.maximal_cones)) is None
+
+
+def support_contains(f: Fan, x) -> bool:
+    """Whether the point ``x`` lies in a maximal cone of ``f``."""
+    point = _as_vec(x)
+    return any(c.contains(point) for c in f.maximal_cones)
