@@ -277,12 +277,16 @@ def brute_force_unramified(cfg: Configuration) -> tuple[int, int]:
     Raises:
         InvalidConfigurationError: when validation reports errors.
         CapExceededError: when dim P exceeds 20.
+        AssertionError: when a Q column lies outside the kernel of m_pr,
+            or the kernel found is not a subspace.
     """
     spaces = _valid_spaces(cfg)
     p = len(spaces.vp)
     if p > _BRUTE_FORCE_CAP:
         raise CapExceededError(f"dim P = {p} exceeds enumeration cap {_BRUTE_FORCE_CAP}")
     rows = spaces.m_pr.row_masks
+    if any((r & col).bit_count() % 2 for col in spaces.q_columns for r in rows):
+        raise AssertionError("a Q column is not in the kernel of m_pr")
     kernel = [v for v in range(1 << p) if all((r & v).bit_count() % 2 == 0 for r in rows)]
 
     image = {0}
@@ -297,6 +301,6 @@ def brute_force_unramified(cfg: Configuration) -> tuple[int, int]:
         cosets += 1
         visited.update(v ^ w for w in image)
     if cosets & (cosets - 1):
-        raise AssertionError("coset count is not a power of two; image not in kernel?")
+        raise AssertionError("coset count is not a power of two; the kernel found is not a subspace")
     kernel_dim = cosets.bit_length() - 1
     return kernel_dim, kernel_dim - len(spaces.s_labels)

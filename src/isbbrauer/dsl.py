@@ -24,15 +24,18 @@ Declaration order is semantic: it fixes the basis order of the
 computation, and the canonical emitter preserves it.  Parse errors carry
 1-based line/column spans; ``emit`` always produces LF line endings and
 ``parse(emit(cfg))`` returns a structurally equal configuration.  The
-parser reads a block in the canonical layout, followed by a block header
-or the end of the text, with one match, and every other line through a
+parser reads a block in the canonical layout, followed by blank lines and
+a block header or the end of the text, with one match, tried only where a
+line starts with ``curve `` or ``point ``, and every other line through a
 per-keyword handler into a block record.  Either way one step per kind
 of block, ``keep_curve`` or ``keep_point``, keeps the closed block as its
 ``Curve`` or ``SingularPoint``; it holds the only copy of the rules for
 claiming ids, reading residues and checking a mark, so both paths give
 the same result and the same diagnostics.  Every field line goes through
 one check of where it belongs and whether it is malformed, and one
-"already set" check.
+"already set" check.  Each pattern try reads one line, or one block and
+the blank lines after it, so parse time is linear in the text on every
+layout, however many blank lines or spaces it holds.
 """
 
 from __future__ import annotations
@@ -112,15 +115,18 @@ _RE_KEYWORD = re.compile(r"[A-Za-z_]+")
 _RE_TOKEN = re.compile(r"\S+")
 _RE_IDENT = re.compile(_ID)
 _RE_NAME = re.compile(_NAME)
-_RE_COVER = re.compile(r"cover:\s*(?P<value>\S+)\s*$")
+# The field patterns read a line without its comment, indentation and
+# trailing whitespace (``str.rstrip`` strips just what ``\s`` matches), so
+# each ends in a bare ``$``, and a group that runs to the end is greedy.
+_RE_COVER = re.compile(r"cover:\s*(?P<value>\S+)$")
 _RE_SYMBOLS = re.compile(r"symbols:(?P<rest>.*)$")
-_RE_TYPE = re.compile(r"type:\s*(?P<value>\S+)\s*$")
-_RE_EXT = re.compile(rf"ext\s+(?P<id>{_ID})(?:\s+sheet=(?P<sheet>\S+))?\s*:\s*(?P<residue>.*?)\s*$")
-_RE_MARK = re.compile(rf"mark:\s*(?P<id>{_ID})\s*$")
-_RE_CORES = re.compile(r"cores:\s*(?P<residue>.*?)\s*$")
-_RE_CURVES = re.compile(rf"curves:\s*(?P<a>{_ID})\s*,\s*(?P<b>{_ID})\s*$")
-_RE_ETYPE = re.compile(r"etype:\s*(?P<value>\S+)\s*$")
-_RE_MEETS = re.compile(r"meets_marked:\s*(?P<rest>\S.*?)\s*$")
+_RE_TYPE = re.compile(r"type:\s*(?P<value>\S+)$")
+_RE_EXT = re.compile(rf"ext\s+(?P<id>{_ID})(?:\s+sheet=(?P<sheet>\S+))?\s*:\s*(?P<residue>.*)$")
+_RE_MARK = re.compile(rf"mark:\s*(?P<id>{_ID})$")
+_RE_CORES = re.compile(r"cores:\s*(?P<residue>.*)$")
+_RE_CURVES = re.compile(rf"curves:\s*(?P<a>{_ID})\s*,\s*(?P<b>{_ID})$")
+_RE_ETYPE = re.compile(r"etype:\s*(?P<value>\S+)$")
+_RE_MEETS = re.compile(r"meets_marked:\s*(?P<rest>\S.*)$")
 
 _COVER_KINDS = {"irreducible": CoverKind.IRREDUCIBLE, "split": CoverKind.SPLIT_EVERYWHERE}
 _BEHAVIORS = {b.value: b for b in CoverBehavior}
@@ -142,14 +148,14 @@ def _ext_line(n: int) -> str:
     return rf"  ext (?P<ext{n}>{_ID})(?: sheet=(?P<sheet{n}>[12]))?: (?P<residue{n}>{_RESIDUE})\n"
 
 
-# A curve or point block exactly as ``emit`` writes it, after any blank
-# lines, when what follows it is blank lines and then a block header or the
-# end of the text.  It admits only values the line handlers take without a
+# A curve or point block exactly as ``emit`` writes it, from its header,
+# and the blank lines after it, when a block header or the end of the text
+# follows them.  It admits only values the line handlers take without a
 # diagnostic, and no later line can add a field to it, so a match stands for
 # the handler calls of its lines and the close of its block.  Any other
 # layout fails to match and goes through the handlers line by line.
 _RE_BLOCK = re.compile(
-    r"\n*(?:"
+    r"(?:"
     rf"curve (?P<curve>{_ID}):\n"
     rf"  type: (?P<type>{_alternatives(_CURVE_TYPES)})\n"
     rf"  cover: (?P<behavior>{_alternatives(_BEHAVIORS)})\n"
@@ -161,7 +167,7 @@ _RE_BLOCK = re.compile(
     rf"  curves: (?P<a>{_ID}), (?P<b>{_ID})\n"
     rf"  etype: (?P<etype>{_alternatives(_POINT_TYPES)})\n"
     rf"(?:  meets_marked: (?P<meets>{_ID}(?:, {_ID})*)\n)?"
-    r")(?=\n*(?:curve |point |\Z))"
+    r")\n*(?=curve |point |\Z)"
 )
 
 _SHEETS = {None: None, "1": 1, "2": 2}
@@ -184,7 +190,7 @@ class _RawCurve:
 
     # The keyword and the pattern of the line that opens the block.
     keyword = "curve"
-    header = re.compile(rf"curve\s+(?P<id>{_ID})\s*:\s*$")
+    header = re.compile(rf"curve\s+(?P<id>{_ID})\s*:$")
     # Each required field and the problem its absence is.
     required = (
         ("deg_type", "is missing a type line"),
@@ -209,7 +215,7 @@ class _RawPoint:
     """A point block read line by line, until it closes."""
 
     keyword = "point"
-    header = re.compile(rf"point\s+(?P<id>{_ID})\s*:\s*$")
+    header = re.compile(rf"point\s+(?P<id>{_ID})\s*:$")
     required = (("incident", "is missing a curves line"), ("etype", "is missing an etype line"))
 
     __slots__ = ("id", "at", "meets", "incident", "etype")
@@ -273,8 +279,11 @@ class _Parser:
         handlers = _HANDLERS
         keep_curve, keep_point = self.keep_curve, self.keep_point
         pos, size = 0, len(text)
+        # The block match is tried only at a block header.  A match ends at
+        # a header or at the end of the text, so only a line step checks.
+        at_header = text.startswith(("curve ", "point "))
         while pos < size:
-            m = block(text, pos)
+            m = at_header and block(text, pos)
             if m:
                 self.close_block()
                 (
@@ -308,6 +317,7 @@ class _Parser:
                 else:
                     handler(self, stripped, at)
             pos = end + 1
+            at_header = text.startswith(("curve ", "point "), pos)
         self.close_block()
         return self.finish()
 

@@ -376,7 +376,18 @@ def test_brute_force_raises_on_a_coset_count_that_is_not_a_power_of_two(monkeypa
     bare = spaces._replace(m_pr=F2Matrix(0, len(spaces.vp)), q_columns=())
     monkeypatch.setattr(brauer, "_valid_spaces", lambda cfg: bare)
     monkeypatch.setattr(brauer, "range", lambda stop: (0, 1, 2), raising=False)
-    with pytest.raises(AssertionError, match=r"^coset count is not a power of two; image not in kernel\?$"):
+    with pytest.raises(AssertionError, match=r"^coset count is not a power of two; the kernel found is not a subspace$"):
+        brute_force_unramified(HPT)
+
+
+def test_brute_force_raises_on_a_q_column_outside_the_kernel(monkeypatch):
+    # Each unit vector of P meets a row of hpt's ``m_pr`` in one place, so
+    # none lies in its kernel.
+    spaces = brauer._valid_spaces(HPT)
+    units = tuple(1 << j for j in range(len(spaces.vp)))
+    planted = spaces._replace(q_columns=units)
+    monkeypatch.setattr(brauer, "_valid_spaces", lambda cfg: planted)
+    with pytest.raises(AssertionError, match=r"^a Q column is not in the kernel of m_pr$"):
         brute_force_unramified(HPT)
 
 

@@ -2,12 +2,13 @@
 
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isbbrauer import dsl
+from isbbrauer import dsl, toric
 from isbbrauer.dsl import BUILTIN_NAMES, ConfigParseError, builtin, builtin_source, emit, parse
 from isbbrauer.model import Configuration, CoverKind, CurveType, PointType, ResidueClass, SingularPoint, validate
 from isbbrauer.sampling import random_configuration
@@ -564,3 +565,51 @@ def test_meets_marked_emitted_in_extension_order():
     )
     cfg = parse(src)
     assert emit(cfg) == src
+
+
+# --- the patterns ----------------------------------------------------------------
+
+
+def module_patterns(module) -> dict[str, re.Pattern]:
+    return {name: value for name, value in vars(module).items() if isinstance(value, re.Pattern)}
+
+
+def test_no_pattern_backtracks_over_what_a_stripped_line_cannot_hold():
+    # A handler gets its line right-stripped, so a ``\s*$`` tail only ever
+    # matches the empty string, and a lazy group before it retries it at
+    # every space: quadratic in a run of spaces.  That holds because
+    # ``str.rstrip`` strips exactly the characters ``\s`` matches.
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", every) == [c for c in every if not c.rstrip()]
+    patterns = {
+        **{f"dsl.{name}": p for name, p in module_patterns(dsl).items()},
+        **{f"toric.{name}": p for name, p in module_patterns(toric).items()},
+        "dsl._RawCurve.header": dsl._RawCurve.header,
+        "dsl._RawPoint.header": dsl._RawPoint.header,
+    }
+    assert {"dsl._RE_BLOCK", "dsl._RE_EXT", "dsl._RE_MEETS", "toric._TOKEN"} <= patterns.keys()
+    assert [name for name, p in patterns.items() if p.pattern.endswith(r"\s*$")] == []
+    assert [name for name, p in patterns.items() if re.search(r"[*+?}]\?", p.pattern)] == []
+    # A leading ``\n*`` would let each try at a blank line read the whole run.
+    assert not dsl._RE_BLOCK.pattern.startswith(r"\n*")
+
+
+def test_the_block_match_is_tried_only_at_a_block_header(monkeypatch):
+    tries = []
+    block = dsl._RE_BLOCK
+
+    class Recording:
+        @staticmethod
+        def match(text, pos):
+            tries.append(pos)
+            return block.match(text, pos)
+
+    # Blank lines and a comment first, a non-canonical block (an indented
+    # header, a comment inside) and a run of blank lines at the end.
+    source = "\n\n# lead\n" + builtin_source("hpt").replace("curve D'_y:", "  curve D'_y:").replace(
+        "point p010:\n", "point p010:\n  # inside\n"
+    ) + "\n" * 50
+    monkeypatch.setattr(dsl, "_RE_BLOCK", Recording)
+    assert emit(parse(source)) == builtin_source("hpt")
+    starts = [0] + [i + 1 for i, ch in enumerate(source) if ch == "\n"]
+    assert tries == [at for at in starts if source.startswith(("curve ", "point "), at)]

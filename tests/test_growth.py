@@ -20,13 +20,21 @@ whole command runs through ``cli.run`` (``compute``, ``compute --json``,
 Every stage on that path is linear in the input's size, so each
 function's count may grow by at most 2.2 per doubling.  A count does not
 depend on the host, so the bound holds on any machine.
+
+A line count is blind to regex backtracking, which runs inside one
+line.  So the parsers are also timed on the layouts where a backtracking
+pattern once made them quadratic: runs of blank lines, and runs of
+spaces inside a value.  Parsing an input of n lines (or spaces) and one
+of 4n may take at most ``TIME_BOUND`` times as long: linear gives about
+4, quadratic about 16.
 """
 
 import io
+import timeit
 
 import pytest
 
-from isbbrauer import brauer, cli, dsl
+from isbbrauer import brauer, cli, dsl, toric
 from isbbrauer.f2 import kernel_basis
 from isbbrauer.model import Configuration, CoverKind, PointType, validate, vp_basis
 from isbbrauer.sampling import random_corpus
@@ -111,3 +119,54 @@ def test_parse_and_compute_grow_linearly_on_copies_of_a_union(kind, tmp_path):
     assert meets >= 6 and any(p.etype is PointType.IVP_IV for p in base.points)
     sources = [dsl.emit(union(kind, [relabel(base, k) for k in range(n)])) for n in (8, 16, 32)]
     assert_linear(sources, tmp_path)
+
+
+TIME_BOUND = 8
+
+_HEAD = "cover: irreducible\nsymbols: a b\n"
+_CURVE = "curve c:\n  type: I\n"
+
+# Each layout, as a function of its run's length n, and the reader it goes
+# through.
+LAYOUTS = {
+    "blank lines, then bogus": (lambda n: _HEAD + "\n" * n + "bogus\n", dsl.parse),
+    "canonical block, blank lines, # end": (
+        lambda n: _HEAD + "\n" + _CURVE + "  cover: ramified\n  ext e: a\n" + "\n" * n + "# end\n",
+        dsl.parse,
+    ),
+    "spaces inside an ext residue": (
+        lambda n: _HEAD + _CURVE + "  cover: ramified\n  ext e: a" + " " * n + "b\n",
+        dsl.parse,
+    ),
+    "spaces inside a cores residue": (
+        lambda n: _HEAD + _CURVE + "  cover: inert\n  ext e: a\n  cores: a" + " " * n + "b\n",
+        dsl.parse,
+    ),
+    "spaces inside a meets_marked value": (
+        lambda n: _HEAD + "point p:\n  curves: c, d\n  etype: IV_II\n  meets_marked: e" + " " * n + "f\n",
+        dsl.parse,
+    ),
+    "fan script with blank lines": (
+        lambda n: "ray 1 0 0 0\nray 0 1 0 0\n" + "\n" * n + "cone 0 1\n",
+        toric.parse_fan_script,
+    ),
+}
+
+
+def best_parse_time(reader, text: str) -> float:
+    """The least of three timings of ``reader`` on ``text``, a parse error included."""
+
+    def read():
+        try:
+            reader(text)
+        except dsl.ConfigParseError:
+            pass
+
+    return min(timeit.Timer(read).repeat(repeat=3, number=1))
+
+
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+def test_parse_time_grows_linearly_on_long_runs(layout):
+    make, reader = LAYOUTS[layout]
+    small, large = (best_parse_time(reader, make(n)) for n in (5_000, 20_000))
+    assert large / small < TIME_BOUND, (small, large)
