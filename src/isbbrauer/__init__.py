@@ -13,7 +13,6 @@ from .brauer import (
     brute_force_unramified,
     ramification_lift,
     residue_kernel,
-    restriction_kernel,
     unramified_brauer,
 )
 from .dsl import ConfigParseError, builtin, emit, parse
@@ -51,7 +50,6 @@ __all__ = [
     "parse",
     "ramification_lift",
     "residue_kernel",
-    "restriction_kernel",
     "unramified_brauer",
     "validate",
 ]

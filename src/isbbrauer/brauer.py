@@ -1,15 +1,19 @@
 """The unramified Brauer group computation, all over GF(2).
 
 A configuration has the spaces P, Q, R, S and the maps ``m_pr: P -> R``,
-``m_qp: Q -> P`` and ``S -> P``, which ``model._build_spaces`` builds.
-Every public function that reads them validates the configuration
-first (``model._checked``, through ``_valid_spaces``), raises
-``InvalidConfigurationError`` on any error, and reads the spaces that
-validation built.  The group of interest is ``ker(P/Q -> R) / S``; its
-dimension and explicit coset generators (with their ramification on the
-base curves) make up the report.  ``brute_force_unramified`` recomputes
-the dimensions by plain enumeration and serves as an independent oracle
-in the tests.
+``m_qp: Q -> P`` and ``m_sp: S -> P``, which ``model._build_spaces``
+builds (the two maps into P on read).  Every public function that reads
+them validates the configuration first (``model._checked``, through
+``_valid_spaces``), raises ``InvalidConfigurationError`` on any error,
+and reads the spaces that validation built.  The group of interest is
+``ker(P/Q -> R) / S``; its dimension and explicit coset generators (with
+their ramification on the base curves) make up the report.
+``brute_force_unramified`` recomputes the dimensions by plain
+enumeration over those same spaces, so it checks the kernel and the
+Q+S echelon, but not the builder that made them.  The independent
+oracle is the tests' rule oracle (``tests/rule_oracle.py``), which
+rebuilds the rows, the Q columns and S from the stated rules and
+enumerates each connected component of the curves.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from .f2 import F2Matrix, F2Vector, _insert, kernel_basis
 from .model import (
     Configuration,
     CoverBehavior,
-    CoverKind,
     Curve,
     CurveType,
     ResidueClass,
@@ -39,7 +42,6 @@ __all__ = [
     "unramified_brauer",
     "ramification_lift",
     "residue_kernel",
-    "restriction_kernel",
     "brute_force_unramified",
 ]
 
@@ -54,7 +56,11 @@ class InvalidConfigurationError(ValueError):
 
 
 class KernelContractError(ValueError):
-    """A vector handed to ramification_lift was not in ker(m_pr)."""
+    """A vector was not in ker(m_pr).
+
+    ``ramification_lift`` raises it for the vector it was handed, and
+    ``unramified_brauer`` for a generator it chose, which would be a bug.
+    """
 
 
 class CapExceededError(ValueError):
@@ -199,20 +205,6 @@ def residue_kernel(c: Curve) -> list[ResidueClass]:
     return [ext.residue for ext in c.extensions]
 
 
-def restriction_kernel(cfg: Configuration) -> str:
-    """A one-line description of S, the kernel of restriction to the generic fiber."""
-    return _describe_s(cfg.cover_kind, _valid_spaces(cfg).s_labels)
-
-
-def _describe_s(cover_kind: CoverKind, labels: tuple[str, ...]) -> str:
-    """``restriction_kernel``'s line for a cover of ``cover_kind`` whose S has generators ``labels``."""
-    if labels:
-        return "generated by " + ", ".join(labels)
-    if cover_kind is CoverKind.IRREDUCIBLE:
-        return "trivial: cores(beta) has no ramification"
-    return "trivial: beta_1 and beta_2 are both unramified"
-
-
 # Not derived: a report is built only after validation ran GC1-GC4 and all four passed.
 _REPORT_ASSERTIONS = (("gc1", "ok"), ("gc2", "ok"), ("gc3", "ok"), ("gc4", "ok"))
 
@@ -253,9 +245,7 @@ def unramified_brauer(cfg: Configuration) -> BrauerReport:
         r_labels=tuple(p.id for p in spaces.zr),
         m_pr=spaces.m_pr,
         m_qp=spaces.m_qp,
-        m_sp=F2Matrix(
-            len(spaces.s_vectors), len(spaces.vp), tuple(v.mask for v in spaces.s_vectors)
-        ).transpose(),
+        m_sp=spaces.m_sp,
         kernel_dim=kernel_dim,
         h2nr_dim=h2nr_dim,
         generators=tuple(generators),

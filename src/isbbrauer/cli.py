@@ -227,6 +227,15 @@ def _cmd_compute(args, out) -> None:
     _compute_and_print(dsl.parse(_read_text(args.file)), args.json, out)
 
 
+def _describe_s(cover_kind: model.CoverKind, labels: tuple[str, ...]) -> str:
+    """``explain``'s line for S, on a cover of ``cover_kind`` whose S has generators ``labels``."""
+    if labels:
+        return "generated by " + ", ".join(labels)
+    if cover_kind is model.CoverKind.IRREDUCIBLE:
+        return "trivial: cores(beta) has no ramification"
+    return "trivial: beta_1 and beta_2 are both unramified"
+
+
 def _cmd_explain(args, out) -> None:
     cfg = dsl.parse(_read_text(args.file))
     report, spaces = model._checked(cfg)
@@ -244,7 +253,7 @@ def _cmd_explain(args, out) -> None:
             print("  local kernel generators: (none)", file=out)
         # 2-torsion setting: the odd-part injectivity means only these
         # residues can obstruct, which is why the local list is complete.
-    description = brauer._describe_s(cfg.cover_kind, spaces.s_labels)
+    description = _describe_s(cfg.cover_kind, spaces.s_labels)
     print(f"restriction kernel (dim {len(spaces.s_labels)}): {description}", file=out)
     for d in report.warnings:
         print(f"note: [{d.code}] {d.subject}: {d.message}", file=out)

@@ -16,15 +16,18 @@ The GF(2) spaces of the computation are built here too, by
 * ``R``  — one constraint per contributing crossing point,
 * ``S``  — the kernel of restriction to the generic fiber,
 
-with the incidence map ``m_pr: P -> R``, the relation map ``m_qp: Q -> P``
-and the diagonal inclusion ``S -> P``, in one walk over the curves and
-one over the points.  ``_checked``, which ``validate`` and every reader
-of the spaces in ``brauer`` and ``cli`` call, is the one caller: it
-builds them once, only for a configuration that passed structural
-validation, and returns them with its report, so the GC checks and the
-computation read one value.  ``vp_basis`` reads P off the curves, with
-no spaces, for ``sampling`` and the benchmark workloads; ``cores_residue``
-stays because the benchmark workloads call it.
+with the incidence map ``m_pr: P -> R``, in one walk over the curves and
+one over the points.  The Q relations and the S vectors are kept as
+masks over P, which is all the GC checks and the computation read; the
+maps into P, ``m_qp: Q -> P`` and ``m_sp: S -> P``, are their transposes,
+derived on read, so only ``compute``, which prints them, builds them.
+``_checked``, which ``validate`` and every reader of the spaces in
+``brauer`` and ``cli`` call, is the one caller: it builds the spaces
+once, only for a configuration that passed structural validation, and
+returns them with its report, so the GC checks and the computation read
+one value.  ``vp_basis`` reads P off the curves, with no spaces, for
+``sampling`` and the benchmark workloads; ``cores_residue`` stays
+because the benchmark workloads call it.
 
 Declaration order is semantic: curves, extensions, and points index the
 bases of the computation in the order they are listed here.
@@ -399,7 +402,7 @@ def _incidence_matrix(zr: list[SingularPoint], p: int, masks: dict[str, tuple]) 
 class _Spaces(
     namedtuple(
         "_Spaces",
-        "vp vq zr m_pr m_qp lift_rows s_labels s_vectors pr_columns q_columns qs_echelon",
+        "vp vq zr m_pr lift_rows s_labels s_vectors pr_columns q_columns qs_echelon",
     )
 ):
     """Every basis and map of one configuration, as ``_build_spaces`` builds them.
@@ -413,18 +416,18 @@ class _Spaces(
     corestriction residue on an inert curve, else the extension's residue.
 
     ``q_columns`` holds each Q relation, its curve's coordinates, as a
-    mask over P.  ``_spaces`` derives ``m_qp`` (their transpose), the
-    ``m_pr`` columns, and the rank of Q with an echelon basis of
-    image(Q) + image(S), built by pivot insertion of the Q columns and
-    then the S vectors: GC2/GC4 count ranks with it, generator selection
-    extends a copy of it.
+    mask over P.  ``_spaces`` derives the ``m_pr`` columns, and the rank
+    of Q with an echelon basis of image(Q) + image(S), built by pivot
+    insertion of the Q columns and then the S vectors: GC2/GC4 count
+    ranks with it, generator selection extends a copy of it.  The maps
+    into P, ``m_qp`` and ``m_sp``, are properties, built on each read:
+    only the report prints them.
 
     Fields:
         vp: tuple[Extension, ...]
         vq: tuple[Curve, ...]
         zr: tuple[SingularPoint, ...]
         m_pr: F2Matrix
-        m_qp: F2Matrix
         lift_rows: tuple[tuple[str, frozenset[str]], ...]
         s_labels: tuple[str, ...]
         s_vectors: tuple[F2Vector, ...]
@@ -448,16 +451,25 @@ class _Spaces(
             mask ^= low
         return image
 
+    @property
+    def m_qp(self) -> F2Matrix:
+        """``Q -> P``, the transpose of the Q columns, built on each read."""
+        return F2Matrix(len(self.q_columns), len(self.vp), tuple(self.q_columns)).transpose()
+
+    @property
+    def m_sp(self) -> F2Matrix:
+        """``S -> P``, the transpose of the S vectors, built on each read."""
+        return F2Matrix(len(self.s_vectors), len(self.vp), tuple(v.mask for v in self.s_vectors)).transpose()
+
 
 def _spaces(vp, vq, zr, m_pr, q_columns, lift_rows, s_labels, s_vectors) -> _Spaces:
-    """The ``_Spaces`` of these fields, with ``m_qp``, the ``m_pr`` columns and the Q+S echelon derived."""
+    """The ``_Spaces`` of these fields, with the ``m_pr`` columns and the Q+S echelon derived."""
     pivots: dict[int, int] = {}
     q_rank = sum(_insert(pivots, col) for col in q_columns)
     for vec in s_vectors:
         _insert(pivots, vec.mask)
-    m_qp = F2Matrix(len(q_columns), len(vp), tuple(q_columns)).transpose()
     return _Spaces(
-        vp, vq, zr, m_pr, m_qp, lift_rows, s_labels, s_vectors,
+        vp, vq, zr, m_pr, lift_rows, s_labels, s_vectors,
         m_pr.column_masks(), q_columns, (q_rank, pivots),
     )
 

@@ -1,12 +1,13 @@
 """The main computation against its worked examples and the brute-force oracle."""
 
+import io
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isbbrauer import brauer, dsl, model, sampling
+from isbbrauer import brauer, cli, dsl, model, sampling
 from isbbrauer.brauer import (
     CapExceededError,
     InvalidConfigurationError,
@@ -15,7 +16,6 @@ from isbbrauer.brauer import (
     matrix_p_to_r,
     ramification_lift,
     residue_kernel,
-    restriction_kernel,
     unramified_brauer,
 )
 from isbbrauer.f2 import F2Matrix, F2Vector, kernel_basis
@@ -74,6 +74,16 @@ def split_cover_equal_sheets() -> Configuration:
             ),
         ),
     )
+
+
+def explained_s(cfg: Configuration, tmp_path) -> str:
+    """The restriction-kernel line that ``isbbrauer explain`` prints for ``cfg``."""
+    path = tmp_path / "explained.cfg"
+    path.write_text(dsl.emit(cfg))
+    out = io.StringIO()
+    assert cli.run(["explain", str(path)], out, io.StringIO()) == cli.OK
+    (line,) = [line for line in out.getvalue().splitlines() if line.startswith("restriction kernel ")]
+    return line
 
 
 # --- the two worked examples ------------------------------------------
@@ -144,7 +154,7 @@ def test_s_space_cases():
     assert model._build_spaces(split_cover_equal_sheets()).s_labels == ("beta_1",)
 
 
-def test_s_space_split_distinct_sheets():
+def test_s_space_split_distinct_sheets(tmp_path):
     cfg = split_cover_equal_sheets()
     curve = cfg.curves[0]
     twisted = curve._replace(
@@ -152,7 +162,8 @@ def test_s_space_split_distinct_sheets():
     )
     cfg = Configuration(cfg.cover_kind, ("a", "b"), (twisted,))
     assert model._build_spaces(cfg).s_labels == ("beta_1", "beta_2")
-    assert restriction_kernel(cfg) == "generated by beta_1, beta_2"
+    assert explained_s(cfg, tmp_path) == "restriction kernel (dim 2): generated by beta_1, beta_2"
+    assert cli._describe_s(cfg.cover_kind, ("beta_1", "beta_2")) == "generated by beta_1, beta_2"
 
     sheet2_only = curve._replace(
         extensions=(Extension("c_1", sheet=1), Extension("c_2", ResidueClass.of("a"), sheet=2)),
@@ -173,15 +184,16 @@ def test_s_to_p_vectors():
     assert vec.support() == tuple(j for j, e in enumerate(vp) if e.sheet == 1)
 
 
-def test_restriction_kernel_descriptions():
-    assert restriction_kernel(HPT) == "trivial: cores(beta) has no ramification"
-    assert restriction_kernel(inert_carrier()) == "generated by cores(beta)"
-    assert restriction_kernel(split_cover_equal_sheets()) == "generated by beta_1"
+def test_restriction_kernel_descriptions(tmp_path):
+    # ``explain`` prints S's line from the spaces its one validation built.
+    assert explained_s(HPT, tmp_path) == "restriction kernel (dim 0): trivial: cores(beta) has no ramification"
+    assert explained_s(inert_carrier(), tmp_path) == "restriction kernel (dim 1): generated by cores(beta)"
+    assert explained_s(split_cover_equal_sheets(), tmp_path) == "restriction kernel (dim 1): generated by beta_1"
     (curve,) = split_cover_equal_sheets().curves
     unramified = curve._replace(extensions=tuple(e._replace(residue=ZERO) for e in curve.extensions))
     cfg = Configuration(CoverKind.SPLIT_EVERYWHERE, ("a",), (unramified,))
     assert model._build_spaces(cfg).s_labels == ()
-    assert restriction_kernel(cfg) == "trivial: beta_1 and beta_2 are both unramified"
+    assert explained_s(cfg, tmp_path) == "restriction kernel (dim 0): trivial: beta_1 and beta_2 are both unramified"
 
 
 # --- constraint and relation matrices ----------------------------------------
@@ -315,7 +327,6 @@ def test_rejects_invalid_configuration():
 READERS = {
     "unramified_brauer": unramified_brauer,
     "ramification_lift": lambda cfg: ramification_lift(cfg, F2Vector(len(vp_basis(cfg)), 0)),
-    "restriction_kernel": restriction_kernel,
     "brute_force_unramified": brute_force_unramified,
     "matrix_p_to_r": matrix_p_to_r,
 }
@@ -344,6 +355,20 @@ def test_every_reader_refuses_what_validation_rejects(rejected, reader):
         with pytest.raises(InvalidConfigurationError) as refused:
             READERS[reader](cfg)
         assert refused.value.report == report, code
+
+
+def test_explain_refuses_what_validation_rejects(rejected, tmp_path):
+    # ``explain`` prints S's line only from spaces that passed validation.
+    # The DUP_ID draw has no text form: ``parse`` refuses it first.
+    for code, cfg in rejected.items():
+        if code == "DUP_ID":
+            continue
+        path = tmp_path / "rejected.cfg"
+        path.write_text(dsl.emit(cfg))
+        out, err = io.StringIO(), io.StringIO()
+        assert cli.run(["explain", str(path)], out, err) == cli.INVALID, code
+        assert out.getvalue() == ""
+        assert f"[{code}]" in err.getvalue()
 
 
 def test_brute_force_cap():
