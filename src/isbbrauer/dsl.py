@@ -27,13 +27,15 @@ computation, and the canonical emitter preserves it.  Parse errors carry
 parser reads a block in the canonical layout, followed by blank lines and
 a block header or the end of the text, with one match, tried only where a
 line starts with ``curve `` or ``point ``, and every other line through a
-per-keyword handler into a block record.  Either way one step per kind
-of block, ``keep_curve`` or ``keep_point``, keeps the closed block as its
-``Curve`` or ``SingularPoint``; it holds the only copy of the rules for
-claiming ids, reading residues and checking a mark, so both paths give
-the same result and the same diagnostics.  Every field line goes through
-one check of where it belongs and whether it is malformed, and one
-"already set" check.  Each pattern try reads one line, or one block and
+per-keyword handler that sets the text of the block pattern's groups its
+line gives, once the line is accepted.  Either way one step per kind of
+block, ``keep_curve`` or ``keep_point``, takes the closed block's group
+texts and keeps it as its ``Curve`` or ``SingularPoint``; it holds the
+only copy of the rules for turning a text into a value, claiming ids,
+reading residues and checking a mark, so both paths give the same result
+and the same diagnostics.  Every field line goes through one check of
+where it belongs and whether it is malformed, and one "already set"
+check.  Each pattern try reads one line, or one block and
 the blank lines after it, so parse time is linear in the text on every
 layout, however many blank lines or spaces it holds.
 """
@@ -43,7 +45,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from collections import namedtuple
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 
 from .model import (
     Configuration,
@@ -172,60 +174,41 @@ _RE_BLOCK = re.compile(
 
 _SHEETS = {None: None, "1": 1, "2": 2}
 _NO_MEETS: frozenset[str] = frozenset()
-_NO_EXT = (None, None, None)
+
+# ``_RE_BLOCK``'s group names in order: a curve block's, then from ``point`` on a point block's.
+_GROUPS = sorted(_RE_BLOCK.groupindex, key=_RE_BLOCK.groupindex.__getitem__)
+_POINT = _GROUPS.index("point")
+
+# For each kind of block read line by line: the pattern of its header line,
+# each required group with the problem its absence is, and every group of
+# the kind in order, with the text it closes with when no line set it.
+_BLOCK_KINDS = {
+    "curve": (
+        re.compile(rf"curve\s+(?P<id>{_ID})\s*:$"),
+        (
+            ("type", "is missing a type line"),
+            ("behavior", "is missing a cover line"),
+            ("ext1", "needs at least one ext line"),
+        ),
+        dict.fromkeys(_GROUPS[:_POINT]) | {"type": "I", "behavior": "ramified"},
+    ),
+    "point": (
+        re.compile(rf"point\s+(?P<id>{_ID})\s*:$"),
+        (("a", "is missing a curves line"), ("etype", "is missing an etype line")),
+        dict.fromkeys(_GROUPS[_POINT:]) | {"a": "", "b": "", "etype": "I_II"},
+    ),
+}
 
 # A source position is one offset into the text; ``_Parser.span`` turns it
 # into a line and a column, for a diagnostic only.  An ``_At`` gives a block
-# field's offset by its group name in ``_RE_BLOCK``: ``Match.start`` for a
-# block read by one match, and the ``__getitem__`` of the block record's
-# offsets for a block read line by line.  ``keep_curve`` and ``keep_point``
-# call it to claim an id, and otherwise only for a diagnostic.  A
+# group's offset by its name in ``_RE_BLOCK``: ``Match.start`` for a block
+# read by one match, the ``__getitem__`` of its offsets for one read line by
+# line.  Both paths hand ``keep_curve`` and ``keep_point`` a block's group
+# texts and its ``_At``; those two turn the texts into values, and call the
+# ``_At`` to claim an id, and otherwise only for a diagnostic.  A
 # ``meets_marked`` name travels as ``(name, offset)``.
 _Located = tuple[str, int]
 _At = Callable[[str], int]
-
-
-class _RawCurve:
-    """A curve block read line by line, until it closes."""
-
-    # The keyword and the pattern of the line that opens the block.
-    keyword = "curve"
-    header = re.compile(rf"curve\s+(?P<id>{_ID})\s*:$")
-    # Each required field and the problem its absence is.
-    required = (
-        ("deg_type", "is missing a type line"),
-        ("behavior", "is missing a cover line"),
-        ("exts", "needs at least one ext line"),
-    )
-
-    __slots__ = ("id", "at", "exts", "deg_type", "behavior", "mark", "cores")
-
-    def __init__(self, id: str, pos: int):
-        self.id = id
-        # Each field's offset, keyed by its group name in ``_RE_BLOCK``.
-        self.at = {"curve": pos}
-        self.exts: list[tuple[str, int | None, str]] = []  # (id, sheet, residue text)
-        self.deg_type: CurveType | None = None
-        self.behavior: CoverBehavior | None = None
-        self.mark: str | None = None
-        self.cores: str | None = None
-
-
-class _RawPoint:
-    """A point block read line by line, until it closes."""
-
-    keyword = "point"
-    header = re.compile(rf"point\s+(?P<id>{_ID})\s*:$")
-    required = (("incident", "is missing a curves line"), ("etype", "is missing an etype line"))
-
-    __slots__ = ("id", "at", "meets", "incident", "etype")
-
-    def __init__(self, id: str, pos: int):
-        self.id = id
-        self.at = {"point": pos}
-        self.meets: list[_Located] = []
-        self.incident: tuple[str, str] | None = None
-        self.etype: PointType | None = None
 
 
 class _Parser:
@@ -247,7 +230,12 @@ class _Parser:
         self.ids: dict[str, int] = {}
         self.curve_ids: set[str] = set()
         self.ext_ids: set[str] = set()
-        self.block: _RawCurve | _RawPoint | None = None
+        # The block read line by line, while one is open: its kind, and the
+        # text and the offset of each group an accepted line set, keyed by
+        # the group's name in ``_RE_BLOCK``.
+        self.kind: str | None = None
+        self.block: dict[str, str | None] = {}
+        self.offsets: dict[str, int] = {}
         # Top-level declarations seen only on a rejected line: that line's
         # diagnostic stands in for "missing ... declaration".
         self.rejected_declarations: set[str] = set()
@@ -285,22 +273,14 @@ class _Parser:
         while pos < size:
             m = at_header and block(text, pos)
             if m:
-                self.close_block()
-                (
-                    curve, deg_type, behavior, ext1, sheet1, residue1, ext2, sheet2, residue2, mark, cores,
-                    point, a, b, etype, meets,
-                ) = m.groups()
-                if point is None:
-                    keep_curve(
-                        curve, _CURVE_TYPES[deg_type], _BEHAVIORS[behavior],
-                        ext1, _SHEETS[sheet1], residue1, ext2, _SHEETS[sheet2], residue2,
-                        mark, cores, m.start,
-                    )
+                # ``close_block`` checks this too; here it spares a call per block.
+                if self.kind is not None:
+                    self.close_block()
+                groups = m.groups()
+                if groups[0] is None:
+                    keep_point(groups[_POINT:], m.start)
                 else:
-                    keep_point(
-                        point, a, b, _POINT_TYPES[etype],
-                        [] if meets is None else self.read_meets(meets, m.start("meets")), m.start,
-                    )
+                    keep_curve(groups[:_POINT], m.start)
                 pos = m.end()
                 continue
             end = text.find("\n", pos)
@@ -322,35 +302,30 @@ class _Parser:
         return self.finish()
 
     def on_header(self, text: str, at: int) -> None:
-        kind = _RawCurve if text.startswith(_RawCurve.keyword) else _RawPoint
-        m = kind.header.match(text)
+        kind = "curve" if text.startswith("curve") else "point"
+        m = _BLOCK_KINDS[kind][0].match(text)
         self.close_block()
+        self.kind, self.block, self.offsets = kind, {kind: ""}, {kind: at}
         if m:
-            self.block = kind(m.group("id"), at + m.start("id"))
+            self.put(m, at, **{kind: "id"})
         else:
-            self.error(at, f"malformed {kind.keyword} line")
-            self.block = kind("", at)
+            self.error(at, f"malformed {kind} line")
 
     def on_cover(self, text: str, at: int) -> None:
         m = _RE_COVER.match(text)
-        block = self.block
+        kind = self.kind
         if not m:
             self.error(at, "malformed cover line")
-            if block is None:
+            if kind is None:
                 self.rejected_declarations.add("cover")
             return
         value = m.group("value")
-        if isinstance(block, _RawCurve):
+        if kind == "curve":
             if value not in _BEHAVIORS:
-                self.error(
-                    at + m.start("value"),
-                    f"cover behavior must be inert, split, or ramified, got {value!r}",
-                )
-            elif block.behavior is not None:
-                self.error(at, f"cover already set for curve {block.id!r}")
-            else:
-                block.behavior = _BEHAVIORS[value]
-        elif isinstance(block, _RawPoint):
+                self.error(at + m.start("value"), f"cover behavior must be inert, split, or ramified, got {value!r}")
+            elif self.unset("behavior", "cover", at):
+                self.put(m, at, behavior="value")
+        elif kind == "point":
             self.error(at, "cover is not allowed in a point block")
         elif value not in _COVER_KINDS:
             self.error(at + m.start("value"), f"cover kind must be irreducible or split, got {value!r}")
@@ -361,7 +336,7 @@ class _Parser:
             self.cover = _COVER_KINDS[value]
 
     def on_symbols(self, text: str, at: int) -> None:
-        if self.block is not None:
+        if self.kind is not None:
             self.error(at, "symbols must be declared at top level")
             return
         if self.symbols is not None:
@@ -387,93 +362,97 @@ class _Parser:
     # -- block fields -------------------------------------------------------
 
     def field_match(
-        self, kind: type[_RawCurve | _RawPoint], keyword: str, pattern: re.Pattern, text: str, at: int, usage: str = ""
-    ) -> tuple:
-        """The open ``kind`` block and ``pattern``'s match on the field line ``text``.
+        self, kind: str, keyword: str, pattern: re.Pattern, text: str, at: int, usage: str = ""
+    ) -> re.Match | None:
+        """``pattern``'s match on the field line ``text`` of an open ``kind`` block.
 
         A line outside a ``kind`` block, or one ``pattern`` does not match,
-        gets its diagnostic and ``(None, None)``.
+        gets its diagnostic and ``None``.
         """
-        block = self.block
-        if not isinstance(block, kind):
-            where = "at top level" if block is None else f"in a {block.keyword} block"
-            self.error(at, f"{keyword} is not allowed {where}; it belongs in a {kind.keyword} block")
-            return None, None
+        if self.kind != kind:
+            where = "at top level" if self.kind is None else f"in a {self.kind} block"
+            self.error(at, f"{keyword} is not allowed {where}; it belongs in a {kind} block")
+            return None
         m = pattern.match(text)
         if not m:
             self.error(at, f"malformed {keyword} line{usage}")
-            return None, None
-        return block, m
+        return m
 
-    def unset(self, block: _RawCurve | _RawPoint, keyword: str, value: object, at: int) -> bool:
-        """Whether ``value``, ``block``'s ``keyword`` field, is unset; a diagnostic if not."""
-        if value:
-            self.error(at, f"{keyword} already set for {block.keyword} {block.id!r}")
-        return not value
+    def unset(self, group: str, keyword: str, at: int) -> bool:
+        """Whether no accepted line set the open block's ``group``; a diagnostic if one did."""
+        if group in self.block:
+            self.error(at, f"{keyword} already set for {self.kind} {self.block[self.kind]!r}")
+            return False
+        return True
+
+    def put(self, m: re.Match, at: int, **groups: str) -> None:
+        """Set each of the open block's ``groups`` to the text and offset of ``m``'s group named beside it."""
+        for group, name in groups.items():
+            self.block[group] = m.group(name)
+            self.offsets[group] = at + m.start(name)
 
     def on_type(self, text: str, at: int) -> None:
-        c, m = self.field_match(_RawCurve, "type", _RE_TYPE, text, at)
+        m = self.field_match("curve", "type", _RE_TYPE, text, at)
         if m is None:
             return
-        value = m.group("value")
-        if value not in _CURVE_TYPES:
-            self.error(at + m.start("value"), f"type must be I, II, III, or IV, got {value!r}")
-        elif self.unset(c, "type", c.deg_type, at):
-            c.deg_type = _CURVE_TYPES[value]
+        if m.group("value") not in _CURVE_TYPES:
+            self.error(at + m.start("value"), f"type must be I, II, III, or IV, got {m.group('value')!r}")
+        elif self.unset("type", "type", at):
+            self.put(m, at, type="value")
 
     def on_ext(self, text: str, at: int) -> None:
-        c, m = self.field_match(_RawCurve, "ext", _RE_EXT, text, at)
+        m = self.field_match("curve", "ext", _RE_EXT, text, at)
         if m is None:
             return
-        raw_sheet = m.group("sheet")
-        sheet: int | None = None
-        if raw_sheet is not None:
-            if raw_sheet not in ("1", "2"):
-                self.error(at + m.start("sheet"), f"sheet must be 1 or 2, got {raw_sheet!r}")
-            else:
-                sheet = int(raw_sheet)
-        n = len(c.exts) + 1
-        if n > 2:
-            self.error(at, f"curve {c.id!r} already has two extensions")
+        sheet = m.group("sheet")
+        if sheet not in _SHEETS:
+            self.error(at + m.start("sheet"), f"sheet must be 1 or 2, got {sheet!r}")
+        if "ext2" in self.block:
+            self.error(at, f"curve {self.block['curve']!r} already has two extensions")
             return
-        c.at[f"ext{n}"] = at + m.start("id")
-        c.at[f"residue{n}"] = at + m.start("residue")
-        c.exts.append((m.group("id"), sheet, m.group("residue")))
+        n = 2 if "ext1" in self.block else 1
+        # An extension whose sheet was refused has none.
+        groups = {f"ext{n}": "id", f"residue{n}": "residue"}
+        if sheet in _SHEETS:
+            groups[f"sheet{n}"] = "sheet"
+        self.put(m, at, **groups)
 
     def on_mark(self, text: str, at: int) -> None:
-        c, m = self.field_match(_RawCurve, "mark", _RE_MARK, text, at)
-        if m is not None and self.unset(c, "mark", c.mark, at):
-            c.mark = m.group("id")
-            c.at["mark"] = at + m.start("id")
+        m = self.field_match("curve", "mark", _RE_MARK, text, at)
+        if m is not None and self.unset("mark", "mark", at):
+            self.put(m, at, mark="id")
 
     def on_cores(self, text: str, at: int) -> None:
-        c, m = self.field_match(_RawCurve, "cores", _RE_CORES, text, at)
-        # An empty cores residue is a value too: it was set.
-        if m is not None and self.unset(c, "cores", c.cores is not None, at):
-            c.cores = m.group("residue")
-            c.at["cores"] = at + m.start("residue")
+        m = self.field_match("curve", "cores", _RE_CORES, text, at)
+        # An empty cores residue is a value too: it sets the field.
+        if m is not None and self.unset("cores", "cores", at):
+            self.put(m, at, cores="residue")
 
     def on_curves(self, text: str, at: int) -> None:
-        p, m = self.field_match(_RawPoint, "curves", _RE_CURVES, text, at, " (expected: curves: <id>, <id>)")
-        if m is not None and self.unset(p, "curves", p.incident, at):
-            p.incident = (m.group("a"), m.group("b"))
-            p.at["a"] = at + m.start("a")
-            p.at["b"] = at + m.start("b")
+        m = self.field_match("point", "curves", _RE_CURVES, text, at, " (expected: curves: <id>, <id>)")
+        if m is not None and self.unset("a", "curves", at):
+            self.put(m, at, a="a", b="b")
 
     def on_etype(self, text: str, at: int) -> None:
-        p, m = self.field_match(_RawPoint, "etype", _RE_ETYPE, text, at)
+        m = self.field_match("point", "etype", _RE_ETYPE, text, at)
         if m is None:
             return
-        value = m.group("value")
-        if value not in _POINT_TYPES:
-            self.error(at + m.start("value"), f"unknown point type {value!r}")
-        elif self.unset(p, "etype", p.etype, at):
-            p.etype = _POINT_TYPES[value]
+        if m.group("value") not in _POINT_TYPES:
+            self.error(at + m.start("value"), f"unknown point type {m.group('value')!r}")
+        elif self.unset("etype", "etype", at):
+            self.put(m, at, etype="value")
 
     def on_meets_marked(self, text: str, at: int) -> None:
-        p, m = self.field_match(_RawPoint, "meets_marked", _RE_MEETS, text, at)
-        if m is not None and self.unset(p, "meets_marked", p.meets, at):
-            p.meets = self.read_meets(m.group("rest"), at + m.start("rest"))
+        m = self.field_match("point", "meets_marked", _RE_MEETS, text, at)
+        if m is None or not self.unset("meets", "meets_marked", at):
+            return
+        # A line that names at least one extension sets the field, and its
+        # names are read when the block closes; a line whose every name is
+        # refused leaves it unset, and gets its diagnostics here.
+        if any(_RE_IDENT.fullmatch(part.strip()) for part in m.group("rest").split(",")):
+            self.put(m, at, meets="rest")
+        else:
+            self.read_meets(m.group("rest"), at + m.start("rest"))
 
     def read_meets(self, rest: str, at: int) -> list[_Located]:
         """The comma-separated extension ids ``rest``, which starts at offset ``at``."""
@@ -491,50 +470,29 @@ class _Parser:
     # -- closed blocks ------------------------------------------------------
 
     def close_block(self) -> None:
-        """Keep the block read line by line, if one is open, as its record."""
-        block, self.block = self.block, None
-        if block is None:
+        """Hand the block read line by line, if one is open, to ``keep_curve`` or ``keep_point``."""
+        kind = self.kind
+        if kind is None:
             return
-        at = block.at
-        for name, problem in block.required:
-            if not getattr(block, name):
-                self.error(at[block.keyword], f"{block.keyword} {block.id!r} {problem}")
-        if isinstance(block, _RawCurve):
-            (ext1, sheet1, residue1), (ext2, sheet2, residue2) = (*block.exts, _NO_EXT, _NO_EXT)[:2]
-            self.keep_curve(
-                block.id,
-                block.deg_type or CurveType.I,
-                block.behavior or CoverBehavior.RAMIFIED,
-                ext1, sheet1, residue1, ext2, sheet2, residue2,
-                block.mark,
-                block.cores,
-                at.__getitem__,
-            )
-        else:
-            a, b = block.incident or ("", "")
-            self.keep_point(block.id, a, b, block.etype or PointType.I_II, block.meets, at.__getitem__)
+        block, offsets, self.kind = self.block, self.offsets, None
+        _, required, closes = _BLOCK_KINDS[kind]
+        for group, problem in required:
+            if group not in block:
+                self.error(offsets[kind], f"{kind} {block[kind]!r} {problem}")
+        keep = self.keep_curve if kind == "curve" else self.keep_point
+        # ``closes | block`` keeps the order of ``closes``, which holds every group.
+        keep((closes | block).values(), offsets.__getitem__)
 
-    def keep_curve(
-        self,
-        id: str,
-        deg_type: CurveType,
-        behavior: CoverBehavior,
-        ext1: str | None,
-        sheet1: int | None,
-        residue1: str | None,
-        ext2: str | None,
-        sheet2: int | None,
-        residue2: str | None,
-        mark: str | None,
-        cores: str | None,
-        at: _At,
-    ) -> None:
-        """Claim a closed curve's ids, read its residues and keep its ``Curve``.
+    def keep_curve(self, groups: Iterable[str | None], at: _At) -> None:
+        """Claim a closed curve's ids, read the texts of its ``groups`` and keep its ``Curve``.
 
-        ``ext1`` is ``None`` only for a curve read line by line without an
-        ext line.  A residue text read before without a problem is looked
-        up here; any other goes through ``resolve_residue``.
+        It is the one place a block's text becomes a ``CurveType``, a
+        ``CoverBehavior`` or a sheet.  ``ext1`` is ``None`` only for a curve
+        read line by line without an ext line.  A residue text read before
+        without a problem is looked up here; any other goes through
+        ``resolve_residue``.
         """
+        id, deg_type, behavior, ext1, sheet1, residue1, ext2, sheet2, residue2, mark, cores = groups
         ids, residues = self.ids, self.residues
         if id in ids:
             self.duplicate(id, at("curve"))
@@ -551,7 +509,7 @@ class _Parser:
             residue = residues.get(residue1)
             if residue is None:
                 residue = self.resolve_residue(residue1, at, "residue1")
-            exts = (tuple.__new__(Extension, (ext1, residue, sheet1)),)
+            exts = (tuple.__new__(Extension, (ext1, residue, _SHEETS[sheet1])),)
             if ext2 is not None:
                 if ext2 in ids:
                     self.duplicate(ext2, at("ext2"))
@@ -561,7 +519,7 @@ class _Parser:
                 residue = residues.get(residue2)
                 if residue is None:
                     residue = self.resolve_residue(residue2, at, "residue2")
-                exts += (tuple.__new__(Extension, (ext2, residue, sheet2)),)
+                exts += (tuple.__new__(Extension, (ext2, residue, _SHEETS[sheet2])),)
         if mark is not None and mark != ext1 and mark != ext2:
             self.error(at("mark"), f"mark {mark!r} does not match an extension of {id!r}")
         cores_residue = None
@@ -569,13 +527,20 @@ class _Parser:
             cores_residue = residues.get(cores)
             if cores_residue is None:
                 cores_residue = self.resolve_residue(cores, at, "cores")
-        self.curves.append(tuple.__new__(Curve, (id, deg_type, behavior, exts, mark, cores_residue)))
+        curve = (id, _CURVE_TYPES[deg_type], _BEHAVIORS[behavior], exts, mark, cores_residue)
+        self.curves.append(tuple.__new__(Curve, curve))
 
-    def keep_point(self, id: str, a: str, b: str, etype: PointType, meets: list[_Located], at: _At) -> None:
-        """Keep a closed point's ``SingularPoint``; ``finish`` claims its id and checks its references."""
-        names = frozenset([name for name, _ in meets]) if meets else _NO_MEETS
-        self.points.append(tuple.__new__(SingularPoint, (id, (a, b), etype, names)))
-        self.point_refs.append((id, a, b, meets, at))
+    def keep_point(self, groups: Iterable[str | None], at: _At) -> None:
+        """Keep a closed point's ``SingularPoint``; ``finish`` claims its id and checks its references.
+
+        It is the one place a block's text becomes a ``PointType``, and it
+        reads the ``meets_marked`` names, if any.
+        """
+        id, a, b, etype, meets = groups
+        located = [] if meets is None else self.read_meets(meets, at("meets"))
+        names = frozenset([name for name, _ in located]) if located else _NO_MEETS
+        self.points.append(tuple.__new__(SingularPoint, (id, (a, b), _POINT_TYPES[etype], names)))
+        self.point_refs.append((id, a, b, located, at))
 
     # -- resolution ---------------------------------------------------------
 

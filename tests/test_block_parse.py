@@ -358,28 +358,28 @@ def test_a_point_declared_before_a_curve_of_its_id_is_the_duplicate(monkeypatch)
     assert line_path_outcome(monkeypatch, POINT_THEN_CURVE) == expected
 
 
-# --- no raw record for a canonical block --------------------------------------
+# --- no block read line by line for a canonical block -------------------------
 
 
 @pytest.fixture
-def raw_records(monkeypatch):
-    """The class name of every ``_RawCurve`` and ``_RawPoint`` built."""
-    built: list[str] = []
-    for kind in (dsl._RawCurve, dsl._RawPoint):
+def line_blocks(monkeypatch):
+    """The keyword of every block opened line by line, through ``_Parser.on_header``."""
+    opened: list[str] = []
 
-        def counting(self, *args, _init=kind.__init__, **kwargs):
-            built.append(type(self).__name__)
-            _init(self, *args, **kwargs)
+    def counting(self, text, at, _on_header=dsl._Parser.on_header):
+        opened.append(text.split(None, 1)[0])
+        _on_header(self, text, at)
 
-        monkeypatch.setattr(kind, "__init__", counting)
-    return built
+    for keyword in ("curve", "point"):
+        monkeypatch.setitem(dsl._HANDLERS, keyword, counting)
+    return opened
 
 
-def test_canonical_blocks_build_no_raw_record(raw_records):
+def test_canonical_blocks_build_no_raw_record(line_blocks):
     ring = ring_source(400)
     assert len(dsl.parse(ring).curves) == 400
     assert len(dsl.parse(dsl.emit(mixed_union())).points) > 100
-    assert raw_records == []
-    # Off the canonical layout each block is read line by line into one.
+    assert line_blocks == []
+    # Off the canonical layout each block is read line by line.
     dsl.parse(edit_blocks(ring_source(3), comment_inside))
-    assert raw_records == ["_RawCurve"] * 3 + ["_RawPoint"] * 3
+    assert line_blocks == ["curve"] * 3 + ["point"] * 3

@@ -497,6 +497,35 @@ LINE_PATH_CASES = [
     (top("point p:"), ["3:7: point 'p' is missing a curves line", "3:7: point 'p' is missing an etype line"]),
     # A repeated meets_marked line is refused before its tokens are read.
     (in_point("meets_marked: c_2, !x"), ["18:3: meets_marked already set for point 'p'"]),
+    # A field is set only by a line that was accepted, so a refused line
+    # leaves it free for the next one.
+    (
+        PRE + "curve c:\n  type: V\n  type: II\n  cover: split\n  ext c_1: a\n",
+        ["4:9: type must be I, II, III, or IV, got 'V'"],
+    ),
+    (
+        PRE + "curve c:\n  type: II\n  cover: splits\n  cover: split\n  ext c_1: a\n",
+        ["5:10: cover behavior must be inert, split, or ramified, got 'splits'"],
+    ),
+    (
+        PRE + TWO_EXTS + "point p:\n  curves: c, c\n  etype: II_III\n  etype: II_II\n",
+        ["10:10: unknown point type 'II_III'"],
+    ),
+    (
+        PRE + TWO_EXTS + "point p:\n  curves: c, c\n  etype: IV_II\n  meets_marked: !x\n  meets_marked: c_1\n",
+        ["11:17: bad extension reference '!x'"],
+    ),
+    # An empty residue is a value: it sets the field, and is refused only
+    # when the block closes.
+    (
+        PRE + "curve q:\n  type: I\n  cover: inert\n  ext q_1: a\n  cores:\n  cores: a\n",
+        ["7:9: missing residue (use 0 for the zero class)", "8:3: cores already set for curve 'q'"],
+    ),
+    # An ext line with a refused sheet still counts as an extension.
+    (
+        PRE + "curve c:\n  type: II\n  cover: split\n  ext c_1 sheet=3: a\n  ext c_2: a\n  ext c_3: a\n",
+        ["6:17: sheet must be 1 or 2, got '3'", "8:3: curve 'c' already has two extensions"],
+    ),
 ]
 
 
@@ -584,8 +613,7 @@ def test_no_pattern_backtracks_over_what_a_stripped_line_cannot_hold():
     patterns = {
         **{f"dsl.{name}": p for name, p in module_patterns(dsl).items()},
         **{f"toric.{name}": p for name, p in module_patterns(toric).items()},
-        "dsl._RawCurve.header": dsl._RawCurve.header,
-        "dsl._RawPoint.header": dsl._RawPoint.header,
+        **{f"dsl._BLOCK_KINDS[{kind!r}]": header for kind, (header, _, _) in dsl._BLOCK_KINDS.items()},
     }
     assert {"dsl._RE_BLOCK", "dsl._RE_EXT", "dsl._RE_MEETS", "toric._TOKEN"} <= patterns.keys()
     assert [name for name, p in patterns.items() if p.pattern.endswith(r"\s*$")] == []

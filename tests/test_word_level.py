@@ -341,8 +341,9 @@ def test_consistency_checks_match_reference_on_random_maps():
         def sparse() -> int:
             return sum(1 << j for j in range(p) if rng.random() < 0.3)
 
-        # The maps are swapped through ``_spaces``, which derives ``m_qp``,
-        # the columns of ``m_pr`` and the Q+S echelon from them afresh.
+        # The maps are swapped through ``_spaces``, which derives the columns
+        # of ``m_pr`` and the Q+S echelon from them afresh; ``m_qp`` is a
+        # property of ``_Spaces``, built from ``q_columns`` on each read.
         spaces = model._spaces(
             spaces.vp, spaces.vq, spaces.zr,
             m_pr=F2Matrix(spaces.m_pr.rows, p, tuple(sparse() for _ in spaces.zr)),
