@@ -1,9 +1,10 @@
 """The rule-by-rule structural validation and incidence rule that ``model`` replaced.
 
-``model._structural_diagnostics`` looks up what a curve's kind decides
-in its ``_CURVE_KINDS`` table and walks only the instance data.  This is
-the walk that came before it, one rule after another, with every check
-re-derived per curve; the tests compare the two diagnostic for
+``model._structural_diagnostics`` reads a curve's type and behavior
+once and tests them against module-level member names.  This is the
+walk that came before it, one rule after another through ``err``,
+``warn`` and ``claim`` closures, with every check re-derived per curve
+from the enum attributes; the tests compare the two diagnostic for
 diagnostic.  ``point_relates`` is the incidence rule of every point
 type, which ``model._incidence_matrix`` spells out only for IV_II and
 replaces by per-curve masks for the others.  The package never runs

@@ -1,12 +1,12 @@
-"""Structural validation from the per-kind table, against the rule-by-rule walk.
+"""Structural validation as the product writes it, against the rule-by-rule walk.
 
-``model._structural_diagnostics`` takes what a curve's type, behavior and
-cover kind decide from one lookup in ``model._CURVE_KINDS``;
+``model._structural_diagnostics`` reads each curve's type and cover
+behavior once and tests them where each rule is applied;
 ``tests/model_reference.py`` keeps the walk that re-derived every rule
-per curve.  Both must give the same errors and warnings, with the same
-codes, messages, subjects and order: on every kind of curve, on sampled
-configurations with one field mutated, and on the mutation corpus of the
-command-line fuzz.
+per curve with helper closures.  Both must give the same errors and
+warnings, with the same codes, messages, subjects and order: on every
+kind of curve, on sampled configurations with one field mutated, and on
+the mutation corpus of the command-line fuzz.
 """
 
 import itertools
@@ -42,10 +42,6 @@ def check(cfg: Configuration) -> tuple[list, list]:
 
 def codes(found: tuple[list, list]) -> set[str]:
     return {d.code for diagnostics in found for d in diagnostics}
-
-
-def test_the_table_holds_every_kind():
-    assert set(model._CURVE_KINDS) == set(itertools.product(CurveType, CoverBehavior, CoverKind))
 
 
 # --- every kind of curve ---------------------------------------------------------
