@@ -54,7 +54,8 @@ class _Cells:
 
     The layout is built once, as a template of zeros in which cell ``k``
     is the byte at ``first + k * step``.  A row with few set bits costs a
-    copy of the template and one byte per set bit; a denser one copies
+    copy of the template and one byte per set bit, walked from the top
+    bit down since the order is free; a denser one copies
     its bit string into the strided slice.  ``head``, ``sep`` and
     ``tail`` are ASCII, so byte offsets are character offsets.
     """
@@ -76,9 +77,9 @@ class _Cells:
         if mask.bit_count() <= self.sparse:
             first, step = self.first, self.step
             while mask:
-                low = mask & -mask
-                cells[first + step * (low.bit_length() - 1)] = 49  # "1"
-                mask ^= low
+                t = mask.bit_length() - 1
+                cells[first + step * t] = 49  # "1"
+                mask ^= 1 << t
         else:
             cells[self.first:self.stop:self.step] = f2.bit_string(mask, self.cols).encode()
         return cells.decode()

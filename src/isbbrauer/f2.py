@@ -108,14 +108,18 @@ class F2Matrix(namedtuple("F2Matrix", "rows cols row_masks", defaults=((),))):
         return tuple.__new__(cls, (rows, cols, row_masks))
 
     def column_masks(self) -> list[int]:
-        """Every column's bit mask, built in one pass over the set bits of each row."""
+        """Every column's bit mask, built in one pass over the set bits of each row.
+
+        The order of the bits does not matter, so each row is walked from
+        its top bit down, one wide int per bit.
+        """
         masks = [0] * self.cols
         for i, row in enumerate(self.row_masks):
             bit = 1 << i
             while row:
-                low = row & -row
-                masks[low.bit_length() - 1] |= bit
-                row ^= low
+                t = row.bit_length() - 1
+                masks[t] |= bit
+                row ^= 1 << t
         return masks
 
     def transpose(self) -> "F2Matrix":
@@ -260,17 +264,18 @@ def kernel_basis(m: F2Matrix) -> Subspace:
             row ^= other
     # Back-substitute in increasing pivot order: a reduced row holds no
     # pivot column but its own, so XOR-ing it in clears one pivot bit and
-    # sets none.
+    # sets none, and the hits can be taken in any order, top bit first.
     lower = 0  # the pivot columns below the current one
     for p in sorted(rows):
         row = rows[p]
         hits = row & lower
         while hits:
-            low = hits & -hits
-            row ^= rows[low.bit_length() - 1]
-            hits ^= low
+            t = hits.bit_length() - 1
+            row ^= rows[t]
+            hits ^= 1 << t
         rows[p] = row
         lower |= 1 << p
+    # The free columns go lowest first: their order is the basis order.
     vectors: dict[int, int] = {}  # free column -> its kernel vector
     free = ((1 << m.cols) - 1) ^ lower
     while free:

@@ -17,10 +17,12 @@ The GF(2) spaces of the computation are built here too, by
 * ``S``  — the kernel of restriction to the generic fiber,
 
 with the incidence map ``m_pr: P -> R``, in one walk over the curves and
-one over the points.  The Q relations and the S vectors are kept as
-masks over P, which is all the GC checks and the computation read; the
-maps into P, ``m_qp: Q -> P`` and ``m_sp: S -> P``, are their transposes,
-derived on read, so only ``compute``, which prints them, builds them.
+one over the points; the walk over the points builds the rows of
+``m_pr`` and its columns together, so no transpose of it is made.  The
+Q relations and the S vectors are kept as masks over P, which is all
+the GC checks and the computation read; the maps into P,
+``m_qp: Q -> P`` and ``m_sp: S -> P``, are their transposes, derived on
+read, so only ``compute``, which prints them, builds them.
 ``_checked``, which ``validate`` and every reader of the spaces in
 ``brauer`` and ``cli`` call, is the one caller: it builds the spaces
 once, only for a configuration that passed structural validation, and
@@ -179,11 +181,11 @@ class Curve(
         (the corestriction of a symbolic class is not computable from the
         symbols).
         """
-        if self.cover_behavior is CoverBehavior.SPLIT:
+        if self.cover_behavior is _SPLIT:
             total: frozenset[str] = frozenset()
             for ext in self.extensions:
                 total ^= ext.residue.symbols
-            return ResidueClass(total)
+            return tuple.__new__(ResidueClass, (total,))
         if self.cores_residue_input is not None:
             return self.cores_residue_input
         return ZERO
@@ -316,44 +318,65 @@ def vp_basis(cfg: Configuration) -> list[Extension]:
     return [ext for c in cfg.curves for ext in c.extensions if ext.residue.symbols]
 
 
-# The point types whose row ORs one mask of each incident curve, and which
-# of the curve's three masks (every coordinate, split curve, marked
-# extension) that is.  The one other type of R, IV_II, has its own rule.
+# The point types whose row ORs one mask of each incident curve, and the
+# index in the curve's entry of that mask (every coordinate, split curve,
+# marked extension); the row's bit goes to the entry's accumulator three
+# places on.  The one other type of R, IV_II, has its own rule.
 _ROW_MASK = {PointType.III_II: 0, PointType.II_II: 1, PointType.IVP_IV: 2}
-_NO_MASKS = (0, 0, 0, ())
 
 
-def _incidence_matrix(zr: list[SingularPoint], p: int, masks: dict[str, tuple]) -> F2Matrix:
-    """m_pr, from the masks over P that ``_build_spaces`` gave each curve id.
+def _incidence_matrix(zr: list[SingularPoint], p: int, entries: dict[str, list]) -> tuple[F2Matrix, list[int]]:
+    """m_pr and its columns, from the entry ``_build_spaces`` gave each curve id.
 
     A curve's entry holds three masks of its P coordinates: every one, for
     III_II; every one if the curve is split, for II_II; its marked
-    extension, for IVp_IV.  A row of one of those types ORs one mask of
-    each incident curve.  An IV_II row ORs each incident curve's marked
-    mask and the coordinates ``j`` of the entry's ``(j, ext.id)`` pairs
-    whose id is in the point's ``meets_marked``.  On a configuration that
-    passed structural validation only a Type IV curve has a marking, and
-    ``meets_marked`` names only extensions of the Type II curve, so bit j
-    is set exactly when a scan of every (point, extension) pair would set
-    it.
+    extension, for IVp_IV.  Then three accumulators over R, one per mask,
+    the curve's first coordinate and its carrying extensions.  A row of
+    one of those types ORs one mask of each incident curve and puts its
+    bit in the matching accumulator.  An IV_II row ORs each incident
+    curve's marked mask, putting its bit in the marked accumulator, and
+    sets the coordinates of the curve's carrying extensions named in the
+    point's ``meets_marked``, in the row and in those columns directly.
+    On a configuration that passed structural validation only a Type IV
+    curve has a marking, and ``meets_marked`` names only extensions of the
+    Type II curve, so bit j is set exactly when a scan of every (point,
+    extension) pair would set it.
+
+    After the walk each curve's coordinates take its accumulators: every
+    coordinate the "every" one, and the "split" one if the curve is
+    split; the marked coordinate also the "marked" one.  So the columns
+    are the transpose of the rows, built without a walk over their bits.
     """
     rows = []
-    for point in zr:
+    direct = []  # (coordinate, row bit) of each meets_marked hit
+    for i, point in enumerate(zr):
+        bit = 1 << i
         mask = 0
         k = _ROW_MASK.get(point.etype)
         if k is None:
             meets = point.meets_marked
             for curve_id in point.incident:
-                _, _, marked, pairs = masks.get(curve_id, _NO_MASKS)
-                mask |= marked
-                for j, eid in pairs:
-                    if eid in meets:
+                entry = entries[curve_id]
+                mask |= entry[2]
+                entry[5] |= bit
+                for j, ext in enumerate(entry[7], entry[6]):
+                    if ext.id in meets:
                         mask |= 1 << j
+                        direct.append((j, bit))
         else:
             for curve_id in point.incident:
-                mask |= masks.get(curve_id, _NO_MASKS)[k]
+                entry = entries[curve_id]
+                mask |= entry[k]
+                entry[k + 3] |= bit
         rows.append(mask)
-    return F2Matrix(len(zr), p, tuple(rows))
+    columns: list[int] = []
+    for _, split, marked, on_every, on_split, on_marked, _, carrying in entries.values():
+        columns += [on_every | on_split if split else on_every] * len(carrying)
+        if marked:
+            columns[marked.bit_length() - 1] |= on_marked
+    for j, bit in direct:
+        columns[j] |= bit
+    return F2Matrix(len(zr), p, tuple(rows)), columns
 
 
 class _Spaces(
@@ -372,13 +395,14 @@ class _Spaces(
     curve id and the symbols it adds to that curve's lift: the curve's
     corestriction residue on an inert curve, else the extension's residue.
 
-    ``q_columns`` holds each Q relation, its curve's coordinates, as a
-    mask over P.  ``_spaces`` derives the ``m_pr`` columns, and the rank
-    of Q with an echelon basis of image(Q) + image(S), built by pivot
-    insertion of the Q columns and then the S vectors: GC2/GC4 count
-    ranks with it, generator selection extends a copy of it.  The maps
-    into P, ``m_qp`` and ``m_sp``, are properties, built on each read:
-    only the report prints them.
+    ``pr_columns`` holds each column of ``m_pr``, a mask over R, as
+    ``_incidence_matrix`` builds it beside the rows; ``q_columns`` holds
+    each Q relation, its curve's coordinates, as a mask over P.
+    ``_spaces`` derives the rank of Q with an echelon basis of image(Q) +
+    image(S), built by pivot insertion of the Q columns and then the S
+    vectors: GC2/GC4 count ranks with it, generator selection extends a
+    copy of it.  The maps into P, ``m_qp`` and ``m_sp``, are properties,
+    built on each read: only the report prints them.
 
     Fields:
         vp: tuple[Extension, ...]
@@ -398,14 +422,16 @@ class _Spaces(
     def r_image(self, mask: int) -> int:
         """The image in R of the P vector ``mask``.
 
-        That is the XOR of the ``m_pr`` columns on the support of ``mask``.
+        That is the XOR of the ``m_pr`` columns on the support of ``mask``,
+        in any order: the walk clears the top bit, which builds one wide
+        int per bit where clearing the lowest builds two.
         """
         columns = self.pr_columns
         image = 0
         while mask:
-            low = mask & -mask
-            image ^= columns[low.bit_length() - 1]
-            mask ^= low
+            t = mask.bit_length() - 1
+            image ^= columns[t]
+            mask ^= 1 << t
         return image
 
     @property
@@ -419,15 +445,18 @@ class _Spaces(
         return F2Matrix(len(self.s_vectors), len(self.vp), tuple(v.mask for v in self.s_vectors)).transpose()
 
 
-def _spaces(vp, vq, zr, m_pr, q_columns, lift_rows, s_labels, s_vectors) -> _Spaces:
-    """The ``_Spaces`` of these fields, with the ``m_pr`` columns and the Q+S echelon derived."""
+def _spaces(vp, vq, zr, m_pr, pr_columns, q_columns, lift_rows, s_labels, s_vectors) -> _Spaces:
+    """The ``_Spaces`` of these fields, with the Q+S echelon derived.
+
+    ``pr_columns`` must be the columns of ``m_pr``; no transpose is made.
+    """
     pivots: dict[int, int] = {}
     q_rank = sum(_insert(pivots, col) for col in q_columns)
     for vec in s_vectors:
         _insert(pivots, vec.mask)
     return _Spaces(
         vp, vq, zr, m_pr, lift_rows, s_labels, s_vectors,
-        m_pr.column_masks(), q_columns, (q_rank, pivots),
+        pr_columns, q_columns, (q_rank, pivots),
     )
 
 
@@ -435,41 +464,42 @@ def _build_spaces(cfg: Configuration) -> _Spaces:
     """The spaces of ``cfg``: one walk over the curves, then one over the points.
 
     ``cfg`` has passed structural validation.  Each curve appends its
-    extensions that carry residue to P and gives each its lift row and
-    its bit in the curve's masks, which ``_incidence_matrix`` reads by
-    curve id; a Q curve's mask of them is its Q column.  S is
-    cores(beta), all of P, when some corestriction residue is nonzero
-    under the irreducible cover.  Under the split cover it is the
-    nonzero sheet masks beta_i, without beta_2 when every curve that
+    extensions that carry residue to P, gives each its lift row, and gets
+    the entry that ``_incidence_matrix`` reads by curve id: its three
+    masks, three empty accumulators, its first coordinate and its
+    carrying extensions.  A Q curve's mask of every coordinate is its Q
+    column.  S is cores(beta), all of P, when some corestriction residue
+    is nonzero under the irreducible cover.  Under the split cover it is
+    the nonzero sheet masks beta_i, without beta_2 when every curve that
     carries residue carries two equal residues (beta_1 = beta_2).
     """
     vp: list[Extension] = []
     vq: list[Curve] = []
     q_columns: list[int] = []
     lift_rows: list[tuple[str, frozenset[str]]] = []
-    masks: dict[str, tuple] = {}
+    entries: dict[str, list] = {}
     split_cover = cfg.cover_kind is CoverKind.SPLIT_EVERYWHERE
     sheet_masks = {1: 0, 2: 0}
     sheets_agree = True
     cores_ramify = False
     for c in cfg.curves:
-        cores = c.cores_residue
-        cores_ramify = cores_ramify or not cores.is_zero
+        cores = c.cores_residue.symbols
+        cores_ramify = cores_ramify or bool(cores)
         carrying = [ext for ext in c.extensions if ext.residue.symbols]
+        first = len(vp)
+        every = ((1 << len(carrying)) - 1) << first
+        split = every if c.cover_behavior is _SPLIT else 0
+        entry = entries[c.id] = [every, split, 0, 0, 0, 0, first, carrying]
         if not carrying:
             continue
-        first = len(vp)
         vp.extend(carrying)
-        inert = c.cover_behavior is CoverBehavior.INERT
-        marked = 0
-        pairs = []
+        inert = c.cover_behavior is _INERT
+        marking = c.marking
         for j, ext in enumerate(carrying, first):
-            lift_rows.append((c.id, (cores if inert else ext.residue).symbols))
-            pairs.append((j, ext.id))
-            if ext.id == c.marking:
-                marked |= 1 << j
-        every = ((1 << len(carrying)) - 1) << first
-        if cores.is_zero:
+            lift_rows.append((c.id, cores if inert else ext.residue.symbols))
+            if ext.id == marking:
+                entry[2] = 1 << j
+        if not cores:
             vq.append(c)
             q_columns.append(every)
         if split_cover:
@@ -477,8 +507,6 @@ def _build_spaces(cfg: Configuration) -> _Spaces:
                 sheet_masks[ext.sheet] |= 1 << j
             if len(carrying) != 2 or carrying[0].residue != carrying[1].residue:
                 sheets_agree = False
-        split = every if c.cover_behavior is CoverBehavior.SPLIT else 0
-        masks[c.id] = (every, split, marked, pairs)
     zr = [p for p in cfg.points if p.etype in _R_POINT_TYPES]
     p = len(vp)
     if split_cover:
@@ -487,11 +515,13 @@ def _build_spaces(cfg: Configuration) -> _Spaces:
             del generators[1:]
     else:
         generators = [("cores(beta)", (1 << p) - 1)] if cores_ramify else []
+    m_pr, pr_columns = _incidence_matrix(zr, p, entries)
     return _spaces(
         vp=tuple(vp),
         vq=tuple(vq),
         zr=tuple(zr),
-        m_pr=_incidence_matrix(zr, p, masks),
+        m_pr=m_pr,
+        pr_columns=pr_columns,
         q_columns=q_columns,
         lift_rows=tuple(lift_rows),
         s_labels=tuple(label for label, _ in generators),
@@ -547,8 +577,8 @@ def _structural_diagnostics(cfg: Configuration) -> tuple[list[Diagnostic], list[
             symbols = ext.residue.symbols
             if symbols:
                 carrying.append(ext)
-                bad = symbols.difference(declared)
-                if bad:
+                if not symbols <= declared:
+                    bad = symbols.difference(declared)
                     message = f"residue of {eid} uses undeclared symbols {sorted(bad)}"
                     errors.append(Diagnostic("RESIDUE_SYMBOLS", message, eid))
             if ext.sheet not in sheets:
@@ -599,11 +629,10 @@ def _structural_diagnostics(cfg: Configuration) -> tuple[list[Diagnostic], list[
             if split:
                 message = f"cores residue on split curve {cid} (it is determined)"
                 errors.append(Diagnostic("CORES_INPUT", message, cid))
-            else:
+            elif not cores.symbols <= declared:
                 bad = cores.symbols.difference(declared)
-                if bad:
-                    message = f"cores residue of {cid} uses undeclared symbols {sorted(bad)}"
-                    errors.append(Diagnostic("RESIDUE_SYMBOLS", message, cid))
+                message = f"cores residue of {cid} uses undeclared symbols {sorted(bad)}"
+                errors.append(Diagnostic("RESIDUE_SYMBOLS", message, cid))
 
         # Warnings: places where the geometry says a residue should ramify.
         if t is _II and not carrying:

@@ -92,8 +92,9 @@ def test_rule_oracle_catches_a_builder_that_drops_the_constraints(monkeypatch):
 
     def unconstrained(cfg):
         spaces = built(cfg)
+        p = len(spaces.vp)
         return model._spaces(
-            spaces.vp, spaces.vq, (), F2Matrix(0, len(spaces.vp)), spaces.q_columns, spaces.lift_rows,
+            spaces.vp, spaces.vq, (), F2Matrix(0, p), [0] * p, spaces.q_columns, spaces.lift_rows,
             spaces.s_labels, spaces.s_vectors,
         )
 

@@ -5,9 +5,10 @@ one-pass ``Subspace`` invariant, the GC1-GC4 checks (column XOR and pivot
 ranks) and the bit rendering of vectors and matrices are each compared
 with an in-test copy of the straightforward code that came before them.
 The loops that walk set bits inline (``column_masks``, ``kernel_basis``,
-``_Spaces.r_image`` and ``brauer._lift``) also meet masks 1 to 2500 bits
-wide.  A ring of 400 split Type II curves (dim P 800, far past the brute-force
-cap) is checked against its number of connected components.
+``_Spaces.r_image``, ``brauer._lift`` and ``cli._Cells.row``) also meet
+masks 1 to 2500 bits wide.  A ring of 400 split Type II curves (dim P 800,
+far past the brute-force cap) is checked against its number of connected
+components.
 """
 
 import json
@@ -160,13 +161,16 @@ CELL_LAYOUTS = {
 
 
 @pytest.mark.parametrize("layout", sorted(CELL_LAYOUTS))
-@pytest.mark.parametrize("cols", [0, 1, 15, 16, 17, 63, 64, 800])
+@pytest.mark.parametrize("cols", [0, 1, 15, 16, 17, 63, 64, 65, 800, 1000, 2500])
 def test_cell_rows_match_per_bit(layout, cols):
     build, reference = CELL_LAYOUTS[layout]
     cells = build(cols)
     rng = random.Random(cols)
-    counts = sorted({k for k in (0, 1, cells.sparse, cells.sparse + 1, cols // 2, cols) if k <= cols})
+    # Every count of scattered bits the sparse path takes, one past it, and
+    # denser rows; a lone top bit too, where the top-down walk starts.
+    counts = sorted({k for k in (*range(cells.sparse + 2), cols // 2, cols) if k <= cols})
     masks = [sum(1 << j for j in rng.sample(range(cols), k)) for k in counts for _ in range(3)]
+    masks += [1 << (cols - 1)] if cols else []
     for mask in masks:
         assert cells.row(mask) == reference(per_bit(mask, cols))
     # rows on both sides of the switch from walking set bits to the bit string
@@ -236,7 +240,10 @@ def test_kernel_matches_gauss_jordan_reference():
 #
 # ``column_masks``, ``kernel_basis``, ``_Spaces.r_image`` and ``brauer._lift``
 # walk set bits in their own loops; here each meets masks of one and of many
-# machine words, all-ones and single-top-bit ones included.
+# machine words, all-ones and single-top-bit ones included (``cli._Cells.row``
+# meets the same widths in ``test_cell_rows_match_per_bit``).  The lift and
+# the kernel's free columns go lowest bit first, since their order is
+# output; the others clear the top bit.
 
 WIDE = [1, 63, 64, 65, 1000, 2500]
 
@@ -247,9 +254,11 @@ def wide_masks(n: int, rng: random.Random) -> list[int]:
 
 
 def spaces_with(**fields) -> model._Spaces:
-    """Spaces of the given fields, the others empty, through ``_spaces``."""
+    """Spaces of the given fields, the others empty, through ``_spaces``,
+    with the columns of ``m_pr`` as its transpose gives them."""
     empty = dict.fromkeys(("vp", "vq", "zr", "q_columns", "lift_rows", "s_labels", "s_vectors"), ())
-    return model._spaces(**{**empty, "m_pr": F2Matrix(0, 0), **fields})
+    fields = {**empty, "m_pr": F2Matrix(0, 0), **fields}
+    return model._spaces(**fields, pr_columns=fields["m_pr"].column_masks())
 
 
 @pytest.mark.parametrize("n", WIDE)
@@ -341,12 +350,15 @@ def test_consistency_checks_match_reference_on_random_maps():
         def sparse() -> int:
             return sum(1 << j for j in range(p) if rng.random() < 0.3)
 
-        # The maps are swapped through ``_spaces``, which derives the columns
-        # of ``m_pr`` and the Q+S echelon from them afresh; ``m_qp`` is a
-        # property of ``_Spaces``, built from ``q_columns`` on each read.
+        # The maps are swapped through ``_spaces``, which derives the Q+S
+        # echelon from them afresh and takes the columns of ``m_pr`` as
+        # given, here its transpose; ``m_qp`` is a property of ``_Spaces``,
+        # built from ``q_columns`` on each read.
+        m_pr = F2Matrix(spaces.m_pr.rows, p, tuple(sparse() for _ in spaces.zr))
         spaces = model._spaces(
             spaces.vp, spaces.vq, spaces.zr,
-            m_pr=F2Matrix(spaces.m_pr.rows, p, tuple(sparse() for _ in spaces.zr)),
+            m_pr=m_pr,
+            pr_columns=m_pr.column_masks(),
             q_columns=[sparse() for _ in spaces.vq],
             lift_rows=spaces.lift_rows,
             s_labels=spaces.s_labels,
