@@ -151,8 +151,8 @@ def _check_kernel(spaces: _Spaces, vectors: list[F2Vector]) -> None:
     """Raise KernelContractError unless every vector lies in ker(m_pr).
 
     Each vector's image is the XOR of the ``m_pr`` columns on its
-    support, the columns the GC1/GC3 checks built: the cost is the total
-    support of the vectors, with no matrix-vector product per vector.
+    support, built beside the rows in the walk over the points: the cost
+    is the total support of the vectors, with no product per vector.
     """
     p = len(spaces.vp)
     for vec in vectors:
@@ -206,6 +206,7 @@ def residue_kernel(c: Curve) -> list[ResidueClass]:
 
 
 # Not derived: a report is built only after validation ran GC1-GC4 and all four passed.
+# GC4 is proved by construction for Q and checked for S (``model._consistency_diagnostics``).
 _REPORT_ASSERTIONS = (("gc1", "ok"), ("gc2", "ok"), ("gc3", "ok"), ("gc4", "ok"))
 
 
@@ -215,13 +216,13 @@ def unramified_brauer(cfg: Configuration) -> BrauerReport:
     Validation is ``validate``'s, through ``_valid_spaces``, and the
     computation goes on from the spaces its GC checks read: each basis and
     map is built once.
-    kernel_dim is dim ker(m_pr) minus dim image(m_qp); subtracting dim S
-    gives h2nr_dim.  Generators complete image(Q) +
-    image(S) to the kernel greedily over the canonical kernel basis: an
-    echelon basis seeded with the Q columns and the S vectors takes each
-    kernel row in turn, and a row that is not already in its span becomes
-    a generator.  Output is therefore deterministic in the declaration
-    order.
+    kernel_dim is dim ker(m_pr) minus dim image(m_qp), the number of Q
+    curves, whose columns are disjoint runs; subtracting dim S gives
+    h2nr_dim.  Generators complete image(Q) + image(S) to the kernel
+    greedily over the canonical kernel basis: an echelon basis seeded with
+    the Q columns and the S vectors takes each kernel row in turn, and a
+    row that is not already in its span becomes a generator.  Output is
+    therefore deterministic in the declaration order.
 
     Raises:
         InvalidConfigurationError: when validation reports errors; its
@@ -229,11 +230,10 @@ def unramified_brauer(cfg: Configuration) -> BrauerReport:
     """
     spaces = _valid_spaces(cfg)
     kernel = kernel_basis(spaces.m_pr)
-    q_rank, qs_pivots = spaces.qs_echelon
-    kernel_dim = kernel.dim - q_rank
+    kernel_dim = kernel.dim - len(spaces.vq)
     h2nr_dim = kernel_dim - len(spaces.s_labels)
 
-    pivots = dict(qs_pivots)
+    pivots = dict(spaces.qs_echelon)
     chosen = [row for row in kernel.basis if _insert(pivots, row.mask)]
     _check_kernel(spaces, chosen)
     generators = [Generator(row, tuple(_lift(spaces, row))) for row in chosen]

@@ -397,12 +397,12 @@ class _Spaces(
 
     ``pr_columns`` holds each column of ``m_pr``, a mask over R, as
     ``_incidence_matrix`` builds it beside the rows; ``q_columns`` holds
-    each Q relation, its curve's coordinates, as a mask over P.
-    ``_spaces`` derives the rank of Q with an echelon basis of image(Q) +
-    image(S), built by pivot insertion of the Q columns and then the S
-    vectors: GC2/GC4 count ranks with it, generator selection extends a
-    copy of it.  The maps into P, ``m_qp`` and ``m_sp``, are properties,
-    built on each read: only the report prints them.
+    each Q relation, its curve's coordinates, as a mask over P: a
+    non-empty run that no other curve shares.  The S vectors are pairwise
+    disjoint.  ``qs_echelon`` is the echelon basis of image(Q) + image(S)
+    that ``_spaces`` derives: GC2 counts its size, generator selection
+    extends a copy of it.  The maps into P, ``m_qp`` and ``m_sp``, are
+    properties, built on each read: only the report prints them.
 
     Fields:
         vp: tuple[Extension, ...]
@@ -414,7 +414,7 @@ class _Spaces(
         s_vectors: tuple[F2Vector, ...]
         pr_columns: list[int]
         q_columns: list[int]
-        qs_echelon: tuple[int, dict[int, int]]
+        qs_echelon: dict[int, int]
     """
 
     __slots__ = ()
@@ -449,15 +449,13 @@ def _spaces(vp, vq, zr, m_pr, pr_columns, q_columns, lift_rows, s_labels, s_vect
     """The ``_Spaces`` of these fields, with the Q+S echelon derived.
 
     ``pr_columns`` must be the columns of ``m_pr``; no transpose is made.
+    The Q columns are disjoint runs, so each goes in as is under its lowest
+    bit, as pivot insertion would put it; only the S vectors are inserted.
     """
-    pivots: dict[int, int] = {}
-    q_rank = sum(_insert(pivots, col) for col in q_columns)
+    pivots = {col & -col: col for col in q_columns}
     for vec in s_vectors:
         _insert(pivots, vec.mask)
-    return _Spaces(
-        vp, vq, zr, m_pr, lift_rows, s_labels, s_vectors,
-        pr_columns, q_columns, (q_rank, pivots),
-    )
+    return _Spaces(vp, vq, zr, m_pr, lift_rows, s_labels, s_vectors, pr_columns, q_columns, pivots)
 
 
 def _build_spaces(cfg: Configuration) -> _Spaces:
@@ -700,10 +698,11 @@ def _consistency_diagnostics(spaces: _Spaces) -> list[Diagnostic]:
     """GC1-GC4: linear-algebra checks that hold for geometric data.
 
     GC1 and GC3 map a P vector to R as the XOR of the ``m_pr`` columns on
-    its support.  GC4 and GC2 compare ranks, counted by pivot insertion:
-    Q and S meet nontrivially exactly when rank Q + rank S > rank(Q + S).
-    The echelon basis of Q + S is the spaces' own, which generator
-    selection then extends.
+    its support.  GC4 and GC2 read ranks off the construction.  The Q
+    columns are disjoint non-empty runs, so rank Q is ``len(vq)`` and GC4
+    holds for Q unchecked.  The S vectors are disjoint, so GC4 fails for S
+    exactly when one is zero: cores(beta) of an empty P.  GC2 fails when
+    rank Q + rank S > rank(Q + S), the size of the spaces' echelon basis.
     """
     errors: list[Diagnostic] = []
     for c, column in zip(spaces.vq, spaces.q_columns):
@@ -725,15 +724,10 @@ def _consistency_diagnostics(spaces: _Spaces) -> list[Diagnostic]:
                 )
             )
 
-    q_rank, qs_pivots = spaces.qs_echelon
-    s_pivots: dict[int, int] = {}
-    s_rank = sum(_insert(s_pivots, vec.mask) for vec in spaces.s_vectors)
-    s_rank_past_q = len(qs_pivots) - q_rank
-    if q_rank < len(spaces.vq):
-        errors.append(Diagnostic("GC4", "relation vectors of Q are linearly dependent in P", "Q"))
+    s_rank = sum(1 for vec in spaces.s_vectors if vec.mask)
     if s_rank < len(spaces.s_vectors):
         errors.append(Diagnostic("GC4", "generators of S are linearly dependent in P", "S"))
-    if s_rank > s_rank_past_q:
+    if s_rank > len(spaces.qs_echelon) - len(spaces.vq):
         errors.append(Diagnostic("GC2", "images of S and Q in P intersect nontrivially", "S∩Q"))
     return errors
 

@@ -1,22 +1,29 @@
-"""What the command line never runs.
+"""What the command line never runs, and which diagnostic codes it never prints.
 
 Every function and method of the package, found by ``ast``, is matched
 to the code objects that ``cli.run`` enters, recorded with
 ``sys.setprofile`` call events.  The inputs are the built-in examples,
 an emitted random corpus, CRLF and commented, re-indented copies of
 some of them, seeded byte mutations of the fuzz sources, the pinned
-refusals of ``tests/test_cli.py`` and the committed fan scripts, run
-through every command.  Tier-1 as a whole runs every line of the
-package but ``cli.main``'s body; this map shows what only the tests
-reach.  What the commands never enter must be on a list grouped by
+refusals of ``tests/test_cli.py``, one committed input per diagnostic
+code that the others miss (``tests/diagnostics``) and the committed fan
+scripts, run through every command.  Tier-1 as a whole runs every line
+of the package but ``cli.main``'s body; this map shows what only the
+tests reach.  What the commands never enter must be on a list grouped by
 reason, so a function the command line stops reaching, or a new one it
-never reaches, is a change someone has to decide on.
+never reaches, is a change someone has to decide on.  The same holds for
+each code that ``model`` emits, found by ``ast`` from its
+``Diagnostic("...")`` calls: some command's output shows it, or it is on
+a list of codes only a configuration built in Python reaches.
 """
 
 import ast
 import io
+import re
 import sys
 from pathlib import Path
+
+import pytest
 
 from isbbrauer import cli, dsl, model, toric
 from isbbrauer.sampling import random_corpus
@@ -26,6 +33,9 @@ from test_fuzz import CONFIG_SOURCES, Seeded, mutate
 
 PACKAGE = Path(model.__file__).parent
 FANS = Path(__file__).parent / "fans"
+# One input per diagnostic code that no other input shows, named after
+# the code in lower case.
+DIAGNOSTICS = Path(__file__).parent / "diagnostics"
 
 
 def functions() -> dict[tuple[str, int, str], str]:
@@ -71,7 +81,8 @@ def config_inputs() -> list[bytes | None]:
     pick = Seeded(4040)
     mutants = [mutate(pick.element(CONFIG_SOURCES), pick) for _ in range(100)]
     refusals = [data for data, *_ in CONFIG_REFUSALS.values()]
-    return [text.encode() for text in texts] + list(CONFIG_SOURCES) + mutants + refusals
+    diagnostics = [path.read_bytes() for path in sorted(DIAGNOSTICS.glob("*.cfg"))]
+    return [text.encode() for text in texts] + list(CONFIG_SOURCES) + mutants + refusals + diagnostics
 
 
 def fan_inputs() -> list[bytes | None]:
@@ -83,8 +94,10 @@ def fan_inputs() -> list[bytes | None]:
 FILE = object()  # stands for the path of the input in a command line
 
 
-def entered_code(tmp_path) -> set[tuple[str, int, str]]:
-    """File, first line and name of each code object that ``cli.run`` enters."""
+@pytest.fixture(scope="module")
+def cli_runs(tmp_path_factory) -> tuple[set[tuple[str, int, str]], str]:
+    """File, first line and name of each code object that ``cli.run``
+    enters on every input, and all that the runs wrote."""
     runs = [([*command[:1], FILE, *command[1:]], data)
             for data in config_inputs()
             for command in (["validate"], ["compute"], ["compute", "--json"], ["explain"])]
@@ -107,18 +120,18 @@ def entered_code(tmp_path) -> set[tuple[str, int, str]]:
     # A process starts with no duals cached; earlier tests may have filled
     # the cache, and a hit enters none of the functions behind it.
     toric._dual_rays.cache_clear()
-    path = tmp_path / "input"
+    path = tmp_path_factory.mktemp("reach") / "input"
+    out = io.StringIO()
     for argv, data in runs:
         path.unlink(missing_ok=True)
         if data is not None:
             path.write_bytes(data)
-        out = io.StringIO()
         sys.setprofile(profile)
         try:
             cli.run([str(path) if arg is FILE else arg for arg in argv], out, out)
         finally:
             sys.setprofile(None)
-    return {(code.co_filename, code.co_firstlineno, code.co_name) for code in entered}
+    return {(code.co_filename, code.co_firstlineno, code.co_name) for code in entered}, out.getvalue()
 
 
 # Functions and methods of the package that no command enters on these
@@ -165,8 +178,43 @@ UNENTERED_ALLOWED = {
 }
 
 
-def test_what_the_cli_never_enters_is_listed(tmp_path):
+def test_what_the_cli_never_enters_is_listed(cli_runs):
     defined = functions()
-    entered = entered_code(tmp_path)
+    entered, _ = cli_runs
     unentered = {name for key, name in defined.items() if key not in entered}
     assert unentered == UNENTERED_ALLOWED
+
+
+def emitted_codes() -> set[str]:
+    """Each code of a ``Diagnostic`` call in ``model``; every such call names its code as a literal."""
+    tree = ast.parse((PACKAGE / "model.py").read_text())
+    calls = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Diagnostic"
+    ]
+    assert all(isinstance(call.args[0], ast.Constant) for call in calls)
+    return {call.args[0].value for call in calls}
+
+
+# Codes that only ``validate`` on a configuration built in Python
+# reaches: the parser refuses each input that would show them, with a
+# position and exit 2, before structural validation runs.
+LIBRARY_ONLY_CODES = {
+    "DUP_ID",  # an empty or repeated id or symbol
+    "SYMBOLS",  # an empty symbol name: the parser splits symbols on spaces
+    "RESIDUE_SYMBOLS",  # a residue or cores residue with an undeclared symbol
+    "BAD_REF",  # a point naming an unknown curve
+}
+
+
+def test_each_diagnostic_code_shows_on_the_command_line_or_is_listed(cli_runs):
+    _, written = cli_runs
+    shown = set(re.findall(r"\[([A-Z][A-Z0-9_]*)\] ", written))
+    assert emitted_codes() - shown == LIBRARY_ONLY_CODES
+
+
+@pytest.mark.parametrize("path", sorted(DIAGNOSTICS.glob("*.cfg")), ids=lambda path: path.stem)
+def test_each_diagnostic_input_shows_its_code(path):
+    out = io.StringIO()
+    assert cli.run(["validate", str(path)], out, out) == cli.INVALID
+    assert f"[{path.stem.upper()}] " in out.getvalue()

@@ -1,9 +1,10 @@
 """``scripts/oracle_sweep.py`` as CI runs it: its exits and what a mismatch prints.
 
 A sweep of no configurations checks nothing, so argparse refuses a count
-below 1.  A disagreement with the brute-force oracle, forced here by a
-stand-in oracle, exits 1 and writes the failing configuration in the
-text format, which the calculator reads back as the sampled value.
+below 1.  A disagreement with the brute-force oracle or with the rule
+oracle, or a check the rule oracle fails, each forced here by a stand-in
+oracle, exits 1 and writes the failing configuration in the text format,
+which the calculator reads back as the sampled value.
 """
 
 import io
@@ -19,6 +20,7 @@ from isbbrauer import cli, dsl
 from isbbrauer.sampling import random_configuration
 
 SCRIPT = Path(__file__).parents[1] / "scripts" / "oracle_sweep.py"
+TESTS = Path(__file__).parent
 ENV = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
 
 
@@ -38,16 +40,37 @@ def test_a_count_below_one_is_refused(count):
     assert f"argument --count: must be at least 1, got {count}" in done.stderr
 
 
+# Each stand-in, as the prelude that installs it, and the end of the
+# MISMATCH line it makes.  The rule oracle lives in ``tests/``.
+WRONG_ORACLES = {
+    "brute force": (
+        "import isbbrauer.brauer\nisbbrauer.brauer.brute_force_unramified = lambda cfg: (-1, -1)\n",
+        " brute_force=(-1, -1)",
+    ),
+    "rule oracle": (
+        "import rule_oracle\nrule_oracle.rule_oracle = lambda cfg: (-1, -1)\n",
+        " rule_oracle=(-1, -1)",
+    ),
+    "rule oracle check": (
+        "import rule_oracle\n"
+        "def failing(cfg):\n"
+        "    raise AssertionError('a Q column is not in the kernel of m_pr')\n"
+        "rule_oracle.rule_oracle = failing\n",
+        " rule_oracle=failed check (a Q column is not in the kernel of m_pr)",
+    ),
+}
+
+
 def test_a_mismatch_exits_1_with_the_configuration_as_text(tmp_path):
-    wrong_oracle = "import isbbrauer.brauer\nisbbrauer.brauer.brute_force_unramified = lambda cfg: (-1, -1)\n"
-    done = sweep("--count", "3", "--seed", "7", prelude=wrong_oracle)
-    assert done.returncode == 1
-    assert done.stdout == ""
-    head, text = done.stderr.split("\n", 1)
-    assert head.startswith("MISMATCH at sample 0: ")
     sampled = random_configuration(random.Random(7))
-    assert text == dsl.emit(sampled)
-    assert dsl.parse(text) == sampled
-    path = tmp_path / "mismatch.cfg"
-    path.write_text(text)
-    assert cli.run(["compute", str(path)], io.StringIO(), io.StringIO()) == cli.OK
+    for prelude, tail in WRONG_ORACLES.values():
+        done = sweep("--count", "3", "--seed", "7", prelude=f"sys.path.insert(0, {str(TESTS)!r})\n{prelude}")
+        assert done.returncode == 1
+        assert done.stdout == ""
+        head, text = done.stderr.split("\n", 1)
+        assert head.startswith("MISMATCH at sample 0: ") and head.endswith(tail)
+        assert text == dsl.emit(sampled)
+        assert dsl.parse(text) == sampled
+        path = tmp_path / "mismatch.cfg"
+        path.write_text(text)
+        assert cli.run(["compute", str(path)], io.StringIO(), io.StringIO()) == cli.OK

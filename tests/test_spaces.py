@@ -366,7 +366,7 @@ def test_permuting_the_curves_keeps_the_cosets_the_generators_span(corpus):
         report, permuted = unramified_brauer(cfg), unramified_brauer(cfg._replace(curves=tuple(curves)))
         assert permuted.dims == report.dims
         coordinate = {label: j for j, label in enumerate(report.p_labels)}
-        pivots = dict(model._build_spaces(cfg).qs_echelon[1])
+        pivots = dict(model._build_spaces(cfg).qs_echelon)
         relations = column_space(report.m_qp)
         same_cosets = True
         for g, original in zip(permuted.generators, report.generators):
