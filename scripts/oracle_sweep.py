@@ -11,7 +11,8 @@ Reports the dimension statistics.  Exits 1 on the first disagreement, or
 on a check that an oracle fails (there should never be one), after
 writing the failing configuration in the text format to stderr, so that
 ``isbbrauer compute`` can rerun it.  A count below 1 is refused (exit 2).
-The rule oracle imports from ``tests/``, which needs pytest installed.
+The rule oracle is read from ``tests/rule_oracle.py``, which needs only
+the package, not pytest.
 """
 
 import argparse

@@ -185,7 +185,8 @@ def _lift(spaces: _Spaces, vec: F2Vector) -> list[tuple[str, ResidueClass]]:
         cid, symbols = rows[low.bit_length() - 1]
         acc[cid] = acc.get(cid, _NO_SYMBOLS) ^ symbols
         mask ^= low
-    return [(cid, ResidueClass(symbols)) for cid, symbols in acc.items() if symbols]
+    # Each total is a frozenset already, so the class is built as the parser builds one.
+    return [(cid, tuple.__new__(ResidueClass, (symbols,))) for cid, symbols in acc.items() if symbols]
 
 
 def residue_kernel(c: Curve) -> list[ResidueClass]:

@@ -55,12 +55,12 @@ class _Cells:
     The layout is built once, as a template of zeros in which cell ``k``
     is the byte at ``first + k * step``.  A row with few set bits costs a
     copy of the template and one byte per set bit, walked from the top
-    bit down since the order is free; a denser one copies
-    its bit string into the strided slice.  ``head``, ``sep`` and
-    ``tail`` are ASCII, so byte offsets are character offsets.
+    bit down since the order is free; a denser one writes its bits,
+    formatted as one binary string, into the strided slice.  ``head``,
+    ``sep`` and ``tail`` are ASCII, so byte offsets are character offsets.
     """
 
-    __slots__ = ("zeros", "cols", "first", "step", "stop", "sparse")
+    __slots__ = ("zeros", "cols", "first", "step", "stop", "sparse", "digits")
 
     def __init__(self, head: str, sep: str, tail: str, cols: int):
         self.zeros = (head + sep.join("0" * cols) + tail).encode()
@@ -69,8 +69,10 @@ class _Cells:
         self.step = len(sep) + 1
         self.stop = self.first + self.step * cols
         # Past about this many set bits, walking them costs more than
-        # writing every cell from the bit string.
+        # writing every cell from the bit string.  A row of width 0 is all
+        # zeros and never reaches ``digits``, which writes at least one digit.
         self.sparse = min(cols >> 4, 8)
+        self.digits = f"0{cols}b"
 
     def row(self, mask: int) -> str:
         cells = bytearray(self.zeros)
@@ -81,7 +83,8 @@ class _Cells:
                 cells[first + step * t] = 49  # "1"
                 mask ^= 1 << t
         else:
-            cells[self.first:self.stop:self.step] = f2.bit_string(mask, self.cols).encode()
+            # ``format`` writes the highest bit first, so the string is reversed.
+            cells[self.first:self.stop:self.step] = format(mask, self.digits)[::-1].encode()
         return cells.decode()
 
 
@@ -166,8 +169,12 @@ def _write_report(r: brauer.BrauerReport, symbol_index: dict[str, int], write) -
     if not r.generators:
         write("generators: (none)\n")
     rendered: dict[model.ResidueClass, str] = {}  # each distinct class rendered once
+    cells = None
     for i, g in enumerate(r.generators, start=1):
-        lines = [f"generator g{i}: {g.vector}\n"]
+        v = g.vector
+        if cells is None or cells.cols != v.length:
+            cells = _Cells("(", ",", ")", v.length)
+        lines = [f"generator g{i}: {cells.row(v.mask)}\n"]
         for cid, cls in g.ramification:
             text = rendered.get(cls)
             if text is None:

@@ -347,6 +347,13 @@ class _Parser:
             self.error(at, "malformed symbols line")
             self.rejected_declarations.add("symbols")
             return
+        # A line of distinct valid names, the common case, is declared in
+        # one pass; any other line goes token by token for its diagnostics.
+        names = m.group("rest").split()
+        unique = set(names)
+        if len(unique) == len(names) and _RE_NAME.fullmatch("".join(names)):
+            self.declared, self.symbols = unique, names
+            return
         self.symbols = []
         declared = self.declared
         for tok in _RE_TOKEN.finditer(text, m.start("rest")):
@@ -568,11 +575,22 @@ class _Parser:
             return ResidueClass(), []
         if not text:
             return ResidueClass(), [(0, "missing residue (use 0 for the zero class)")]
+        declared = self.declared
+        parts = text.split("+")
+        if declared.issuperset(parts):
+            # Every part is a declared name, so there is no problem to place:
+            # the class is the set of names, each repeat folded by parity.
+            symbols = frozenset(parts)
+            if len(symbols) < len(parts):
+                odd: set[str] = set()
+                for part in parts:
+                    odd ^= {part}
+                symbols = frozenset(odd)
+            return tuple.__new__(ResidueClass, (symbols,)), []
         acc: set[str] = set()
         problems: list[tuple[int, str]] = []
-        declared = self.declared
         offset = 0
-        for part in text.split("+"):
+        for part in parts:
             token = part.strip()
             if not _RE_NAME.fullmatch(token):
                 problems.append((offset, f"bad residue symbol {part!r}"))

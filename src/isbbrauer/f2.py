@@ -168,11 +168,6 @@ def rref(m: F2Matrix) -> Rref:
     return Rref(F2Matrix(m.rows, m.cols, tuple(masks)), r, tuple(pivots))
 
 
-def _leading_bit(mask: int) -> int:
-    """Index of the lowest set bit (the pivot of an RREF row)."""
-    return (mask & -mask).bit_length() - 1
-
-
 class Subspace(namedtuple("Subspace", "ambient_dim basis", defaults=((),))):
     """A subspace of GF(2)^n held as its unique reduced row echelon basis.
 
@@ -189,19 +184,21 @@ class Subspace(namedtuple("Subspace", "ambient_dim basis", defaults=((),))):
     def __new__(cls, ambient_dim: int, basis: tuple[F2Vector, ...] = ()) -> Subspace:
         # One pass: ``once`` and ``twice`` collect the bits set in at least
         # one and at least two basis vectors, so the basis is fully reduced
-        # exactly when no pivot bit is in ``twice``.
+        # exactly when no pivot bit is in ``twice``.  Each pivot is kept as
+        # its one-bit int, which grows with the pivot, so comparing the ints
+        # checks the echelon order.
         ordered = True
-        last = -1
+        last = 0
         pivots = once = twice = 0
         for length, mask in basis:
             if length != ambient_dim:
                 raise DimensionMismatch("basis vector length disagrees with ambient dimension")
             if not mask:
                 raise ValueError("zero vector in basis")
-            pivot = _leading_bit(mask)
-            ordered = ordered and pivot > last
-            last = pivot
-            pivots |= 1 << pivot
+            low = mask & -mask
+            ordered = ordered and low > last
+            last = low
+            pivots |= low
             twice |= once & mask
             once |= mask
         if not ordered:

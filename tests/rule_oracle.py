@@ -4,10 +4,11 @@
 ``model._build_spaces`` built, so it cannot catch a fault in the
 builder.  This oracle starts from ``rule_rows_and_columns``, which
 rebuilds the R rows, the Q columns and the S vectors from the rules as
-``model``'s docstrings state them, without ``_build_spaces``: from
-``model`` this module imports only the value types, and the rules read
-no more of the package than ``vp_basis``, the one-line list of P that
-``test_ownership.reference_s`` calls.
+``model``'s docstrings state them, without ``_build_spaces``: from the
+package this module imports only the value types and ``vp_basis``, the
+one-line list of P that ``reference_s`` reads.  It imports neither
+pytest nor a test module, so ``scripts/oracle_sweep.py`` runs it with
+nothing but the package installed; the tests import the rules from it.
 
 An R row marks only extensions of the point's two curves, and a Q
 column only its own curve's, so ``m_pr`` is block diagonal over the
@@ -17,14 +18,115 @@ own (dim P at most 20 per component), so a disjoint union of many small
 configurations stays cheap however large its P.
 """
 
-from isbbrauer.model import Configuration, PointType
-
-from test_spaces import rule_rows_and_columns
+from isbbrauer.f2 import F2Vector
+from isbbrauer.model import (
+    Configuration,
+    CoverBehavior,
+    CoverKind,
+    Curve,
+    CurveType,
+    Extension,
+    PointType,
+    ResidueClass,
+    SingularPoint,
+    vp_basis,
+)
 
 COMPONENT_CAP = 20
 
 # The point types that have no R row.
 _ROWLESS = (PointType.I_II, PointType.IVPP_IV)
+
+
+# --- P, R, Q and S from the stated rules ------------------------------------
+
+
+def fires(point: SingularPoint, curve: Curve, ext: Extension) -> bool:
+    """Whether ``ext``, on one of ``point``'s curves, is in ``point``'s R row."""
+    if point.etype is PointType.II_II:
+        return curve.cover_behavior is CoverBehavior.SPLIT
+    if point.etype is PointType.III_II:
+        return True
+    if point.etype is PointType.IV_II and curve.deg_type is not CurveType.IV:
+        return ext.id in point.meets_marked
+    return ext.id == curve.marking  # IV_II on the Type IV side, and IVp_IV
+
+
+def rule_rows_and_columns(cfg: Configuration) -> tuple[int, list[int], list[int], list[int]]:
+    """dim P, the R rows, the Q columns and the S vectors as masks over P,
+    from the rules alone.
+
+    P is every extension with nonzero residue, in declaration order.  Every
+    point but I_II and IVpp_IV has a row, marking the extensions of its own
+    curves that ``fires`` picks.  A curve with zero corestriction residue
+    and a nonzero extension has a column, marking its own extensions.  S
+    has ``reference_s``'s generators, read from the residues: cores(beta)
+    marks every extension and beta_i every sheet-i extension.
+    """
+    coords = [(c, e) for c in cfg.curves for e in c.extensions if not e.residue.is_zero]
+    rows = [
+        sum(1 << j for j, (c, e) in enumerate(coords) if c.id in point.incident and fires(point, c, e))
+        for point in cfg.points
+        if point.etype not in (PointType.I_II, PointType.IVPP_IV)
+    ]
+    columns = [
+        sum(1 << j for j, (owner, _) in enumerate(coords) if owner is c)
+        for c in cfg.curves
+        if c.cores_residue.is_zero and any(not e.residue.is_zero for e in c.extensions)
+    ]
+    labels, _ = reference_s(cfg)
+    s = [
+        sum(1 << j for j, (_, e) in enumerate(coords) if label in ("cores(beta)", f"beta_{e.sheet}"))
+        for label in labels
+    ]
+    return len(coords), rows, columns, s
+
+
+def reference_s(cfg: Configuration) -> tuple[tuple[str, ...], tuple[F2Vector, ...]]:
+    """The labels from the residues, then each label's vector from its name."""
+
+    def sheet_residues(c: Curve) -> dict[int, ResidueClass]:
+        return {ext.sheet: ext.residue for ext in c.extensions if ext.sheet in (1, 2)}
+
+    if cfg.cover_kind is CoverKind.IRREDUCIBLE:
+        if any(not c.cores_residue.is_zero for c in cfg.curves):
+            labels: tuple[str, ...] = ("cores(beta)",)
+        else:
+            labels = ()
+    else:
+        nonzero = {1: False, 2: False}
+        equal = True
+        for c in cfg.curves:
+            res = sheet_residues(c)
+            for i in (1, 2):
+                if not res.get(i, ResidueClass()).is_zero:
+                    nonzero[i] = True
+            if res.get(1, ResidueClass()) != res.get(2, ResidueClass()):
+                equal = False
+        found = []
+        if nonzero[1]:
+            found.append("beta_1")
+        if nonzero[2] and not (equal and nonzero[1]):
+            found.append("beta_2")
+        labels = tuple(found)
+
+    vp = vp_basis(cfg)
+    p = len(vp)
+    vectors = []
+    for label in labels:
+        if label == "cores(beta)":
+            mask = (1 << p) - 1
+        else:
+            sheet = 1 if label == "beta_1" else 2
+            mask = 0
+            for j, ext in enumerate(vp):
+                if ext.sheet == sheet:
+                    mask |= 1 << j
+        vectors.append(F2Vector(p, mask))
+    return labels, tuple(vectors)
+
+
+# --- enumeration, one component at a time ------------------------------------
 
 
 def curve_components(cfg: Configuration) -> list[int]:

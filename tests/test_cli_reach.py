@@ -172,6 +172,11 @@ UNENTERED_ALLOWED = {
     "sampling.py:random_configuration",
     "sampling.py:random_corpus",
     "toric.py:SmoothnessReport.__bool__",
+    # A vector's own text form: both report formats write vectors and
+    # matrix rows through ``cli._Cells``, which formats its dense rows
+    # itself.
+    "f2.py:F2Vector.__str__",
+    "f2.py:bit_string",
     # ``validate`` on a configuration built in Python: the parser refuses
     # an empty or repeated id before structural validation sees it.
     "model.py:_id_clash",

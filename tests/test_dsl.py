@@ -184,6 +184,89 @@ def test_residue_folding():
     assert cfg.curves[0].extensions[1].residue.is_zero
 
 
+# --- one-pass reads against the per-token loops ---------------------------------
+
+
+def loop_read_residue(declared: set[str], text: str) -> tuple[ResidueClass, list[tuple[int, str]]]:
+    """``_Parser.read_residue`` as a loop over the parts, one check per part."""
+    if text == "0":
+        return ResidueClass(), []
+    if not text:
+        return ResidueClass(), [(0, "missing residue (use 0 for the zero class)")]
+    acc: set[str] = set()
+    problems = []
+    offset = 0
+    for part in text.split("+"):
+        token = part.strip()
+        if not re.fullmatch(r"[A-Za-z0-9_]+", token):
+            problems.append((offset, f"bad residue symbol {part!r}"))
+        elif token not in declared:
+            problems.append((offset + part.index(token), f"residue symbol {token!r} is not declared"))
+        else:
+            acc ^= {token}
+        offset += len(part) + 1
+    return ResidueClass(frozenset(acc)), problems
+
+
+def loop_on_symbols(text: str, at: int) -> tuple[list[str], set[str], list[tuple[int, str]]]:
+    """The symbols, declared names and diagnostics of ``_Parser.on_symbols``
+    on a well-formed symbols line, as a loop over its tokens."""
+    symbols: list[str] = []
+    declared: set[str] = set()
+    diags = []
+    for tok in re.finditer(r"\S+", text[len("symbols:"):]):
+        name, start = tok.group(), at + len("symbols:") + tok.start()
+        if not re.fullmatch(r"[A-Za-z0-9_]+", name):
+            diags.append((start, f"bad symbol name {name!r}"))
+        elif name in declared:
+            diags.append((start, f"duplicate symbol {name!r}"))
+        else:
+            declared.add(name)
+            symbols.append(name)
+    return symbols, declared, diags
+
+
+# Declared or not, valid or not, with spaces on either side, empty, and 0.
+RESIDUE_PARTS = st.sampled_from(["a", "b", "c", "0", "x_1", "zz", "", " ", " a", "a ", "b-d", "ü", "a\t"])
+NAMES = ["a", "b", "c", "0", "x_1"]
+
+
+@given(
+    declared=st.sets(st.sampled_from(NAMES)),
+    text=st.one_of(
+        st.lists(RESIDUE_PARTS, min_size=1, max_size=8).map("+".join),
+        st.text(alphabet="abz0_+ -", max_size=12),
+    ),
+)
+@settings(max_examples=400)
+def test_reading_a_residue_matches_the_loop_over_its_parts(declared, text):
+    parser = dsl._Parser("")
+    parser.declared = set(declared)
+    cls, problems = parser.read_residue(text)
+    assert (cls, problems) == loop_read_residue(declared, text)
+    assert type(cls) is ResidueClass and type(cls.symbols) is frozenset
+
+
+def test_a_residue_of_declared_names_is_read_by_parity():
+    parser = dsl._Parser("")
+    parser.declared = {"a", "b", "c"}
+    for text, names in [("a", "a"), ("a+b", "ab"), ("a+a", ""), ("a+b+a", "b"), ("a+a+a", "a"), ("c+b+a+b", "ac")]:
+        assert parser.read_residue(text) == (ResidueClass(frozenset(names)), [])
+
+
+@given(
+    tokens=st.lists(st.sampled_from([*NAMES, "b-d", "ü", "a#", "x.y"]), max_size=8),
+    gaps=st.lists(st.sampled_from([" ", "  ", "\t", " \x0b "]), min_size=9, max_size=9),
+    at=st.integers(0, 50),
+)
+@settings(max_examples=400)
+def test_declaring_symbols_matches_the_loop_over_the_tokens(tokens, gaps, at):
+    text = "symbols:" + "".join(gap + token for gap, token in zip(gaps, tokens))
+    parser = dsl._Parser("")
+    parser.on_symbols(text, at)
+    assert (parser.symbols, parser.declared, parser.diags) == loop_on_symbols(text, at)
+
+
 # --- diagnostics ---------------------------------------------------------------
 
 

@@ -24,9 +24,11 @@ depend on the host, so the bound holds on any machine.
 A line count is blind to regex backtracking, which runs inside one
 line.  So the parsers are also timed on the layouts where a backtracking
 pattern once made them quadratic: runs of blank lines, and runs of
-spaces inside a value.  Parsing an input of n lines (or spaces) and one
-of 4n may take at most ``TIME_BOUND`` times as long: linear gives about
-4, quadratic about 16.
+spaces inside a value.  So are the one-pass reads of a long line: a
+residue that repeats one symbol, which a count per name would make
+quadratic, and a symbols line of distinct names.  Parsing an input of n
+lines (or spaces, or names) and one of 4n may take at most
+``TIME_BOUND`` times as long: linear gives about 4, quadratic about 16.
 """
 
 import io
@@ -140,6 +142,14 @@ LAYOUTS = {
     ),
     "spaces inside a cores residue": (
         lambda n: _HEAD + _CURVE + "  cover: inert\n  ext e: a\n  cores: a" + " " * n + "b\n",
+        dsl.parse,
+    ),
+    "one symbol repeated in an ext residue": (
+        lambda n: _HEAD + _CURVE + "  cover: ramified\n  ext e: " + "+".join(["a"] * n) + "\n",
+        dsl.parse,
+    ),
+    "distinct names on the symbols line": (
+        lambda n: "cover: irreducible\nsymbols: " + " ".join(f"s{i}" for i in range(n)) + "\n",
         dsl.parse,
     ),
     "spaces inside a meets_marked value": (

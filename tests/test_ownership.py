@@ -25,7 +25,6 @@ import sys
 from pathlib import Path
 
 from isbbrauer import brauer, dsl, model, sampling
-from isbbrauer.f2 import F2Vector
 from isbbrauer.model import (
     Configuration,
     CoverBehavior,
@@ -38,6 +37,7 @@ from isbbrauer.model import (
 )
 
 from f2_reference import columns
+from rule_oracle import reference_s
 
 PACKAGE = Path(model.__file__).parent
 
@@ -310,50 +310,6 @@ def test_spaces_are_built_once_per_configuration():
 
 
 # --- S pinned to the construction it replaced --------------------------------
-
-
-def reference_s(cfg: Configuration) -> tuple[tuple[str, ...], tuple[F2Vector, ...]]:
-    """The labels from the residues, then each label's vector from its name."""
-
-    def sheet_residues(c: Curve) -> dict[int, ResidueClass]:
-        return {ext.sheet: ext.residue for ext in c.extensions if ext.sheet in (1, 2)}
-
-    if cfg.cover_kind is CoverKind.IRREDUCIBLE:
-        if any(not c.cores_residue.is_zero for c in cfg.curves):
-            labels: tuple[str, ...] = ("cores(beta)",)
-        else:
-            labels = ()
-    else:
-        nonzero = {1: False, 2: False}
-        equal = True
-        for c in cfg.curves:
-            res = sheet_residues(c)
-            for i in (1, 2):
-                if not res.get(i, ResidueClass()).is_zero:
-                    nonzero[i] = True
-            if res.get(1, ResidueClass()) != res.get(2, ResidueClass()):
-                equal = False
-        found = []
-        if nonzero[1]:
-            found.append("beta_1")
-        if nonzero[2] and not (equal and nonzero[1]):
-            found.append("beta_2")
-        labels = tuple(found)
-
-    vp = vp_basis(cfg)
-    p = len(vp)
-    vectors = []
-    for label in labels:
-        if label == "cores(beta)":
-            mask = (1 << p) - 1
-        else:
-            sheet = 1 if label == "beta_1" else 2
-            mask = 0
-            for j, ext in enumerate(vp):
-                if ext.sheet == sheet:
-                    mask |= 1 << j
-        vectors.append(F2Vector(p, mask))
-    return labels, tuple(vectors)
 
 
 def assert_s_pinned(cfg: Configuration) -> bool:

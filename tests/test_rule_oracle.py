@@ -7,6 +7,9 @@ cap of 20 at which ``brute_force_unramified`` refuses.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -55,11 +58,23 @@ def test_the_oracle_imports_only_value_types_and_the_rules():
         for alias in node.names
     }
     assert not any(isinstance(node, ast.Import) for node in ast.walk(tree))
-    assert imports == {
-        ("isbbrauer.model", "Configuration"),
-        ("isbbrauer.model", "PointType"),
-        ("test_spaces", "rule_rows_and_columns"),
+    assert imports == {("isbbrauer.f2", "F2Vector"), ("isbbrauer.model", "vp_basis")} | {
+        ("isbbrauer.model", name)
+        for name in (
+            "Configuration", "CoverBehavior", "CoverKind", "Curve", "CurveType", "Extension", "PointType",
+            "ResidueClass", "SingularPoint",
+        )
     }
+
+
+def test_the_oracle_loads_without_pytest():
+    # ``scripts/oracle_sweep.py`` imports it where only the package is installed.
+    probe = "import sys, rule_oracle; print(sorted(m for m in sys.modules if m.startswith(('pytest', '_pytest', 'test_'))))"
+    path = os.pathsep.join([str(Path(model.__file__).parents[1]), str(Path(__file__).parent)])
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def test_rule_oracle_matches_on_corpus():

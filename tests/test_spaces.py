@@ -42,7 +42,7 @@ from isbbrauer.sampling import random_configuration, random_corpus
 
 from f2_reference import column_space, member, mul, span, sum_subspace
 from model_reference import point_relates
-from test_ownership import reference_s
+from rule_oracle import rule_rows_and_columns
 from test_word_level import ring
 
 
@@ -194,47 +194,6 @@ def test_incidence_walk_refuses_clashing_ids():
 
 
 # --- m_pr and m_qp from the stated rules --------------------------------------
-
-
-def fires(point: SingularPoint, curve: Curve, ext: Extension) -> bool:
-    """Whether ``ext``, on one of ``point``'s curves, is in ``point``'s R row."""
-    if point.etype is PointType.II_II:
-        return curve.cover_behavior is CoverBehavior.SPLIT
-    if point.etype is PointType.III_II:
-        return True
-    if point.etype is PointType.IV_II and curve.deg_type is not CurveType.IV:
-        return ext.id in point.meets_marked
-    return ext.id == curve.marking  # IV_II on the Type IV side, and IVp_IV
-
-
-def rule_rows_and_columns(cfg: Configuration) -> tuple[int, list[int], list[int], list[int]]:
-    """dim P, the R rows, the Q columns and the S vectors as masks over P,
-    from the rules alone.
-
-    P is every extension with nonzero residue, in declaration order.  Every
-    point but I_II and IVpp_IV has a row, marking the extensions of its own
-    curves that ``fires`` picks.  A curve with zero corestriction residue
-    and a nonzero extension has a column, marking its own extensions.  S
-    has ``reference_s``'s generators, read from the residues: cores(beta)
-    marks every extension and beta_i every sheet-i extension.
-    """
-    coords = [(c, e) for c in cfg.curves for e in c.extensions if not e.residue.is_zero]
-    rows = [
-        sum(1 << j for j, (c, e) in enumerate(coords) if c.id in point.incident and fires(point, c, e))
-        for point in cfg.points
-        if point.etype not in (PointType.I_II, PointType.IVPP_IV)
-    ]
-    columns = [
-        sum(1 << j for j, (owner, _) in enumerate(coords) if owner is c)
-        for c in cfg.curves
-        if c.cores_residue.is_zero and any(not e.residue.is_zero for e in c.extensions)
-    ]
-    labels, _ = reference_s(cfg)
-    s = [
-        sum(1 << j for j, (_, e) in enumerate(coords) if label in ("cores(beta)", f"beta_{e.sheet}"))
-        for label in labels
-    ]
-    return len(coords), rows, columns, s
 
 
 def plain_rank(masks: list[int], width: int) -> int:

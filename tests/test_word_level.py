@@ -154,8 +154,13 @@ def json_cells(level: int):
     return lambda cells: json.dumps(list(cells), indent=2).replace("\n", "\n" + "  " * level)
 
 
+def text_vector(cells: tuple[int, ...]) -> str:
+    return str(F2Vector(len(cells), sum(b << i for i, b in enumerate(cells))))
+
+
 CELL_LAYOUTS = {
     "text row": (lambda cols: cli._Cells("[", " ", "]\n", cols), text_row),
+    "text vector": (lambda cols: cli._Cells("(", ",", ")", cols), text_vector),
     "json row": (lambda cols: cli._json_cells(cols, 2), json_cells(2)),
     "json vector": (lambda cols: cli._json_cells(cols, 3), json_cells(3)),
 }
