@@ -349,6 +349,9 @@ class _Parser:
             return
         # A line of distinct valid names, the common case, is declared in
         # one pass; any other line goes token by token for its diagnostics.
+        # Matching the joined names checks each one only because _NAME is a
+        # repeated character class: a rule such as "starts with a letter"
+        # would let "a" + "0" pass as "a0".
         names = m.group("rest").split()
         unique = set(names)
         if len(unique) == len(names) and _RE_NAME.fullmatch("".join(names)):
@@ -578,15 +581,11 @@ class _Parser:
         declared = self.declared
         parts = text.split("+")
         if declared.issuperset(parts):
-            # Every part is a declared name, so there is no problem to place:
-            # the class is the set of names, each repeat folded by parity.
+            # Distinct declared names have no problem to place and no repeat
+            # to fold: the class is their set.  A repeat takes the loop.
             symbols = frozenset(parts)
-            if len(symbols) < len(parts):
-                odd: set[str] = set()
-                for part in parts:
-                    odd ^= {part}
-                symbols = frozenset(odd)
-            return tuple.__new__(ResidueClass, (symbols,)), []
+            if len(symbols) == len(parts):
+                return tuple.__new__(ResidueClass, (symbols,)), []
         acc: set[str] = set()
         problems: list[tuple[int, str]] = []
         offset = 0

@@ -24,9 +24,9 @@ depend on the host, so the bound holds on any machine.
 A line count is blind to regex backtracking, which runs inside one
 line.  So the parsers are also timed on the layouts where a backtracking
 pattern once made them quadratic: runs of blank lines, and runs of
-spaces inside a value.  So are the one-pass reads of a long line: a
-residue that repeats one symbol, which a count per name would make
-quadratic, and a symbols line of distinct names.  Parsing an input of n
+spaces inside a value.  So are the reads of a long line: a residue
+that repeats one symbol, which a count per name would make quadratic,
+and a symbols line of distinct names.  Parsing an input of n
 lines (or spaces, or names) and one of 4n may take at most
 ``TIME_BOUND`` times as long: linear gives about 4, quadratic about 16.
 """
