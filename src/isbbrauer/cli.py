@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -36,9 +35,49 @@ USAGE = 3
 CLOSED_STDOUT = 141
 
 
+_JSON_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+def _json_str(s: str) -> str:
+    """``json.dumps(s)``: ``s`` quoted and in ASCII, escaped as ``ensure_ascii`` does.
+
+    The parser's ids and symbols are printable ASCII without ``"`` or
+    ``\\``, so a parsed configuration's strings take the first return.
+    """
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return '"' + s + '"'
+    out = ['"']
+    for c in s:
+        n = ord(c)
+        if c in _JSON_ESCAPES:
+            out.append(_JSON_ESCAPES[c])
+        elif 0x20 <= n < 0x7F:
+            out.append(c)
+        elif n < 0x10000:
+            out.append(f"\\u{n:04x}")
+        else:  # above the BMP: a surrogate pair
+            n -= 0x10000
+            out.append(f"\\u{0xD800 | n >> 10:04x}\\u{0xDC00 | n & 0x3FF:04x}")
+    out.append('"')
+    return "".join(out)
+
+
 def _json_at(value, level: int) -> str:
-    """``json.dumps(value, indent=2)`` as it reads nested ``level`` deep."""
-    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * level)
+    """``json.dumps(value, indent=2)`` as it reads nested ``level`` deep.
+
+    ``value`` is a str, an int (not a bool), a list of str, or a dict
+    from str to an int or a str: the only values a report holds outside
+    its matrix rows and generator vectors.  So it is laid out here, not
+    by ``json``, which the CLI does not import.
+    """
+    if isinstance(value, str):
+        return _json_str(value)
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, dict):
+        items = [_json_str(k) + ": " + _json_at(v, level + 1) for k, v in value.items()]
+        return _json_block("{}", items, level)
+    return _json_block("[]", [_json_str(s) for s in value], level)
 
 
 def _json_block(brackets: str, items, level: int) -> str:
@@ -100,10 +139,10 @@ def _write_json(r: brauer.BrauerReport, write) -> None:
     """Write a report's JSON through ``write``, about one call per matrix row.
 
     The bytes are those of ``json.dumps(doc, indent=2)``, with a fixed key
-    order and integers only.  That ``indent`` would take the pure-Python
-    encoder through every matrix cell, so each matrix row and generator
-    vector is written from its mask by ``_Cells``, and ``json.dumps`` lays
-    out only the rest.
+    order, integers and strings only.  Each matrix row and generator
+    vector is written from its mask by ``_Cells``; ``_json_at`` and
+    ``_json_str`` lay out the rest (dims, labels, ramification, assertions)
+    as ``json.dumps`` would, strings escaped as with ``ensure_ascii``.
     """
     write('{\n  "dims": ' + _json_at(r.dims, 1))
     for key, labels in (("p_labels", r.p_labels), ("q_labels", r.q_labels), ("r_labels", r.r_labels)):
@@ -132,7 +171,7 @@ def _write_json(r: brauer.BrauerReport, write) -> None:
             text = rendered.get(cls)
             if text is None:
                 text = rendered[cls] = _json_at(sorted(cls.symbols), 4)
-            entries.append(f"{json.dumps(cid)}: {text}")
+            entries.append(_json_str(cid) + ": " + text)
         write(',\n      "ramification": ' + _json_block("{}", entries, 3) + "\n    }")
         lead = ",\n    "
     write("\n  ]" if r.generators else "[]")

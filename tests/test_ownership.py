@@ -290,6 +290,22 @@ def test_the_cli_imports_no_dataclasses_inspect_typing_or_contextlib():
     assert done.stdout == "[]\n"
 
 
+def test_the_cli_imports_no_json():
+    # ``json`` and its submodules are loaded by nothing else the CLI
+    # imports; the report's few strings, ints, label lists and small
+    # dicts are laid out by ``cli._json_at``.
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import isbbrauer.cli\n"
+        "print(sorted({'json', 'json.decoder', 'json.encoder', 'json.scanner', '_json'} & set(sys.modules)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, str(PACKAGE.parent)], capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"
+
+
 # --- built once per configuration -------------------------------------------
 
 

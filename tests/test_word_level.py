@@ -16,6 +16,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from isbbrauer import brauer, cli, dsl, model, sampling
 from isbbrauer.brauer import unramified_brauer
@@ -537,10 +539,43 @@ def test_report_json_matches_json_dumps():
         base._replace(generators=()),
         base._replace(generators=tuple(brauer.Generator(v, ()) for v in odd)),
         base._replace(p_labels=('quote " here', "back\\slash", "new\nline", "ümlaut ☃"), assertions=()),
+        base._replace(
+            p_labels=("astral \U0001d49e", "control \x01", "DEL \x7f"),
+            q_labels=("q\U0001f600\x1b\x7f",),
+            r_labels=("r\x7f", "r\U0001d49e\x1f"),
+            generators=(
+                brauer.Generator(
+                    F2Vector(3, 0b11),
+                    (("c\U0001d49e", ResidueClass.of("a")), ("c\x01\x7f", ResidueClass.of("b\x7f", "\U0001d49e\x02"))),
+                ),
+            ),
+        ),
     ]
     for r in reports:
         assert report_json(r) == reference_report_json(r)
     assert {len(r.generators) > 1 for r in reports} == {True, False}
+
+
+# Each kind of character ``json.dumps`` writes differently is drawn often:
+# the short escapes, other control characters, DEL, non-ASCII, astral
+# characters and lone surrogates, beside arbitrary code points.
+json_chars = st.one_of(
+    st.sampled_from('"\\\b\f\n\r\t\x00\x1f\x7f\x80\u2603\U0001d49e'),
+    st.characters(categories=["Cs"]),
+    st.characters(),
+)
+json_texts = st.text(json_chars)
+json_values = st.one_of(
+    json_texts,
+    st.integers(),
+    st.lists(json_texts),
+    st.dictionaries(json_texts, st.one_of(st.integers(), json_texts)),
+)
+
+
+@given(value=json_values, level=st.integers(0, 4))
+def test_json_at_matches_json_dumps(value, level):
+    assert cli._json_at(value, level) == json.dumps(value, indent=2).replace("\n", "\n" + "  " * level)
 
 
 def test_report_text_matches_the_joined_rendering():
